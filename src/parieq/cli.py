@@ -37,17 +37,14 @@ def _fmt(x: float) -> str:
 
 def _metric_values(sc: Scenario, measure: BeliefMeasure, params: MarketParams,
                    eq) -> list[str]:
-    vals = []
-    for name in sc.metrics:
-        if name == "house_revenue":
-            vals.append(_fmt(house_revenue(eq, params)))
-        elif name == "diffuse_actual_profit":
-            vals.append(_fmt(diffuse_actual_profit(eq, params, sc.p_actual)))
-        elif name == "diffuse_subjective_profit":
-            vals.append(_fmt(diffuse_subjective_profit(eq, params, measure)))
-        elif name == "atomic_subjective_profit":
-            vals.append(_fmt(atomic_subjective_profit(eq, params)))
-    return vals
+    table = {  # keyed by scenario.METRIC_NAMES
+        "house_revenue": lambda: house_revenue(eq, params),
+        "diffuse_actual_profit": lambda: diffuse_actual_profit(eq, params, sc.p_actual),
+        "diffuse_subjective_profit":
+            lambda: diffuse_subjective_profit(eq, params, measure),
+        "atomic_subjective_profit": lambda: atomic_subjective_profit(eq, params),
+    }
+    return [_fmt(table[name]()) for name in sc.metrics]
 
 
 def _core_values(sc: Scenario, kappa: float, w: float, eq) -> list[str]:

@@ -196,15 +196,21 @@ def phi_context(params: MarketParams, measure: BeliefMeasure,
     return PhiContext(params=params, measure=measure, pbar1=pbar1, pbar2=pbar2)
 
 
+def _stake(kappa: float, belief: float, d1: float, d2: float, own: float) -> float:
+    # unconstrained optimal stake on the side held with probability belief,
+    # whose small-bettor total is own
+    denom = 1.0 - kappa * belief
+    assert denom > 0.0
+    return max(0.0, sqrt(kappa * belief / denom * d1 * d2) - own)
+
+
 def zeta1(p: float, ctx: PhiContext) -> float:
     """Unconstrained optimal stake on Outcome 1 at candidate p in [pbar1, kappa]."""
     kappa, q = ctx.params.kappa, ctx.params.q
     p = _clamp_to(p, ctx.pbar1, kappa, "candidate probability")
     d1 = _d1(p, kappa, ctx.measure)
     d2 = _d2(p, kappa, ctx.measure)
-    denom = 1.0 - kappa * q
-    assert denom > 0.0
-    return max(0.0, sqrt(kappa * q / denom * d1 * d2) - d1)
+    return _stake(kappa, q, d1, d2, d1)
 
 
 def zeta2(p: float, ctx: PhiContext) -> float:
@@ -213,23 +219,21 @@ def zeta2(p: float, ctx: PhiContext) -> float:
     p = _clamp_to(p, 1.0 - kappa, ctx.pbar2, "candidate probability")
     d1 = _d1(p, kappa, ctx.measure)
     d2 = _d2(p, kappa, ctx.measure)
-    denom = 1.0 - kappa * (1.0 - q)
-    assert denom > 0.0
-    return max(0.0, sqrt(kappa * (1.0 - q) / denom * d1 * d2) - d2)
+    return _stake(kappa, 1.0 - q, d1, d2, d2)
 
 
 def phi(p: float, ctx: PhiContext) -> float:
     """Implied probability produced by best responses to candidate p."""
-    kappa, w = ctx.params.kappa, ctx.params.w
+    kappa, q, w = ctx.params.kappa, ctx.params.q, ctx.params.w
     p = _clamp_to(p, 1.0 - kappa, kappa, "candidate probability")
     d1 = _d1(p, kappa, ctx.measure)
     d2 = _d2(p, kappa, ctx.measure)
     if p < ctx.pbar2:
-        stake = min(w, zeta2(p, ctx))
+        stake = min(w, _stake(kappa, 1.0 - q, d1, d2, d2))
         return d1 / (stake + d1 + d2)
     if p <= ctx.pbar1:
         return d1 / (d1 + d2)
-    stake = min(w, zeta1(p, ctx))
+    stake = min(w, _stake(kappa, q, d1, d2, d1))
     return (stake + d1) / (stake + d1 + d2)
 
 

@@ -177,6 +177,8 @@ def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
     weights = tuple(float(x) for x in weights)
     means = tuple(float(x) for x in means)
     stddevs = tuple(float(x) for x in stddevs)
+    if not all(map(math.isfinite, weights + means + stddevs)):
+        raise DomainError("mixture parameters must be finite")
     gaussian_mixture_density(weights, means, stddevs, 0.0)  # validate parameters
     label = f"gaussian_mixture(k={len(weights)})"
     return _finish(lambda p: gaussian_mixture_density(weights, means, stddevs, p),
@@ -194,6 +196,8 @@ def tabulated(knots: Sequence[tuple[float, float]]) -> BeliefMeasure:
     value must be positive, which keeps the interpolant positive too.
     """
     pts = [(float(p), float(v)) for p, v in knots]
+    if not all(math.isfinite(x) for pt in pts for x in pt):
+        raise DomainError("tabulated knots must be finite")
     if len(pts) < 2:
         raise DomainError("tabulated density needs at least two knots")
     xs = [p for p, _ in pts]
@@ -221,8 +225,8 @@ def tabulated(knots: Sequence[tuple[float, float]]) -> BeliefMeasure:
 
 def scaled(base: BeliefMeasure, factor: float) -> BeliefMeasure:
     """The base measure with all wealth multiplied by factor > 0."""
-    if not factor > 0.0:
-        raise DomainError(f"scale factor must be positive, got {factor}")
+    if not 0.0 < factor < math.inf:
+        raise DomainError(f"scale factor must be positive and finite, got {factor}")
     exact = None
     if base.exact_mass is not None:
         base_exact = base.exact_mass

@@ -14,7 +14,7 @@ from .equilibrium import Equilibrium
 from .errors import DomainError
 from .measure import BeliefMeasure
 from .quadrature import QUAD_TOL, adaptive_simpson
-from .response import MarketParams
+from .response import MarketParams, diffuse_unit_edge
 
 
 @dataclass(frozen=True)
@@ -34,24 +34,25 @@ def house_revenue(eq: Equilibrium, params: MarketParams) -> float:
     return (1.0 - params.kappa) * pool
 
 
+def _expected_profit(stake1: float, stake2: float, belief: float,
+                     eq: Equilibrium, params: MarketParams) -> float:
+    # a wager pair at the equilibrium odds, held with this belief in Outcome 1
+    if not 0.0 <= belief <= 1.0:
+        raise DomainError(f"belief must lie in [0,1], got {belief}")
+    edge1, edge2 = diffuse_unit_edge(belief, eq.p_star, params.kappa)
+    return stake1 * edge1 + stake2 * edge2
+
+
 def diffuse_actual_profit(eq: Equilibrium, params: MarketParams,
                           p_actual: float) -> float:
     """Small bettors' total expected profit under the true probability p_actual."""
-    if not 0.0 <= p_actual <= 1.0:
-        raise DomainError(f"p_actual must lie in [0,1], got {p_actual}")
-    kappa = params.kappa
-    return (eq.d1_star * (kappa * p_actual / eq.p_star - 1.0)
-            + eq.d2_star * (kappa * (1.0 - p_actual) / (1.0 - eq.p_star) - 1.0))
+    return _expected_profit(eq.d1_star, eq.d2_star, p_actual, eq, params)
 
 
 def atomic_actual_profit(eq: Equilibrium, params: MarketParams,
                          p_actual: float) -> float:
     """Large bettor's expected profit under the true probability p_actual."""
-    if not 0.0 <= p_actual <= 1.0:
-        raise DomainError(f"p_actual must lie in [0,1], got {p_actual}")
-    kappa = params.kappa
-    return (eq.atomic.a1 * (kappa * p_actual / eq.p_star - 1.0)
-            + eq.atomic.a2 * (kappa * (1.0 - p_actual) / (1.0 - eq.p_star) - 1.0))
+    return _expected_profit(eq.atomic.a1, eq.atomic.a2, p_actual, eq, params)
 
 
 def diffuse_subjective_profit(eq: Equilibrium, params: MarketParams,
@@ -83,9 +84,7 @@ def diffuse_subjective_profit(eq: Equilibrium, params: MarketParams,
 
 def atomic_subjective_profit(eq: Equilibrium, params: MarketParams) -> float:
     """Large bettor's expected profit under her own belief q."""
-    kappa, q = params.kappa, params.q
-    return (eq.atomic.a1 * (kappa * q / eq.p_star - 1.0)
-            + eq.atomic.a2 * (kappa * (1.0 - q) / (1.0 - eq.p_star) - 1.0))
+    return _expected_profit(eq.atomic.a1, eq.atomic.a2, params.q, eq, params)
 
 
 def market_report(eq: Equilibrium, params: MarketParams, measure: BeliefMeasure,

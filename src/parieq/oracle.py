@@ -2,17 +2,14 @@
 
 The population discretizes the wealth measure into N equal-mass cells, one
 small bettor per cell holding the cell's wealth at its mass-median belief.
-Damped best-response iteration then hunts for a self-consistent implied
-probability: bettors apply the threshold rule at the current value, the large
-bettor responds to their totals, and the implied probability is re-averaged.
-Agreement with the continuum solver validates both sides; no claim is made
-that the finite game itself has this as an equilibrium.
-
-Because cell totals jump whenever a belief crosses a threshold, the iteration
-typically settles into a micro-oscillation of order 1/N around the crossing
-rather than converging exactly; pick ``tol`` with that floor in mind (and a
-smaller ``damping`` for sharply peaked densities, whose response map is too
-steep for the default).
+Given an implied probability P, the bettors apply the threshold rule and the
+large bettor best-responds to their totals; the pool share of Outcome 1 that
+results is the discrete response map. Its totals only jump down on Outcome 1
+and up on Outcome 2 as P rises, so the map is nonincreasing and crosses the
+diagonal at exactly one point (possibly at a jump). Bisecting on which side
+of the diagonal the map lies locates that point to any width, with no
+tuning. Agreement with the continuum solver validates both sides; no claim
+is made that the finite game itself has this as an equilibrium.
 """
 
 from dataclasses import dataclass
@@ -86,46 +83,41 @@ def discrete_totals(pop: DiscretePopulation, P: float, kappa: float,
     return d1, d2
 
 
-def _atomic_vs_totals(d1: float, d2: float, params: MarketParams) -> AtomicBet:
-    # discrete totals can be one-sided early in the iteration; the optimal
-    # stake degenerates to zero there, so short-circuit instead of erroring
+def _respond(pop: DiscretePopulation, P: float, params: MarketParams,
+             ) -> tuple[float, float, AtomicBet]:
+    d1, d2 = discrete_totals(pop, P, params.kappa)
+    # totals are one-sided near the ends of the band; the optimal stake
+    # degenerates to zero there, so short-circuit instead of erroring
     if d1 <= 0.0 or d2 <= 0.0:
-        return AtomicBet(a1=0.0, a2=0.0)
-    return atomic_best_response(DiffuseAggregate(d1=d1, d2=d2), params)
+        return d1, d2, AtomicBet(a1=0.0, a2=0.0)
+    return d1, d2, atomic_best_response(DiffuseAggregate(d1=d1, d2=d2), params)
 
 
 def iterate_best_response(pop: DiscretePopulation, params: MarketParams,
-                          max_iters: int = 10_000, tol: float = 1e-8,
-                          damping: float = 0.5) -> OracleResult:
-    """Damped best-response iteration from the neutral start P = 0.5.
+                          tol: float = 1e-8) -> OracleResult:
+    """Bisect the discrete response map for its crossing of the diagonal.
 
-    Stops once the damped update is below tol; returns converged=False rather
-    than raising if the budget runs out (e.g. on persistent oscillation).
+    Keeps the half of the band [1-kappa, kappa] where P -> (d1 + a1)/pool
+    crosses P until the bracket is narrower than tol or float resolution
+    runs out, and returns the bracket's midpoint. converged=False means a
+    probe found nobody wagering, so the map is undefined there.
     """
     if params.kappa <= 0.5:
-        raise DomainError(f"iteration needs kappa > 0.5, got {params.kappa}")
-    if not 0.0 < damping <= 1.0:
-        raise DomainError(f"damping must lie in (0,1], got {damping}")
-    P = 0.5
-    converged = False
-    iterations = max_iters
-    for it in range(max_iters):
-        d1, d2 = discrete_totals(pop, P, params.kappa)
-        bet = _atomic_vs_totals(d1, d2, params)
+        raise DomainError(f"the band needs kappa > 0.5, got {params.kappa}")
+    lo, hi = 1.0 - params.kappa, params.kappa
+    iterations = 0
+    while hi - lo >= tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:  # float resolution exhausted
+            break
+        iterations += 1
+        d1, d2, bet = _respond(pop, mid, params)
         pool = d1 + d2 + bet.a1 + bet.a2
         if pool <= 0.0:
-            iterations = it
-            break
-        p_new = (d1 + bet.a1) / pool
-        p_next = (1.0 - damping) * P + damping * p_new
-        step = abs(p_next - P)
-        P = p_next
-        if step < tol:
-            converged = True
-            iterations = it + 1
-            break
-    # report the population state consistent with the final value
-    d1, d2 = discrete_totals(pop, P, params.kappa)
-    bet = _atomic_vs_totals(d1, d2, params)
-    return OracleResult(p_approx=P, converged=converged, iterations=iterations,
-                        d1=d1, d2=d2, atomic=bet)
+            return OracleResult(mid, False, iterations, d1, d2, bet)
+        if (d1 + bet.a1) / pool > mid:
+            lo = mid
+        else:
+            hi = mid
+    P = 0.5 * (lo + hi)
+    return OracleResult(P, True, iterations, *_respond(pop, P, params))

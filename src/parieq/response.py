@@ -123,12 +123,12 @@ def atomic_best_response(d: DiffuseAggregate, params: MarketParams) -> AtomicBet
     if q > d1 / (kappa * (d1 + d2)):
         denom = 1.0 - kappa * q
         assert denom > 0.0  # kappa < 1 and q <= 1
-        a1 = min(w, math.sqrt(kappa * q * d1 * d2 / denom) - d1)
+        a1 = min(w, max(0.0, math.sqrt(kappa * q * d1 * d2 / denom) - d1))
         return AtomicBet(a1=a1, a2=0.0)
     if 1.0 - q > d2 / (kappa * (d1 + d2)):
         denom = 1.0 - kappa * (1.0 - q)
         assert denom > 0.0
-        a2 = min(w, math.sqrt(kappa * (1.0 - q) * d1 * d2 / denom) - d2)
+        a2 = min(w, max(0.0, math.sqrt(kappa * (1.0 - q) * d1 * d2 / denom) - d2))
         return AtomicBet(a1=0.0, a2=a2)
     return AtomicBet(a1=0.0, a2=0.0)
 

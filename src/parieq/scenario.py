@@ -7,6 +7,7 @@ parse -> serialize -> parse yields an equal Scenario.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -71,7 +72,7 @@ def build_measure(spec: dict) -> BeliefMeasure:
                                       float(spec["factor"]))
     except KeyError as exc:
         raise ConfigError(f"measure kind {kind!r} is missing field {exc}") from exc
-    except (DomainError, TypeError, ValueError) as exc:
+    except (DomainError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {kind!r} measure: {exc}") from exc
     raise ConfigError(f"unknown measure kind {kind!r}")
 
@@ -83,6 +84,8 @@ def _number(obj: dict, key: str, lo=None, hi=None, strict_lo=False) -> float:
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ConfigError(f"field {key!r} must be a number, got {val!r}")
     val = float(val)
+    if not math.isfinite(val):
+        raise ConfigError(f"field {key!r} must be finite, got {val}")
     if lo is not None and (val <= lo if strict_lo else val < lo):
         raise ConfigError(f"field {key!r} out of range: {val}")
     if hi is not None and val > hi:
@@ -158,7 +161,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 
 def dump_scenario(sc: Scenario) -> str:
-    return json.dumps(scenario_to_dict(sc), indent=2) + "\n"
+    return json.dumps(scenario_to_dict(sc), indent=2, allow_nan=False) + "\n"
 
 
 def loads_scenario(text: str, origin: str = "<string>") -> Scenario:

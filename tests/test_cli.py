@@ -1,14 +1,17 @@
 """Command-line harness: exit codes, CSV schema, determinism, round-trips."""
 
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from parieq.cli import main
-from parieq.scenario import (bundled_scenarios, dump_scenario, load_scenario,
-                             loads_scenario, parse_scenario)
+from parieq.errors import ConfigError
+from parieq.scenario import (METRIC_NAMES, bundled_scenarios, dump_scenario,
+                             load_scenario, loads_scenario, parse_scenario)
 
 
 def write_scenario(tmp_path, name="tmp", **overrides):
@@ -45,6 +48,14 @@ class TestSolveCommand:
         assert float(row["a1"]) == 0.0 and float(row["a2"]) == 0.0
         assert float(row["residual"]) <= 1e-10
         assert float(row["house_revenue"]) > 0.0
+
+    def test_every_metric_name_gets_a_column(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, q=0.9, p_actual=0.9,
+                              metrics=list(METRIC_NAMES))
+        assert main(["solve", "--scenario", str(path)]) == 0
+        header, rows = parse_csv(capsys.readouterr().out)
+        assert tuple(header[-len(METRIC_NAMES):]) == METRIC_NAMES
+        assert all(math.isfinite(float(rows[0][name])) for name in METRIC_NAMES)
 
     def test_no_equilibrium_exit_code(self, tmp_path, capsys):
         path = write_scenario(tmp_path, kappa=0.5)
@@ -90,6 +101,26 @@ class TestConfigErrors:
     def test_invalid_fields(self, tmp_path, capsys, overrides):
         path = write_scenario(tmp_path, **overrides)
         assert main(["solve", "--scenario", str(path)]) == 1
+
+
+    @pytest.mark.parametrize("overrides", [
+        dict(q=float("nan")),
+        dict(w=float("inf")),
+        dict(kappa={"lo": float("nan"), "hi": 0.9, "steps": 5}),
+        dict(measure={"kind": "scaled", "base": {"kind": "wedge", "n": 1},
+                      "factor": float("inf")}),
+        dict(measure={"kind": "wedge", "n": float("inf")}),
+        dict(measure={"kind": "tabulated", "knots": [[0, 1], [0.5, float("inf")],
+                                                      [1, 1]]}),
+        dict(measure={"kind": "gaussian_mixture", "weights": [float("inf")],
+                      "means": [0.5], "stddevs": [0.2]}),
+    ])
+    def test_non_finite_numbers_rejected(self, overrides):
+        obj = {"name": "x", "measure": {"kind": "wedge", "n": 1}, "q": 0.5,
+               "w": 1.0, "kappa": 0.8, **overrides}
+        # json writes NaN/Infinity tokens, which the decoder accepts
+        with pytest.raises(ConfigError):
+            loads_scenario(json.dumps(obj))
 
 
 class TestSweepCommand:
@@ -228,6 +259,11 @@ class TestScenarioRoundTrip:
             sc = load_scenario(path)
             again = loads_scenario(dump_scenario(sc), origin="round-trip")
             assert again == sc
+
+    def test_dump_refuses_non_finite_numbers(self):
+        sc = load_scenario(bundled_scenarios()["example1"])
+        with pytest.raises(ValueError):
+            dump_scenario(dataclasses.replace(sc, w=float("inf")))
 
     def test_dict_round_trip_preserves_precision(self):
         sc = parse_scenario({

@@ -1,13 +1,37 @@
-"""Finite-population cross-check: discretization and damped iteration."""
+"""Finite-population cross-check: discretization and the bisected response map."""
 
 import numpy as np
 import pytest
 
+from conftest import BASELINE_W, bundled_cases
 from parieq.equilibrium import solve
 from parieq.errors import DomainError
-from parieq.measure import mass, scaled, uniform, wedge
+from parieq.measure import mass, scaled, symmetrized_wedge, uniform, wedge
 from parieq.oracle import discretize, discrete_totals, iterate_best_response
-from parieq.response import MarketParams
+from parieq.response import (AtomicBet, DiffuseAggregate, MarketParams,
+                             atomic_best_response, implied_probability)
+
+# the criterion-8 populations: (name, measure, q, w, kappa)
+CRITERION8_CASES = [
+    ("example1", wedge(1), 0.9, 1.0, 0.8),
+    ("example1", wedge(1), 0.9, 1.0, 0.95),
+    ("example2", wedge(1), 0.57, 1.0, 0.97),
+    ("example3", wedge(10), 0.95, 1.0, 0.9),
+    ("example4_case1", symmetrized_wedge(100), 1.0, BASELINE_W, 0.506),
+    ("example4_case2", wedge(100), 1.0, 1.0, 0.839),
+]
+
+
+def discrete_response(pop, P, params):
+    """Pool share of Outcome 1 after everyone best-responds to P, if any bets."""
+    d1, d2 = discrete_totals(pop, P, params.kappa)
+    if d1 + d2 <= 0.0:
+        return None
+    if d1 > 0.0 and d2 > 0.0:
+        bet = atomic_best_response(DiffuseAggregate(d1=d1, d2=d2), params)
+    else:
+        bet = AtomicBet(a1=0.0, a2=0.0)
+    return implied_probability(DiffuseAggregate(d1=d1, d2=d2), bet)
 
 
 class TestDiscretize:
@@ -64,12 +88,12 @@ class TestIterateBestResponse:
         assert res.converged
         assert abs(res.p_approx - eq.p_star) < 0.01
 
-    def test_steep_market_needs_heavy_damping(self):
+    def test_steep_market_needs_no_tuning(self):
         # sharply peaked density makes the response map slope ~ -1e3 at the
-        # crossing; the default damping oscillates, a heavier one contracts
+        # crossing; bisection only reads which side of the diagonal it is on
         params = MarketParams(kappa=0.8, q=0.0, w=1.0)
         pop = discretize(wedge(100), 2000)
-        res = iterate_best_response(pop, params, tol=1e-5, damping=0.002)
+        res = iterate_best_response(pop, params, tol=1e-5)
         assert res.converged
         assert abs(res.p_approx - (1.0 - 0.8)) < 0.02
 
@@ -106,15 +130,36 @@ class TestIterateBestResponse:
         pop = discretize(uniform(), 10)
         with pytest.raises(DomainError):
             iterate_best_response(pop, MarketParams(kappa=0.5, q=0.5, w=1.0))
-        with pytest.raises(DomainError):
-            iterate_best_response(pop, MarketParams(kappa=0.8, q=0.5, w=1.0),
-                                  damping=0.0)
 
-    def test_reports_failure_instead_of_raising(self):
-        # the steep market with default damping oscillates forever; the
-        # iteration must flag that rather than error out
-        params = MarketParams(kappa=0.8, q=0.0, w=1.0)
-        pop = discretize(wedge(100), 500)
-        res = iterate_best_response(pop, params, max_iters=300, tol=1e-10)
+    def test_reports_empty_pool_instead_of_raising(self):
+        # beliefs 0.25 and 0.75 both abstain at P = 0.5 when kappa = 0.51,
+        # so the first probe finds no pool to take a share of
+        params = MarketParams(kappa=0.51, q=0.5, w=1.0)
+        res = iterate_best_response(discretize(uniform(), 2), params)
         assert not res.converged
-        assert res.iterations == 300
+        assert res.iterations == 1
+        assert (res.d1, res.d2, res.atomic.total) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("name", ["example4_case2", "appendixA"])
+    def test_bundled_steep_markets_within_gap_bound(self, name):
+        sc = next(c for c in bundled_cases() if c.name == name)  # kappa = 0.8
+        res = iterate_best_response(discretize(sc.measure, 2000), sc.params)
+        assert res.converged
+        assert abs(res.p_approx - solve(sc.params, sc.measure).p_star) < 0.01
+
+    @pytest.mark.parametrize("case", CRITERION8_CASES,
+                             ids=[f"{c[0]}@{c[4]}" for c in CRITERION8_CASES])
+    def test_discrete_response_map_is_nonincreasing(self, case):
+        _, m, q, w, kappa = case
+        params = MarketParams(kappa=kappa, q=q, w=w)
+        pop = discretize(m, 2000)
+        # the map is constant between the jump points of the two wager
+        # totals, so the jump points and the midpoints between them cover it
+        jumps = np.concatenate([[1.0 - kappa, kappa], kappa * pop.beliefs,
+                                1.0 - kappa * (1.0 - pop.beliefs)])
+        jumps = np.unique(jumps[(jumps >= 1.0 - kappa) & (jumps <= kappa)])
+        grid = np.sort(np.concatenate([jumps, 0.5 * (jumps[1:] + jumps[:-1])]))
+        vals = [(P, discrete_response(pop, P, params)) for P in map(float, grid)]
+        vals = [v for v in vals if v[1] is not None]
+        rises = [(a, b) for a, b in zip(vals, vals[1:]) if b[1] > a[1]]
+        assert not rises, rises[:3]

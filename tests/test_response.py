@@ -152,6 +152,13 @@ class TestAtomicBestResponse:
                                    MarketParams(kappa=0.8, q=0.5, w=1.0))
         assert (bet.a1, bet.a2) == (0.0, 0.0)
 
+    def test_regime_boundary_stake_rounds_to_zero_not_negative(self):
+        # one ulp inside regime 1 the square-root stake rounds to -2.2e-16
+        bet = atomic_best_response(
+            DiffuseAggregate(1.4926235859236399, 1.3795007634212288),
+            MarketParams(0.9202911174189196, 0.5647052570655062, 1.0))
+        assert bet == AtomicBet(0.0, 0.0)
+
     def test_requires_two_sided_totals(self):
         with pytest.raises(DomainError):
             atomic_best_response(DiffuseAggregate(1.0, 0.0),
