@@ -59,11 +59,7 @@ def run_solve(sc: Scenario, fp_tol: float, out=None) -> int:
         raise ConfigError("'solve' needs a scalar kappa; use 'sweep' for grids")
     measure = build_measure(sc.measure)
     params = MarketParams(kappa=sc.kappa, q=sc.q, w=sc.w)
-    try:
-        eq = solve(params, measure, fp_tol=fp_tol)
-    except NoEquilibriumError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NO_EQUILIBRIUM
+    eq = solve(params, measure, fp_tol=fp_tol)
     header = ",".join(_CORE_COLUMNS + sc.metrics)
     row = ",".join(_core_values(sc, sc.kappa, sc.w, eq)
                    + _metric_values(sc, measure, params, eq))
@@ -89,10 +85,9 @@ def sweep_csv(sc: Scenario, fp_tol: float, baseline: bool) -> str:
             try:
                 params = MarketParams(kappa=kappa, q=sc.q, w=w)
                 eq = solve(params, measure, fp_tol=fp_tol)
-                cells = prefix + ["ok", _fmt(eq.p_star), _fmt(eq.d1_star),
-                                  _fmt(eq.d2_star), _fmt(eq.atomic.a1),
-                                  _fmt(eq.atomic.a2), _fmt(eq.residual)]
-                cells += _metric_values(sc, measure, params, eq)
+                cells = (_core_values(sc, kappa, w, eq)
+                         + _metric_values(sc, measure, params, eq))
+                cells.insert(len(prefix), "ok")
             except NoEquilibriumError:
                 cells = prefix + ["no_equilibrium"] + [""] * n_tail
             except ParieqError as exc:
@@ -128,11 +123,7 @@ def run_oracle(sc: Scenario, fp_tol: float, n: int, out=None) -> int:
         raise ConfigError("'oracle' needs a scalar kappa")
     measure = build_measure(sc.measure)
     params = MarketParams(kappa=sc.kappa, q=sc.q, w=sc.w)
-    try:
-        eq = solve(params, measure, fp_tol=fp_tol)
-    except NoEquilibriumError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NO_EQUILIBRIUM
+    eq = solve(params, measure, fp_tol=fp_tol)
     pop = discretize(measure, n)
     res = iterate_best_response(pop, params)
     print(f"p_approx={_fmt(res.p_approx)}", file=out)

@@ -66,26 +66,25 @@ def _clamp_to(p: float, lo: float, hi: float, what: str) -> float:
     raise DomainError(f"{what} must lie in [{lo}, {hi}], got {p}")
 
 
-def _d1(p: float, kappa: float, m: BeliefMeasure) -> float:
-    return mass(m, min(p / kappa, 1.0), 1.0)
-
-
-def _d2(p: float, kappa: float, m: BeliefMeasure) -> float:
-    return mass(m, 0.0, max(1.0 - (1.0 - p) / kappa, 0.0))
+def _D(p: float, kappa: float, m: BeliefMeasure) -> tuple[float, float]:
+    # small-bettor totals (d1, d2) at candidate p: the mass above p/kappa,
+    # then the mass below 1 - (1-p)/kappa
+    return (mass(m, min(p / kappa, 1.0), 1.0),
+            mass(m, 0.0, max(1.0 - (1.0 - p) / kappa, 0.0)))
 
 
 def d1_of(P: float, ctx: PhiContext) -> float:
     """Small-bettor total on Outcome 1 when the candidate probability is P."""
     kappa = ctx.params.kappa
     P = _clamp_to(P, 1.0 - kappa, kappa, "candidate probability")
-    return _d1(P, kappa, ctx.measure)
+    return _D(P, kappa, ctx.measure)[0]
 
 
 def d2_of(P: float, ctx: PhiContext) -> float:
     """Small-bettor total on Outcome 2 when the candidate probability is P."""
     kappa = ctx.params.kappa
     P = _clamp_to(P, 1.0 - kappa, kappa, "candidate probability")
-    return _d2(P, kappa, ctx.measure)
+    return _D(P, kappa, ctx.measure)[1]
 
 
 def _bisect_decreasing(g: Callable[[float], float], lo: float, hi: float,
@@ -152,8 +151,7 @@ def compute_pbar1(params: MarketParams, measure: BeliefMeasure,
     kappa, q, m = params.kappa, params.q, measure
 
     def g(p: float) -> float:
-        d1 = _d1(p, kappa, m)
-        d2 = _d2(p, kappa, m)
+        d1, d2 = _D(p, kappa, m)
         return d1 / (kappa * (d1 + d2)) - q
 
     root, _ = _bisect_decreasing(g, 1.0 - kappa, kappa, tol)
@@ -173,8 +171,7 @@ def compute_pbar2(params: MarketParams, measure: BeliefMeasure,
     kappa, q, m = params.kappa, params.q, measure
 
     def g(p: float) -> float:
-        d1 = _d1(p, kappa, m)
-        d2 = _d2(p, kappa, m)
+        d1, d2 = _D(p, kappa, m)
         # rising ratio; negate to reuse the decreasing-map bisection
         return (1.0 - q) - d2 / (kappa * (d1 + d2))
 
@@ -208,8 +205,7 @@ def zeta1(p: float, ctx: PhiContext) -> float:
     """Unconstrained optimal stake on Outcome 1 at candidate p in [pbar1, kappa]."""
     kappa, q = ctx.params.kappa, ctx.params.q
     p = _clamp_to(p, ctx.pbar1, kappa, "candidate probability")
-    d1 = _d1(p, kappa, ctx.measure)
-    d2 = _d2(p, kappa, ctx.measure)
+    d1, d2 = _D(p, kappa, ctx.measure)
     return _stake(kappa, q, d1, d2, d1)
 
 
@@ -217,8 +213,7 @@ def zeta2(p: float, ctx: PhiContext) -> float:
     """Unconstrained optimal stake on Outcome 2 at candidate p in [1-kappa, pbar2]."""
     kappa, q = ctx.params.kappa, ctx.params.q
     p = _clamp_to(p, 1.0 - kappa, ctx.pbar2, "candidate probability")
-    d1 = _d1(p, kappa, ctx.measure)
-    d2 = _d2(p, kappa, ctx.measure)
+    d1, d2 = _D(p, kappa, ctx.measure)
     return _stake(kappa, 1.0 - q, d1, d2, d2)
 
 
@@ -226,8 +221,7 @@ def phi(p: float, ctx: PhiContext) -> float:
     """Implied probability produced by best responses to candidate p."""
     kappa, q, w = ctx.params.kappa, ctx.params.q, ctx.params.w
     p = _clamp_to(p, 1.0 - kappa, kappa, "candidate probability")
-    d1 = _d1(p, kappa, ctx.measure)
-    d2 = _d2(p, kappa, ctx.measure)
+    d1, d2 = _D(p, kappa, ctx.measure)
     if p < ctx.pbar2:
         stake = min(w, _stake(kappa, 1.0 - q, d1, d2, d2))
         return d1 / (stake + d1 + d2)
@@ -255,8 +249,7 @@ def solve(params: MarketParams, measure: BeliefMeasure,
         lambda p: phi(p, ctx) - p,
         1.0 - params.kappa, params.kappa,
         width_tol=fp_tol, residual_tol=fp_tol)
-    d1s = d1_of(p_star, ctx)
-    d2s = d2_of(p_star, ctx)
+    d1s, d2s = _D(p_star, params.kappa, measure)
     atomic = atomic_best_response(DiffuseAggregate(d1=d1s, d2=d2s), params)
     thresholds = diffuse_best_response(p_star, params.kappa)
     return Equilibrium(p_star=p_star, d1_star=d1s, d2_star=d2s,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError
-from .quadrature import QUAD_TOL, adaptive_simpson
+from .quadrature import adaptive_simpson
 
 POSITIVITY_GRID = 10_001
 
@@ -46,7 +46,7 @@ class BeliefMeasure:
         return f"BeliefMeasure(kind={self.kind!r}, total_mass={self.total_mass!r})"
 
 
-def mass(m: BeliefMeasure, lo: float, hi: float, quad_tol: float = QUAD_TOL) -> float:
+def mass(m: BeliefMeasure, lo: float, hi: float) -> float:
     """Wealth held by bettors with beliefs in [lo, hi].
 
     Endpoint openness is immaterial because the measure has a density.
@@ -57,7 +57,7 @@ def mass(m: BeliefMeasure, lo: float, hi: float, quad_tol: float = QUAD_TOL) -> 
         return 0.0
     if m.exact_mass is not None:
         return m.exact_mass(lo, hi)
-    return adaptive_simpson(m.density, lo, hi, tol=quad_tol)
+    return adaptive_simpson(m.density, lo, hi)
 
 
 def _validate_density(density: Callable[[float], float], kind: str) -> None:
@@ -69,20 +69,19 @@ def _validate_density(density: Callable[[float], float], kind: str) -> None:
                 f"{kind}: density must be positive on [0,1], got {density(p)} at p={p}")
 
 
-def _finish(density, kind, exact_mass=None, quad_tol=QUAD_TOL) -> BeliefMeasure:
+def _finish(density, kind, exact_mass=None) -> BeliefMeasure:
     _validate_density(density, kind)
     if exact_mass is not None:
         total = exact_mass(0.0, 1.0)
     else:
-        total = adaptive_simpson(density, 0.0, 1.0, tol=quad_tol)
+        total = adaptive_simpson(density, 0.0, 1.0)
     return BeliefMeasure(density=density, total_mass=total, kind=kind,
                          exact_mass=exact_mass)
 
 
-def from_density(density: Callable[[float], float], kind: str = "custom",
-                 quad_tol: float = QUAD_TOL) -> BeliefMeasure:
+def from_density(density: Callable[[float], float], kind: str = "custom") -> BeliefMeasure:
     """Wrap an arbitrary positive continuous density (validated by sampling)."""
-    return _finish(density, kind, quad_tol=quad_tol)
+    return _finish(density, kind)
 
 
 # --------------------------------------------------------------------------
@@ -98,7 +97,7 @@ def wedge_density(n: int, p: float) -> float:
 
 
 def _check_wedge_args(n: int, p: float) -> None:
-    if not (isinstance(n, int) and n >= 1):
+    if not (type(n) is int and n >= 1):  # bool is an int subclass, not an order
         raise DomainError(f"wedge order must be an integer >= 1, got {n!r}")
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"belief must lie in [0,1], got {p}")

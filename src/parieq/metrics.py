@@ -13,7 +13,7 @@ from typing import Optional
 from .equilibrium import Equilibrium
 from .errors import DomainError
 from .measure import BeliefMeasure
-from .quadrature import QUAD_TOL, adaptive_simpson
+from .quadrature import adaptive_simpson
 from .response import MarketParams, diffuse_unit_edge
 
 
@@ -56,8 +56,7 @@ def atomic_actual_profit(eq: Equilibrium, params: MarketParams,
 
 
 def diffuse_subjective_profit(eq: Equilibrium, params: MarketParams,
-                              measure: BeliefMeasure,
-                              quad_tol: float = QUAD_TOL) -> float:
+                              measure: BeliefMeasure) -> float:
     """Small bettors' total expected profit under their own beliefs.
 
     Only the two betting groups contribute: beliefs above the upper threshold
@@ -74,11 +73,11 @@ def diffuse_subjective_profit(eq: Equilibrium, params: MarketParams,
     total = 0.0
     if t1 < 1.0:
         total += adaptive_simpson(
-            lambda p: dens(p) * (kappa * p / p_star - 1.0), t1, 1.0, tol=quad_tol)
+            lambda p: dens(p) * (kappa * p / p_star - 1.0), t1, 1.0)
     if t2 > 0.0:
         total += adaptive_simpson(
             lambda p: dens(p) * (kappa * (1.0 - p) / (1.0 - p_star) - 1.0),
-            0.0, t2, tol=quad_tol)
+            0.0, t2)
     return total
 
 

@@ -7,9 +7,11 @@ large bettor best-responds to their totals; the pool share of Outcome 1 that
 results is the discrete response map. Its totals only jump down on Outcome 1
 and up on Outcome 2 as P rises, so the map is nonincreasing and crosses the
 diagonal at exactly one point (possibly at a jump). Bisecting on which side
-of the diagonal the map lies locates that point to any width, with no
-tuning. Agreement with the continuum solver validates both sides; no claim
-is made that the finite game itself has this as an equilibrium.
+of the diagonal the map lies narrows the bracket until float resolution runs
+out (about 53 halvings of the band), which pins that point down exactly with
+no tolerance to tune. Agreement with the continuum solver validates both
+sides; no claim is made that the finite game itself has this as an
+equilibrium.
 """
 
 from dataclasses import dataclass
@@ -19,8 +21,6 @@ import numpy as np
 from .errors import DomainError
 from .measure import BeliefMeasure, mass
 from .response import AtomicBet, DiffuseAggregate, MarketParams, atomic_best_response
-
-_INVERT_ITERS = 60  # bisection steps per quantile, resolves ~1e-18
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,12 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
     for i in range(N):
         target = (i + 0.5) * total / N
         lo, hi = x_prev, 1.0
-        # invert the cumulative mass; incremental integrals keep this cheap
-        for _ in range(_INVERT_ITERS):
+        # invert the cumulative mass down to float resolution; incremental
+        # integrals keep this cheap
+        while True:
             mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
             if m_prev + mass(measure, x_prev, mid) < target:
                 lo = mid
             else:
@@ -93,20 +96,20 @@ def _respond(pop: DiscretePopulation, P: float, params: MarketParams,
     return d1, d2, atomic_best_response(DiffuseAggregate(d1=d1, d2=d2), params)
 
 
-def iterate_best_response(pop: DiscretePopulation, params: MarketParams,
-                          tol: float = 1e-8) -> OracleResult:
+def iterate_best_response(pop: DiscretePopulation, params: MarketParams) -> OracleResult:
     """Bisect the discrete response map for its crossing of the diagonal.
 
     Keeps the half of the band [1-kappa, kappa] where P -> (d1 + a1)/pool
-    crosses P until the bracket is narrower than tol or float resolution
-    runs out, and returns the bracket's midpoint. converged=False means a
-    probe found nobody wagering, so the map is undefined there.
+    crosses P until float resolution runs out, and returns the last
+    bracket's midpoint: the map's jump point or crossing, exact to one ulp.
+    converged=False means a probe found nobody wagering, so the map is
+    undefined there.
     """
     if params.kappa <= 0.5:
         raise DomainError(f"the band needs kappa > 0.5, got {params.kappa}")
     lo, hi = 1.0 - params.kappa, params.kappa
     iterations = 0
-    while hi - lo >= tol:
+    while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # float resolution exhausted
             break

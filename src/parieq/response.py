@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-FEASIBILITY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class MarketParams:

@@ -57,9 +57,9 @@ def build_measure(spec: dict) -> BeliefMeasure:
     kind = spec["kind"]
     try:
         if kind == "wedge":
-            return measure_mod.wedge(int(spec["n"]))
+            return measure_mod.wedge(spec["n"])
         if kind == "symmetrized_wedge":
-            return measure_mod.symmetrized_wedge(int(spec["n"]))
+            return measure_mod.symmetrized_wedge(spec["n"])
         if kind == "uniform":
             return measure_mod.uniform()
         if kind == "gaussian_mixture":

@@ -21,6 +21,7 @@ KAPPA_SEARCH_LO = 0.5 + 1e-4
 KAPPA_SEARCH_HI = 1.0 - 1e-4
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_REFINE_TOL = 1e-5  # width at which the golden-section bracket stops
 
 
 @dataclass(frozen=True)
@@ -33,13 +34,10 @@ class TakeOptimum:
 
 
 def optimize_take(measure: BeliefMeasure, q: float, w: float,
-                  grid_points: int = 256, refine_tol: float = 1e-5,
-                  fp_tol: float = FP_TOL) -> TakeOptimum:
+                  grid_points: int = 256, fp_tol: float = FP_TOL) -> TakeOptimum:
     """Maximize take revenue over kappa in the clamped search interval."""
     if grid_points < 16:
         raise DomainError(f"grid_points must be at least 16, got {grid_points}")
-    if not refine_tol > 0.0:
-        raise DomainError(f"refine_tol must be positive, got {refine_tol}")
 
     def revenue(kappa: float) -> float:
         params = MarketParams(kappa=kappa, q=q, w=w)
@@ -50,8 +48,8 @@ def optimize_take(measure: BeliefMeasure, q: float, w: float,
             for i in range(grid_points)]
     profile = tuple((k, revenue(k)) for k in grid)
 
-    best_k, best_r = max(profile, key=lambda kr: kr[1])
     i_best = max(range(grid_points), key=lambda i: profile[i][1])
+    best_k, best_r = profile[i_best]
     lo = grid[max(0, i_best - 1)]
     hi = grid[min(grid_points - 1, i_best + 1)]
 
@@ -59,7 +57,7 @@ def optimize_take(measure: BeliefMeasure, q: float, w: float,
     c = hi - _INV_GOLDEN * (hi - lo)
     d = lo + _INV_GOLDEN * (hi - lo)
     fc, fd = revenue(c), revenue(d)
-    while hi - lo > refine_tol:
+    while hi - lo > _REFINE_TOL:
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - _INV_GOLDEN * (hi - lo)

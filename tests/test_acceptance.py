@@ -173,8 +173,7 @@ def test_criterion_08_discrete_oracle_agreement():
             params = MarketParams(kappa=kappa, q=q, w=w)
             eq = solve(params, m)
             pop = discretize(m, 2000)
-            # tol matches the 1/N resolution of the discrete wager totals
-            res = iterate_best_response(pop, params, tol=1e-4)
+            res = iterate_best_response(pop, params)
             assert res.converged, f"{name}@{kappa}"
             gap = abs(res.p_approx - eq.p_star)
             assert gap < 0.01, f"{name}@{kappa}: gap={gap}"

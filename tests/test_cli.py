@@ -5,13 +5,19 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from parieq.cli import main
+from parieq.cli import main, sweep_csv
+from parieq.equilibrium import FP_TOL
 from parieq.errors import ConfigError
-from parieq.scenario import (METRIC_NAMES, bundled_scenarios, dump_scenario,
-                             load_scenario, loads_scenario, parse_scenario)
+from parieq.scenario import (METRIC_NAMES, build_measure, bundled_scenarios,
+                             dump_scenario, load_scenario, loads_scenario,
+                             parse_scenario)
+
+REFERENCE_SWEEPS = (Path(__file__).resolve().parents[1]
+                    / "benchmarks" / "reference" / "sweep")
 
 
 def write_scenario(tmp_path, name="tmp", **overrides):
@@ -102,6 +108,13 @@ class TestConfigErrors:
         path = write_scenario(tmp_path, **overrides)
         assert main(["solve", "--scenario", str(path)]) == 1
 
+    @pytest.mark.parametrize("n", [1.5, True, "7"])
+    @pytest.mark.parametrize("kind", ["wedge", "symmetrized_wedge"])
+    def test_wedge_order_must_be_a_json_integer(self, tmp_path, kind, n):
+        with pytest.raises(ConfigError):
+            build_measure({"kind": kind, "n": n})
+        path = write_scenario(tmp_path, measure={"kind": kind, "n": n})
+        assert main(["solve", "--scenario", str(path)]) == 1
 
     @pytest.mark.parametrize("overrides", [
         dict(q=float("nan")),
@@ -156,6 +169,13 @@ class TestSweepCommand:
         assert main(["sweep", "--scenario", str(path), "--out", str(out1)]) == 0
         assert main(["sweep", "--scenario", str(path), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_bundled_sweep_matches_reference_bytes(self, name):
+        # the benchmark checks one of these files per run; this checks all
+        # six, so a changed digit, column or row order fails here too
+        got = sweep_csv(load_scenario(bundled_scenarios()[name]), FP_TOL, True)
+        assert got.encode() == (REFERENCE_SWEEPS / f"{name}.csv").read_bytes()
 
     def test_scalar_scenario_rejected(self, tmp_path, capsys):
         path = write_scenario(tmp_path)

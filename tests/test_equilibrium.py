@@ -16,7 +16,7 @@ from parieq.equilibrium import (FP_TOL, _bisect_decreasing, compute_pbar1,
                                 compute_pbar2, d1_of, d2_of, phi, phi_context,
                                 solve, zeta1, zeta2)
 from parieq.errors import DomainError, NoEquilibriumError
-from parieq.measure import mass, uniform, wedge
+from parieq.measure import mass, scaled, uniform, wedge
 from parieq.response import DiffuseAggregate, MarketParams, implied_probability
 
 
@@ -186,6 +186,22 @@ class TestSolve:
             eq = solve(sc.params, sc.measure)
             assert eq.residual <= FP_TOL
             assert_equilibrium_properties(eq, sc.params)
+
+    def test_scale_equivariance(self):
+        # scaling all wealth (measure and budget together) by c leaves p*
+        # where it is and multiplies every wager by c
+        for sc in bundled_cases() + scenario_zoo(20):
+            base = solve(sc.params, sc.measure)
+            for c in (0.25, 4.0):
+                params = MarketParams(kappa=sc.params.kappa, q=sc.params.q,
+                                      w=c * sc.params.w)
+                eq = solve(params, scaled(sc.measure, c))
+                assert abs(eq.p_star - base.p_star) <= FP_TOL, (sc.name, c)
+                for got, want in ((eq.d1_star, base.d1_star),
+                                  (eq.d2_star, base.d2_star),
+                                  (eq.atomic.a1, base.atomic.a1),
+                                  (eq.atomic.a2, base.atomic.a2)):
+                    assert abs(got - c * want) <= 1e-8 * c * want, (sc.name, c)
 
     def test_self_consistency_of_reconstruction(self):
         for sc in bundled_cases():

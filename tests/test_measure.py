@@ -41,6 +41,8 @@ class TestWedgeDensity:
         with pytest.raises(DomainError):
             wedge_density(0, 0.5)
         with pytest.raises(DomainError):
+            wedge_density(True, 0.5)  # a bool is an int, but not an order
+        with pytest.raises(DomainError):
             wedge_density(3, 1.2)
         with pytest.raises(DomainError):
             wedge_density(3, -0.1)

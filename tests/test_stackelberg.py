@@ -12,8 +12,6 @@ class TestOptimizeTake:
     def test_validates_arguments(self):
         with pytest.raises(DomainError):
             optimize_take(uniform(), 0.9, 1.0, grid_points=8)
-        with pytest.raises(DomainError):
-            optimize_take(uniform(), 0.9, 1.0, refine_tol=0.0)
 
     def test_optimum_dominates_profile(self):
         opt = optimize_take(uniform(), 0.9, 1.0, grid_points=64)
