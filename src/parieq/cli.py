@@ -3,7 +3,7 @@
 Subcommands: solve (one CSV row to stdout), sweep (CSV file over a kappa
 grid), optimize-take (revenue-maximizing kappa plus profile CSV), oracle
 (finite-population cross-check). Exit codes: 0 success, 1 config error,
-2 no equilibrium.
+2 no equilibrium, 3 any other solver failure (for example quadrature).
 """
 
 import argparse
@@ -26,6 +26,7 @@ BASELINE_W = 1e-10
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NO_EQUILIBRIUM = 2
+EXIT_SOLVER = 3
 
 _CORE_COLUMNS = ("name", "kappa", "q", "w", "p_star", "d1", "d2",
                  "a1", "a2", "residual")
@@ -189,7 +190,7 @@ def main(argv=None) -> int:
         return EXIT_NO_EQUILIBRIUM
     except ParieqError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_SOLVER
 
 
 def console_entry() -> None:

@@ -16,8 +16,11 @@ gaussian_mixture(...) positive combination of Gaussian kernels
 tabulated(knots)      piecewise-linear interpolation of user knots
 scaled(base, factor)  base measure with density multiplied by factor
 
-Interval masses come from a closed-form antiderivative where one exists
-(wedge families) and from adaptive Simpson quadrature otherwise.
+Every built-in family has an exact interval mass from its antiderivative:
+piecewise polynomials for the wedge families and tabulated densities, erf
+differences for Gaussian mixtures, and a rescaled base mass for scaled.
+Only from_density, which wraps an arbitrary user density, integrates by
+adaptive Simpson quadrature.
 """
 
 import math
@@ -91,6 +94,13 @@ def from_density(density: Callable[[float], float], kind: str = "custom") -> Bel
 def wedge_density(n: int, p: float) -> float:
     """Density of the wedge family: linear ramp below 1/n, constant 1/n above."""
     _check_wedge_args(n, p)
+    return _wedge_density(n, p)
+
+
+# The unchecked kernels below serve the measure closures, whose arguments
+# were validated once at construction; the public densities check first.
+
+def _wedge_density(n: int, p: float) -> float:
     if p < 1.0 / n:
         return -2.0 * n * (n - 1) * p + 2.0 * (n - 1) + 1.0 / n
     return 1.0 / n
@@ -118,7 +128,7 @@ def wedge(n: int) -> BeliefMeasure:
     def exact(lo: float, hi: float) -> float:
         return _wedge_antiderivative(n, hi) - _wedge_antiderivative(n, lo)
 
-    return _finish(lambda p: wedge_density(n, p), f"wedge(n={n})", exact_mass=exact)
+    return _finish(lambda p: _wedge_density(n, p), f"wedge(n={n})", exact_mass=exact)
 
 
 def uniform() -> BeliefMeasure:
@@ -129,7 +139,11 @@ def uniform() -> BeliefMeasure:
 def symmetrized_wedge_density(n: int, p: float) -> float:
     """Average of the order-n wedge density and its reflection about 0.5."""
     _check_wedge_args(n, p)
-    return 0.5 * (wedge_density(n, p) + wedge_density(n, 1.0 - p))
+    return _symmetrized_wedge_density(n, p)
+
+
+def _symmetrized_wedge_density(n: int, p: float) -> float:
+    return 0.5 * (_wedge_density(n, p) + _wedge_density(n, 1.0 - p))
 
 
 def symmetrized_wedge(n: int) -> BeliefMeasure:
@@ -141,7 +155,7 @@ def symmetrized_wedge(n: int) -> BeliefMeasure:
         rev = _wedge_antiderivative(n, 1.0 - lo) - _wedge_antiderivative(n, 1.0 - hi)
         return 0.5 * (fwd + rev)
 
-    return _finish(lambda p: symmetrized_wedge_density(n, p),
+    return _finish(lambda p: _symmetrized_wedge_density(n, p),
                    f"symmetrized_wedge(n={n})", exact_mass=exact)
 
 
@@ -159,12 +173,17 @@ def gaussian_mixture_density(weights: Sequence[float], means: Sequence[float],
         raise DomainError("mixture parameter lists must be nonempty and equal-length")
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"belief must lie in [0,1], got {p}")
-    out = 0.0
-    for wgt, mu, sd in zip(weights, means, stddevs):
+    for wgt, sd in zip(weights, stddevs):
         if wgt <= 0.0:
             raise DomainError(f"mixture weights must be positive, got {wgt}")
         if sd <= 0.0:
             raise DomainError(f"mixture stddevs must be positive, got {sd}")
+    return _mixture_density(weights, means, stddevs, p)
+
+
+def _mixture_density(weights, means, stddevs, p: float) -> float:
+    out = 0.0
+    for wgt, mu, sd in zip(weights, means, stddevs):
         z = (p - mu) / sd
         out += wgt * _INV_SQRT_2PI / sd * math.exp(-0.5 * z * z)
     return out
@@ -172,16 +191,29 @@ def gaussian_mixture_density(weights: Sequence[float], means: Sequence[float],
 
 def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
                      stddevs: Sequence[float]) -> BeliefMeasure:
-    """Mixture-of-Gaussians measure; masses computed by quadrature."""
+    """Mixture-of-Gaussians measure; masses are exact erf differences.
+
+    Kernel k contributes w_k/2 * (erf((hi - mu_k)/(sd_k*sqrt 2))
+    - erf((lo - mu_k)/(sd_k*sqrt 2))) to the mass of [lo, hi].
+    """
     weights = tuple(float(x) for x in weights)
     means = tuple(float(x) for x in means)
     stddevs = tuple(float(x) for x in stddevs)
     if not all(map(math.isfinite, weights + means + stddevs)):
         raise DomainError("mixture parameters must be finite")
     gaussian_mixture_density(weights, means, stddevs, 0.0)  # validate parameters
+    kernels = tuple((0.5 * wgt, mu, sd * math.sqrt(2.0))
+                    for wgt, mu, sd in zip(weights, means, stddevs))
+
+    def exact(lo: float, hi: float) -> float:
+        out = 0.0
+        for half_w, mu, width in kernels:
+            out += half_w * (math.erf((hi - mu) / width) - math.erf((lo - mu) / width))
+        return out
+
     label = f"gaussian_mixture(k={len(weights)})"
-    return _finish(lambda p: gaussian_mixture_density(weights, means, stddevs, p),
-                   label)
+    return _finish(lambda p: _mixture_density(weights, means, stddevs, p),
+                   label, exact_mass=exact)
 
 
 # --------------------------------------------------------------------------
@@ -219,7 +251,22 @@ def tabulated(knots: Sequence[tuple[float, float]]) -> BeliefMeasure:
         t = (p - xs[i - 1]) / (xs[i] - xs[i - 1])
         return vs[i - 1] + t * (vs[i] - vs[i - 1])
 
-    return _finish(density, f"tabulated(k={len(pts)})")
+    # mass below each knot (the trapezoid rule is exact on each linear piece)
+    # and each piece's slope; within a piece the cumulative is quadratic
+    heads, slopes = [0.0], []
+    for i in range(1, len(xs)):
+        heads.append(heads[-1] + 0.5 * (vs[i - 1] + vs[i]) * (xs[i] - xs[i - 1]))
+        slopes.append((vs[i] - vs[i - 1]) / (xs[i] - xs[i - 1]))
+
+    def cumulative(p: float) -> float:
+        i = bisect_right(xs, p)
+        if i >= len(xs):
+            return heads[-1]
+        d = p - xs[i - 1]
+        return heads[i - 1] + d * (vs[i - 1] + 0.5 * slopes[i - 1] * d)
+
+    return _finish(density, f"tabulated(k={len(pts)})",
+                   exact_mass=lambda lo, hi: cumulative(hi) - cumulative(lo))
 
 
 def scaled(base: BeliefMeasure, factor: float) -> BeliefMeasure:

@@ -1,19 +1,21 @@
 """Brute-force cross-check: a finite population standing in for the continuum.
 
 The population discretizes the wealth measure into N equal-mass cells, one
-small bettor per cell holding the cell's wealth at its mass-median belief.
-Given an implied probability P, the bettors apply the threshold rule and the
-large bettor best-responds to their totals; the pool share of Outcome 1 that
-results is the discrete response map. Its totals only jump down on Outcome 1
-and up on Outcome 2 as P rises, so the map is nonincreasing and crosses the
-diagonal at exactly one point (possibly at a jump). Bisecting on which side
-of the diagonal the map lies narrows the bracket until float resolution runs
-out (about 53 halvings of the band), which pins that point down exactly with
-no tolerance to tune. Agreement with the continuum solver validates both
-sides; no claim is made that the finite game itself has this as an
-equilibrium.
+small bettor per cell holding the cell's wealth at its mass-median belief,
+found by safeguarded Newton steps on the cumulative mass (the density is its
+derivative) down to float resolution. Given an implied probability P, the
+bettors apply the threshold rule and the large bettor best-responds to their
+totals; the pool share of Outcome 1 that results is the discrete response
+map. Its totals only jump down on Outcome 1 and up on Outcome 2 as P rises,
+so the map is nonincreasing and crosses the diagonal at exactly one point
+(possibly at a jump). Bisecting on which side of the diagonal the map lies
+narrows the bracket until float resolution runs out (about 53 halvings of
+the band), which pins that point down exactly with no tolerance to tune.
+Agreement with the continuum solver validates both sides; no claim is made
+that the finite game itself has this as an equilibrium.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,29 +48,51 @@ class OracleResult:
 
 
 def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
-    """Split the measure into N equal-mass cells at their mass-median beliefs."""
+    """Split the measure into N equal-mass cells at their mass-median beliefs.
+
+    Belief i solves g(x) = mass(0, x) - (i + 1/2) * total / N = 0 on the
+    bracket [belief i-1, 1]. Since g' is the density, the Newton point
+    x - g(x)/density(x) from the last probe x is probed next when it lies
+    strictly inside the bracket and |g| has at least halved since the probe
+    before; otherwise the bracket's midpoint is. The search stops when the
+    probe no longer lands strictly inside the bracket: the Newton point is
+    x itself, a step below float resolution, or the bracket holds adjacent
+    floats. There is no tolerance and no iteration cap: every midpoint
+    probe halves the bracket and every Newton probe has halved |g|, and on
+    smooth stretches of the density a handful of probes suffice. The last
+    probe's mass carries the running total to the next belief.
+    """
     if N < 2:
         raise DomainError(f"population size must be at least 2, got {N}")
     total = measure.total_mass
+    density = measure.density
     beliefs = np.empty(N)
     x_prev = 0.0
     m_prev = 0.0
     for i in range(N):
         target = (i + 0.5) * total / N
         lo, hi = x_prev, 1.0
-        # invert the cumulative mass down to float resolution; incremental
-        # integrals keep this cheap
+        # x is the last probe, m its mass beyond x_prev and g its residual;
+        # g < 0 at x_prev, since the previous target sits a cell below
+        x, m, g, g_last = x_prev, 0.0, m_prev - target, math.inf
         while True:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
+            probe = x - g / density(x)
+            if probe == x:  # the Newton step is below float resolution
                 break
-            if m_prev + mass(measure, x_prev, mid) < target:
-                lo = mid
+            if not (lo < probe < hi and 2.0 * abs(g) <= g_last):
+                probe = 0.5 * (lo + hi)
+                if not lo < probe < hi:  # the bracket holds adjacent floats
+                    break
+            g_last = abs(g)
+            x, m = probe, mass(measure, x_prev, probe)
+            g = m_prev + m - target
+            if g < 0.0:
+                lo = x
             else:
-                hi = mid
-        beliefs[i] = 0.5 * (lo + hi)
-        m_prev += mass(measure, x_prev, beliefs[i])
-        x_prev = beliefs[i]
+                hi = x
+        beliefs[i] = x
+        m_prev += m
+        x_prev = x
     wealths = np.full(N, total / N)
     return DiscretePopulation(beliefs=beliefs, wealths=wealths)
 

@@ -68,6 +68,19 @@ class TestSolveCommand:
         assert main(["solve", "--scenario", str(path)]) == 2
         assert "no equilibrium: kappa must exceed 0.5" in capsys.readouterr().err
 
+    def test_solver_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a solver failure is neither a config error nor a missing equilibrium
+        import parieq.cli as cli_mod
+        from parieq.errors import QuadratureError
+
+        def failing_solve(params, measure, fp_tol):
+            raise QuadratureError("synthetic failure")
+
+        monkeypatch.setattr(cli_mod, "solve", failing_solve)
+        path = write_scenario(tmp_path)
+        assert main(["solve", "--scenario", str(path)]) == cli_mod.EXIT_SOLVER == 3
+        assert "error: synthetic failure" in capsys.readouterr().err
+
     def test_one_sided_market_row(self, tmp_path, capsys):
         path = write_scenario(tmp_path, measure={"kind": "wedge", "n": 100},
                               q=0.0, kappa=0.7)

@@ -6,6 +6,7 @@ integrator and against scipy.integrate.quad as an outside reference.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,6 +167,42 @@ class TestTabulated:
             tabulated([(0.0, 1.0), (0.4, 1.0), (0.4, 2.0), (1.0, 1.0)])  # ties
         with pytest.raises(DomainError):
             tabulated([(0.0, 1.0)])  # single knot
+
+
+class TestClosedForms:
+    """Tabulated and mixture masses against scipy, to near float resolution."""
+
+    KNOTS = [(0.0, 0.8), (0.27, 1.6), (0.5, 0.7), (0.73, 1.5), (1.0, 1.1)]
+
+    def test_tabulated_matches_scipy_on_subintervals(self):
+        m = tabulated(self.KNOTS)
+        xs = [x for x, _ in self.KNOTS]
+        rng = np.random.default_rng(0)
+        intervals = [tuple(sorted(rng.uniform(0.0, 1.0, 2))) for _ in range(40)]
+        # ends exactly at knots, including 0 and 1
+        intervals += [(0.0, 1.0), (0.0, 0.27), (0.27, 0.5), (0.5, 1.0),
+                      (0.0, 0.4), (0.6, 1.0), (0.27, 0.9), (0.1, 0.73),
+                      (0.73, 0.73 + 1e-9), (1.0 - 1e-9, 1.0)]
+        for lo, hi in intervals:
+            inner = [x for x in xs if lo < x < hi] or None
+            want, _ = integrate.quad(m.density, lo, hi, points=inner,
+                                     epsabs=1e-14, epsrel=1e-13, limit=300)
+            assert mass(m, lo, hi) == pytest.approx(want, abs=1e-13), (lo, hi)
+
+    def test_mixture_far_tails_match_normal_cdf(self):
+        weights, means, sds = (0.9, 1.4), (0.45, 0.55), (0.03, 0.02)
+        m = gaussian_mixture(weights, means, sds)
+        # both ends beyond mu +- 6 sd for every kernel
+        for lo, hi in [(0.0, 0.2), (0.1, 0.25), (0.0, 1e-3),
+                       (0.7, 1.0), (0.8, 0.95), (0.999, 1.0)]:
+            want = 0.0
+            for w, mu, sd in zip(weights, means, sds):
+                assert min(abs(lo - mu), abs(hi - mu)) > 6 * sd
+                if hi < mu:
+                    want += w * (stats.norm.cdf(hi, mu, sd) - stats.norm.cdf(lo, mu, sd))
+                else:
+                    want += w * (stats.norm.sf(lo, mu, sd) - stats.norm.sf(hi, mu, sd))
+            assert mass(m, lo, hi) == pytest.approx(want, abs=1e-13), (lo, hi)
 
 
 class TestScaled:

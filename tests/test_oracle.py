@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import BASELINE_W, bundled_cases
+from test_measure import _family_zoo
 from parieq.equilibrium import solve
 from parieq.errors import DomainError
-from parieq.measure import mass, scaled, symmetrized_wedge, uniform, wedge
+from parieq.measure import (from_density, mass, scaled, symmetrized_wedge,
+                            uniform, wedge)
 from parieq.oracle import discretize, discrete_totals, iterate_best_response
 from parieq.response import (AtomicBet, DiffuseAggregate, MarketParams,
                              atomic_best_response, implied_probability)
@@ -20,6 +22,9 @@ CRITERION8_CASES = [
     ("example4_case1", symmetrized_wedge(100), 1.0, BASELINE_W, 0.506),
     ("example4_case2", wedge(100), 1.0, 1.0, 0.839),
 ]
+
+# every measure family, the quadrature-backed from_density included
+DISCRETIZE_ZOO = _family_zoo() + [from_density(lambda p: 1.0 + p * p, "quadratic")]
 
 
 def discrete_response(pop, P, params):
@@ -59,6 +64,38 @@ class TestDiscretize:
             pop = discretize(m, 57)
             assert pop.wealths.sum() == pytest.approx(m.total_mass, abs=1e-9)
             assert np.all(np.diff(pop.beliefs) > 0)
+
+    @pytest.mark.parametrize("m", DISCRETIZE_ZOO, ids=lambda m: m.kind)
+    def test_quantiles_to_float_resolution(self, m):
+        N, total = 257, m.total_mass
+        b = discretize(m, N).beliefs
+        assert 0.0 < b[0] and b[-1] < 1.0 and np.all(np.diff(b) > 0.0)
+        errs = [abs(mass(m, 0.0, x) - (i + 0.5) * total / N) for i, x in enumerate(b)]
+        assert max(errs) <= 1e-12 * total
+
+    @pytest.mark.parametrize("m", DISCRETIZE_ZOO, ids=lambda m: m.kind)
+    def test_inversion_stays_within_twice_bisection(self, m, monkeypatch):
+        import parieq.oracle as oracle_mod
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return mass(*args)
+
+        monkeypatch.setattr(oracle_mod, "mass", counted)
+        b = discretize(m, 257).beliefs
+        # plain bisection of [previous belief, 1] to float resolution takes
+        # one mass call per probe; replay its probes against the known root
+        bisection = 0
+        for lo, root in zip([0.0, *b[:-1]], b):
+            hi = 1.0
+            mid = 0.5 * (lo + hi)
+            while lo < mid < hi:
+                bisection += 1
+                lo, hi = (mid, hi) if mid < root else (lo, mid)
+                mid = 0.5 * (lo + hi)
+        assert calls[0] <= 2 * bisection
+        assert calls[0] < bisection  # the Newton steps do fire
 
     def test_rejects_tiny_population(self):
         with pytest.raises(DomainError):
