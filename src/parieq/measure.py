@@ -6,6 +6,16 @@ supported measure has a continuous, everywhere-positive density on [0, 1];
 construction rejects anything else, since a vanishing density or an atom
 breaks both coverage and uniqueness of the market solution.
 
+Where positivity comes from:
+- wedge, symmetrized_wedge, uniform and tabulated: their parameter checks
+  prove it, for the float density at every p, so nothing is sampled. The
+  wedge order must lie in [1, 2**53], and neighbouring tabulated knot
+  values must not fall so steeply that the interpolant rounds to zero.
+- from_density, gaussian_mixture and scaled: sampled at 10,001 evenly
+  spaced points at construction. A user density can vanish anywhere, a
+  Gaussian kernel underflows far from its mean, and a tiny scale factor
+  underflows the product.
+
 Families
 --------
 wedge(n)              piecewise-linear density, steep near 0 for large n,
@@ -73,7 +83,6 @@ def _validate_density(density: Callable[[float], float], kind: str) -> None:
 
 
 def _finish(density, kind, exact_mass=None) -> BeliefMeasure:
-    _validate_density(density, kind)
     if exact_mass is not None:
         total = exact_mass(0.0, 1.0)
     else:
@@ -84,6 +93,7 @@ def _finish(density, kind, exact_mass=None) -> BeliefMeasure:
 
 def from_density(density: Callable[[float], float], kind: str = "custom") -> BeliefMeasure:
     """Wrap an arbitrary positive continuous density (validated by sampling)."""
+    _validate_density(density, kind)
     return _finish(density, kind)
 
 
@@ -100,6 +110,10 @@ def wedge_density(n: int, p: float) -> float:
 # The unchecked kernels below serve the measure closures, whose arguments
 # were validated once at construction; the public densities check first.
 
+# For 1 <= n <= 2**53 the float result is at least 1.0/n at every p. The
+# floats n - 1 and 2(n - 1) are exact, 2n(n - 1) is off by one rounding, and
+# a float p below 1.0/n lies at least 2**-54 / n below 1/n, so the rounded
+# ramp term never exceeds 2(n - 1) and the sum never drops below 1.0/n.
 def _wedge_density(n: int, p: float) -> float:
     if p < 1.0 / n:
         return -2.0 * n * (n - 1) * p + 2.0 * (n - 1) + 1.0 / n
@@ -107,8 +121,10 @@ def _wedge_density(n: int, p: float) -> float:
 
 
 def _check_wedge_args(n: int, p: float) -> None:
-    if not (type(n) is int and n >= 1):  # bool is an int subclass, not an order
-        raise DomainError(f"wedge order must be an integer >= 1, got {n!r}")
+    # bool is an int subclass, not an order; above 2**53 the order is no
+    # longer an exact float, and the density loses its positivity proof
+    if not (type(n) is int and 1 <= n <= 2**53):
+        raise DomainError(f"wedge order must be an integer in [1, 2**53], got {n!r}")
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"belief must lie in [0,1], got {p}")
 
@@ -169,16 +185,22 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gaussian_mixture_density(weights: Sequence[float], means: Sequence[float],
                              stddevs: Sequence[float], p: float) -> float:
     """Weighted sum of Gaussian kernels at p; weights and stddevs must be positive."""
-    if not (len(weights) == len(means) == len(stddevs)) or not weights:
-        raise DomainError("mixture parameter lists must be nonempty and equal-length")
+    _check_mixture_args(weights, means, stddevs)
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"belief must lie in [0,1], got {p}")
+    return _mixture_density(weights, means, stddevs, p)
+
+
+def _check_mixture_args(weights, means, stddevs) -> None:
+    if not (len(weights) == len(means) == len(stddevs)) or not weights:
+        raise DomainError("mixture parameter lists must be nonempty and equal-length")
+    if not all(map(math.isfinite, (*weights, *means, *stddevs))):
+        raise DomainError("mixture parameters must be finite")
     for wgt, sd in zip(weights, stddevs):
         if wgt <= 0.0:
             raise DomainError(f"mixture weights must be positive, got {wgt}")
         if sd <= 0.0:
             raise DomainError(f"mixture stddevs must be positive, got {sd}")
-    return _mixture_density(weights, means, stddevs, p)
 
 
 def _mixture_density(weights, means, stddevs, p: float) -> float:
@@ -199,9 +221,7 @@ def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
     weights = tuple(float(x) for x in weights)
     means = tuple(float(x) for x in means)
     stddevs = tuple(float(x) for x in stddevs)
-    if not all(map(math.isfinite, weights + means + stddevs)):
-        raise DomainError("mixture parameters must be finite")
-    gaussian_mixture_density(weights, means, stddevs, 0.0)  # validate parameters
+    _check_mixture_args(weights, means, stddevs)
     kernels = tuple((0.5 * wgt, mu, sd * math.sqrt(2.0))
                     for wgt, mu, sd in zip(weights, means, stddevs))
 
@@ -211,9 +231,12 @@ def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
             out += half_w * (math.erf((hi - mu) / width) - math.erf((lo - mu) / width))
         return out
 
+    def density(p: float) -> float:
+        return _mixture_density(weights, means, stddevs, p)
+
     label = f"gaussian_mixture(k={len(weights)})"
-    return _finish(lambda p: _mixture_density(weights, means, stddevs, p),
-                   label, exact_mass=exact)
+    _validate_density(density, label)  # a kernel underflows far from its mean
+    return _finish(density, label, exact_mass=exact)
 
 
 # --------------------------------------------------------------------------
@@ -224,7 +247,9 @@ def tabulated(knots: Sequence[tuple[float, float]]) -> BeliefMeasure:
     """Piecewise-linear density through (belief, value) knots spanning [0, 1].
 
     Knot beliefs must be strictly increasing with first 0 and last 1; every
-    value must be positive, which keeps the interpolant positive too.
+    value must be positive, and no piece may fall so steeply (by a factor of
+    about 2**53) that its float interpolant rounds to zero. Together these
+    keep the density positive at every float p.
     """
     pts = [(float(p), float(v)) for p, v in knots]
     if not all(math.isfinite(x) for pt in pts for x in pt):
@@ -239,6 +264,10 @@ def tabulated(knots: Sequence[tuple[float, float]]) -> BeliefMeasure:
         raise DomainError("tabulated knot beliefs must be strictly increasing")
     if any(v <= 0.0 for v in vs):
         raise DomainError("tabulated knot values must be positive")
+    # each piece's interpolant below at t = 1: on a falling piece the float
+    # interpolant never drops below it, on a rising one never below the left value
+    if any(a + (b - a) <= 0.0 for a, b in zip(vs, vs[1:])):
+        raise DomainError("tabulated knot values fall too steeply for a positive interpolant")
 
     def density(p: float) -> float:
         if not (0.0 <= p <= 1.0):
@@ -277,5 +306,7 @@ def scaled(base: BeliefMeasure, factor: float) -> BeliefMeasure:
     if base.exact_mass is not None:
         base_exact = base.exact_mass
         exact = lambda lo, hi: factor * base_exact(lo, hi)
-    return _finish(lambda p: factor * base.density(p),
-                   f"scaled({base.kind}, factor={factor})", exact_mass=exact)
+    density = lambda p: factor * base.density(p)
+    label = f"scaled({base.kind}, factor={factor})"
+    _validate_density(density, label)  # a tiny factor underflows the product
+    return _finish(density, label, exact_mass=exact)

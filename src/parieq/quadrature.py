@@ -29,9 +29,8 @@ def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
             + _adaptive(f, m, fm, b, fb, rm, frm, right, half, depth + 1))
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = QUAD_TOL) -> float:
-    """Integrate f over [a, b] to absolute tolerance tol.
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
+    """Integrate f over [a, b] to absolute tolerance QUAD_TOL.
 
     Uses recursive Simpson halving with Richardson correction; recursion is
     capped at MAX_DEPTH, beyond which a QuadratureError is raised.
@@ -40,4 +39,4 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
         return 0.0
     fa, fb = f(a), f(b)
     m, fm, whole = _simpson(f, a, fa, b, fb)
-    return _adaptive(f, a, fa, b, fb, m, fm, whole, tol, 0)
+    return _adaptive(f, a, fa, b, fb, m, fm, whole, QUAD_TOL, 0)

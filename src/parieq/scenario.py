@@ -64,12 +64,14 @@ def build_measure(spec: dict) -> BeliefMeasure:
             return measure_mod.uniform()
         if kind == "gaussian_mixture":
             return measure_mod.gaussian_mixture(
-                spec["weights"], spec["means"], spec["stddevs"])
+                *(_numbers(spec[key], f"field {key!r}")
+                  for key in ("weights", "means", "stddevs")))
         if kind == "tabulated":
-            return measure_mod.tabulated([tuple(k) for k in spec["knots"]])
+            return measure_mod.tabulated(
+                [tuple(_numbers(k, "a tabulated knot")) for k in spec["knots"]])
         if kind == "scaled":
             return measure_mod.scaled(build_measure(spec["base"]),
-                                      float(spec["factor"]))
+                                      _number(spec, "factor"))
     except KeyError as exc:
         raise ConfigError(f"measure kind {kind!r} is missing field {exc}") from exc
     except (DomainError, TypeError, ValueError, OverflowError) as exc:
@@ -77,13 +79,27 @@ def build_measure(spec: dict) -> BeliefMeasure:
     raise ConfigError(f"unknown measure kind {kind!r}")
 
 
+def _is_number(val: Any) -> bool:
+    # a JSON number: bool is an int subclass, and strings are not numbers
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _numbers(val: Any, what: str) -> list:
+    if not (isinstance(val, list) and all(map(_is_number, val))):
+        raise ConfigError(f"{what} must be an array of numbers, got {val!r}")
+    return val
+
+
 def _number(obj: dict, key: str, lo=None, hi=None, strict_lo=False) -> float:
     if key not in obj:
         raise ConfigError(f"scenario is missing field {key!r}")
     val = obj[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
+    if not _is_number(val):
         raise ConfigError(f"field {key!r} must be a number, got {val!r}")
-    val = float(val)
+    try:
+        val = float(val)
+    except OverflowError:  # an integer beyond the float range
+        val = math.inf
     if not math.isfinite(val):
         raise ConfigError(f"field {key!r} must be finite, got {val}")
     if lo is not None and (val <= lo if strict_lo else val < lo):
@@ -112,14 +128,14 @@ def parse_scenario(obj: Any) -> Scenario:
         lo = _number(kappa_raw, "lo")
         hi = _number(kappa_raw, "hi")
         steps = kappa_raw.get("steps")
-        if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
+        if type(steps) is not int or steps < 2:  # bool is an int subclass
             raise ConfigError(f"sweep 'steps' must be an integer >= 2, got {steps!r}")
         if lo < SWEEP_LO_MIN or hi > SWEEP_HI_MAX or lo > hi:
             raise ConfigError(
                 f"sweep range must satisfy {SWEEP_LO_MIN} <= lo <= hi <= "
                 f"{SWEEP_HI_MAX}, got [{lo}, {hi}]")
         kappa = SweepSpec(lo=lo, hi=hi, steps=steps)
-    elif isinstance(kappa_raw, (int, float)) and not isinstance(kappa_raw, bool):
+    elif _is_number(kappa_raw):
         kappa = float(kappa_raw)
         if not 0.0 < kappa < 1.0:
             raise ConfigError(f"scalar kappa must lie in (0,1), got {kappa}")

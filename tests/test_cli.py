@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import parieq
 from parieq.cli import main, sweep_csv
 from parieq.equilibrium import FP_TOL
 from parieq.errors import ConfigError
@@ -116,6 +117,13 @@ class TestConfigErrors:
         dict(metrics=["diffuse_actual_profit"]),  # p_actual missing
         dict(measure={"kind": "mystery"}),
         dict(measure={"kind": "wedge"}),  # n missing
+        # measures whose density cannot be shown positive
+        dict(measure={"kind": "wedge", "n": 10**200}),
+        dict(measure={"kind": "symmetrized_wedge", "n": 10**200}),
+        dict(measure={"kind": "gaussian_mixture", "weights": [1], "means": [0.5],
+                      "stddevs": [0.005]}),
+        dict(measure={"kind": "scaled", "base": {"kind": "wedge", "n": 100},
+                      "factor": 5e-324}),
     ])
     def test_invalid_fields(self, tmp_path, capsys, overrides):
         path = write_scenario(tmp_path, **overrides)
@@ -129,6 +137,24 @@ class TestConfigErrors:
         path = write_scenario(tmp_path, measure={"kind": kind, "n": n})
         assert main(["solve", "--scenario", str(path)]) == 1
 
+    @pytest.mark.parametrize("measure", [
+        {"kind": "scaled", "base": {"kind": "wedge", "n": 1}, "factor": "2"},
+        {"kind": "scaled", "base": {"kind": "wedge", "n": 1}, "factor": True},
+        {"kind": "gaussian_mixture", "weights": ["1", True], "means": [0.3, 0.7],
+         "stddevs": [0.1, 0.1]},
+        {"kind": "gaussian_mixture", "weights": [1, 1], "means": [0.3, "0.7"],
+         "stddevs": [0.1, 0.1]},
+        {"kind": "gaussian_mixture", "weights": "12", "means": "55",
+         "stddevs": "11"},  # strings iterate to digits
+        {"kind": "tabulated", "knots": [[0, "1"], [1, 1]]},
+    ], ids=["factor-string", "factor-bool", "weights", "means", "strings",
+            "knot"])
+    def test_measure_numbers_must_be_json_numbers(self, tmp_path, measure):
+        with pytest.raises(ConfigError):
+            build_measure(measure)
+        path = write_scenario(tmp_path, measure=measure)
+        assert main(["solve", "--scenario", str(path)]) == 1
+
     @pytest.mark.parametrize("overrides", [
         dict(q=float("nan")),
         dict(w=float("inf")),
@@ -140,6 +166,7 @@ class TestConfigErrors:
                                                       [1, 1]]}),
         dict(measure={"kind": "gaussian_mixture", "weights": [float("inf")],
                       "means": [0.5], "stddevs": [0.2]}),
+        dict(q=10**400),  # an integer beyond the float range
     ])
     def test_non_finite_numbers_rejected(self, overrides):
         obj = {"name": "x", "measure": {"kind": "wedge", "n": 1}, "q": 0.5,
@@ -293,6 +320,24 @@ class TestScenarioRoundTrip:
             again = loads_scenario(dump_scenario(sc), origin="round-trip")
             assert again == sc
 
+    @pytest.mark.parametrize("measure", [
+        {"kind": "wedge", "n": 7},
+        {"kind": "symmetrized_wedge", "n": 3},
+        {"kind": "uniform"},
+        {"kind": "gaussian_mixture", "weights": [1.0, 0.5], "means": [0.3, 0.75],
+         "stddevs": [0.15, 0.1]},
+        {"kind": "tabulated", "knots": [[0.0, 0.5], [0.3, 2.0], [1.0, 1.0]]},
+        {"kind": "scaled", "factor": 2.5,
+         "base": {"kind": "gaussian_mixture", "weights": [0.7], "means": [0.4],
+                  "stddevs": [0.2]}},
+    ], ids=lambda spec: spec["kind"])
+    def test_every_measure_kind_round_trips(self, measure):
+        sc = parse_scenario({"name": "kinds", "measure": measure, "q": 0.7,
+                             "w": 0.5, "kappa": 0.8, "metrics": []})
+        again = loads_scenario(dump_scenario(sc))
+        assert again == sc
+        assert build_measure(again.measure).total_mass == build_measure(measure).total_mass
+
     def test_dump_refuses_non_finite_numbers(self):
         sc = load_scenario(bundled_scenarios()["example1"])
         with pytest.raises(ValueError):
@@ -311,8 +356,11 @@ class TestScenarioRoundTrip:
 
 def test_module_entry_point(tmp_path):
     path = write_scenario(tmp_path)
+    # run from the directory holding the imported package, so that the child
+    # finds it whether it is installed or only on the test run's path
     proc = subprocess.run([sys.executable, "-m", "parieq", "solve",
                            "--scenario", str(path)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          cwd=Path(parieq.__file__).resolve().parents[1])
     assert proc.returncode == 0
     assert proc.stdout.startswith("# schema=1")

@@ -12,14 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+import parieq.measure as measure_mod
+from parieq.equilibrium import d1_of, d2_of, phi_context
 from parieq.errors import DomainError
 from parieq.measure import (BeliefMeasure, from_density, gaussian_mixture,
                             gaussian_mixture_density, mass, scaled,
                             symmetrized_wedge, symmetrized_wedge_density,
                             tabulated, uniform, wedge, wedge_density)
-from parieq.quadrature import adaptive_simpson
-
-QUAD_TOL = 1e-10
+from parieq.quadrature import QUAD_TOL, adaptive_simpson
+from parieq.response import MarketParams
 
 
 def scipy_mass(density, lo, hi, points=None):
@@ -121,7 +122,7 @@ class TestMass:
         m = wedge(n)
         for lo, hi in [(0.0, 1.0), (0.0, 0.003), (0.001, 0.5), (0.35, 0.9)]:
             exact = mass(m, lo, hi)
-            quad = adaptive_simpson(m.density, lo, hi, tol=QUAD_TOL)
+            quad = adaptive_simpson(m.density, lo, hi)
             ref = scipy_mass(m.density, lo, hi,
                              points=[1 / n] if lo < 1 / n < hi else None)
             assert exact == pytest.approx(quad, abs=5 * QUAD_TOL)
@@ -132,7 +133,7 @@ class TestMass:
         m = symmetrized_wedge(n)
         for lo, hi in [(0.0, 1.0), (0.0, 0.02), (0.4, 0.99)]:
             exact = mass(m, lo, hi)
-            quad = adaptive_simpson(m.density, lo, hi, tol=QUAD_TOL)
+            quad = adaptive_simpson(m.density, lo, hi)
             assert exact == pytest.approx(quad, abs=5 * QUAD_TOL)
 
     def test_gaussian_mixture_mass_vs_normal_cdf(self):
@@ -240,7 +241,17 @@ class TestInvariants:
     @pytest.mark.parametrize("m", _family_zoo(), ids=lambda m: m.kind)
     def test_total_mass_matches_quadrature(self, m):
         assert m.total_mass == pytest.approx(
-            adaptive_simpson(m.density, 0.0, 1.0, tol=QUAD_TOL), abs=5 * QUAD_TOL)
+            adaptive_simpson(m.density, 0.0, 1.0), abs=5 * QUAD_TOL)
+
+    @pytest.mark.parametrize("kappa", [0.55, 0.8, 0.95])
+    @pytest.mark.parametrize("m", _family_zoo(), ids=lambda m: m.kind)
+    def test_d1_falls_and_d2_rises_across_the_band(self, m, kappa):
+        ctx = phi_context(MarketParams(kappa=kappa, q=0.5, w=1.0), m)
+        band = np.linspace(1.0 - kappa, kappa, 401).tolist()
+        d1 = [d1_of(p, ctx) for p in band]
+        d2 = [d2_of(p, ctx) for p in band]
+        assert all(b <= a for a, b in zip(d1, d1[1:]))
+        assert all(a <= b for a, b in zip(d2, d2[1:]))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(a=st.floats(0.0, 1.0), idx=st.integers(0, 7))
@@ -259,6 +270,59 @@ class TestInvariants:
         hi2 = lo2 + v * (hi - lo2)
         m = _family_zoo()[idx]
         assert mass(m, lo2, hi2) <= mass(m, lo, hi) + QUAD_TOL
+
+
+class TestPositivity:
+    """Positivity is proven from the parameters where it can be, else sampled."""
+
+    @pytest.mark.parametrize("build, scans", [
+        (lambda: wedge(100), 0),
+        (lambda: symmetrized_wedge(100), 0),
+        (lambda: uniform(), 0),
+        (lambda: tabulated([(0.0, 0.5), (0.3, 2.0), (1.0, 1.0)]), 0),
+        (lambda: from_density(lambda p: 1.0 + p), 1),
+        (lambda: gaussian_mixture([1.0, 0.5], [0.3, 0.75], [0.15, 0.1]), 1),
+        (lambda base=wedge(100): scaled(base, 2.0), 1),  # base built beforehand
+    ], ids=["wedge", "symmetrized_wedge", "uniform", "tabulated",
+            "from_density", "gaussian_mixture", "scaled"])
+    def test_density_scans_per_construction(self, monkeypatch, build, scans):
+        calls = []
+        real = measure_mod._validate_density
+
+        def counted(density, kind):
+            calls.append(kind)
+            real(density, kind)
+
+        monkeypatch.setattr(measure_mod, "_validate_density", counted)
+        build()
+        assert len(calls) == scans
+
+    @pytest.mark.parametrize("build", [
+        lambda: gaussian_mixture([1], [0.5], [0.005]),  # underflows at p = 0
+        lambda: scaled(wedge(100), 5e-324),  # underflows beyond the knee
+        lambda: wedge(10**200),
+        lambda: symmetrized_wedge(10**200),
+        lambda: wedge(2**53 + 1),
+        # on the piece ending at 0.75 + 2**-53, p = 0.75 gives t = 1 (p - 2**-54
+        # and the piece width round alike) and the interpolant rounds to 0.0
+        lambda: tabulated([(0.0, 1.0), (2.0**-54, 1.0), (0.75 + 2.0**-53, 1e-300),
+                           (1.0, 1.0)]),
+    ], ids=["gaussian_mixture", "scaled", "wedge",
+            "symmetrized_wedge", "wedge_above_2**53", "tabulated"])
+    def test_vanishing_or_unproven_densities_rejected(self, build):
+        with pytest.raises(DomainError):
+            build()
+
+    @pytest.mark.parametrize("n", [2, 3, 99, 2**26 + 1, 10**12 + 39, 2**53 - 1, 2**53])
+    def test_wedge_density_positive_just_below_the_knee(self, n):
+        # the ramp cancels to near zero just below 1/n; the float result
+        # must still reach the flat floor 1/n
+        m, sym = wedge(n), symmetrized_wedge(n)
+        p = 1.0 / n
+        for _ in range(50):
+            p = math.nextafter(p, 0.0)
+            assert m.density(p) >= 1.0 / n
+            assert sym.density(p) > 0.0 and sym.density(1.0 - p) > 0.0
 
 
 class TestFromDensity:

@@ -18,13 +18,13 @@ def test_exact_for_cubics():
 def test_oscillatory_integrand_vs_scipy():
     f = lambda x: math.exp(-x) * math.cos(12 * x)
     want, _ = integrate.quad(f, 0.0, 3.0, limit=200)
-    assert adaptive_simpson(f, 0.0, 3.0, tol=1e-10) == pytest.approx(want, abs=1e-9)
+    assert adaptive_simpson(f, 0.0, 3.0) == pytest.approx(want, abs=1e-9)
 
 
 def test_kinked_integrand_converges():
     f = lambda x: abs(x - 1 / 3)
     want = (1 / 3) ** 2 / 2 + (2 / 3) ** 2 / 2
-    assert adaptive_simpson(f, 0.0, 1.0, tol=1e-10) == pytest.approx(want, abs=1e-9)
+    assert adaptive_simpson(f, 0.0, 1.0) == pytest.approx(want, abs=1e-9)
 
 
 def test_empty_and_reversed_intervals():
@@ -37,4 +37,4 @@ def test_depth_guard_on_discontinuity():
     # the per-level tolerance both shrink like 2^-depth
     step = lambda x: 0.0 if x < math.pi / 6 else 1.0
     with pytest.raises(QuadratureError):
-        adaptive_simpson(step, 0.0, 1.0, tol=1e-12)
+        adaptive_simpson(step, 0.0, 1.0)
