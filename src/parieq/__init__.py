@@ -9,14 +9,12 @@ continuum solution against a brute-force finite population.
 """
 
 from .equilibrium import (Equilibrium, FP_TOL, PhiContext, compute_pbar1,
-                          compute_pbar2, d1_of, d2_of, phi, phi_context,
-                          solve, zeta1, zeta2)
+                          compute_pbar2, phi, phi_context, solve, zeta1,
+                          zeta2)
 from .errors import (ConfigError, DomainError, NoEquilibriumError,
                      ParieqError, QuadratureError)
-from .measure import (BeliefMeasure, from_density, gaussian_mixture,
-                      gaussian_mixture_density, mass, scaled,
-                      symmetrized_wedge, symmetrized_wedge_density, tabulated,
-                      uniform, wedge, wedge_density)
+from .measure import (BeliefMeasure, from_density, gaussian_mixture, mass,
+                      scaled, symmetrized_wedge, tabulated, uniform, wedge)
 from .metrics import (MarketReport, atomic_actual_profit,
                       atomic_subjective_profit, diffuse_actual_profit,
                       diffuse_subjective_profit, house_revenue, market_report)

@@ -73,20 +73,6 @@ def _D(p: float, kappa: float, m: BeliefMeasure) -> tuple[float, float]:
             mass(m, 0.0, max(1.0 - (1.0 - p) / kappa, 0.0)))
 
 
-def d1_of(P: float, ctx: PhiContext) -> float:
-    """Small-bettor total on Outcome 1 when the candidate probability is P."""
-    kappa = ctx.params.kappa
-    P = _clamp_to(P, 1.0 - kappa, kappa, "candidate probability")
-    return _D(P, kappa, ctx.measure)[0]
-
-
-def d2_of(P: float, ctx: PhiContext) -> float:
-    """Small-bettor total on Outcome 2 when the candidate probability is P."""
-    kappa = ctx.params.kappa
-    P = _clamp_to(P, 1.0 - kappa, kappa, "candidate probability")
-    return _D(P, kappa, ctx.measure)[1]
-
-
 def _bisect_decreasing(g: Callable[[float], float], lo: float, hi: float,
                        width_tol: float, residual_tol: float | None = None,
                        ) -> tuple[float, float]:

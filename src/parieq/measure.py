@@ -26,17 +26,20 @@ gaussian_mixture(...) positive combination of Gaussian kernels
 tabulated(knots)      piecewise-linear interpolation of user knots
 scaled(base, factor)  base measure with density multiplied by factor
 
-Every built-in family has an exact interval mass from its antiderivative:
-piecewise polynomials for the wedge families and tabulated densities, erf
-differences for Gaussian mixtures, and a rescaled base mass for scaled.
-Only from_density, which wraps an arbitrary user density, integrates by
-adaptive Simpson quadrature.
+Every measure answers interval-mass questions through one function, its
+exact_mass, and mass() only checks the interval before calling it. The
+built-in families take it from their antiderivatives: piecewise
+polynomials for the wedge families and tabulated densities, erf
+differences for Gaussian mixtures, and the base's mass times the factor
+for scaled. from_density, which wraps an arbitrary user density, runs
+adaptive Simpson quadrature on each call. A measure whose total mass is
+not finite is rejected at construction.
 """
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import DomainError
 from .quadrature import adaptive_simpson
@@ -46,14 +49,17 @@ POSITIVITY_GRID = 10_001
 
 @dataclass(frozen=True)
 class BeliefMeasure:
-    """A finite measure on [0, 1] given by a positive continuous density."""
+    """A finite measure on [0, 1] given by a positive continuous density.
+
+    exact_mass(lo, hi) is the measure's interval mass for 0 <= lo < hi <= 1:
+    a closed form for every built-in family, adaptive Simpson quadrature of
+    the density for from_density. total_mass is exact_mass(0, 1).
+    """
 
     density: Callable[[float], float]
     total_mass: float
     kind: str
-    # closed-form interval mass, when the family admits one
-    exact_mass: Optional[Callable[[float, float], float]] = field(
-        default=None, repr=False, compare=False)
+    exact_mass: Callable[[float, float], float] = field(repr=False, compare=False)
 
     def __repr__(self) -> str:  # density callables have no useful repr
         return f"BeliefMeasure(kind={self.kind!r}, total_mass={self.total_mass!r})"
@@ -68,9 +74,7 @@ def mass(m: BeliefMeasure, lo: float, hi: float) -> float:
         raise DomainError(f"mass requires 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
     if lo == hi:
         return 0.0
-    if m.exact_mass is not None:
-        return m.exact_mass(lo, hi)
-    return adaptive_simpson(m.density, lo, hi)
+    return m.exact_mass(lo, hi)
 
 
 def _validate_density(density: Callable[[float], float], kind: str) -> None:
@@ -82,34 +86,31 @@ def _validate_density(density: Callable[[float], float], kind: str) -> None:
                 f"{kind}: density must be positive on [0,1], got {density(p)} at p={p}")
 
 
-def _finish(density, kind, exact_mass=None) -> BeliefMeasure:
-    if exact_mass is not None:
-        total = exact_mass(0.0, 1.0)
-    else:
-        total = adaptive_simpson(density, 0.0, 1.0)
+def _finish(density, kind, exact_mass) -> BeliefMeasure:
+    total = exact_mass(0.0, 1.0)
+    if not math.isfinite(total):  # e.g. knot values or weights near the float maximum
+        raise DomainError(f"{kind}: total mass must be finite, got {total}")
     return BeliefMeasure(density=density, total_mass=total, kind=kind,
                          exact_mass=exact_mass)
 
 
 def from_density(density: Callable[[float], float], kind: str = "custom") -> BeliefMeasure:
-    """Wrap an arbitrary positive continuous density (validated by sampling)."""
+    """Wrap an arbitrary positive continuous density (validated by sampling).
+
+    Its masses are adaptive Simpson quadratures of the density, run afresh
+    on every call.
+    """
     _validate_density(density, kind)
-    return _finish(density, kind)
+    # adaptive_simpson is looked up at call time, so a wrapper swapped into
+    # this module after construction still sees every quadrature
+    return _finish(density, kind, lambda lo, hi: adaptive_simpson(density, lo, hi))
 
 
 # --------------------------------------------------------------------------
 # wedge family
 # --------------------------------------------------------------------------
 
-def wedge_density(n: int, p: float) -> float:
-    """Density of the wedge family: linear ramp below 1/n, constant 1/n above."""
-    _check_wedge_args(n, p)
-    return _wedge_density(n, p)
-
-
-# The unchecked kernels below serve the measure closures, whose arguments
-# were validated once at construction; the public densities check first.
-
+# Density of the wedge family: linear ramp below 1/n, constant 1/n above.
 # For 1 <= n <= 2**53 the float result is at least 1.0/n at every p. The
 # floats n - 1 and 2(n - 1) are exact, 2n(n - 1) is off by one rounding, and
 # a float p below 1.0/n lies at least 2**-54 / n below 1/n, so the rounded
@@ -120,13 +121,11 @@ def _wedge_density(n: int, p: float) -> float:
     return 1.0 / n
 
 
-def _check_wedge_args(n: int, p: float) -> None:
+def _check_wedge_args(n: int) -> None:
     # bool is an int subclass, not an order; above 2**53 the order is no
     # longer an exact float, and the density loses its positivity proof
     if not (type(n) is int and 1 <= n <= 2**53):
         raise DomainError(f"wedge order must be an integer in [1, 2**53], got {n!r}")
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"belief must lie in [0,1], got {p}")
 
 
 def _wedge_antiderivative(n: int, p: float) -> float:
@@ -139,7 +138,7 @@ def _wedge_antiderivative(n: int, p: float) -> float:
 
 def wedge(n: int) -> BeliefMeasure:
     """Wedge measure of order n; total mass 1, wedge(1) is uniform."""
-    _check_wedge_args(n, 0.0)
+    _check_wedge_args(n)
 
     def exact(lo: float, hi: float) -> float:
         return _wedge_antiderivative(n, hi) - _wedge_antiderivative(n, lo)
@@ -152,26 +151,16 @@ def uniform() -> BeliefMeasure:
     return _finish(lambda p: 1.0, "uniform", exact_mass=lambda lo, hi: hi - lo)
 
 
-def symmetrized_wedge_density(n: int, p: float) -> float:
-    """Average of the order-n wedge density and its reflection about 0.5."""
-    _check_wedge_args(n, p)
-    return _symmetrized_wedge_density(n, p)
-
-
-def _symmetrized_wedge_density(n: int, p: float) -> float:
-    return 0.5 * (_wedge_density(n, p) + _wedge_density(n, 1.0 - p))
-
-
 def symmetrized_wedge(n: int) -> BeliefMeasure:
     """Symmetric measure splitting the wedge's wealth between both extremes."""
-    _check_wedge_args(n, 0.0)
+    _check_wedge_args(n)
 
     def exact(lo: float, hi: float) -> float:
         fwd = _wedge_antiderivative(n, hi) - _wedge_antiderivative(n, lo)
         rev = _wedge_antiderivative(n, 1.0 - lo) - _wedge_antiderivative(n, 1.0 - hi)
         return 0.5 * (fwd + rev)
 
-    return _finish(lambda p: _symmetrized_wedge_density(n, p),
+    return _finish(lambda p: 0.5 * (_wedge_density(n, p) + _wedge_density(n, 1.0 - p)),
                    f"symmetrized_wedge(n={n})", exact_mass=exact)
 
 
@@ -180,35 +169,6 @@ def symmetrized_wedge(n: int) -> BeliefMeasure:
 # --------------------------------------------------------------------------
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def gaussian_mixture_density(weights: Sequence[float], means: Sequence[float],
-                             stddevs: Sequence[float], p: float) -> float:
-    """Weighted sum of Gaussian kernels at p; weights and stddevs must be positive."""
-    _check_mixture_args(weights, means, stddevs)
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"belief must lie in [0,1], got {p}")
-    return _mixture_density(weights, means, stddevs, p)
-
-
-def _check_mixture_args(weights, means, stddevs) -> None:
-    if not (len(weights) == len(means) == len(stddevs)) or not weights:
-        raise DomainError("mixture parameter lists must be nonempty and equal-length")
-    if not all(map(math.isfinite, (*weights, *means, *stddevs))):
-        raise DomainError("mixture parameters must be finite")
-    for wgt, sd in zip(weights, stddevs):
-        if wgt <= 0.0:
-            raise DomainError(f"mixture weights must be positive, got {wgt}")
-        if sd <= 0.0:
-            raise DomainError(f"mixture stddevs must be positive, got {sd}")
-
-
-def _mixture_density(weights, means, stddevs, p: float) -> float:
-    out = 0.0
-    for wgt, mu, sd in zip(weights, means, stddevs):
-        z = (p - mu) / sd
-        out += wgt * _INV_SQRT_2PI / sd * math.exp(-0.5 * z * z)
-    return out
 
 
 def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
@@ -221,7 +181,15 @@ def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
     weights = tuple(float(x) for x in weights)
     means = tuple(float(x) for x in means)
     stddevs = tuple(float(x) for x in stddevs)
-    _check_mixture_args(weights, means, stddevs)
+    if not (len(weights) == len(means) == len(stddevs)) or not weights:
+        raise DomainError("mixture parameter lists must be nonempty and equal-length")
+    if not all(map(math.isfinite, (*weights, *means, *stddevs))):
+        raise DomainError("mixture parameters must be finite")
+    for wgt, sd in zip(weights, stddevs):
+        if wgt <= 0.0:
+            raise DomainError(f"mixture weights must be positive, got {wgt}")
+        if sd <= 0.0:
+            raise DomainError(f"mixture stddevs must be positive, got {sd}")
     kernels = tuple((0.5 * wgt, mu, sd * math.sqrt(2.0))
                     for wgt, mu, sd in zip(weights, means, stddevs))
 
@@ -232,7 +200,11 @@ def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
         return out
 
     def density(p: float) -> float:
-        return _mixture_density(weights, means, stddevs, p)
+        out = 0.0
+        for wgt, mu, sd in zip(weights, means, stddevs):
+            z = (p - mu) / sd
+            out += wgt * _INV_SQRT_2PI / sd * math.exp(-0.5 * z * z)
+        return out
 
     label = f"gaussian_mixture(k={len(weights)})"
     _validate_density(density, label)  # a kernel underflows far from its mean
@@ -302,11 +274,8 @@ def scaled(base: BeliefMeasure, factor: float) -> BeliefMeasure:
     """The base measure with all wealth multiplied by factor > 0."""
     if not 0.0 < factor < math.inf:
         raise DomainError(f"scale factor must be positive and finite, got {factor}")
-    exact = None
-    if base.exact_mass is not None:
-        base_exact = base.exact_mass
-        exact = lambda lo, hi: factor * base_exact(lo, hi)
+    base_mass = base.exact_mass
     density = lambda p: factor * base.density(p)
     label = f"scaled({base.kind}, factor={factor})"
     _validate_density(density, label)  # a tiny factor underflows the product
-    return _finish(density, label, exact_mass=exact)
+    return _finish(density, label, lambda lo, hi: factor * base_mass(lo, hi))

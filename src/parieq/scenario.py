@@ -186,6 +186,8 @@ def loads_scenario(text: str, origin: str = "<string>") -> Scenario:
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{origin}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer too long to convert, among others
+        raise ConfigError(f"{origin}: {exc}") from exc
     return parse_scenario(obj)
 
 

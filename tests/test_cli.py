@@ -105,6 +105,14 @@ class TestConfigErrors:
         assert "config error" in err
         assert ":3:" in err  # line anchor
 
+    def test_overlong_integer_names_the_file(self, tmp_path, capsys):
+        # json refuses integers beyond 4300 digits with a plain ValueError
+        path = tmp_path / "long.cfg"
+        path.write_text('{"name": "x", "measure": {"kind": "uniform"}, "w": 1,'
+                        ' "kappa": 0.8, "q": ' + "1" * 5000 + "}\n")
+        assert main(["solve", "--scenario", str(path)]) == 1
+        assert f"config error: {path}: " in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", "--scenario", str(tmp_path / "nope.cfg")]) == 1
 
@@ -124,6 +132,13 @@ class TestConfigErrors:
                       "stddevs": [0.005]}),
         dict(measure={"kind": "scaled", "base": {"kind": "wedge", "n": 100},
                       "factor": 5e-324}),
+        # measures whose total mass overflows
+        dict(measure={"kind": "tabulated", "knots": [[0, 1e308], [1, 1e308]]}),
+        dict(measure={"kind": "gaussian_mixture", "weights": [1e308, 1e308],
+                      "means": [0.3, 0.7], "stddevs": [0.2, 0.2]}),
+        dict(measure={"kind": "scaled", "factor": 2.0,
+                      "base": {"kind": "scaled", "base": {"kind": "uniform"},
+                               "factor": 1e308}}),
     ])
     def test_invalid_fields(self, tmp_path, capsys, overrides):
         path = write_scenario(tmp_path, **overrides)

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from conftest import assert_equilibrium_properties, bundled_cases, scenario_zoo
-from parieq.equilibrium import (FP_TOL, _bisect_decreasing, compute_pbar1,
-                                compute_pbar2, d1_of, d2_of, phi, phi_context,
-                                solve, zeta1, zeta2)
+from test_measure import _family_zoo
+from parieq.equilibrium import (FP_TOL, _D, _bisect_decreasing, compute_pbar1,
+                                compute_pbar2, phi, phi_context, solve, zeta1,
+                                zeta2)
 from parieq.errors import DomainError, NoEquilibriumError
 from parieq.measure import mass, scaled, uniform, wedge
 from parieq.response import DiffuseAggregate, MarketParams, implied_probability
@@ -33,24 +34,15 @@ def grid_bracket_root(f, lo, hi, n=4001):
 
 
 class TestDiffuseTotals:
-    def setup_method(self):
-        self.params = MarketParams(kappa=0.8, q=0.5, w=1.0)
-        self.ctx = phi_context(self.params, uniform())
-
     def test_uniform_interval_masses(self):
         # thresholds at 0.6/0.8 = 0.75 and 1 - 0.4/0.8 = 0.5
-        assert d1_of(0.6, self.ctx) == pytest.approx(0.25, abs=1e-12)
-        assert d2_of(0.6, self.ctx) == pytest.approx(0.5, abs=1e-12)
+        d1, d2 = _D(0.6, 0.8, uniform())
+        assert d1 == pytest.approx(0.25, abs=1e-12)
+        assert d2 == pytest.approx(0.5, abs=1e-12)
 
     def test_band_endpoints_empty_one_side(self):
-        assert d1_of(0.8, self.ctx) == 0.0
-        assert d2_of(0.2, self.ctx) == 0.0
-
-    def test_domain_checks(self):
-        with pytest.raises(DomainError):
-            d1_of(0.1, self.ctx)
-        with pytest.raises(DomainError):
-            d2_of(0.9, self.ctx)
+        assert _D(0.8, 0.8, uniform())[0] == 0.0
+        assert _D(0.2, 0.8, uniform())[1] == 0.0
 
 
 class TestActionBoundaries:
@@ -152,6 +144,32 @@ class TestResponseMap:
             grid = np.linspace(1.0 - kappa, kappa, 512)
             vals = [phi(p, ctx) for p in grid]
             assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
+
+
+ZOO = _family_zoo()
+MARKETS = dict(idx=st.integers(0, len(ZOO) - 1), kappa=st.floats(0.5001, 0.9999),
+               q=st.floats(0.0, 1.0), w=st.floats(1e-10, 10.0))
+
+
+class TestSolverProperties:
+    """Invariants of phi and solve over drawn measures and markets, no slack."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**MARKETS)
+    def test_phi_falls_from_one_to_zero(self, idx, kappa, q, w):
+        ctx = phi_context(MarketParams(kappa=kappa, q=q, w=w), ZOO[idx])
+        vals = [phi(p, ctx) for p in np.linspace(1.0 - kappa, kappa, 201).tolist()]
+        assert all(b <= a for a, b in zip(vals, vals[1:]))
+        assert phi(1.0 - kappa, ctx) == 1.0
+        assert phi(kappa, ctx) == 0.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**MARKETS)
+    def test_residual_is_the_true_one_and_budget_holds(self, idx, kappa, q, w):
+        params, m = MarketParams(kappa=kappa, q=q, w=w), ZOO[idx]
+        eq = solve(params, m)
+        assert eq.residual == abs(phi(eq.p_star, phi_context(params, m)) - eq.p_star)
+        assert eq.atomic.a1 + eq.atomic.a2 <= w
 
 
 class TestSolve:

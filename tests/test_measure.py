@@ -13,14 +13,12 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import parieq.measure as measure_mod
-from parieq.equilibrium import d1_of, d2_of, phi_context
+from parieq.equilibrium import _D
 from parieq.errors import DomainError
 from parieq.measure import (BeliefMeasure, from_density, gaussian_mixture,
-                            gaussian_mixture_density, mass, scaled,
-                            symmetrized_wedge, symmetrized_wedge_density,
-                            tabulated, uniform, wedge, wedge_density)
+                            mass, scaled, symmetrized_wedge, tabulated,
+                            uniform, wedge)
 from parieq.quadrature import QUAD_TOL, adaptive_simpson
-from parieq.response import MarketParams
 
 
 def scipy_mass(density, lo, hi, points=None):
@@ -30,70 +28,63 @@ def scipy_mass(density, lo, hi, points=None):
 
 class TestWedgeDensity:
     def test_order_one_is_uniform(self):
-        assert wedge_density(1, 0.7) == 1.0
-        assert wedge_density(1, 0.0) == 1.0
+        assert wedge(1).density(0.7) == 1.0
+        assert wedge(1).density(0.0) == 1.0
 
     def test_ramp_value_at_zero(self):
-        assert wedge_density(3, 0.0) == pytest.approx(4 + 1 / 3, abs=1e-12)
+        assert wedge(3).density(0.0) == pytest.approx(4 + 1 / 3, abs=1e-12)
 
     def test_flat_branch(self):
-        assert wedge_density(3, 0.5) == pytest.approx(1 / 3, abs=1e-15)
+        assert wedge(3).density(0.5) == pytest.approx(1 / 3, abs=1e-15)
 
     def test_rejects_bad_args(self):
         with pytest.raises(DomainError):
-            wedge_density(0, 0.5)
+            wedge(0)
         with pytest.raises(DomainError):
-            wedge_density(True, 0.5)  # a bool is an int, but not an order
-        with pytest.raises(DomainError):
-            wedge_density(3, 1.2)
-        with pytest.raises(DomainError):
-            wedge_density(3, -0.1)
+            wedge(True)  # a bool is an int, but not an order
 
 
 class TestSymmetrizedWedgeDensity:
     def test_center_value(self):
         # both arguments land on the flat branch
-        assert symmetrized_wedge_density(100, 0.5) == pytest.approx(0.01, abs=1e-15)
+        assert symmetrized_wedge(100).density(0.5) == pytest.approx(0.01, abs=1e-15)
 
     def test_order_one_uniform(self):
         for p in (0.0, 0.3, 1.0):
-            assert symmetrized_wedge_density(1, p) == 1.0
+            assert symmetrized_wedge(1).density(p) == 1.0
 
     def test_edge_value(self):
         expected = 0.5 * (198.01 + 0.01)
-        assert symmetrized_wedge_density(100, 0.0) == pytest.approx(expected, rel=1e-12)
+        assert symmetrized_wedge(100).density(0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_mirror_symmetry(self):
+        m = symmetrized_wedge(7)
         for p in (0.1, 0.25, 0.4):
-            assert symmetrized_wedge_density(7, p) == pytest.approx(
-                symmetrized_wedge_density(7, 1 - p), rel=1e-14)
+            assert m.density(p) == pytest.approx(m.density(1 - p), rel=1e-14)
 
 
 class TestGaussianMixtureDensity:
     def test_single_kernel_peak(self):
-        got = gaussian_mixture_density([1.0], [0.5], [0.1], 0.5)
+        got = gaussian_mixture([1.0], [0.5], [0.1]).density(0.5)
         assert got == pytest.approx(stats.norm.pdf(0.5, 0.5, 0.1), rel=1e-12)
         assert got == pytest.approx(1 / (0.1 * math.sqrt(2 * math.pi)), rel=1e-12)
 
     def test_symmetric_pair(self):
-        args = ([1.0, 1.0], [0.3, 0.7], [0.1, 0.1])
+        m = gaussian_mixture([1.0, 1.0], [0.3, 0.7], [0.1, 0.1])
         for p in (0.1, 0.42, 0.9):
-            assert gaussian_mixture_density(*args, p) == pytest.approx(
-                gaussian_mixture_density(*args, 1 - p), rel=1e-12)
+            assert m.density(p) == pytest.approx(m.density(1 - p), rel=1e-12)
 
     def test_two_kernel_value_vs_scipy(self):
-        got = gaussian_mixture_density([1.0, 1.0], [0.2, 0.8], [0.05, 0.05], 0.2)
+        got = gaussian_mixture([1.0, 1.0], [0.2, 0.8], [0.05, 0.05]).density(0.2)
         want = stats.norm.pdf(0.2, 0.2, 0.05) + stats.norm.pdf(0.2, 0.8, 0.05)
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(7.9788456, abs=5e-7)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
-            gaussian_mixture_density([1.0, -1.0], [0.2, 0.8], [0.1, 0.1], 0.5)
+            gaussian_mixture([1.0, -1.0], [0.2, 0.8], [0.1, 0.1])
         with pytest.raises(DomainError):
-            gaussian_mixture_density([1.0], [0.2], [0.0], 0.5)
-        with pytest.raises(DomainError):
-            gaussian_mixture_density([1.0], [0.2], [0.1], 1.5)
+            gaussian_mixture([1.0], [0.2], [0.0])
 
 
 class TestMass:
@@ -116,6 +107,16 @@ class TestMass:
             mass(m, -0.1, 0.5)
         with pytest.raises(DomainError):
             mass(m, 0.5, 1.1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: tabulated([(0.0, 1e308), (1.0, 1e308)]),
+        lambda: gaussian_mixture([1e308, 1e308], [0.3, 0.7], [0.2, 0.2]),
+        lambda base=scaled(uniform(), 1e308): scaled(base, 2.0),  # base built beforehand
+    ], ids=["tabulated", "gaussian_mixture", "scaled"])
+    def test_infinite_total_mass_rejected(self, build):
+        # every density value is positive, but the mass overflows
+        with pytest.raises(DomainError, match="total mass must be finite"):
+            build()
 
     @pytest.mark.parametrize("n", [1, 3, 10, 100])
     def test_closed_form_matches_quadrature(self, n):
@@ -246,12 +247,18 @@ class TestInvariants:
     @pytest.mark.parametrize("kappa", [0.55, 0.8, 0.95])
     @pytest.mark.parametrize("m", _family_zoo(), ids=lambda m: m.kind)
     def test_d1_falls_and_d2_rises_across_the_band(self, m, kappa):
-        ctx = phi_context(MarketParams(kappa=kappa, q=0.5, w=1.0), m)
         band = np.linspace(1.0 - kappa, kappa, 401).tolist()
-        d1 = [d1_of(p, ctx) for p in band]
-        d2 = [d2_of(p, ctx) for p in band]
+        d1, d2 = zip(*(_D(p, kappa, m) for p in band))
         assert all(b <= a for a, b in zip(d1, d1[1:]))
         assert all(a <= b for a, b in zip(d2, d2[1:]))
+
+    @pytest.mark.parametrize("m", [*_family_zoo(), from_density(lambda p: 1.0 + p * p)],
+                             ids=lambda m: m.kind)
+    def test_scaling_multiplies_every_mass_exactly(self, m):
+        tripled = scaled(m, 3.0)
+        for lo, hi in [(0.0, 1.0), (0.0, 0.003), (0.001, 0.5), (0.35, 0.9), (0.4, 0.4)]:
+            assert mass(tripled, lo, hi) == 3.0 * mass(m, lo, hi)
+        assert tripled.total_mass == 3.0 * m.total_mass
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(a=st.floats(0.0, 1.0), idx=st.integers(0, 7))

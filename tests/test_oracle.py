@@ -5,7 +5,7 @@ import pytest
 
 from conftest import BASELINE_W, bundled_cases
 from test_measure import _family_zoo
-from parieq.equilibrium import solve
+from parieq.equilibrium import _D, solve
 from parieq.errors import DomainError
 from parieq.measure import (from_density, mass, scaled, symmetrized_wedge,
                             uniform, wedge)
@@ -143,6 +143,22 @@ class TestIterateBestResponse:
             errs.append(abs(res.p_approx - eq.p_star))
         assert errs[1] <= errs[0] + 2e-4
         assert errs[2] <= errs[1] + 2e-4
+
+    @pytest.mark.parametrize("N", [500, 2000, 8000])
+    @pytest.mark.parametrize("m", _family_zoo(), ids=lambda m: m.kind)
+    def test_totals_within_one_cell_of_the_continuum(self, m, N):
+        # the gap in p need not shrink with N: on wedge(100) at kappa = 0.839,
+        # q = 1 it stays 2.42e-4 from N = 500 to 4000, since the crossing sits
+        # on a jump of the step map. What is O(1/N) is the totals at the
+        # crossing: each is off by at most one cell's wealth.
+        pop = discretize(m, N)
+        for params in (MarketParams(kappa=0.839, q=1.0, w=1.0),
+                       MarketParams(kappa=0.8, q=0.0, w=1.0),
+                       MarketParams(kappa=0.6, q=0.7, w=0.1)):
+            res = iterate_best_response(pop, params)
+            d1, d2 = _D(res.p_approx, params.kappa, m)
+            assert abs(res.d1 - d1) <= m.total_mass / N
+            assert abs(res.d2 - d2) <= m.total_mass / N
 
     def test_no_wager_with_negative_edge_at_rest(self):
         params = MarketParams(kappa=0.8, q=0.95, w=1.0)
