@@ -15,10 +15,10 @@ from .errors import ConfigError, NoEquilibriumError, ParieqError
 from .measure import BeliefMeasure
 from .metrics import (atomic_subjective_profit, diffuse_actual_profit,
                       diffuse_subjective_profit, house_revenue)
-from .oracle import discretize, iterate_best_response
+from .oracle import MIN_POPULATION, discretize, iterate_best_response
 from .response import MarketParams
 from .scenario import Scenario, build_measure, load_scenario
-from .stackelberg import optimize_take
+from .stackelberg import MIN_GRID_POINTS, optimize_take
 
 SCHEMA_LINE = "# schema=1"
 BASELINE_W = 1e-10
@@ -168,10 +168,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_numbers(args) -> None:
+    # the library would reject these too, but only mid-run: as solver
+    # failures, or as one error row per kappa in a sweep file
+    if not args.fp_tol > 0.0:
+        raise ConfigError(f"--fp-tol must be positive, got {args.fp_tol}")
+    if args.command == "optimize-take" and args.grid < MIN_GRID_POINTS:
+        raise ConfigError(f"--grid must be at least {MIN_GRID_POINTS}, got {args.grid}")
+    if args.command == "oracle" and args.n < MIN_POPULATION:
+        raise ConfigError(f"--n must be at least {MIN_POPULATION}, got {args.n}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         sc = load_scenario(args.scenario)
         if args.command == "solve":
             return run_solve(sc, args.fp_tol)

@@ -20,11 +20,21 @@ Outcome 1 after everyone best-responds to p, with her stake capped at the
 budget w. phi is continuous and decreasing with phi(1-kappa) = 1 and
 phi(kappa) = 0, so it crosses the diagonal exactly once; ``solve`` brackets
 that crossing by bisection and rebuilds the equilibrium from it.
+
+``solve_grid`` runs the same three bisections for many takes at once, one
+float64 numpy lane per kappa, and returns bit for bit what ``solve`` returns
+for each. It pays when the grid is large: each numpy step has a fixed
+overhead, so a batch of one took 36 times as long as ``solve`` on
+wedge(100) (12.0 against 0.33 ms), 14 times on a 4-knot tabulated density
+and 44 times on a 2-kernel Gaussian mixture. So single solves stay
+scalar, and ``solve`` remains the reference the grid is tested against.
 """
 
 from dataclasses import dataclass
 from math import nextafter, sqrt
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import DomainError, NoEquilibriumError
 from .measure import BeliefMeasure, mass
@@ -175,7 +185,11 @@ def phi_context(params: MarketParams, measure: BeliefMeasure,
     """Precompute the action boundaries for a scenario."""
     pbar1 = compute_pbar1(params, measure, tol=fp_tol)
     pbar2 = compute_pbar2(params, measure, tol=fp_tol)
-    assert pbar2 < pbar1  # guaranteed by kappa > 0.5
+    # the true boundaries are ordered; a coarse fp_tol, or masses that
+    # cancel to zero, can leave the computed ones equal or swapped
+    if not pbar2 < pbar1:
+        raise DomainError(f"action boundaries out of order: pbar2={pbar2} >= "
+                          f"pbar1={pbar1} at fp_tol={fp_tol}")
     return PhiContext(params=params, measure=measure, pbar1=pbar1, pbar2=pbar2)
 
 
@@ -235,8 +249,173 @@ def solve(params: MarketParams, measure: BeliefMeasure,
         lambda p: phi(p, ctx) - p,
         1.0 - params.kappa, params.kappa,
         width_tol=fp_tol, residual_tol=fp_tol)
-    d1s, d2s = _D(p_star, params.kappa, measure)
+    return _equilibrium(params, p_star, residual, *_D(p_star, params.kappa, measure))
+
+
+def _equilibrium(params: MarketParams, p_star: float, residual: float,
+                 d1s: float, d2s: float) -> Equilibrium:
+    # every wager rebuilt from the fixed point and the totals there
     atomic = atomic_best_response(DiffuseAggregate(d1=d1s, d2=d2s), params)
     thresholds = diffuse_best_response(p_star, params.kappa)
     return Equilibrium(p_star=p_star, d1_star=d1s, d2_star=d2s,
                        atomic=atomic, thresholds=thresholds, residual=residual)
+
+
+# --------------------------------------------------------------------------
+# many takes at once: each lane replays the scalar operations in their order
+# --------------------------------------------------------------------------
+
+def solve_grid(kappas: Sequence[float], q: float, w: float, measure: BeliefMeasure,
+               fp_tol: float = FP_TOL) -> list[Equilibrium]:
+    """[solve(MarketParams(kappa=k, q=q, w=w), measure, fp_tol) for k in kappas].
+
+    The two boundary bisections and the fixed-point bisection run for every
+    kappa at once, one float64 lane each, and every lane replays
+    ``_bisect_decreasing`` step for step: bracket checks, the step cap, the
+    stop when float resolution runs out, the exact-zero return, the width
+    and residual stops with the best point kept, and the neighbour scan.
+    Masses come from the measure's exact_mass_array, which matches
+    exact_mass bit for bit, so each result equals the scalar solve's.
+
+    A lane the batch does not finish is handed to ``solve`` itself, in
+    order: a kappa outside (0.5, 1), a bracket check that fails, action
+    boundaries out of order, or a response value that is not finite (where
+    Python's float division or math.sqrt raises). So the first kappa that
+    fails raises exactly what the scalar loop raises for it; an error the
+    measure itself raises propagates from the batch.
+    """
+    if not fp_tol > 0.0:
+        raise DomainError(f"fp_tol must be positive, got {fp_tol}")
+    kappa = np.array(kappas, dtype=float)
+    lanes = np.flatnonzero((kappa > 0.5) & (kappa < 1.0))
+    with np.errstate(all="ignore"):  # non-finite values mark lanes, not warnings
+        p_star, residual, d1s, d2s, ok = _grid_fixed_points(
+            kappa[lanes], q, w, measure, fp_tol)
+    done = dict(zip(lanes[ok].tolist(), zip(p_star[ok].tolist(), residual[ok].tolist(),
+                                             d1s[ok].tolist(), d2s[ok].tolist())))
+    out = []
+    for i, k in enumerate(kappas):
+        params = MarketParams(kappa=k, q=q, w=w)
+        out.append(_equilibrium(params, *done[i]) if i in done
+                   else solve(params, measure, fp_tol=fp_tol))
+    return out
+
+
+def _grid_fixed_points(kappa: np.ndarray, q: float, w: float, m: BeliefMeasure,
+                       fp_tol: float):
+    # (p_star, residual, d1, d2, ok) per lane; the values are meaningless where not ok
+    lo, hi = 1.0 - kappa, kappa
+    ok = np.ones(kappa.size, dtype=bool)
+    if q == 0.0:
+        pbar1 = kappa
+    else:
+        def g1(i, p):
+            d1, d2 = _D_lanes(p, kappa[i], m)
+            return d1 / (kappa[i] * (d1 + d2)) - q
+        pbar1, _, ok1 = _bisect_lanes(g1, lo, hi, fp_tol)
+        ok &= ok1
+    if q == 1.0:
+        pbar2 = 1.0 - kappa
+    else:
+        def g2(i, p):
+            d1, d2 = _D_lanes(p, kappa[i], m)
+            return (1.0 - q) - d2 / (kappa[i] * (d1 + d2))
+        pbar2, _, ok2 = _bisect_lanes(g2, lo, hi, fp_tol)
+        ok &= ok2
+    ok &= pbar2 < pbar1
+    live = np.flatnonzero(ok)
+    kappa, lo, hi, pbar1, pbar2 = (a[live] for a in (kappa, lo, hi, pbar1, pbar2))
+
+    def g(i, p):
+        return _phi_lanes(p, kappa[i], q, w, m, pbar1[i], pbar2[i]) - p
+
+    p_live, res_live, ok_live = _bisect_lanes(g, lo, hi, fp_tol, residual_tol=fp_tol)
+    ok[live] = ok_live
+    p_star, residual = np.zeros(ok.size), np.zeros(ok.size)
+    p_star[live], residual[live] = p_live, res_live
+    d1s, d2s = np.zeros(ok.size), np.zeros(ok.size)
+    d1s[live], d2s[live] = _D_lanes(p_live, kappa, m)
+    return p_star, residual, d1s, d2s, ok
+
+
+def _D_lanes(p: np.ndarray, kappa: np.ndarray, m: BeliefMeasure):
+    # _D per lane; mass() returns 0.0 for an empty interval without asking the measure
+    lo1 = np.minimum(p / kappa, 1.0)
+    hi2 = np.maximum(1.0 - (1.0 - p) / kappa, 0.0)
+    d1 = np.where(lo1 == 1.0, 0.0, m.exact_mass_array(lo1, np.ones_like(p)))
+    d2 = np.where(hi2 == 0.0, 0.0, m.exact_mass_array(np.zeros_like(p), hi2))
+    return d1, d2
+
+
+def _stake_lanes(kappa, belief, d1, d2, own, w):
+    # min(w, _stake(...)) per lane, with Python's min/max tie rules. A
+    # negative d1 * d2 (masses rounded below zero) makes math.sqrt raise but
+    # np.sqrt return NaN, so NaN is kept to mark the lane for solve
+    x = np.sqrt(kappa * belief / (1.0 - kappa * belief) * d1 * d2) - own
+    x = np.where(x <= 0.0, 0.0, x)
+    return np.where(x >= w, w, x)
+
+
+def _phi_lanes(p, kappa, q, w, m, pbar1, pbar2):
+    # phi per lane: all three regimes, then the one each lane's p selects
+    p = np.minimum(np.maximum(p, 1.0 - kappa), kappa)  # _clamp_to's clamp
+    d1, d2 = _D_lanes(p, kappa, m)
+    s2 = _stake_lanes(kappa, 1.0 - q, d1, d2, d2, w)
+    s1 = _stake_lanes(kappa, q, d1, d2, d1, w)
+    return np.where(p < pbar2, d1 / (s2 + d1 + d2),
+                    np.where(p <= pbar1, d1 / (d1 + d2), (s1 + d1) / (s1 + d1 + d2)))
+
+
+def _bisect_lanes(g, lo: np.ndarray, hi: np.ndarray, width_tol: float,
+                  residual_tol: float | None = None):
+    """_bisect_decreasing on every lane at once, step for step.
+
+    g(i, p) evaluates the lanes with indices i at points p. Returns
+    (root, |g(root)|, ok); a lane is not ok where the scalar bisection
+    raises or g is not finite, and its root then means nothing.
+    """
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)  # fresh arrays, updated in place
+    every = np.arange(lo.size)
+    glo, ghi = g(every, lo), g(every, hi)
+    ok = np.isfinite(glo) & np.isfinite(ghi) & (glo >= ghi) & (glo >= 0.0) & (ghi <= 0.0)
+    take_lo = abs(glo) <= abs(ghi)
+    best_p = np.where(take_lo, lo, hi)
+    best_g = np.where(take_lo, abs(glo), abs(ghi))
+    live, returned = ok.copy(), np.zeros(lo.size, dtype=bool)
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        live &= (mid > lo) & (mid < hi)  # float resolution exhausted
+        i = np.flatnonzero(live)
+        if i.size == 0:
+            break
+        m = mid[i]
+        gm = g(i, m)
+        ok[i] &= np.isfinite(gm)
+        live[i] = ok[i]
+        better = abs(gm) < best_g[i]
+        best_p[i] = np.where(better, m, best_p[i])
+        best_g[i] = np.where(better, abs(gm), best_g[i])
+        up = gm > 0.0
+        lo[i] = np.where(up, m, lo[i])
+        hi[i] = np.where(up, hi[i], m)
+        stop = hi[i] - lo[i] < width_tol
+        if residual_tol is not None:
+            stop &= best_g[i] <= residual_tol
+        zero = gm == 0.0  # exact crossing: that midpoint, whatever the best
+        best_p[i[zero]], best_g[i[zero]] = m[zero], 0.0
+        stop |= zero
+        returned[i[stop]] = True
+        live[i[stop]] = False
+    if residual_tol is not None:
+        # the bracket is ulp-wide; scan the neighbours of the best point
+        i = np.flatnonzero(ok & ~returned & (best_g > residual_tol))
+        up = dn = best_p[i]
+        for _ in range(8):
+            up, dn = np.nextafter(up, 1.0), np.nextafter(dn, 0.0)
+            for cand in (up, dn):
+                gc = g(i, cand)
+                ok[i] &= np.isfinite(gc)
+                better = abs(gc) < best_g[i]
+                best_p[i] = np.where(better, cand, best_p[i])
+                best_g[i] = np.where(better, abs(gc), best_g[i])
+    return best_p, best_g, ok

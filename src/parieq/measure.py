@@ -34,12 +34,21 @@ differences for Gaussian mixtures, and the base's mass times the factor
 for scaled. from_density, which wraps an arbitrary user density, runs
 adaptive Simpson quadrature on each call. A measure whose total mass is
 not finite is rejected at construction.
+
+exact_mass_array is exact_mass over float64 arrays, element for element,
+for the grid solver. By default it calls exact_mass on each element
+through np.frompyfunc, so the bits are the same by construction. The
+wedge families, which the take optimization runs on, pass their
+antiderivative written over arrays, with the scalar one's constants and
+operation order.
 """
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 from .quadrature import adaptive_simpson
@@ -54,12 +63,16 @@ class BeliefMeasure:
     exact_mass(lo, hi) is the measure's interval mass for 0 <= lo < hi <= 1:
     a closed form for every built-in family, adaptive Simpson quadrature of
     the density for from_density. total_mass is exact_mass(0, 1).
+    exact_mass_array(lo, hi) takes float64 arrays and returns, element for
+    element, the bits exact_mass returns.
     """
 
     density: Callable[[float], float]
     total_mass: float
     kind: str
     exact_mass: Callable[[float, float], float] = field(repr=False, compare=False)
+    exact_mass_array: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(
+        repr=False, compare=False)
 
     def __repr__(self) -> str:  # density callables have no useful repr
         return f"BeliefMeasure(kind={self.kind!r}, total_mass={self.total_mass!r})"
@@ -86,12 +99,19 @@ def _validate_density(density: Callable[[float], float], kind: str) -> None:
                 f"{kind}: density must be positive on [0,1], got {density(p)} at p={p}")
 
 
-def _finish(density, kind, exact_mass) -> BeliefMeasure:
+def _finish(density, kind, exact_mass, exact_mass_array=None) -> BeliefMeasure:
     total = exact_mass(0.0, 1.0)
     if not math.isfinite(total):  # e.g. knot values or weights near the float maximum
         raise DomainError(f"{kind}: total mass must be finite, got {total}")
     return BeliefMeasure(density=density, total_mass=total, kind=kind,
-                         exact_mass=exact_mass)
+                         exact_mass=exact_mass,
+                         exact_mass_array=exact_mass_array or _elementwise(exact_mass))
+
+
+def _elementwise(exact_mass):
+    # exact_mass called on each element pair of two float64 arrays
+    ufunc = np.frompyfunc(exact_mass, 2, 1)
+    return lambda lo, hi: ufunc(lo, hi).astype(float)
 
 
 def from_density(density: Callable[[float], float], kind: str = "custom") -> BeliefMeasure:
@@ -136,6 +156,14 @@ def _wedge_antiderivative(n: int, p: float) -> float:
     return head + (p - cut) * cut
 
 
+def _wedge_antiderivative_array(n: int, p: np.ndarray) -> np.ndarray:
+    # _wedge_antiderivative elementwise, same operations in the same order
+    cut = 1.0 / n
+    head = (n - 1) / n + cut * cut
+    return np.where(p <= cut, -n * (n - 1) * p * p + (2.0 * (n - 1) + cut) * p,
+                    head + (p - cut) * cut)
+
+
 def wedge(n: int) -> BeliefMeasure:
     """Wedge measure of order n; total mass 1, wedge(1) is uniform."""
     _check_wedge_args(n)
@@ -143,7 +171,10 @@ def wedge(n: int) -> BeliefMeasure:
     def exact(lo: float, hi: float) -> float:
         return _wedge_antiderivative(n, hi) - _wedge_antiderivative(n, lo)
 
-    return _finish(lambda p: _wedge_density(n, p), f"wedge(n={n})", exact_mass=exact)
+    def exact_array(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        return _wedge_antiderivative_array(n, hi) - _wedge_antiderivative_array(n, lo)
+
+    return _finish(lambda p: _wedge_density(n, p), f"wedge(n={n})", exact, exact_array)
 
 
 def uniform() -> BeliefMeasure:
@@ -160,8 +191,12 @@ def symmetrized_wedge(n: int) -> BeliefMeasure:
         rev = _wedge_antiderivative(n, 1.0 - lo) - _wedge_antiderivative(n, 1.0 - hi)
         return 0.5 * (fwd + rev)
 
+    def exact_array(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        cum = lambda p: _wedge_antiderivative_array(n, p)
+        return 0.5 * ((cum(hi) - cum(lo)) + (cum(1.0 - lo) - cum(1.0 - hi)))
+
     return _finish(lambda p: 0.5 * (_wedge_density(n, p) + _wedge_density(n, 1.0 - p)),
-                   f"symmetrized_wedge(n={n})", exact_mass=exact)
+                   f"symmetrized_wedge(n={n})", exact, exact_array)
 
 
 # --------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from .errors import DomainError
 from .measure import BeliefMeasure, mass
 from .response import AtomicBet, DiffuseAggregate, MarketParams, atomic_best_response
 
+MIN_POPULATION = 2
+
 
 @dataclass(frozen=True)
 class DiscretePopulation:
@@ -62,8 +64,8 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
     smooth stretches of the density a handful of probes suffice. The last
     probe's mass carries the running total to the next belief.
     """
-    if N < 2:
-        raise DomainError(f"population size must be at least 2, got {N}")
+    if N < MIN_POPULATION:
+        raise DomainError(f"population size must be at least {MIN_POPULATION}, got {N}")
     total = measure.total_mass
     density = measure.density
     beliefs = np.empty(N)

@@ -5,12 +5,16 @@ switches between budget-capped and unconstrained) and is not assumed concave,
 so a uniform grid scan guards against multimodality and a golden-section pass
 refines the best cell. Evaluated candidates are all retained, and the reported
 optimum is the best point ever seen, so it can never fall below a grid sample.
+
+The grid is solved in one batch by ``solve_grid``, which returns exactly what
+a ``solve`` per grid point would; the golden-section pass, about 15 solves
+that each depend on the last, calls ``solve`` one take at a time.
 """
 
 import math
 from dataclasses import dataclass
 
-from .equilibrium import FP_TOL, solve
+from .equilibrium import FP_TOL, solve, solve_grid
 from .errors import DomainError
 from .measure import BeliefMeasure
 from .metrics import house_revenue
@@ -19,6 +23,8 @@ from .response import MarketParams
 # clamp away from the degenerate limits kappa -> 0.5 and kappa -> 1
 KAPPA_SEARCH_LO = 0.5 + 1e-4
 KAPPA_SEARCH_HI = 1.0 - 1e-4
+
+MIN_GRID_POINTS = 16
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_TOL = 1e-5  # width at which the golden-section bracket stops
@@ -36,8 +42,11 @@ class TakeOptimum:
 def optimize_take(measure: BeliefMeasure, q: float, w: float,
                   grid_points: int = 256, fp_tol: float = FP_TOL) -> TakeOptimum:
     """Maximize take revenue over kappa in the clamped search interval."""
-    if grid_points < 16:
-        raise DomainError(f"grid_points must be at least 16, got {grid_points}")
+    # bool is an int subclass and a float breaks range(): neither is a count
+    if not (type(grid_points) is int and grid_points >= MIN_GRID_POINTS):
+        raise DomainError(f"grid_points must be an integer of at least "
+                          f"{MIN_GRID_POINTS}, got {grid_points!r}")
+    MarketParams(kappa=KAPPA_SEARCH_LO, q=q, w=w)  # q and w checked before the grid
 
     def revenue(kappa: float) -> float:
         params = MarketParams(kappa=kappa, q=q, w=w)
@@ -46,7 +55,8 @@ def optimize_take(measure: BeliefMeasure, q: float, w: float,
     span = KAPPA_SEARCH_HI - KAPPA_SEARCH_LO
     grid = [KAPPA_SEARCH_LO + span * i / (grid_points - 1)
             for i in range(grid_points)]
-    profile = tuple((k, revenue(k)) for k in grid)
+    profile = tuple((k, house_revenue(eq, MarketParams(kappa=k, q=q, w=w)))
+                    for k, eq in zip(grid, solve_grid(grid, q, w, measure, fp_tol=fp_tol)))
 
     i_best = max(range(grid_points), key=lambda i: profile[i][1])
     best_k, best_r = profile[i_best]

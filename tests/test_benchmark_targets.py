@@ -2,7 +2,8 @@
 
 from pathlib import Path
 
-from parieq.measure import from_density
+import parieq.stackelberg as stackelberg_mod
+from parieq.measure import from_density, wedge
 from test_measure import _family_zoo
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -26,3 +27,24 @@ def test_every_measure_carries_the_mass_attribute_the_tracer_reads():
     # would silently relabel every mass
     for m in _family_zoo() + [from_density(lambda p: 1.0 + p)]:
         assert callable(getattr(m, "exact_mass", None)), m.kind
+
+
+def test_optimize_take_still_calls_the_traced_solve(monkeypatch):
+    # the grid is solved in one batch, but the traced run's self-check
+    # needs solves to count: the golden-section refinement must keep
+    # calling parieq.stackelberg.solve, a few dozen times at most
+    real, calls = stackelberg_mod.solve, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stackelberg_mod, "solve", counted)
+    stackelberg_mod.optimize_take(wedge(100), 1.0, 1.0)
+    assert 2 <= len(calls) <= 40
+
+
+def test_every_measure_carries_an_array_mass():
+    # the grid solver asks every measure for its masses through this field
+    for m in _family_zoo() + [from_density(lambda p: 1.0 + p)]:
+        assert callable(getattr(m, "exact_mass_array", None)), m.kind

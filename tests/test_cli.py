@@ -191,6 +191,46 @@ class TestConfigErrors:
             loads_scenario(json.dumps(obj))
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize("command, extra", [
+        ("solve", ["--fp-tol", "nan"]),
+        ("solve", ["--fp-tol", "-1"]),
+        ("solve", ["--fp-tol", "0"]),
+        ("optimize-take", ["--grid", "8"]),
+        ("optimize-take", ["--fp-tol", "nan"]),
+        ("oracle", ["--n", "1"]),
+        ("sweep", ["--fp-tol", "0"]),
+    ], ids=lambda v: v if isinstance(v, str) else "=".join(v).lstrip("-"))
+    def test_config_error_before_any_solve_or_file(self, tmp_path, capsys,
+                                                  monkeypatch, command, extra):
+        import parieq.cli as cli_mod
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the numbers were checked")
+
+        for name in ("solve", "optimize_take"):
+            monkeypatch.setattr(cli_mod, name, no_solve)
+        path = write_scenario(tmp_path, **(
+            {"kappa": {"lo": 0.6, "hi": 0.9, "steps": 3}} if command == "sweep" else {}))
+        out = tmp_path / "out.csv"
+        argv = [command, "--scenario", str(path), *extra]
+        if command in ("sweep", "optimize-take"):
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, fp_tol", [("solve", "0.3"), ("solve", "inf"),
+                                                 ("optimize-take", "inf")])
+    def test_too_coarse_tolerance_is_a_solver_failure(self, tmp_path, capsys,
+                                                      command, fp_tol):
+        # a positive tolerance is a valid number, but at this one the two
+        # action boundaries come out of order
+        path = write_scenario(tmp_path)
+        assert main([command, "--scenario", str(path), "--fp-tol", fp_tol]) == 3
+        assert "action boundaries out of order" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_rows_ordered_and_complete(self, tmp_path, capsys):
         path = write_scenario(tmp_path, q=0.9, p_actual=0.9,

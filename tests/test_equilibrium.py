@@ -5,20 +5,26 @@ equations with scipy refinement; fixed points are cross-checked by scipy
 brentq on the same response map.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from conftest import assert_equilibrium_properties, bundled_cases, scenario_zoo
+from conftest import (BASELINE_W, assert_equilibrium_properties, bundled_cases,
+                      scenario_zoo)
 from test_measure import _family_zoo
 from parieq.equilibrium import (FP_TOL, _D, _bisect_decreasing, compute_pbar1,
-                                compute_pbar2, phi, phi_context, solve, zeta1,
-                                zeta2)
+                                compute_pbar2, phi, phi_context, solve,
+                                solve_grid, zeta1, zeta2)
 from parieq.errors import DomainError, NoEquilibriumError
-from parieq.measure import mass, scaled, uniform, wedge
+from parieq.measure import (BeliefMeasure, from_density, mass, scaled, tabulated,
+                            uniform, wedge)
 from parieq.response import DiffuseAggregate, MarketParams, implied_probability
+from parieq.scenario import build_measure, bundled_scenarios, load_scenario
+from parieq.stackelberg import KAPPA_SEARCH_HI, KAPPA_SEARCH_LO
 
 
 def grid_bracket_root(f, lo, hi, n=4001):
@@ -80,6 +86,18 @@ class TestActionBoundaries:
         for sc in scenario_zoo(8):
             ctx = phi_context(sc.params, sc.measure)
             assert ctx.pbar2 < ctx.pbar1
+
+    @pytest.mark.parametrize("fp_tol", [0.3, 0.5, math.inf])
+    def test_coarse_tolerance_is_a_domain_error(self, fp_tol):
+        # both boundaries stop at the band's midpoint, out of order; a plain
+        # check, not an assert, so python -O keeps it
+        params = MarketParams(kappa=0.8, q=0.5, w=1.0)
+        with pytest.raises(DomainError, match="out of order"):
+            phi_context(params, uniform(), fp_tol=fp_tol)
+        with pytest.raises(DomainError, match="out of order"):
+            solve(params, uniform(), fp_tol=fp_tol)
+        with pytest.raises(DomainError, match="out of order"):
+            solve_grid([0.7, 0.8], 0.5, 1.0, uniform(), fp_tol=fp_tol)
 
     def test_requires_majority_retention(self):
         with pytest.raises(DomainError):
@@ -269,3 +287,107 @@ class TestSolve:
         eq = solve(params, uniform())
         assert eq.residual <= FP_TOL
         assert_equilibrium_properties(eq, params)
+
+
+def _bits(eq):
+    # every float of an Equilibrium, as hex so that -0.0 and 0.0 differ
+    return tuple(x.hex() for x in (
+        eq.p_star, eq.d1_star, eq.d2_star, eq.atomic.a1, eq.atomic.a2,
+        eq.thresholds.bet1_above, eq.thresholds.bet2_below, eq.residual))
+
+
+def _outcome(run):
+    # the bits of every lane, or the error raised, as a comparable value
+    try:
+        return [_bits(eq) for eq in run()]
+    except Exception as exc:  # the comparison covers any error type
+        return type(exc), str(exc)
+
+
+def _scalar_loop(kappas, q, w, m, fp_tol=FP_TOL):
+    return [solve(MarketParams(kappa=k, q=q, w=w), m, fp_tol=fp_tol) for k in kappas]
+
+
+def _grid(points, lo=KAPPA_SEARCH_LO, hi=KAPPA_SEARCH_HI):
+    return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
+
+
+def _assert_same_as_solve(kappas, q, w, m, fp_tol=FP_TOL):
+    got = _outcome(lambda: solve_grid(kappas, q, w, m, fp_tol=fp_tol))
+    want = _outcome(lambda: _scalar_loop(kappas, q, w, m, fp_tol))
+    assert isinstance(want, list), want
+    bad = [k for k, a, b in zip(kappas, got, want) if a != b]
+    assert not bad, f"{len(bad)} lanes differ from solve, first at kappa={bad[0]}"
+
+
+class TestSolveGrid:
+    """solve_grid against solve, bit for bit, lane by lane."""
+
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_bundled_take_and_sweep_grids(self, name):
+        sc = load_scenario(bundled_scenarios()[name])
+        m = build_measure(sc.measure)
+        _assert_same_as_solve(_grid(256), sc.q, sc.w, m)
+        for w in sorted({BASELINE_W, sc.w}):
+            _assert_same_as_solve(sc.kappa.kappas(), sc.q, w, m)
+
+    @pytest.mark.parametrize("sc", scenario_zoo(), ids=lambda sc: sc.name)
+    def test_every_zoo_measure(self, sc):
+        _assert_same_as_solve(_grid(64, 0.5001, 0.9999), sc.params.q, sc.params.w,
+                              sc.measure)
+
+    @pytest.mark.parametrize("m", [
+        from_density(lambda p: 1.0 + 3.0 * p * p),
+        # steep enough that one lane's bracket runs out of floats above the
+        # residual tolerance and takes the neighbour scan
+        tabulated([(0.0, 1e-6), (0.5, 1e6), (1.0, 1e-6)]),
+    ], ids=lambda m: m.kind)
+    def test_quadrature_and_steep_measures(self, m):
+        _assert_same_as_solve(_grid(64, 0.5001, 0.9999), 0.7, 1.0, m)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_one_sided_beliefs_skip_a_boundary(self, q):
+        _assert_same_as_solve(_grid(32), q, 1.0, wedge(100))
+
+    @pytest.mark.parametrize("kappas, q, fp_tol", [
+        ([0.7, 0.5, 0.8], 0.9, FP_TOL),        # no equilibrium at the second take
+        ([0.7, 0.4, 1.0], 0.9, FP_TOL),        # ... raised before the invalid third
+        ([0.7, 1.0, 0.4], 0.9, FP_TOL),        # an invalid take first
+        (_grid(16), 0.5, 0.3),                 # boundaries out of order
+        (_grid(16), 0.5, math.inf),
+        (_grid(16), 0.9, 0.0),                 # nonpositive tolerance
+        (_grid(16), 1.5, FP_TOL),              # invalid belief
+    ])
+    def test_raises_what_the_scalar_loop_raises(self, kappas, q, fp_tol):
+        got = _outcome(lambda: solve_grid(kappas, q, 1.0, uniform(), fp_tol=fp_tol))
+        want = _outcome(lambda: _scalar_loop(kappas, q, 1.0, uniform(), fp_tol))
+        assert not isinstance(want, list)
+        assert got == want
+
+    def test_zero_totals_fall_back_to_solve(self):
+        # every interval mass underflows to zero, so the scalar boundary
+        # ratio divides by zero; the batch hands the lane to solve, which raises
+        m = scaled(uniform(), 5e-324)
+        got = _outcome(lambda: solve_grid([0.6, 0.7], 0.5, 1.0, m))
+        assert got == _outcome(lambda: _scalar_loop([0.6, 0.7], 0.5, 1.0, m))
+        assert got[0] is ZeroDivisionError
+
+    @pytest.mark.parametrize("q", [0.1, 0.9])
+    def test_negative_mass_products_fall_back_to_solve(self, q):
+        # masses that come out negative on some intervals, as rounding can
+        # make them, give d1 * d2 < 0 at some probes: math.sqrt raises
+        # there, and the lane must not turn np.sqrt's NaN into a stake
+        F = lambda x: x + 0.1 * math.sin(16.0 * math.pi * x)
+        exact = lambda lo, hi: F(hi) - F(lo)
+        m = BeliefMeasure(density=lambda p: 1.0, total_mass=exact(0.0, 1.0),
+                          kind="rippled", exact_mass=exact,
+                          exact_mass_array=lambda lo, hi: np.array([
+                              exact(a, b) for a, b in zip(lo.tolist(), hi.tolist())]))
+        outcomes = [(_outcome(lambda: solve_grid([k], q, 1.0, m)),
+                     _outcome(lambda: _scalar_loop([k], q, 1.0, m)))
+                    for k in _grid(25, 0.51, 0.99)]
+        assert all(got == want for got, want in outcomes)
+        assert (ValueError, "math domain error") in [want for _, want in outcomes]
+
+    def test_empty_grid(self):
+        assert solve_grid([], 0.5, 1.0, uniform()) == []

@@ -260,6 +260,21 @@ class TestInvariants:
             assert mass(tripled, lo, hi) == 3.0 * mass(m, lo, hi)
         assert tripled.total_mass == 3.0 * m.total_mass
 
+    @pytest.mark.parametrize("m", [*_family_zoo(), from_density(lambda p: 1.0 + p * p),
+                                   wedge(2**53), symmetrized_wedge(2**40),
+                                   scaled(gaussian_mixture([1.0], [0.5], [0.3]), 3.0)],
+                             ids=lambda m: m.kind)
+    def test_array_mass_is_the_scalar_mass_bit_for_bit(self, m):
+        rng = np.random.default_rng(7)
+        lo, hi = np.sort(rng.uniform(0.0, 1.0, (2, 200)), axis=0)
+        # interval ends the solver reaches: 0, 1, knots and the wedge knee
+        lo[:4], hi[4:8] = 0.0, 1.0
+        lo[8:12], hi[8:12] = [0.1, 0.0, 0.0, 0.25], [0.3, 0.01, 1e-13, 0.5]
+        got = m.exact_mass_array(lo, hi)
+        assert got.dtype == np.float64 and got.shape == lo.shape
+        want = [m.exact_mass(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(a=st.floats(0.0, 1.0), idx=st.integers(0, 7))
     def test_additivity_at_any_split(self, a, idx):

@@ -1,17 +1,94 @@
 """Take optimization: grid-plus-refinement search over the retention fraction."""
 
+import math
+
 import numpy as np
 import pytest
 
+import parieq.stackelberg as stackelberg_mod
+from parieq.equilibrium import FP_TOL, solve
 from parieq.errors import DomainError
 from parieq.measure import scaled, uniform
-from parieq.stackelberg import (KAPPA_SEARCH_HI, KAPPA_SEARCH_LO, optimize_take)
+from parieq.metrics import house_revenue
+from parieq.response import MarketParams
+from parieq.scenario import build_measure, bundled_scenarios, load_scenario
+from parieq.stackelberg import (_INV_GOLDEN, _REFINE_TOL, KAPPA_SEARCH_HI,
+                                KAPPA_SEARCH_LO, TakeOptimum, optimize_take)
+
+
+def scalar_optimize_take(measure, q, w, grid_points=256, fp_tol=FP_TOL):
+    """optimize_take as it was before the grid was batched: one solve per take."""
+
+    def revenue(kappa):
+        params = MarketParams(kappa=kappa, q=q, w=w)
+        return house_revenue(solve(params, measure, fp_tol=fp_tol), params)
+
+    span = KAPPA_SEARCH_HI - KAPPA_SEARCH_LO
+    grid = [KAPPA_SEARCH_LO + span * i / (grid_points - 1)
+            for i in range(grid_points)]
+    profile = tuple((k, revenue(k)) for k in grid)
+    i_best = max(range(grid_points), key=lambda i: profile[i][1])
+    best_k, best_r = profile[i_best]
+    lo = grid[max(0, i_best - 1)]
+    hi = grid[min(grid_points - 1, i_best + 1)]
+    c = hi - _INV_GOLDEN * (hi - lo)
+    d = lo + _INV_GOLDEN * (hi - lo)
+    fc, fd = revenue(c), revenue(d)
+    while hi - lo > _REFINE_TOL:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_GOLDEN * (hi - lo)
+            fc = revenue(c)
+            k_new, r_new = c, fc
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_GOLDEN * (hi - lo)
+            fd = revenue(d)
+            k_new, r_new = d, fd
+        if r_new > best_r:
+            best_k, best_r = k_new, r_new
+    return TakeOptimum(kappa_star=best_k, revenue_star=best_r, profile=profile)
+
+
+def _bits(opt):
+    floats = [opt.kappa_star, opt.revenue_star, *(x for pt in opt.profile for x in pt)]
+    return [x.hex() for x in floats]
 
 
 class TestOptimizeTake:
     def test_validates_arguments(self):
         with pytest.raises(DomainError):
             optimize_take(uniform(), 0.9, 1.0, grid_points=8)
+
+    @pytest.mark.parametrize("grid_points", [256.0, True, 15, "256"])
+    def test_grid_points_must_be_an_integer_count(self, grid_points):
+        with pytest.raises(DomainError, match="grid_points"):
+            optimize_take(uniform(), 0.9, 1.0, grid_points=grid_points)
+
+    @pytest.mark.parametrize("q, w", [(1.5, 1.0), (math.nan, 1.0), (0.9, 0.0),
+                                      (0.9, -1.0)])
+    def test_market_checked_before_the_grid(self, monkeypatch, q, w):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid solved before q and w were checked")
+
+        monkeypatch.setattr(stackelberg_mod, "solve_grid", no_grid)
+        with pytest.raises(DomainError):
+            optimize_take(uniform(), q, w)
+
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_matches_the_scalar_loop_bit_for_bit(self, name):
+        sc = load_scenario(bundled_scenarios()[name])
+        m = build_measure(sc.measure)
+        assert _bits(optimize_take(m, sc.q, sc.w)) == _bits(
+            scalar_optimize_take(m, sc.q, sc.w))
+
+    @pytest.mark.parametrize("fp_tol", [0.3, math.inf, 0.0, math.nan])
+    def test_bad_tolerance_raises_what_the_scalar_loop_raises(self, fp_tol):
+        with pytest.raises(DomainError) as want:
+            scalar_optimize_take(uniform(), 0.5, 1.0, grid_points=16, fp_tol=fp_tol)
+        with pytest.raises(DomainError) as got:
+            optimize_take(uniform(), 0.5, 1.0, grid_points=16, fp_tol=fp_tol)
+        assert str(got.value) == str(want.value)
 
     def test_optimum_dominates_profile(self):
         opt = optimize_take(uniform(), 0.9, 1.0, grid_points=64)
