@@ -78,9 +78,15 @@ def _clamp_to(p: float, lo: float, hi: float, what: str) -> float:
 
 def _D(p: float, kappa: float, m: BeliefMeasure) -> tuple[float, float]:
     # small-bettor totals (d1, d2) at candidate p: the mass above p/kappa,
-    # then the mass below 1 - (1-p)/kappa
-    return (mass(m, min(p / kappa, 1.0), 1.0),
-            mass(m, 0.0, max(1.0 - (1.0 - p) / kappa, 0.0)))
+    # then the mass below 1 - (1-p)/kappa. Inside the band at least one of
+    # them is positive; masses that round to zero can make both vanish,
+    # and every ratio of them would then divide by zero
+    d1 = mass(m, min(p / kappa, 1.0), 1.0)
+    d2 = mass(m, 0.0, max(1.0 - (1.0 - p) / kappa, 0.0))
+    if d1 + d2 == 0.0:
+        raise DomainError(f"small-bettor totals vanish at candidate p={p} "
+                          f"(kappa={kappa}): the measure's masses round to zero")
+    return d1, d2
 
 
 def _bisect_decreasing(g: Callable[[float], float], lo: float, hi: float,

@@ -36,11 +36,13 @@ adaptive Simpson quadrature on each call. A measure whose total mass is
 not finite is rejected at construction.
 
 exact_mass_array is exact_mass over float64 arrays, element for element,
-for the grid solver. By default it calls exact_mass on each element
-through np.frompyfunc, so the bits are the same by construction. The
-wedge families, which the take optimization runs on, pass their
-antiderivative written over arrays, with the scalar one's constants and
-operation order.
+for the grid solver and the oracle's discretization. By default it calls
+exact_mass on each element through np.frompyfunc, so the bits are the
+same by construction. The wedge families, uniform and tabulated pass their
+cumulative written over arrays, with the scalar one's constants and
+operation order, and scaled multiplies its base's array mass by the
+factor. The Gaussian mixture (numpy has no erf) and from_density take the
+default.
 """
 
 import math
@@ -179,7 +181,8 @@ def wedge(n: int) -> BeliefMeasure:
 
 def uniform() -> BeliefMeasure:
     """Unit density on [0, 1]."""
-    return _finish(lambda p: 1.0, "uniform", exact_mass=lambda lo, hi: hi - lo)
+    exact = lambda lo, hi: hi - lo  # the same expression on floats and arrays
+    return _finish(lambda p: 1.0, "uniform", exact, exact)
 
 
 def symmetrized_wedge(n: int) -> BeliefMeasure:
@@ -301,16 +304,28 @@ def tabulated(knots: Sequence[tuple[float, float]]) -> BeliefMeasure:
         d = p - xs[i - 1]
         return heads[i - 1] + d * (vs[i - 1] + 0.5 * slopes[i - 1] * d)
 
+    xs_a, heads_a, vs_a = np.array(xs), np.array(heads), np.array(vs)
+    slopes_a = np.array(slopes + [0.0])  # padded: the last knot has no piece
+
+    def cumulative_array(p: np.ndarray) -> np.ndarray:
+        # cumulative elementwise, same operations in the same order
+        i = np.searchsorted(xs_a, p, side="right")
+        d = p - xs_a[i - 1]
+        return np.where(i >= len(xs), heads[-1], heads_a[i - 1] + d * (
+            vs_a[i - 1] + 0.5 * slopes_a[i - 1] * d))
+
     return _finish(density, f"tabulated(k={len(pts)})",
-                   exact_mass=lambda lo, hi: cumulative(hi) - cumulative(lo))
+                   lambda lo, hi: cumulative(hi) - cumulative(lo),
+                   lambda lo, hi: cumulative_array(hi) - cumulative_array(lo))
 
 
 def scaled(base: BeliefMeasure, factor: float) -> BeliefMeasure:
     """The base measure with all wealth multiplied by factor > 0."""
     if not 0.0 < factor < math.inf:
         raise DomainError(f"scale factor must be positive and finite, got {factor}")
-    base_mass = base.exact_mass
+    base_mass, base_mass_array = base.exact_mass, base.exact_mass_array
     density = lambda p: factor * base.density(p)
     label = f"scaled({base.kind}, factor={factor})"
     _validate_density(density, label)  # a tiny factor underflows the product
-    return _finish(density, label, lambda lo, hi: factor * base_mass(lo, hi))
+    return _finish(density, label, lambda lo, hi: factor * base_mass(lo, hi),
+                   lambda lo, hi: factor * base_mass_array(lo, hi))

@@ -1,9 +1,11 @@
 """Brute-force cross-check: a finite population standing in for the continuum.
 
 The population discretizes the wealth measure into N equal-mass cells, one
-small bettor per cell holding the cell's wealth at its mass-median belief,
-found by safeguarded Newton steps on the cumulative mass (the density is its
-derivative) down to float resolution. Given an implied probability P, the
+small bettor per cell holding the cell's wealth at its mass-median belief.
+All N beliefs are found at once, one float64 lane each: a table of the
+cumulative mass at N + 1 evenly spaced beliefs brackets each one, an
+interpolant of that table gives the first probe, and secant steps take it
+down to float resolution. Given an implied probability P, the
 bettors apply the threshold rule and the large bettor best-responds to their
 totals; the pool share of Outcome 1 that results is the discrete response
 map. Its totals only jump down on Outcome 1 and up on Outcome 2 as P rises,
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .measure import BeliefMeasure, mass
+# mass is not called here, but benchmarks/spans.py wraps parieq.oracle.mass
+from .measure import BeliefMeasure, mass  # noqa: F401
 from .response import AtomicBet, DiffuseAggregate, MarketParams, atomic_best_response
 
 MIN_POPULATION = 2
@@ -52,51 +55,103 @@ class OracleResult:
 def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
     """Split the measure into N equal-mass cells at their mass-median beliefs.
 
-    Belief i solves g(x) = mass(0, x) - (i + 1/2) * total / N = 0 on the
-    bracket [belief i-1, 1]. Since g' is the density, the Newton point
-    x - g(x)/density(x) from the last probe x is probed next when it lies
-    strictly inside the bracket and |g| has at least halved since the probe
-    before; otherwise the bracket's midpoint is. The search stops when the
-    probe no longer lands strictly inside the bracket: the Newton point is
-    x itself, a step below float resolution, or the bracket holds adjacent
-    floats. There is no tolerance and no iteration cap: every midpoint
-    probe halves the bracket and every Newton probe has halved |g|, and on
-    smooth stretches of the density a handful of probes suffice. The last
-    probe's mass carries the running total to the next belief.
+    Belief i solves mass(0, x) = (i + 1/2) * total / N. All N beliefs are
+    found at once, one float64 lane each, and every mass comes from the
+    measure's exact_mass_array. A table of the cumulative mass at the N + 1
+    knots j / N (running sums of the knot-to-knot masses, with their
+    rounding errors added back) puts each target in a cell between two
+    knots. Its lane solves g(x) = mass(knot, x) - (target - table value) = 0
+    inside that cell, so every mass it asks for is a short one.
+
+    The first probe is the quintic through the six table points around the
+    cell, read as belief against mass, at the target (moved into the open
+    cell when it falls outside). The second is a Newton step with that
+    quintic's slope, the later ones secant steps through the last two
+    probes. A step is taken when it lands strictly inside the bracket and
+    |g| has at least halved since the probe before. Otherwise the lane
+    gallops, repeating its last step doubled, if that stays strictly
+    inside, and else probes the bracket's midpoint; galloping carries a
+    lane across a run of beliefs whose masses round to the same value. A
+    lane stops when the step from its last probe is below float resolution
+    or nothing lies strictly inside its bracket. There is no tolerance and
+    no iteration cap: every probe lies strictly inside the bracket and
+    becomes one of its ends.
     """
-    if N < MIN_POPULATION:
-        raise DomainError(f"population size must be at least {MIN_POPULATION}, got {N}")
+    # bool is an int subclass and a float is no count: neither is a population
+    if not (type(N) is int and N >= MIN_POPULATION):
+        raise DomainError(f"population size must be an integer of at least "
+                          f"{MIN_POPULATION}, got {N!r}")
     total = measure.total_mass
-    density = measure.density
-    beliefs = np.empty(N)
-    x_prev = 0.0
-    m_prev = 0.0
-    for i in range(N):
-        target = (i + 0.5) * total / N
-        lo, hi = x_prev, 1.0
-        # x is the last probe, m its mass beyond x_prev and g its residual;
-        # g < 0 at x_prev, since the previous target sits a cell below
-        x, m, g, g_last = x_prev, 0.0, m_prev - target, math.inf
+    mass_array = measure.exact_mass_array
+    knots = np.arange(N + 1) / N
+    cells = mass_array(knots[:-1], knots[1:])
+    table = _running_sums(cells)
+    targets = (np.arange(N) + 0.5) * total / N
+    # the knot at or below each target; the last cell also takes a target at
+    # or above the table's top, as when quadrature leaves the cells' sum
+    # short of the total
+    j = np.minimum(np.searchsorted(table, targets, side="right") - 1, N - 1)
+    base, want = knots[j], targets - table[j]  # solve mass(base, x) = want
+    lo, hi = base, knots[j + 1]
+    lane, beliefs = np.arange(N), np.empty(N)
+    with np.errstate(all="ignore"):  # inf or nan steps are never inside a bracket
+        seed, slope = _inverse_interpolant(knots, table, targets, j)
+        x = np.fmax(np.fmin(seed, np.nextafter(hi, lo)), np.nextafter(lo, hi))
+        # no probe before the first: round one neither gallops nor tests |g|
+        xp, gp = x, np.full(N, math.inf)
         while True:
-            probe = x - g / density(x)
-            if probe == x:  # the Newton step is below float resolution
-                break
-            if not (lo < probe < hi and 2.0 * abs(g) <= g_last):
-                probe = 0.5 * (lo + hi)
-                if not lo < probe < hi:  # the bracket holds adjacent floats
-                    break
-            g_last = abs(g)
-            x, m = probe, mass(measure, x_prev, probe)
-            g = m_prev + m - target
-            if g < 0.0:
-                lo = x
+            g = mass_array(base, x) - want
+            below = g < 0.0
+            lo = np.where(below, x, lo)
+            hi = np.where(below, hi, x)
+            if slope is None:
+                probe = x - g * (x - xp) / (g - gp)
             else:
-                hi = x
-        beliefs[i] = x
-        m_prev += m
-        x_prev = x
+                probe, slope = x - g * slope, None
+            gallop = x + 2.0 * (x - xp)
+            nxt = np.where((lo < probe) & (probe < hi) & (2.0 * np.abs(g) <= np.abs(gp)),
+                           probe, np.where((lo < gallop) & (gallop < hi), gallop,
+                                           0.5 * (lo + hi)))
+            done = (probe == x) | ~((lo < nxt) & (nxt < hi))
+            if done.any():
+                beliefs[lane[done]] = x[done]
+                keep = ~done
+                if not keep.any():
+                    break
+                lane, base, want, lo, hi, x, g, nxt = (
+                    a[keep] for a in (lane, base, want, lo, hi, x, g, nxt))
+            xp, gp, x = x, g, nxt
     wealths = np.full(N, total / N)
     return DiscretePopulation(beliefs=beliefs, wealths=wealths)
+
+
+def _inverse_interpolant(knots, table, targets, j):
+    # the quintic through the six (table, knot) points around each target's
+    # cell (the polynomial through all N + 1 when N < 5), in Newton form:
+    # its value and slope at the target
+    N = knots.size - 1
+    K = min(5, N)
+    dd = [knots]  # dd[k]: the k-th divided differences of knots over table
+    for k in range(1, K + 1):
+        dd.append((dd[-1][1:] - dd[-1][:-1]) / (table[k:] - table[:-k]))
+    s = np.minimum(np.maximum(j - (K - 1) // 2, 0), N - K)
+    dt = targets - table[s + np.arange(K + 1)[:, None]]  # row k: from node s + k
+    value, slope = dd[K][s], 0.0
+    for k in range(K - 1, -1, -1):
+        slope = value + dt[k] * slope
+        value = dd[k][s] + dt[k] * value
+    return value, slope
+
+
+def _running_sums(cells: np.ndarray) -> np.ndarray:
+    # [0, cells[0], cells[0] + cells[1], ...], each sum within about an ulp:
+    # cumsum adds in order, so TwoSum recovers each addition's rounding
+    # error exactly, and the running sum of those errors is added back
+    s = np.cumsum(cells)
+    b = s[1:] - s[:-1]
+    err = (s[:-1] - (s[1:] - b)) + (cells[1:] - b)
+    s[1:] += np.cumsum(err)
+    return np.append(0.0, s)
 
 
 def discrete_totals(pop: DiscretePopulation, P: float, kappa: float,

@@ -231,6 +231,16 @@ class TestBadNumbers:
         assert "action boundaries out of order" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["solve", "optimize-take"])
+    def test_vanishing_totals_are_a_solver_failure(self, tmp_path, capsys, command):
+        # the largest wedge order cancels its antiderivative, so near
+        # kappa = 0.5 both small-bettor totals round to zero at a band end
+        path = write_scenario(tmp_path, measure={"kind": "wedge", "n": 2**53},
+                              q=0.9, kappa=0.5001)
+        assert main([command, "--scenario", str(path)]) == 3
+        assert "small-bettor totals vanish" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_rows_ordered_and_complete(self, tmp_path, capsys):
         path = write_scenario(tmp_path, q=0.9, p_actual=0.9,

@@ -365,12 +365,12 @@ class TestSolveGrid:
         assert got == want
 
     def test_zero_totals_fall_back_to_solve(self):
-        # every interval mass underflows to zero, so the scalar boundary
-        # ratio divides by zero; the batch hands the lane to solve, which raises
+        # every interval mass underflows to zero, so both totals vanish and
+        # solve raises; the batch hands the lane to solve, which raises the same
         m = scaled(uniform(), 5e-324)
         got = _outcome(lambda: solve_grid([0.6, 0.7], 0.5, 1.0, m))
         assert got == _outcome(lambda: _scalar_loop([0.6, 0.7], 0.5, 1.0, m))
-        assert got[0] is ZeroDivisionError
+        assert got[0] is DomainError
 
     @pytest.mark.parametrize("q", [0.1, 0.9])
     def test_negative_mass_products_fall_back_to_solve(self, q):

@@ -1,7 +1,12 @@
 """Finite-population cross-check: discretization and the bisected response map."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BASELINE_W, bundled_cases
 from test_measure import _family_zoo
@@ -73,19 +78,29 @@ class TestDiscretize:
         errs = [abs(mass(m, 0.0, x) - (i + 0.5) * total / N) for i, x in enumerate(b)]
         assert max(errs) <= 1e-12 * total
 
+    @pytest.mark.parametrize("m", _family_zoo(), ids=lambda m: m.kind)
+    def test_table_sums_carry_no_drift(self, m):
+        # the table's running sums add back their rounding errors, which
+        # keeps every quantile within a few ulps of the total; plain
+        # cumulative sums drift to 1.1e-13 of it on symmetrized_wedge(100)
+        N, total = 8000, m.total_mass
+        b = discretize(m, N).beliefs
+        got = m.exact_mass_array(np.zeros(N), b)  # mass(m, 0, x) lane by lane
+        assert np.max(np.abs(got - (np.arange(N) + 0.5) * total / N)) <= 1.5e-14 * total
+
     @pytest.mark.parametrize("m", DISCRETIZE_ZOO, ids=lambda m: m.kind)
-    def test_inversion_stays_within_twice_bisection(self, m, monkeypatch):
-        import parieq.oracle as oracle_mod
-        calls = [0]
+    def test_inversion_stays_within_twice_bisection(self, m):
+        # count every cumulative evaluation, lane by lane: the elements of
+        # each exact_mass_array call, the table's included
+        evals = [0]
 
-        def counted(*args):
-            calls[0] += 1
-            return mass(*args)
+        def counted(lo, hi):
+            evals[0] += lo.size
+            return m.exact_mass_array(lo, hi)
 
-        monkeypatch.setattr(oracle_mod, "mass", counted)
-        b = discretize(m, 257).beliefs
+        b = discretize(dataclasses.replace(m, exact_mass_array=counted), 257).beliefs
         # plain bisection of [previous belief, 1] to float resolution takes
-        # one mass call per probe; replay its probes against the known root
+        # one evaluation per probe; replay its probes against the known root
         bisection = 0
         for lo, root in zip([0.0, *b[:-1]], b):
             hi = 1.0
@@ -94,12 +109,36 @@ class TestDiscretize:
                 bisection += 1
                 lo, hi = (mid, hi) if mid < root else (lo, mid)
                 mid = 0.5 * (lo + hi)
-        assert calls[0] <= 2 * bisection
-        assert calls[0] < bisection  # the Newton steps do fire
+        assert evals[0] <= 2 * bisection
+        assert evals[0] < bisection  # the interpolation and secant steps do fire
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(idx=st.integers(0, len(DISCRETIZE_ZOO) - 1), N=st.integers(2, 8000))
+    def test_quantiles_hold_for_any_population_size(self, idx, N):
+        m = DISCRETIZE_ZOO[idx]
+        b = discretize(m, N).beliefs
+        assert 0.0 < b[0] and b[-1] < 1.0 and np.all(np.diff(b) > 0.0)
+        total = m.total_mass
+        got = m.exact_mass_array(np.zeros(N), b)  # mass(m, 0, x) lane by lane
+        assert np.max(np.abs(got - (np.arange(N) + 0.5) * total / N)) <= 1e-12 * total
+        assert discretize(m, N).beliefs.tobytes() == b.tobytes()
+
+    def test_targets_beyond_the_table_stay_in_the_last_cell(self):
+        # quadrature's absolute tolerance swamps this small total, so the
+        # cells sum to a quarter of it and the top targets lie above the
+        # table's last entry; they are searched in the last cell
+        m = from_density(lambda p: 1e-8 * (1e-3 + math.exp(-((p - 0.5) / 0.01) ** 2)))
+        b = discretize(m, 257).beliefs
+        assert 0.0 < b[0] and b[-1] < 1.0 and np.all(np.diff(b) >= 0.0)
 
     def test_rejects_tiny_population(self):
         with pytest.raises(DomainError):
             discretize(uniform(), 1)
+
+    @pytest.mark.parametrize("N", [True, 2000.0, "2000"], ids=repr)
+    def test_rejects_a_population_size_that_is_not_an_int(self, N):
+        with pytest.raises(DomainError, match="integer"):
+            discretize(uniform(), N)
 
 
 class TestDiscreteTotals:
