@@ -31,9 +31,11 @@ exact_mass, and mass() only checks the interval before calling it. The
 built-in families take it from their antiderivatives: piecewise
 polynomials for the wedge families and tabulated densities, erf
 differences for Gaussian mixtures, and the base's mass times the factor
-for scaled. from_density, which wraps an arbitrary user density, runs
-adaptive Simpson quadrature on each call. A measure whose total mass is
-not finite is rejected at construction.
+for scaled. from_density, which wraps an arbitrary user density, builds a
+piecewise-cubic cumulative once at construction, from an adaptive Simpson
+pass to a tolerance relative to its total, and never calls the density
+again. A measure whose total mass is not finite is rejected at
+construction.
 
 exact_mass_array is exact_mass over float64 arrays, element for element,
 for the grid solver and the oracle's discretization. By default it calls
@@ -53,7 +55,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import adaptive_simpson
+# adaptive_simpson is not called here, but benchmarks/spans.py wraps
+# parieq.measure.adaptive_simpson
+from .quadrature import adaptive_simpson, simpson_panels  # noqa: F401
 
 POSITIVITY_GRID = 10_001
 
@@ -63,8 +67,9 @@ class BeliefMeasure:
     """A finite measure on [0, 1] given by a positive continuous density.
 
     exact_mass(lo, hi) is the measure's interval mass for 0 <= lo < hi <= 1:
-    a closed form for every built-in family, adaptive Simpson quadrature of
-    the density for from_density. total_mass is exact_mass(0, 1).
+    a closed form for every built-in family, and for from_density the
+    difference of the cumulative it built at construction. total_mass is
+    exact_mass(0, 1).
     exact_mass_array(lo, hi) takes float64 arrays and returns, element for
     element, the bits exact_mass returns.
     """
@@ -119,13 +124,43 @@ def _elementwise(exact_mass):
 def from_density(density: Callable[[float], float], kind: str = "custom") -> BeliefMeasure:
     """Wrap an arbitrary positive continuous density (validated by sampling).
 
-    Its masses are adaptive Simpson quadratures of the density, run afresh
-    on every call.
+    Its cumulative is built once, here: an adaptive Simpson pass over
+    [0, 1] (quadrature.simpson_panels) to a tolerance relative to the total,
+    and on each accepted half-panel the quadratic through its three density
+    samples, integrated to a cubic. Each piece starts at the previous one's
+    right-end value and is capped by its own, so the float cumulative is
+    continuous and nondecreasing across piece edges. Every mass is a
+    difference of that cumulative; the density is not called again. A
+    sample that is not positive and finite is a DomainError; a density the
+    pass cannot resolve (a jump, say) is a QuadratureError.
     """
     _validate_density(density, kind)
-    # adaptive_simpson is looked up at call time, so a wrapper swapped into
-    # this module after construction still sees every quadrature
-    return _finish(density, kind, lambda lo, hi: adaptive_simpson(density, lo, hi))
+
+    def sample(p: float) -> float:
+        value = density(p)
+        if not 0.0 < value < math.inf:
+            raise DomainError(
+                f"{kind}: density must be positive and finite on [0,1], got {value} at p={p}")
+        return value
+
+    edges, pieces, top = [], [], 0.0
+    for lo, hi, f0, fm, f1 in simpson_panels(sample):
+        # with q(t) = f0 + b t + c t^2 through the samples at t = 0, 1/2, 1,
+        # the mass of [lo, lo + t h] is h t (f0 + t (b/2 + t c/3))
+        h = hi - lo
+        b2 = 0.5 * (4.0 * fm - 3.0 * f0 - f1)
+        c3 = 2.0 * (f0 - 2.0 * fm + f1) / 3.0
+        # cumulative's expression at t = 1, bit for bit
+        head, top = top, top + h * (f0 + (b2 + c3))
+        edges.append(lo)
+        pieces.append((lo, h, head, f0, b2, c3, top))
+
+    def cumulative(p: float) -> float:
+        lo, h, head, f0, b2, c3, top = pieces[bisect_right(edges, p) - 1]
+        t = (p - lo) / h  # exact: h is a power of 2
+        return min(head + h * (t * (f0 + t * (b2 + t * c3))), top)
+
+    return _finish(density, kind, lambda lo, hi: cumulative(hi) - cumulative(lo))
 
 
 # --------------------------------------------------------------------------

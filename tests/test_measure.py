@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import parieq.measure as measure_mod
-from parieq.equilibrium import _D
-from parieq.errors import DomainError
+import parieq.quadrature as quadrature_mod
+from parieq.equilibrium import _D, solve
+from parieq.errors import DomainError, QuadratureError
 from parieq.measure import (BeliefMeasure, from_density, gaussian_mixture,
                             mass, scaled, symmetrized_wedge, tabulated,
                             uniform, wedge)
-from parieq.quadrature import QUAD_TOL, adaptive_simpson
+from parieq.quadrature import QUAD_TOL, adaptive_simpson, simpson_panels
+from parieq.response import MarketParams
 
 
 def scipy_mass(density, lo, hi, points=None):
@@ -356,3 +358,104 @@ class TestFromDensity:
     def test_rejects_vanishing_density(self):
         with pytest.raises(DomainError):
             from_density(lambda p: p, kind="vanishes-at-zero")
+
+
+NARROW_BUMP_TOTAL = 1e-8 * (1e-3 + 0.01 * math.sqrt(math.pi))  # erf(50) is 1.0 in floats
+
+
+def _narrow_bump(p):
+    return 1e-8 * (1e-3 + math.exp(-((p - 0.5) / 0.01) ** 2))
+
+
+def _exp_quadratic(p):
+    return math.exp(0.3 * p - 0.9 * p * p)  # the benchmark's smooth density family
+
+
+# (density, points where scipy.integrate.quad needs a breakpoint)
+TABLE_DENSITIES = {
+    "quadratic": (lambda p: 1.0 + p * p, []),
+    "exp_quadratic": (_exp_quadratic, []),
+    "narrow_bump": (_narrow_bump, [0.5]),
+    # falls to 1e-20 at 0.3: the only one whose build splits for positivity
+    "deep_dip": (lambda p: 1e-20 + (p - 0.3) ** 4, [0.3]),
+}
+
+
+def _edge_grid(density):
+    # every piece edge with its float neighbours, inside [0, 1]
+    edges = [lo for lo, *_ in simpson_panels(density)] + [1.0]
+    near = {y for e in edges for y in (math.nextafter(e, -1.0), e, math.nextafter(e, 2.0))}
+    return sorted(y for y in near if 0.0 <= y <= 1.0)
+
+
+class TestFromDensityTable:
+    """from_density's cumulative, built once at construction."""
+
+    def test_small_total_is_relative_accurate(self):
+        # a total far below any absolute quadrature tolerance
+        m = from_density(_narrow_bump)
+        assert abs(m.total_mass - NARROW_BUMP_TOTAL) <= 1e-12 * NARROW_BUMP_TOTAL
+
+    @pytest.mark.parametrize("name", sorted(TABLE_DENSITIES))
+    def test_masses_match_scipy(self, name):
+        density, breaks = TABLE_DENSITIES[name]
+        m = from_density(density)
+        total = m.total_mass
+        rng = np.random.default_rng(3)
+        for lo, hi in np.sort(rng.uniform(0.0, 1.0, (60, 2)), axis=1).tolist():
+            want, _ = integrate.quad(density, lo, hi, epsabs=1e-13 * total, epsrel=0.0,
+                                     limit=500, points=[x for x in breaks if lo < x < hi] or None)
+            assert abs(mass(m, lo, hi) - want) <= 1e-12 * total, (lo, hi)
+
+    @pytest.mark.parametrize("name", sorted(TABLE_DENSITIES))
+    def test_masses_nonnegative_at_piece_edges(self, name):
+        density, _ = TABLE_DENSITIES[name]
+        m = from_density(density)
+        grid = _edge_grid(density)
+        assert all(mass(m, a, b) >= 0.0 for a, b in zip(grid, grid[1:]))
+        below = [mass(m, 0.0, x) for x in grid]
+        assert all(a <= b for a, b in zip(below, below[1:]))
+
+    def test_masses_nonnegative_inside_the_dip(self):
+        # without the positivity split two pieces' quadratics dip below zero here
+        m = from_density(TABLE_DENSITIES["deep_dip"][0])
+        grid = np.linspace(0.29, 0.31, 20_001).tolist()
+        assert all(mass(m, a, b) >= 0.0 for a, b in zip(grid, grid[1:]))
+
+    @pytest.mark.parametrize("name", sorted(TABLE_DENSITIES))
+    def test_solve_evaluates_no_density_and_no_quadrature(self, monkeypatch, name):
+        calls = {"density": 0, "simpson": 0}
+        density = TABLE_DENSITIES[name][0]
+
+        def counted_density(p):
+            calls["density"] += 1
+            return density(p)
+
+        m = from_density(counted_density)
+        calls["density"] = 0
+        real_simpson = quadrature_mod._simpson
+
+        def counted_simpson(*args):
+            calls["simpson"] += 1
+            return real_simpson(*args)
+
+        # every adaptive Simpson step, of either integrator, goes through _simpson
+        monkeypatch.setattr(quadrature_mod, "_simpson", counted_simpson)
+        for kappa, q in [(0.6, 0.3), (0.8, 0.9)]:
+            solve(MarketParams(kappa=kappa, q=q, w=1.0), m)
+        assert calls == {"density": 0, "simpson": 0}
+
+    def test_nan_the_scan_misses_is_a_domain_error(self):
+        seen = set()
+        simpson_panels(lambda p: seen.add(p) or _exp_quadratic(p))
+        spot = 2.0**-5  # sampled by the build, not on the scan's grid i / 10,000
+        assert spot in seen
+        for bad in (math.nan, math.inf, 0.0):
+            density = lambda p, bad=bad: bad if p == spot else _exp_quadratic(p)
+            measure_mod._validate_density(density, "scan")  # the scan passes
+            with pytest.raises(DomainError, match="positive and finite"):
+                from_density(density)
+
+    def test_discontinuous_density_fails_at_construction(self):
+        with pytest.raises(QuadratureError):
+            from_density(lambda p: 1.0 if p < math.pi / 6 else 2.0)

@@ -124,12 +124,19 @@ class TestDiscretize:
         assert discretize(m, N).beliefs.tobytes() == b.tobytes()
 
     def test_targets_beyond_the_table_stay_in_the_last_cell(self):
-        # quadrature's absolute tolerance swamps this small total, so the
-        # cells sum to a quarter of it and the top targets lie above the
-        # table's last entry; they are searched in the last cell
+        # a target above the table's last entry (the cells' running sum
+        # can round below the total) is searched in the last cell; on a
+        # small total, masses off by an absolute tolerance put many there
         m = from_density(lambda p: 1e-8 * (1e-3 + math.exp(-((p - 0.5) / 0.01) ** 2)))
         b = discretize(m, 257).beliefs
         assert 0.0 < b[0] and b[-1] < 1.0 and np.all(np.diff(b) >= 0.0)
+
+    def test_small_total_spreads_the_bettors(self):
+        # masses accurate relative to a small total keep the top bettors
+        # apart instead of piled up at the float below 1
+        m = from_density(lambda p: 1e-8 * (1e-3 + math.exp(-((p - 0.5) / 0.01) ** 2)))
+        b = discretize(m, 257).beliefs
+        assert 0.0 < b[0] and b[-1] < 1.0 and np.all(np.diff(b) > 0.0)
 
     def test_rejects_tiny_population(self):
         with pytest.raises(DomainError):
