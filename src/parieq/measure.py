@@ -6,15 +6,25 @@ supported measure has a continuous, everywhere-positive density on [0, 1];
 construction rejects anything else, since a vanishing density or an atom
 breaks both coverage and uniqueness of the market solution.
 
-Where positivity comes from:
-- wedge, symmetrized_wedge, uniform and tabulated: their parameter checks
-  prove it, for the float density at every p, so nothing is sampled. The
-  wedge order must lie in [1, 2**53], and neighbouring tabulated knot
-  values must not fall so steeply that the interpolant rounds to zero.
-- from_density, gaussian_mixture and scaled: sampled at 10,001 evenly
-  spaced points at construction. A user density can vanish anywhere, a
-  Gaussian kernel underflows far from its mean, and a tiny scale factor
-  underflows the product.
+Where positivity comes from: every measure carries a floor, a float proven
+from its parameters to be at or below the float density at every p in
+[0, 1], or 0.0 when nothing is proven. A positive floor is the proof; a
+measure whose floor is 0.0 has its density sampled at 10,001 evenly spaced
+points at construction, and any sample that is not positive rejects it.
+- wedge and symmetrized_wedge: 1.0/n, for an order in [1, 2**53].
+- uniform: 1.0.
+- tabulated: the least of the last knot value and each piece's bound, a
+  on a rising piece from a to b and a + (b - a) on a falling one.
+  Neighbouring knot values that fall so steeply that this rounds to zero
+  are rejected.
+- gaussian_mixture: the largest kernel term at the end of [0, 1] farther
+  from its mean, with exp's value there taken two floats down to allow for
+  its rounding; 0.0 when a coefficient overflows, since inf * 0 is NaN.
+  A kernel that underflows at its far end contributes 0.0.
+- scaled: factor times the base's floor, 0.0 when that underflows.
+- from_density: 0.0, since a user density can vanish anywhere. Its scan
+  also rejects a density whose largest sample there exceeds twice the
+  largest its adaptive pass took: the pass missed a peak.
 
 Families
 --------
@@ -54,7 +64,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 # adaptive_simpson is not called here, but benchmarks/spans.py wraps
 # parieq.measure.adaptive_simpson
 from .quadrature import adaptive_simpson, simpson_panels  # noqa: F401
@@ -72,6 +82,9 @@ class BeliefMeasure:
     exact_mass(0, 1).
     exact_mass_array(lo, hi) takes float64 arrays and returns, element for
     element, the bits exact_mass returns.
+    floor is a float at or below density(p) at every p in [0, 1], proven
+    from the family's parameters; 0.0 when nothing is proven, and then the
+    constructors establish positivity by sampling the density.
     """
 
     density: Callable[[float], float]
@@ -80,6 +93,7 @@ class BeliefMeasure:
     exact_mass: Callable[[float, float], float] = field(repr=False, compare=False)
     exact_mass_array: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(
         repr=False, compare=False)
+    floor: float = 0.0
 
     def __repr__(self) -> str:  # density callables have no useful repr
         return f"BeliefMeasure(kind={self.kind!r}, total_mass={self.total_mass!r})"
@@ -97,22 +111,39 @@ def mass(m: BeliefMeasure, lo: float, hi: float) -> float:
     return m.exact_mass(lo, hi)
 
 
-def _validate_density(density: Callable[[float], float], kind: str) -> None:
-    # sampling check; continuity is guaranteed by the family constructions
+def _validate_density(density: Callable[[float], float], kind: str) -> tuple[float, float]:
+    """Sample density on the positivity grid; return its largest sample and where.
+
+    Continuity is guaranteed by the family constructions.
+    """
+    top, at = 0.0, 0.0
     for i in range(POSITIVITY_GRID):
         p = i / (POSITIVITY_GRID - 1)
-        if not density(p) > 0.0:
-            raise DomainError(
-                f"{kind}: density must be positive on [0,1], got {density(p)} at p={p}")
+        value = density(p)
+        if not value > 0.0:
+            raise DomainError(f"{kind}: density must be positive on [0,1], got {value} at p={p}")
+        if value > top:
+            top, at = value, p
+    return top, at
 
 
-def _finish(density, kind, exact_mass, exact_mass_array=None) -> BeliefMeasure:
+def _finish(density, kind, exact_mass, exact_mass_array=None, floor=0.0,
+            peak=math.inf) -> BeliefMeasure:
+    # floor: proven lower bound of the density, 0.0 when unproven; peak: the
+    # largest density sample the construction took, if it took any
+    if floor == 0.0:
+        top, at = _validate_density(density, kind)
+        if top > 2.0 * peak:
+            raise QuadratureError(
+                f"{kind}: density reaches {top} at p={at}, more than twice the largest "
+                f"value {peak} its adaptive pass sampled; the pass missed a peak")
     total = exact_mass(0.0, 1.0)
     if not math.isfinite(total):  # e.g. knot values or weights near the float maximum
         raise DomainError(f"{kind}: total mass must be finite, got {total}")
     return BeliefMeasure(density=density, total_mass=total, kind=kind,
                          exact_mass=exact_mass,
-                         exact_mass_array=exact_mass_array or _elementwise(exact_mass))
+                         exact_mass_array=exact_mass_array or _elementwise(exact_mass),
+                         floor=floor)
 
 
 def _elementwise(exact_mass):
@@ -132,9 +163,10 @@ def from_density(density: Callable[[float], float], kind: str = "custom") -> Bel
     continuous and nondecreasing across piece edges. Every mass is a
     difference of that cumulative; the density is not called again. A
     sample that is not positive and finite is a DomainError; a density the
-    pass cannot resolve (a jump, say) is a QuadratureError.
+    pass cannot resolve (a jump, say) is a QuadratureError, and so is one
+    whose positivity scan finds a value above twice the pass's largest
+    sample, a peak the pass never saw.
     """
-    _validate_density(density, kind)
 
     def sample(p: float) -> float:
         value = density(p)
@@ -143,8 +175,9 @@ def from_density(density: Callable[[float], float], kind: str = "custom") -> Bel
                 f"{kind}: density must be positive and finite on [0,1], got {value} at p={p}")
         return value
 
-    edges, pieces, top = [], [], 0.0
+    edges, pieces, top, peak = [], [], 0.0, 0.0
     for lo, hi, f0, fm, f1 in simpson_panels(sample):
+        peak = max(peak, f0, fm, f1)
         # with q(t) = f0 + b t + c t^2 through the samples at t = 0, 1/2, 1,
         # the mass of [lo, lo + t h] is h t (f0 + t (b/2 + t c/3))
         h = hi - lo
@@ -160,7 +193,8 @@ def from_density(density: Callable[[float], float], kind: str = "custom") -> Bel
         t = (p - lo) / h  # exact: h is a power of 2
         return min(head + h * (t * (f0 + t * (b2 + t * c3))), top)
 
-    return _finish(density, kind, lambda lo, hi: cumulative(hi) - cumulative(lo))
+    return _finish(density, kind, lambda lo, hi: cumulative(hi) - cumulative(lo),
+                   peak=peak)
 
 
 # --------------------------------------------------------------------------
@@ -211,13 +245,14 @@ def wedge(n: int) -> BeliefMeasure:
     def exact_array(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         return _wedge_antiderivative_array(n, hi) - _wedge_antiderivative_array(n, lo)
 
-    return _finish(lambda p: _wedge_density(n, p), f"wedge(n={n})", exact, exact_array)
+    return _finish(lambda p: _wedge_density(n, p), f"wedge(n={n})", exact, exact_array,
+                   floor=1.0 / n)
 
 
 def uniform() -> BeliefMeasure:
     """Unit density on [0, 1]."""
     exact = lambda lo, hi: hi - lo  # the same expression on floats and arrays
-    return _finish(lambda p: 1.0, "uniform", exact, exact)
+    return _finish(lambda p: 1.0, "uniform", exact, exact, floor=1.0)
 
 
 def symmetrized_wedge(n: int) -> BeliefMeasure:
@@ -233,8 +268,10 @@ def symmetrized_wedge(n: int) -> BeliefMeasure:
         cum = lambda p: _wedge_antiderivative_array(n, p)
         return 0.5 * ((cum(hi) - cum(lo)) + (cum(1.0 - lo) - cum(1.0 - hi)))
 
+    # each wedge term is at least 1.0/n, so their float sum is at least 2.0/n
+    # and its half at least 1.0/n
     return _finish(lambda p: 0.5 * (_wedge_density(n, p) + _wedge_density(n, 1.0 - p)),
-                   f"symmetrized_wedge(n={n})", exact, exact_array)
+                   f"symmetrized_wedge(n={n})", exact, exact_array, floor=1.0 / n)
 
 
 # --------------------------------------------------------------------------
@@ -279,9 +316,28 @@ def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
             out += wgt * _INV_SQRT_2PI / sd * math.exp(-0.5 * z * z)
         return out
 
-    label = f"gaussian_mixture(k={len(weights)})"
-    _validate_density(density, label)  # a kernel underflows far from its mean
-    return _finish(density, label, exact_mass=exact)
+    return _finish(density, f"gaussian_mixture(k={len(weights)})", exact,
+                   floor=_mixture_floor(weights, means, stddevs))
+
+
+def _mixture_floor(weights, means, stddevs) -> float:
+    # A float lower bound of the mixture density on [0, 1], or 0.0. With every
+    # coefficient wgt * C / sd finite, no term is NaN, and a float sum of
+    # finite nonnegative terms is at least its largest term. Rounding keeps
+    # order, so |p - mu|, |z| and z * z are largest, and exp's argument
+    # least, at the end of [0, 1] farther from the mean. exp is within one
+    # ulp of the correctly rounded value, so at any p it returns at least
+    # the float two below what it returns at that end, and the product with
+    # the coefficient keeps the order.
+    floor = 0.0
+    for wgt, mu, sd in zip(weights, means, stddevs):
+        coef = wgt * _INV_SQRT_2PI / sd
+        if coef == math.inf:  # inf * exp(...) is NaN where exp underflows
+            return 0.0
+        z = max(abs(0.0 - mu), abs(1.0 - mu)) / sd
+        far = math.nextafter(math.nextafter(math.exp(-0.5 * z * z), 0.0), 0.0)
+        floor = max(floor, coef * far)
+    return floor
 
 
 # --------------------------------------------------------------------------
@@ -309,9 +365,11 @@ def tabulated(knots: Sequence[tuple[float, float]]) -> BeliefMeasure:
         raise DomainError("tabulated knot beliefs must be strictly increasing")
     if any(v <= 0.0 for v in vs):
         raise DomainError("tabulated knot values must be positive")
-    # each piece's interpolant below at t = 1: on a falling piece the float
-    # interpolant never drops below it, on a rising one never below the left value
-    if any(a + (b - a) <= 0.0 for a, b in zip(vs, vs[1:])):
+    # t <= 1, so on a falling piece the float interpolant a + t (b - a) never
+    # drops below its value a + (b - a) at t = 1, and on a rising one never
+    # below a; at p = 1 the density is the last value
+    floor = min(vs[-1], *(a + (b - a) if b < a else a for a, b in zip(vs, vs[1:])))
+    if floor <= 0.0:
         raise DomainError("tabulated knot values fall too steeply for a positive interpolant")
 
     def density(p: float) -> float:
@@ -351,7 +409,7 @@ def tabulated(knots: Sequence[tuple[float, float]]) -> BeliefMeasure:
 
     return _finish(density, f"tabulated(k={len(pts)})",
                    lambda lo, hi: cumulative(hi) - cumulative(lo),
-                   lambda lo, hi: cumulative_array(hi) - cumulative_array(lo))
+                   lambda lo, hi: cumulative_array(hi) - cumulative_array(lo), floor)
 
 
 def scaled(base: BeliefMeasure, factor: float) -> BeliefMeasure:
@@ -359,8 +417,9 @@ def scaled(base: BeliefMeasure, factor: float) -> BeliefMeasure:
     if not 0.0 < factor < math.inf:
         raise DomainError(f"scale factor must be positive and finite, got {factor}")
     base_mass, base_mass_array = base.exact_mass, base.exact_mass_array
-    density = lambda p: factor * base.density(p)
-    label = f"scaled({base.kind}, factor={factor})"
-    _validate_density(density, label)  # a tiny factor underflows the product
-    return _finish(density, label, lambda lo, hi: factor * base_mass(lo, hi),
-                   lambda lo, hi: factor * base_mass_array(lo, hi))
+    # rounding is monotone, so factor * base.density(p) >= factor * base.floor;
+    # a tiny factor can underflow that product to 0.0, and then it is scanned
+    return _finish(lambda p: factor * base.density(p),
+                   f"scaled({base.kind}, factor={factor})",
+                   lambda lo, hi: factor * base_mass(lo, hi),
+                   lambda lo, hi: factor * base_mass_array(lo, hi), factor * base.floor)

@@ -132,6 +132,9 @@ class TestConfigErrors:
                       "stddevs": [0.005]}),
         dict(measure={"kind": "scaled", "base": {"kind": "wedge", "n": 100},
                       "factor": 5e-324}),
+        # a coefficient overflows, and its term at p = 0 is inf * 0.0 = NaN
+        dict(measure={"kind": "gaussian_mixture", "weights": [1e300, 1e300],
+                      "means": [0.5, 0.5], "stddevs": [1e-10, 0.2]}),
         # measures whose total mass overflows
         dict(measure={"kind": "tabulated", "knots": [[0, 1e308], [1, 1e308]]}),
         dict(measure={"kind": "gaussian_mixture", "weights": [1e308, 1e308],

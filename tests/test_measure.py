@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -305,17 +305,22 @@ class TestPositivity:
         (lambda: uniform(), 0),
         (lambda: tabulated([(0.0, 0.5), (0.3, 2.0), (1.0, 1.0)]), 0),
         (lambda: from_density(lambda p: 1.0 + p), 1),
-        (lambda: gaussian_mixture([1.0, 0.5], [0.3, 0.75], [0.15, 0.1]), 1),
-        (lambda base=wedge(100): scaled(base, 2.0), 1),  # base built beforehand
+        (lambda: gaussian_mixture([1.0, 0.5], [0.3, 0.75], [0.15, 0.1]), 0),
+        (lambda base=wedge(100): scaled(base, 2.0), 0),  # base built beforehand
+        # an unproven base leaves the product unproven
+        (lambda base=from_density(lambda p: 1.0 + p): scaled(base, 2.0), 1),
+        # both kernels underflow at their far ends; the scan finds it positive
+        (lambda: gaussian_mixture([1, 1], [0.02, 0.98], [0.02, 0.02]), 1),
     ], ids=["wedge", "symmetrized_wedge", "uniform", "tabulated",
-            "from_density", "gaussian_mixture", "scaled"])
+            "from_density", "gaussian_mixture", "scaled", "scaled_from_density",
+            "gaussian_mixture_far_underflow"])
     def test_density_scans_per_construction(self, monkeypatch, build, scans):
         calls = []
         real = measure_mod._validate_density
 
         def counted(density, kind):
             calls.append(kind)
-            real(density, kind)
+            return real(density, kind)
 
         monkeypatch.setattr(measure_mod, "_validate_density", counted)
         build()
@@ -323,6 +328,8 @@ class TestPositivity:
 
     @pytest.mark.parametrize("build", [
         lambda: gaussian_mixture([1], [0.5], [0.005]),  # underflows at p = 0
+        # the first coefficient overflows, so at p = 0 its term is inf * 0.0 = NaN
+        lambda: gaussian_mixture([1e300, 1e300], [0.5, 0.5], [1e-10, 0.2]),
         lambda: scaled(wedge(100), 5e-324),  # underflows beyond the knee
         lambda: wedge(10**200),
         lambda: symmetrized_wedge(10**200),
@@ -331,7 +338,7 @@ class TestPositivity:
         # and the piece width round alike) and the interpolant rounds to 0.0
         lambda: tabulated([(0.0, 1.0), (2.0**-54, 1.0), (0.75 + 2.0**-53, 1e-300),
                            (1.0, 1.0)]),
-    ], ids=["gaussian_mixture", "scaled", "wedge",
+    ], ids=["gaussian_mixture", "gaussian_mixture_nan", "scaled", "wedge",
             "symmetrized_wedge", "wedge_above_2**53", "tabulated"])
     def test_vanishing_or_unproven_densities_rejected(self, build):
         with pytest.raises(DomainError):
@@ -349,6 +356,73 @@ class TestPositivity:
             assert sym.density(p) > 0.0 and sym.density(1.0 - p) > 0.0
 
 
+def _log_uniform(lo: int, hi: int):
+    # 10**e for e in [lo, hi]: a decade and a fraction of it, since hypothesis'
+    # float draws alone crowd at simple values such as e = 0
+    return st.builds(lambda decade, frac: 10.0 ** (decade + frac),
+                     st.integers(lo, hi - 1), st.floats(0.0, 1.0))
+
+
+# k = 1..3 kernels: (weights, means, stddevs)
+MIXTURE_PARAMS = st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.lists(_log_uniform(-300, 300), min_size=k, max_size=k),
+    st.lists(st.floats(-1.0, 2.0), min_size=k, max_size=k),
+    st.lists(_log_uniform(-12, 1), min_size=k, max_size=k)))
+BELIEFS = st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8)
+
+
+def _assert_floor_holds(m: BeliefMeasure, points) -> None:
+    # a positive floor stands in for the scan, so the scan must pass, and the
+    # floor must lie at or below the density wherever it is evaluated
+    if m.floor > 0.0:
+        measure_mod._validate_density(m.density, m.kind)
+        near = {y for x in points for y in (math.nextafter(x, -1.0), x, math.nextafter(x, 2.0))}
+        grid = [i / 10_000 for i in range(10_001)] + sorted(y for y in near if 0.0 <= y <= 1.0)
+        assert all(m.density(p) >= m.floor for p in grid)
+
+
+# shrinking a failure would rerun the 10,001-point checks for minutes; the
+# drawn example is reported as it was found
+FLOOR_SETTINGS = dict(deadline=None, derandomize=True, phases=[Phase.explicit, Phase.generate])
+
+
+class TestFloor:
+    """A positive floor is a proof: the density never falls below it."""
+
+    @settings(max_examples=80, **FLOOR_SETTINGS)
+    @given(params=MIXTURE_PARAMS, ps=BELIEFS)
+    def test_mixture_floor_is_sound(self, params, ps):
+        weights, means, sds = params
+        try:
+            m = gaussian_mixture(weights, means, sds)
+        except DomainError:  # vanishes or overflows; the scan or the total said so
+            return
+        _assert_floor_holds(m, [0.0, 1.0, *means, *ps])
+
+    @settings(max_examples=60, **FLOOR_SETTINGS)
+    @given(params=MIXTURE_PARAMS, idx=st.integers(-1, 7),
+           factors=st.lists(_log_uniform(-320, 300), min_size=1, max_size=3), ps=BELIEFS)
+    def test_scaled_floor_is_sound(self, params, idx, factors, ps):
+        weights, means, sds = params
+        try:
+            # idx -1 draws a mixture base, the rest a _family_zoo measure;
+            # further factors nest scaled measures
+            m = gaussian_mixture(weights, means, sds) if idx < 0 else _family_zoo()[idx]
+            for factor in factors:
+                m = scaled(m, factor)
+        except DomainError:
+            return
+        _assert_floor_holds(m, [0.0, 1.0, *means, *ps])
+
+    @pytest.mark.parametrize("m", _family_zoo(), ids=lambda m: m.kind)
+    @settings(max_examples=3, **FLOOR_SETTINGS)
+    @given(ps=BELIEFS)
+    def test_family_zoo_floors_are_proven_and_sound(self, m, ps):
+        assert m.floor > 0.0
+        # knots, wedge knees and mixture means among the points
+        _assert_floor_holds(m, [0.0, 1.0, 0.01, 0.1, 0.3, 0.75, *ps])
+
+
 class TestFromDensity:
     def test_custom_density_round_trip(self):
         m = from_density(lambda p: 1.0 + p * p, kind="quadratic")
@@ -358,6 +432,16 @@ class TestFromDensity:
     def test_rejects_vanishing_density(self):
         with pytest.raises(DomainError):
             from_density(lambda p: p, kind="vanishes-at-zero")
+
+    def test_rejects_a_peak_the_pass_never_samples(self):
+        # 1e-3 + N(0.4, 1e-3): the adaptive pass reads only the floor and would
+        # report a total of 0.001 against 1.001; the positivity scan finds the peak
+        def peaked(p):
+            z = (p - 0.4) / 1e-3
+            return 1e-3 + math.exp(-0.5 * z * z) / (1e-3 * math.sqrt(2 * math.pi))
+
+        with pytest.raises(QuadratureError, match=r"p=0\.4\b"):
+            from_density(peaked)
 
 
 NARROW_BUMP_TOTAL = 1e-8 * (1e-3 + 0.01 * math.sqrt(math.pi))  # erf(50) is 1.0 in floats
