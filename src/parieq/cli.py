@@ -12,12 +12,11 @@ from pathlib import Path
 
 from .equilibrium import FP_TOL, solve
 from .errors import ConfigError, NoEquilibriumError, ParieqError
-from .measure import BeliefMeasure
 from .metrics import (atomic_subjective_profit, diffuse_actual_profit,
                       diffuse_subjective_profit, house_revenue)
 from .oracle import MIN_POPULATION, discretize, iterate_best_response
 from .response import MarketParams
-from .scenario import Scenario, build_measure, load_scenario
+from .scenario import Scenario, load_scenario
 from .stackelberg import MIN_GRID_POINTS, optimize_take
 
 SCHEMA_LINE = "# schema=1"
@@ -36,13 +35,12 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _metric_values(sc: Scenario, measure: BeliefMeasure, params: MarketParams,
-                   eq) -> list[str]:
+def _metric_values(sc: Scenario, params: MarketParams, eq) -> list[str]:
     table = {  # keyed by scenario.METRIC_NAMES
         "house_revenue": lambda: house_revenue(eq, params),
         "diffuse_actual_profit": lambda: diffuse_actual_profit(eq, params, sc.p_actual),
         "diffuse_subjective_profit":
-            lambda: diffuse_subjective_profit(eq, params, measure),
+            lambda: diffuse_subjective_profit(eq, params, sc.belief_measure),
         "atomic_subjective_profit": lambda: atomic_subjective_profit(eq, params),
     }
     return [_fmt(table[name]()) for name in sc.metrics]
@@ -54,19 +52,20 @@ def _core_values(sc: Scenario, kappa: float, w: float, eq) -> list[str]:
             _fmt(eq.atomic.a2), _fmt(eq.residual)]
 
 
-def run_solve(sc: Scenario, fp_tol: float, out=None) -> int:
-    out = sys.stdout if out is None else out
+def _solve_scalar(sc: Scenario, fp_tol: float, command: str):
+    """The market at the scenario's one kappa, and its equilibrium."""
     if sc.is_sweep:
-        raise ConfigError("'solve' needs a scalar kappa; use 'sweep' for grids")
-    measure = build_measure(sc.measure)
+        raise ConfigError(f"'{command}' needs a scalar kappa; use 'sweep' for grids")
     params = MarketParams(kappa=sc.kappa, q=sc.q, w=sc.w)
-    eq = solve(params, measure, fp_tol=fp_tol)
-    header = ",".join(_CORE_COLUMNS + sc.metrics)
-    row = ",".join(_core_values(sc, sc.kappa, sc.w, eq)
-                   + _metric_values(sc, measure, params, eq))
-    print(SCHEMA_LINE, file=out)
-    print(header, file=out)
-    print(row, file=out)
+    return params, solve(params, sc.belief_measure, fp_tol=fp_tol)
+
+
+def run_solve(sc: Scenario, fp_tol: float) -> int:
+    params, eq = _solve_scalar(sc, fp_tol, "solve")
+    print(SCHEMA_LINE)
+    print(",".join(_CORE_COLUMNS + sc.metrics))
+    print(",".join(_core_values(sc, sc.kappa, sc.w, eq)
+                   + _metric_values(sc, params, eq)))
     return EXIT_OK
 
 
@@ -74,7 +73,6 @@ def sweep_csv(sc: Scenario, fp_tol: float, baseline: bool) -> str:
     """Render the sweep CSV; rows ordered by kappa ascending, then budget."""
     if not sc.is_sweep:
         raise ConfigError("'sweep' needs a kappa grid; use 'solve' for scalars")
-    measure = build_measure(sc.measure)
     budgets = sorted({BASELINE_W, sc.w}) if baseline else [sc.w]
     header = ",".join(_CORE_COLUMNS[:4] + ("status",) + _CORE_COLUMNS[4:]
                       + sc.metrics)
@@ -85,9 +83,9 @@ def sweep_csv(sc: Scenario, fp_tol: float, baseline: bool) -> str:
             prefix = [sc.name, _fmt(kappa), _fmt(sc.q), _fmt(w)]
             try:
                 params = MarketParams(kappa=kappa, q=sc.q, w=w)
-                eq = solve(params, measure, fp_tol=fp_tol)
+                eq = solve(params, sc.belief_measure, fp_tol=fp_tol)
                 cells = (_core_values(sc, kappa, w, eq)
-                         + _metric_values(sc, measure, params, eq))
+                         + _metric_values(sc, params, eq))
                 cells.insert(len(prefix), "ok")
             except NoEquilibriumError:
                 cells = prefix + ["no_equilibrium"] + [""] * n_tail
@@ -97,20 +95,12 @@ def sweep_csv(sc: Scenario, fp_tol: float, baseline: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_sweep(sc: Scenario, fp_tol: float, baseline: bool, out_path) -> int:
-    text = sweep_csv(sc, fp_tol, baseline)
-    Path(out_path).write_text(text)
-    return EXIT_OK
-
-
-def run_optimize_take(sc: Scenario, fp_tol: float, grid: int,
-                      out_path=None, out=None) -> int:
-    out = sys.stdout if out is None else out
-    measure = build_measure(sc.measure)
-    opt = optimize_take(measure, sc.q, sc.w, grid_points=grid, fp_tol=fp_tol)
-    print(SCHEMA_LINE, file=out)
-    print("name,kappa_star,revenue_star", file=out)
-    print(f"{sc.name},{_fmt(opt.kappa_star)},{_fmt(opt.revenue_star)}", file=out)
+def run_optimize_take(sc: Scenario, fp_tol: float, grid: int, out_path) -> int:
+    opt = optimize_take(sc.belief_measure, sc.q, sc.w, grid_points=grid,
+                        fp_tol=fp_tol)
+    print(SCHEMA_LINE)
+    print("name,kappa_star,revenue_star")
+    print(f"{sc.name},{_fmt(opt.kappa_star)},{_fmt(opt.revenue_star)}")
     if out_path is not None:
         lines = [SCHEMA_LINE, "name,kappa,revenue"]
         lines += [f"{sc.name},{_fmt(k)},{_fmt(r)}" for k, r in opt.profile]
@@ -118,19 +108,13 @@ def run_optimize_take(sc: Scenario, fp_tol: float, grid: int,
     return EXIT_OK
 
 
-def run_oracle(sc: Scenario, fp_tol: float, n: int, out=None) -> int:
-    out = sys.stdout if out is None else out
-    if sc.is_sweep:
-        raise ConfigError("'oracle' needs a scalar kappa")
-    measure = build_measure(sc.measure)
-    params = MarketParams(kappa=sc.kappa, q=sc.q, w=sc.w)
-    eq = solve(params, measure, fp_tol=fp_tol)
-    pop = discretize(measure, n)
-    res = iterate_best_response(pop, params)
-    print(f"p_approx={_fmt(res.p_approx)}", file=out)
-    print(f"p_star={_fmt(eq.p_star)}", file=out)
-    print(f"gap={_fmt(abs(res.p_approx - eq.p_star))}", file=out)
-    print(f"converged={res.converged}", file=out)
+def run_oracle(sc: Scenario, fp_tol: float, n: int) -> int:
+    params, eq = _solve_scalar(sc, fp_tol, "oracle")
+    res = iterate_best_response(discretize(sc.belief_measure, n), params)
+    print(f"p_approx={_fmt(res.p_approx)}")
+    print(f"p_star={_fmt(eq.p_star)}")
+    print(f"gap={_fmt(abs(res.p_approx - eq.p_star))}")
+    print(f"converged={res.converged}")
     return EXIT_OK
 
 
@@ -188,7 +172,8 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return run_solve(sc, args.fp_tol)
         if args.command == "sweep":
-            return run_sweep(sc, args.fp_tol, args.baseline, args.out)
+            Path(args.out).write_text(sweep_csv(sc, args.fp_tol, args.baseline))
+            return EXIT_OK
         if args.command == "optimize-take":
             return run_optimize_take(sc, args.fp_tol, args.grid, args.out)
         if args.command == "oracle":

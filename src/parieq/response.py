@@ -119,16 +119,19 @@ def atomic_best_response(d: DiffuseAggregate, params: MarketParams) -> AtomicBet
     kappa, q, w = params.kappa, params.q, params.w
     d1, d2 = d.d1, d.d2
     if q > d1 / (kappa * (d1 + d2)):
-        denom = 1.0 - kappa * q
-        assert denom > 0.0  # kappa < 1 and q <= 1
-        a1 = min(w, max(0.0, math.sqrt(kappa * q * d1 * d2 / denom) - d1))
-        return AtomicBet(a1=a1, a2=0.0)
+        return AtomicBet(a1=_capped_stake(kappa, q, d1, d2, d1, w), a2=0.0)
     if 1.0 - q > d2 / (kappa * (d1 + d2)):
-        denom = 1.0 - kappa * (1.0 - q)
-        assert denom > 0.0
-        a2 = min(w, max(0.0, math.sqrt(kappa * (1.0 - q) * d1 * d2 / denom) - d2))
-        return AtomicBet(a1=0.0, a2=a2)
+        return AtomicBet(a1=0.0, a2=_capped_stake(kappa, 1.0 - q, d1, d2, d2, w))
     return AtomicBet(a1=0.0, a2=0.0)
+
+
+def _capped_stake(kappa: float, belief: float, d1: float, d2: float, own: float,
+                  w: float) -> float:
+    # budget-capped square-root stake on the side held with probability belief,
+    # whose small-bettor total is own; equilibrium._stake rounds it in another order
+    denom = 1.0 - kappa * belief
+    assert denom > 0.0  # kappa < 1 and belief <= 1
+    return min(w, max(0.0, math.sqrt(kappa * belief * d1 * d2 / denom) - own))
 
 
 def _require_two_sided(d: DiffuseAggregate) -> None:

@@ -2,13 +2,14 @@
 
 A scenario names a wealth measure (as a tagged record), the large bettor's
 belief q and budget w, either a single kappa or a sweep grid, an optional
-true probability, and the metric columns to emit. Files round-trip exactly:
+true probability, and the metric columns to emit. Parsing builds the measure
+once and keeps it on the Scenario, unserialized. Files round-trip exactly:
 parse -> serialize -> parse yields an equal Scenario.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -37,6 +38,9 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One experiment. belief_measure is the measure parsing built from the
+    `measure` record; it is not serialized, and == and repr leave it out."""
+
     name: str
     measure: dict  # tagged record, kept verbatim for round-tripping
     q: float
@@ -44,6 +48,7 @@ class Scenario:
     kappa: Union[float, SweepSpec]
     p_actual: Optional[float]
     metrics: tuple[str, ...]
+    belief_measure: BeliefMeasure = field(compare=False, repr=False)
 
     @property
     def is_sweep(self) -> bool:
@@ -118,7 +123,7 @@ def parse_scenario(obj: Any) -> Scenario:
         raise ConfigError("scenario needs a nonempty string 'name'")
     if "measure" not in obj:
         raise ConfigError("scenario is missing field 'measure'")
-    build_measure(obj["measure"])  # reject bad measure specs at parse time
+    belief_measure = build_measure(obj["measure"])
     q = _number(obj, "q", lo=0.0, hi=1.0)
     w = _number(obj, "w", lo=0.0, strict_lo=True)
 
@@ -156,7 +161,8 @@ def parse_scenario(obj: Any) -> Scenario:
         raise ConfigError("metric 'diffuse_actual_profit' requires 'p_actual'")
 
     return Scenario(name=name, measure=obj["measure"], q=q, w=w, kappa=kappa,
-                    p_actual=p_actual, metrics=tuple(metrics_raw))
+                    p_actual=p_actual, metrics=tuple(metrics_raw),
+                    belief_measure=belief_measure)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
@@ -188,7 +194,12 @@ def loads_scenario(text: str, origin: str = "<string>") -> Scenario:
             f"{origin}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer too long to convert, among others
         raise ConfigError(f"{origin}: {exc}") from exc
-    return parse_scenario(obj)
+    except RecursionError as exc:  # input nested past the recursion limit
+        raise ConfigError(f"{origin}: nested too deeply: {exc}") from exc
+    try:
+        return parse_scenario(obj)
+    except RecursionError as exc:  # build_measure recurses once per 'scaled' level
+        raise ConfigError(f"{origin}: measure nested too deeply: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:

@@ -36,6 +36,19 @@ def write_scenario(tmp_path, name="tmp", **overrides):
     return path
 
 
+def scaled_chain(depth):
+    # JSON text, since json.dumps itself recurses once per level
+    return ('{"kind": "scaled", "factor": 1.0, "base": ' * depth
+            + '{"kind": "uniform"}' + "}" * depth)
+
+
+def deep_scenario(tmp_path, measure, extra=""):
+    path = tmp_path / "deep.cfg"
+    path.write_text('{"name": "deep", "q": 0.7, "w": 1.0, "kappa": 0.8, '
+                    f'"measure": {measure}{extra}}}\n')
+    return path
+
+
 def parse_csv(text):
     lines = text.strip().splitlines()
     assert lines[0] == "# schema=1"
@@ -112,6 +125,24 @@ class TestConfigErrors:
                         ' "kappa": 0.8, "q": ' + "1" * 5000 + "}\n")
         assert main(["solve", "--scenario", str(path)]) == 1
         assert f"config error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("measure, extra", [
+        (scaled_chain(990), ""),
+        ('{"kind": "uniform"}', ', "ignored": ' + "[" * 100_000 + "]" * 100_000),
+    ], ids=["scaled-chain", "nested-arrays"])
+    def test_deep_nesting_names_the_file(self, tmp_path, capsys, measure, extra):
+        # past the recursion limit of the decoder or of build_measure
+        path = deep_scenario(tmp_path, measure, extra)
+        assert main(["solve", "--scenario", str(path)]) == 1
+        assert f"config error: {path}: " in capsys.readouterr().err
+
+    def test_scaled_chain_a_few_hundred_deep_solves(self, tmp_path, capsys):
+        # factor 1.0 scales exactly, so the chain's row is its base's row
+        rows = []
+        for measure in ('{"kind": "uniform"}', scaled_chain(300)):
+            assert main(["solve", "--scenario", str(deep_scenario(tmp_path, measure))]) == 0
+            rows.append(capsys.readouterr().out)
+        assert rows[0] == rows[1]
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", "--scenario", str(tmp_path / "nope.cfg")]) == 1
@@ -242,6 +273,30 @@ class TestBadNumbers:
                               q=0.9, kappa=0.5001)
         assert main([command, "--scenario", str(path)]) == 3
         assert "small-bettor totals vanish" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve", []), ("sweep", ["--out", "sweep.csv"]), ("optimize-take", ["--grid", "16"]),
+    ("oracle", ["--n", "50"])])
+def test_each_command_builds_its_measure_once(tmp_path, capsys, monkeypatch,
+                                              command, extra):
+    # every kernel underflows at its far end, so no floor is proven and each
+    # build scans the density once
+    import parieq.measure as measure_mod
+    real_scan, scans = measure_mod._validate_density, []
+
+    def counting_scan(*args):
+        scans.append(args)
+        return real_scan(*args)
+
+    monkeypatch.setattr(measure_mod, "_validate_density", counting_scan)
+    monkeypatch.chdir(tmp_path)
+    path = write_scenario(tmp_path, measure={
+        "kind": "gaussian_mixture", "weights": [1, 1], "means": [0.02, 0.98],
+        "stddevs": [0.02, 0.02]}, **({"kappa": {"lo": 0.6, "hi": 0.9, "steps": 2}}
+                                      if command == "sweep" else {}))
+    assert main([command, "--scenario", str(path), *extra]) == 0
+    assert len(scans) == 1
 
 
 class TestSweepCommand:
