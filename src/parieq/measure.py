@@ -39,8 +39,8 @@ scaled(base, factor)  base measure with density multiplied by factor
 Every measure answers interval-mass questions through one function, its
 exact_mass, and mass() only checks the interval before calling it. The
 built-in families take it from their antiderivatives: piecewise
-polynomials for the wedge families and tabulated densities, erf
-differences for Gaussian mixtures, and the base's mass times the factor
+polynomials for the wedge families and tabulated densities, erf and
+erfc differences for Gaussian mixtures, and the base's mass times the factor
 for scaled. from_density, which wraps an arbitrary user density, builds a
 piecewise-cubic cumulative once at construction, from an adaptive Simpson
 pass to a tolerance relative to its total, and never calls the density
@@ -285,8 +285,9 @@ def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
                      stddevs: Sequence[float]) -> BeliefMeasure:
     """Mixture-of-Gaussians measure; masses are exact erf differences.
 
-    Kernel k contributes w_k/2 * (erf((hi - mu_k)/(sd_k*sqrt 2))
-    - erf((lo - mu_k)/(sd_k*sqrt 2))) to the mass of [lo, hi].
+    Kernel k adds w_k/2 * (erf(z(hi)) - erf(z(lo))) to the mass of [lo, hi],
+    z(p) = (p - mu_k)/(sd_k*sqrt 2); to one side of mu_k, where that
+    difference cancels, it takes the same difference of erfc values.
     """
     weights = tuple(float(x) for x in weights)
     means = tuple(float(x) for x in means)
@@ -306,7 +307,11 @@ def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
     def exact(lo: float, hi: float) -> float:
         out = 0.0
         for half_w, mu, width in kernels:
-            out += half_w * (math.erf((hi - mu) / width) - math.erf((lo - mu) / width))
+            a, b = (lo - mu) / width, (hi - mu) / width
+            if b < 0.0:  # the mirror image of a lower tail is an upper one
+                a, b = -b, -a
+            out += half_w * (math.erfc(a) - math.erfc(b) if a > 0.0
+                             else math.erf(b) - math.erf(a))
         return out
 
     def density(p: float) -> float:

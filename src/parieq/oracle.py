@@ -57,11 +57,10 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
 
     Belief i solves mass(0, x) = (i + 1/2) * total / N. All N beliefs are
     found at once, one float64 lane each, and every mass comes from the
-    measure's exact_mass_array. A table of the cumulative mass at the N + 1
-    knots j / N (running sums of the knot-to-knot masses, with their
-    rounding errors added back) puts each target in a cell between two
-    knots. Its lane solves g(x) = mass(knot, x) - (target - table value) = 0
-    inside that cell, so every mass it asks for is a short one.
+    measure's exact_mass_array. A table of the cumulative mass(0, j / N) at
+    the N + 1 knots j / N, taken in one call, puts each target in a cell
+    between two knots. Its lane solves g(x) = mass(0, x) - target = 0
+    inside that cell.
 
     The first probe is the quintic through the six table points around the
     cell, read as belief against mass, at the target (moved into the open
@@ -84,15 +83,12 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
     total = measure.total_mass
     mass_array = measure.exact_mass_array
     knots = np.arange(N + 1) / N
-    cells = mass_array(knots[:-1], knots[1:])
-    table = _running_sums(cells)
+    table = mass_array(np.zeros(N + 1), knots)  # the last entry is the total
     targets = (np.arange(N) + 0.5) * total / N
-    # the knot at or below each target; the last cell also takes a target at
-    # or above the table's top, as when quadrature leaves the cells' sum
-    # short of the total
+    # the knot at or below each target; the last cell also takes a target
+    # that rounds up to the total, as the top ones do on a subnormal total
     j = np.minimum(np.searchsorted(table, targets, side="right") - 1, N - 1)
-    base, want = knots[j], targets - table[j]  # solve mass(base, x) = want
-    lo, hi = base, knots[j + 1]
+    lo, hi = knots[j], knots[j + 1]
     lane, beliefs = np.arange(N), np.empty(N)
     with np.errstate(all="ignore"):  # inf or nan steps are never inside a bracket
         seed, slope = _inverse_interpolant(knots, table, targets, j)
@@ -100,7 +96,7 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
         # no probe before the first: round one neither gallops nor tests |g|
         xp, gp = x, np.full(N, math.inf)
         while True:
-            g = mass_array(base, x) - want
+            g = mass_array(np.zeros_like(x), x) - targets
             below = g < 0.0
             lo = np.where(below, x, lo)
             hi = np.where(below, hi, x)
@@ -118,11 +114,10 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
                 keep = ~done
                 if not keep.any():
                     break
-                lane, base, want, lo, hi, x, g, nxt = (
-                    a[keep] for a in (lane, base, want, lo, hi, x, g, nxt))
+                lane, targets, lo, hi, x, g, nxt = (
+                    a[keep] for a in (lane, targets, lo, hi, x, g, nxt))
             xp, gp, x = x, g, nxt
-    wealths = np.full(N, total / N)
-    return DiscretePopulation(beliefs=beliefs, wealths=wealths)
+    return DiscretePopulation(beliefs=beliefs, wealths=np.full(N, total / N))
 
 
 def _inverse_interpolant(knots, table, targets, j):
@@ -141,17 +136,6 @@ def _inverse_interpolant(knots, table, targets, j):
         slope = value + dt[k] * slope
         value = dd[k][s] + dt[k] * value
     return value, slope
-
-
-def _running_sums(cells: np.ndarray) -> np.ndarray:
-    # [0, cells[0], cells[0] + cells[1], ...], each sum within about an ulp:
-    # cumsum adds in order, so TwoSum recovers each addition's rounding
-    # error exactly, and the running sum of those errors is added back
-    s = np.cumsum(cells)
-    b = s[1:] - s[:-1]
-    err = (s[:-1] - (s[1:] - b)) + (cells[1:] - b)
-    s[1:] += np.cumsum(err)
-    return np.append(0.0, s)
 
 
 def discrete_totals(pop: DiscretePopulation, P: float, kappa: float,

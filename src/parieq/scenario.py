@@ -22,6 +22,7 @@ METRIC_NAMES = ("house_revenue", "diffuse_actual_profit",
 
 SWEEP_LO_MIN = 0.5 + 1e-4
 SWEEP_HI_MAX = 1.0 - 1e-4
+MAX_SCALED_DEPTH = 500  # each level adds frames to every mass call; about 984 crash
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,14 @@ class Scenario:
 
 
 def build_measure(spec: dict) -> BeliefMeasure:
-    """Instantiate the measure named by a tagged record."""
+    """Instantiate the measure named by a tagged record.
+
+    At most MAX_SCALED_DEPTH 'scaled' records nest in it.
+    """
+    return _build_measure(spec, MAX_SCALED_DEPTH)
+
+
+def _build_measure(spec: dict, scaled_left: int) -> BeliefMeasure:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"measure spec must be a record with a 'kind', got {spec!r}")
     kind = spec["kind"]
@@ -75,8 +83,12 @@ def build_measure(spec: dict) -> BeliefMeasure:
             return measure_mod.tabulated(
                 [tuple(_numbers(k, "a tabulated knot")) for k in spec["knots"]])
         if kind == "scaled":
-            return measure_mod.scaled(build_measure(spec["base"]),
+            if scaled_left == 0:
+                raise ConfigError(f"'scaled' records nest over {MAX_SCALED_DEPTH} deep")
+            return measure_mod.scaled(_build_measure(spec["base"], scaled_left - 1),
                                       _number(spec, "factor"))
+    except ConfigError:  # a ValueError too, but it says what is wrong already
+        raise
     except KeyError as exc:
         raise ConfigError(f"measure kind {kind!r} is missing field {exc}") from exc
     except (DomainError, TypeError, ValueError, OverflowError) as exc:
@@ -196,10 +208,7 @@ def loads_scenario(text: str, origin: str = "<string>") -> Scenario:
         raise ConfigError(f"{origin}: {exc}") from exc
     except RecursionError as exc:  # input nested past the recursion limit
         raise ConfigError(f"{origin}: nested too deeply: {exc}") from exc
-    try:
-        return parse_scenario(obj)
-    except RecursionError as exc:  # build_measure recurses once per 'scaled' level
-        raise ConfigError(f"{origin}: measure nested too deeply: {exc}") from exc
+    return parse_scenario(obj)
 
 
 def load_scenario(path) -> Scenario:

@@ -1,8 +1,13 @@
 """The benchmark's span tracer wraps parieq functions by module and name."""
 
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
+import parieq.equilibrium as equilibrium_mod
 import parieq.stackelberg as stackelberg_mod
+from conftest import bundled_cases
 from parieq.measure import from_density, wedge
 from test_measure import _family_zoo
 
@@ -42,6 +47,29 @@ def test_optimize_take_still_calls_the_traced_solve(monkeypatch):
     monkeypatch.setattr(stackelberg_mod, "solve", counted)
     stackelberg_mod.optimize_take(wedge(100), 1.0, 1.0)
     assert 2 <= len(calls) <= 40
+
+
+@pytest.mark.parametrize("case", bundled_cases(), ids=lambda c: c.name)
+def test_every_solve_calls_the_traced_boundaries_and_phi(monkeypatch, case):
+    # the traced run's self-check needs every solve to compute each action
+    # boundary once and to evaluate phi through the module attribute, from
+    # 2 up to PHI_EVALS_BOUND = 218 times (benchmarks/run.py: endpoints,
+    # bisection cap, neighbour scan)
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(equilibrium_mod, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("compute_pbar1", "compute_pbar2", "phi"):
+        monkeypatch.setattr(equilibrium_mod, name, counting(name))
+    equilibrium_mod.solve(case.params, case.measure)
+    assert calls["compute_pbar1"] == calls["compute_pbar2"] == 1
+    assert 2 <= calls["phi"] <= 218
 
 
 def test_every_measure_carries_an_array_mass():

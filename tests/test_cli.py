@@ -131,7 +131,7 @@ class TestConfigErrors:
         ('{"kind": "uniform"}', ', "ignored": ' + "[" * 100_000 + "]" * 100_000),
     ], ids=["scaled-chain", "nested-arrays"])
     def test_deep_nesting_names_the_file(self, tmp_path, capsys, measure, extra):
-        # past the recursion limit of the decoder or of build_measure
+        # past the decoder's recursion limit
         path = deep_scenario(tmp_path, measure, extra)
         assert main(["solve", "--scenario", str(path)]) == 1
         assert f"config error: {path}: " in capsys.readouterr().err
@@ -143,6 +143,21 @@ class TestConfigErrors:
             assert main(["solve", "--scenario", str(deep_scenario(tmp_path, measure))]) == 0
             rows.append(capsys.readouterr().out)
         assert rows[0] == rows[1]
+
+    def test_scaled_chain_past_the_depth_limit_is_a_config_error(self, tmp_path, capsys):
+        # the decoder takes 501 levels; the solver would recurse once per
+        # level on every density and mass call, and crash at about 984
+        path = deep_scenario(tmp_path, scaled_chain(501))
+        for command in ("solve", "optimize-take", "oracle"):
+            assert main([command, "--scenario", str(path)]) == 1
+            assert "config error: 'scaled' records nest over 500 deep" in capsys.readouterr().err
+
+    def test_scaled_chain_at_the_depth_limit_runs_every_command(self, tmp_path, capsys):
+        path = deep_scenario(tmp_path, scaled_chain(500),
+                             ', "metrics": ["diffuse_subjective_profit"]')
+        for command in ("solve", "optimize-take", "oracle"):
+            assert main([command, "--scenario", str(path)]) == 0
+            assert capsys.readouterr().err == ""
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", "--scenario", str(tmp_path / "nope.cfg")]) == 1

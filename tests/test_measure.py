@@ -208,6 +208,29 @@ class TestClosedForms:
                     want += w * (stats.norm.sf(lo, mu, sd) - stats.norm.sf(hi, mu, sd))
             assert mass(m, lo, hi) == pytest.approx(want, abs=1e-13), (lo, hi)
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(upper=st.booleans(), width=st.floats(0.005, 0.09),
+           frac=st.floats(0.0, 1.0))
+    def test_mixture_same_side_tails_keep_relative_accuracy(self, upper, width, frac):
+        # on a far tail erf(hi) - erf(lo) cancels to 0.0, though the floor
+        # proves a mass of at least 1e-42 on any interval 4e-4 wide; with
+        # both ends on one side of every mean the mass is a same-side tail
+        # difference, and no cancellation happens there
+        weights, means, sds = (1.0, 1.0), (0.7, 0.9), (0.05, 0.05)
+        m = gaussian_mixture(weights, means, sds)
+        a, b = (0.9, 1.0) if upper else (0.0, 0.7)  # one side of both means
+        lo = a + 1e-9 + frac * (b - a - 2e-9 - width)
+        hi = lo + width
+        want = 0.0
+        for w, mu, sd in zip(weights, means, sds):
+            assert (lo > mu) if upper else (hi < mu)
+            if upper:
+                want += w * (stats.norm.sf(lo, mu, sd) - stats.norm.sf(hi, mu, sd))
+            else:
+                want += w * (stats.norm.cdf(hi, mu, sd) - stats.norm.cdf(lo, mu, sd))
+        assert want > 0.0
+        assert mass(m, lo, hi) == pytest.approx(want, rel=1e-12, abs=0.0), (lo, hi)
+
 
 class TestScaled:
     def test_density_and_mass_scale(self):

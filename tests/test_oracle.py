@@ -80,9 +80,10 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("m", _family_zoo(), ids=lambda m: m.kind)
     def test_table_sums_carry_no_drift(self, m):
-        # the table's running sums add back their rounding errors, which
-        # keeps every quantile within a few ulps of the total; plain
-        # cumulative sums drift to 1.1e-13 of it on symmetrized_wedge(100)
+        # each table entry is mass(0, knot), taken directly, so no rounding
+        # accumulates along the table and every quantile stays within a few
+        # ulps of the total; a plain cumsum of knot-to-knot masses drifts to
+        # 1.1e-13 of it on symmetrized_wedge(100)
         N, total = 8000, m.total_mass
         b = discretize(m, N).beliefs
         got = m.exact_mass_array(np.zeros(N), b)  # mass(m, 0, x) lane by lane
@@ -124,11 +125,19 @@ class TestDiscretize:
         assert discretize(m, N).beliefs.tobytes() == b.tobytes()
 
     def test_targets_beyond_the_table_stay_in_the_last_cell(self):
-        # a target above the table's last entry (the cells' running sum
-        # can round below the total) is searched in the last cell; on a
-        # small total, masses off by an absolute tolerance put many there
+        # a target at or above the table's last entry is searched in the
+        # last cell; on a small total, masses off by an absolute tolerance
+        # would put many there
         m = from_density(lambda p: 1e-8 * (1e-3 + math.exp(-((p - 0.5) / 0.01) ** 2)))
         b = discretize(m, 257).beliefs
+        assert 0.0 < b[0] and b[-1] < 1.0 and np.all(np.diff(b) >= 0.0)
+
+    def test_subnormal_total_keeps_the_last_cell_clamp(self):
+        # on a subnormal total the top targets round up to the total itself,
+        # which the table's last entry equals; they are searched in the last
+        # cell instead of past the last knot
+        m = scaled(uniform(), 5e-324)
+        b = discretize(m, 57).beliefs
         assert 0.0 < b[0] and b[-1] < 1.0 and np.all(np.diff(b) >= 0.0)
 
     def test_small_total_spreads_the_bettors(self):
