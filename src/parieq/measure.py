@@ -50,11 +50,12 @@ construction.
 exact_mass_array is exact_mass over float64 arrays, element for element,
 for the grid solver and the oracle's discretization. By default it calls
 exact_mass on each element through np.frompyfunc, so the bits are the
-same by construction. The wedge families, uniform and tabulated pass their
-cumulative written over arrays, with the scalar one's constants and
-operation order, and scaled multiplies its base's array mass by the
-factor. The Gaussian mixture (numpy has no erf) and from_density take the
-default.
+same by construction. The wedge families build their scalar cumulative
+and its array twin in one place, from constants computed once per measure,
+with the same operations in the same order; uniform and tabulated write
+theirs over arrays the same way, and scaled multiplies its base's array
+mass by the factor. The Gaussian mixture (numpy has no erf) and
+from_density take the default.
 """
 
 import math
@@ -206,10 +207,9 @@ def from_density(density: Callable[[float], float], kind: str = "custom") -> Bel
 # floats n - 1 and 2(n - 1) are exact, 2n(n - 1) is off by one rounding, and
 # a float p below 1.0/n lies at least 2**-54 / n below 1/n, so the rounded
 # ramp term never exceeds 2(n - 1) and the sum never drops below 1.0/n.
-def _wedge_density(n: int, p: float) -> float:
-    if p < 1.0 / n:
-        return -2.0 * n * (n - 1) * p + 2.0 * (n - 1) + 1.0 / n
-    return 1.0 / n
+def _wedge_density(n: int) -> Callable[[float], float]:
+    cut, ramp, top = 1.0 / n, -2.0 * n * (n - 1), 2.0 * (n - 1)
+    return lambda p: ramp * p + top + cut if p < cut else cut
 
 
 def _check_wedge_args(n: int) -> None:
@@ -219,34 +219,28 @@ def _check_wedge_args(n: int) -> None:
         raise DomainError(f"wedge order must be an integer in [1, 2**53], got {n!r}")
 
 
-def _wedge_antiderivative(n: int, p: float) -> float:
-    cut = 1.0 / n
-    if p <= cut:
-        return -n * (n - 1) * p * p + (2.0 * (n - 1) + cut) * p
-    head = (n - 1) / n + cut * cut  # integral of the ramp piece up to 1/n
-    return head + (p - cut) * cut
+def _wedge_cumulatives(n: int):
+    # the cumulative of the wedge density, as a float function and its
+    # elementwise numpy twin: the same constants, the same operations in the
+    # same order; -n(n - 1) stays a Python int, and head is the ramp's mass
+    cut, a = 1.0 / n, -n * (n - 1)
+    b, head = 2.0 * (n - 1) + cut, (n - 1) / n + cut * cut
 
+    def cum(p: float) -> float:
+        return a * p * p + b * p if p <= cut else head + (p - cut) * cut
 
-def _wedge_antiderivative_array(n: int, p: np.ndarray) -> np.ndarray:
-    # _wedge_antiderivative elementwise, same operations in the same order
-    cut = 1.0 / n
-    head = (n - 1) / n + cut * cut
-    return np.where(p <= cut, -n * (n - 1) * p * p + (2.0 * (n - 1) + cut) * p,
-                    head + (p - cut) * cut)
+    def cum_array(p: np.ndarray) -> np.ndarray:
+        return np.where(p <= cut, a * p * p + b * p, head + (p - cut) * cut)
+    return cum, cum_array
 
 
 def wedge(n: int) -> BeliefMeasure:
     """Wedge measure of order n; total mass 1, wedge(1) is uniform."""
     _check_wedge_args(n)
-
-    def exact(lo: float, hi: float) -> float:
-        return _wedge_antiderivative(n, hi) - _wedge_antiderivative(n, lo)
-
-    def exact_array(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        return _wedge_antiderivative_array(n, hi) - _wedge_antiderivative_array(n, lo)
-
-    return _finish(lambda p: _wedge_density(n, p), f"wedge(n={n})", exact, exact_array,
-                   floor=1.0 / n)
+    cum, cum_array = _wedge_cumulatives(n)
+    return _finish(_wedge_density(n), f"wedge(n={n})",
+                   lambda lo, hi: cum(hi) - cum(lo),
+                   lambda lo, hi: cum_array(hi) - cum_array(lo), floor=1.0 / n)
 
 
 def uniform() -> BeliefMeasure:
@@ -258,19 +252,19 @@ def uniform() -> BeliefMeasure:
 def symmetrized_wedge(n: int) -> BeliefMeasure:
     """Symmetric measure splitting the wedge's wealth between both extremes."""
     _check_wedge_args(n)
+    cum, cum_array = _wedge_cumulatives(n)
+    density = _wedge_density(n)
 
     def exact(lo: float, hi: float) -> float:
-        fwd = _wedge_antiderivative(n, hi) - _wedge_antiderivative(n, lo)
-        rev = _wedge_antiderivative(n, 1.0 - lo) - _wedge_antiderivative(n, 1.0 - hi)
-        return 0.5 * (fwd + rev)
+        return 0.5 * ((cum(hi) - cum(lo)) + (cum(1.0 - lo) - cum(1.0 - hi)))
 
     def exact_array(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        cum = lambda p: _wedge_antiderivative_array(n, p)
-        return 0.5 * ((cum(hi) - cum(lo)) + (cum(1.0 - lo) - cum(1.0 - hi)))
+        return 0.5 * ((cum_array(hi) - cum_array(lo))
+                      + (cum_array(1.0 - lo) - cum_array(1.0 - hi)))
 
     # each wedge term is at least 1.0/n, so their float sum is at least 2.0/n
     # and its half at least 1.0/n
-    return _finish(lambda p: 0.5 * (_wedge_density(n, p) + _wedge_density(n, 1.0 - p)),
+    return _finish(lambda p: 0.5 * (density(p) + density(1.0 - p)),
                    f"symmetrized_wedge(n={n})", exact, exact_array, floor=1.0 / n)
 
 

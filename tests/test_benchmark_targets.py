@@ -76,3 +76,35 @@ def test_every_measure_carries_an_array_mass():
     # the grid solver asks every measure for its masses through this field
     for m in _family_zoo() + [from_density(lambda p: 1.0 + p)]:
         assert callable(getattr(m, "exact_mass_array", None)), m.kind
+
+
+@pytest.mark.parametrize("case", bundled_cases(), ids=lambda c: c.name)
+def test_every_D_evaluation_calls_the_traced_mass_twice(monkeypatch, case):
+    # the traced run counts measure.mass_calls through parieq.equilibrium.mass;
+    # a _D that reached the measure another way would read 0 calls per solve
+    real_D, real_mass, real_phi = (equilibrium_mod._D, equilibrium_mod.mass,
+                                   equilibrium_mod.phi)
+    open_evals, per_eval, phis = [], [], [0]
+
+    def counted_D(*args):
+        open_evals.append(0)
+        try:
+            return real_D(*args)
+        finally:
+            per_eval.append(open_evals.pop())
+
+    def counted_mass(*args):
+        if open_evals:
+            open_evals[-1] += 1
+        return real_mass(*args)
+
+    def counted_phi(*args):
+        phis[0] += 1
+        return real_phi(*args)
+
+    monkeypatch.setattr(equilibrium_mod, "_D", counted_D)
+    monkeypatch.setattr(equilibrium_mod, "mass", counted_mass)
+    monkeypatch.setattr(equilibrium_mod, "phi", counted_phi)
+    equilibrium_mod.solve(case.params, case.measure)
+    assert len(per_eval) > phis[0] >= 2
+    assert set(per_eval) == {2}

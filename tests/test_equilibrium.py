@@ -16,9 +16,9 @@ from scipy import optimize
 from conftest import (BASELINE_W, assert_equilibrium_properties, bundled_cases,
                       scenario_zoo)
 from test_measure import _family_zoo
-from parieq.equilibrium import (FP_TOL, _D, _bisect_decreasing, compute_pbar1,
-                                compute_pbar2, phi, phi_context, solve,
-                                solve_grid, zeta1, zeta2)
+from parieq.equilibrium import (_DOMAIN_EPS, FP_TOL, _D, _bisect_decreasing,
+                                compute_pbar1, compute_pbar2, phi, phi_context,
+                                solve, solve_grid, zeta1, zeta2)
 from parieq.errors import DomainError, NoEquilibriumError
 from parieq.measure import (BeliefMeasure, from_density, mass, scaled, tabulated,
                             uniform, wedge)
@@ -146,6 +146,17 @@ class TestResponseMap:
     def test_interior_value_with_active_bettor(self):
         ctx = phi_context(MarketParams(kappa=0.8, q=0.9, w=1.0), uniform())
         assert phi(0.7, ctx) == pytest.approx(0.41763534094248644, abs=1e-9)
+
+    def test_clamps_float_dust_at_the_band_ends_and_rejects_more(self):
+        ctx = phi_context(MarketParams(kappa=0.8, q=0.9, w=1.0), uniform())
+        lo, hi = 1.0 - 0.8, 0.8
+        for p in (math.nextafter(lo, 0.0), lo - 0.5 * _DOMAIN_EPS):
+            assert phi(p, ctx) == phi(lo, ctx) == 1.0
+        for p in (math.nextafter(hi, 1.0), hi + 0.5 * _DOMAIN_EPS):
+            assert phi(p, ctx) == phi(hi, ctx) == 0.0
+        for p in (lo - 2.0 * _DOMAIN_EPS, hi + 2.0 * _DOMAIN_EPS, math.nan):
+            with pytest.raises(DomainError, match="candidate probability"):
+                phi(p, ctx)
 
     def test_continuous_at_action_boundaries(self):
         ctx = phi_context(MarketParams(kappa=0.8, q=0.9, w=1.0), uniform())

@@ -65,6 +65,64 @@ class TestSymmetrizedWedgeDensity:
             assert m.density(p) == pytest.approx(m.density(1 - p), rel=1e-14)
 
 
+# The wedge formulas written out in full, one evaluation per call. The
+# families precompute their constants, and their closures must still give
+# these bits: every committed sweep reference digit depends on them.
+def _reference_wedge_cumulative(n, p):
+    cut = 1.0 / n
+    if p <= cut:
+        return -n * (n - 1) * p * p + (2.0 * (n - 1) + cut) * p
+    head = (n - 1) / n + cut * cut
+    return head + (p - cut) * cut
+
+
+def _reference_wedge_density(n, p):
+    if p < 1.0 / n:
+        return -2.0 * n * (n - 1) * p + 2.0 * (n - 1) + 1.0 / n
+    return 1.0 / n
+
+
+def _reference_wedge_mass(n, lo, hi):
+    return _reference_wedge_cumulative(n, hi) - _reference_wedge_cumulative(n, lo)
+
+
+REFERENCE_WEDGES = {
+    "wedge": (wedge, _reference_wedge_mass, _reference_wedge_density),
+    "symmetrized_wedge": (
+        symmetrized_wedge,
+        lambda n, lo, hi: 0.5 * (_reference_wedge_mass(n, lo, hi)
+                                 + _reference_wedge_mass(n, 1.0 - hi, 1.0 - lo)),
+        lambda n, p: 0.5 * (_reference_wedge_density(n, p)
+                            + _reference_wedge_density(n, 1.0 - p))),
+}
+
+
+def _wedge_test_points(n):
+    # the ends, 3 floats either side of both knees, 200 seeded draws
+    points = {0.0, 1.0, *np.random.default_rng(2).uniform(0.0, 1.0, 200).tolist()}
+    for knee in (1.0 / n, 1.0 - 1.0 / n):
+        below = above = knee
+        points.add(knee)
+        for _ in range(3):
+            below, above = math.nextafter(below, -1.0), math.nextafter(above, 2.0)
+            points |= {below, above}
+    return sorted(p for p in points if 0.0 <= p <= 1.0)
+
+
+class TestWedgeFormulasBitForBit:
+    @pytest.mark.parametrize("n", [1, 2, 10, 100, 2**40, 2**53])
+    @pytest.mark.parametrize("family", sorted(REFERENCE_WEDGES))
+    def test_mass_and_density_match_the_written_out_formulas(self, family, n):
+        build, ref_mass, ref_density = REFERENCE_WEDGES[family]
+        m, ps = build(n), _wedge_test_points(n)
+        intervals = ([(0.0, p) for p in ps] + [(p, 1.0) for p in ps]
+                     + list(zip(ps, ps[1:])))
+        assert ([m.exact_mass(lo, hi).hex() for lo, hi in intervals]
+                == [ref_mass(n, lo, hi).hex() for lo, hi in intervals])
+        assert ([m.density(p).hex() for p in ps]
+                == [ref_density(n, p).hex() for p in ps])
+
+
 class TestGaussianMixtureDensity:
     def test_single_kernel_peak(self):
         got = gaussian_mixture([1.0], [0.5], [0.1]).density(0.5)
