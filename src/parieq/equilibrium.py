@@ -23,12 +23,14 @@ that crossing by bisection and rebuilds the equilibrium from it.
 
 ``solve_grid`` runs the same three bisections for many takes at once, one
 float64 numpy lane per kappa, and returns bit for bit what ``solve`` returns
-for each. It pays when the grid is large: each numpy step has a fixed
-overhead, so at kappa = 0.8, q = 0.9, w = 1 a batch of one took 64 times
-as long as ``solve`` on wedge(100) (9.8 against 0.15 ms), 60 times on a
-4-knot tabulated density and 29 times on a 2-kernel Gaussian mixture. So
-single solves stay scalar, and ``solve`` remains the reference the grid is
-tested against.
+for each. The lanes carry only the common bisection path; the rare lane
+that leaves it (a bracket that runs out of floats, say) is handed to
+``solve``, which handles every exit. The batch pays when the grid is large:
+each numpy step has a fixed overhead, so at kappa = 0.8, q = 0.9, w = 1 a
+batch of one took 64 times as long as ``solve`` on wedge(100) (9.8 against
+0.15 ms), 60 times on a 4-knot tabulated density and 29 times on a
+2-kernel Gaussian mixture. So single solves stay scalar, and ``solve``
+remains the reference the grid is tested against.
 """
 
 from dataclasses import dataclass
@@ -281,22 +283,20 @@ def solve_grid(kappas: Sequence[float], q: float, w: float, measure: BeliefMeasu
     """[solve(MarketParams(kappa=k, q=q, w=w), measure, fp_tol) for k in kappas].
 
     The two boundary bisections and the fixed-point bisection run for every
-    kappa at once, one float64 lane each, and every lane replays
-    ``_bisect_decreasing`` step for step: bracket checks, the step cap, the
-    stop when float resolution runs out, the exact-zero return, the width
-    and residual stops with the best point kept, and the neighbour scan.
-    Masses come from the measure's exact_mass_array, which matches
-    exact_mass bit for bit, so each result equals the scalar solve's.
+    kappa at once, one float64 lane each. The lanes carry only the common
+    path of ``_bisect_decreasing``: its midpoint steps with the best point
+    kept, to the width and residual stop or an exact zero. Masses come from
+    the measure's exact_mass_array, which matches exact_mass bit for bit,
+    so each lane that finishes equals the scalar solve.
 
-    A lane the batch does not finish is handed to ``solve`` itself, in
-    order: a kappa outside (0.5, 1), a bracket check that fails, action
-    boundaries out of order, or a response value that is not finite (where
-    Python's float division or math.sqrt raises). So the first kappa that
-    fails raises exactly what the scalar loop raises for it; an error the
-    measure itself raises propagates from the batch.
+    Every other lane is handed to ``solve`` itself, in order: a kappa
+    outside (0.5, 1), a bad fp_tol, a bracket check that fails, action
+    boundaries out of order, a value that is not finite (where Python's
+    float division or math.sqrt raises), a bracket that runs out of floats,
+    or the step cap. So the first kappa that fails raises exactly what the
+    scalar loop raises for it; an error the measure itself raises
+    propagates from the batch.
     """
-    if not fp_tol > 0.0:
-        raise DomainError(f"fp_tol must be positive, got {fp_tol}")
     kappa = np.array(kappas, dtype=float)
     lanes = np.flatnonzero((kappa > 0.5) & (kappa < 1.0))
     with np.errstate(all="ignore"):  # non-finite values mark lanes, not warnings
@@ -368,8 +368,8 @@ def _stake_lanes(kappa, belief, d1, d2, own, w):
 
 
 def _phi_lanes(p, kappa, q, w, m, pbar1, pbar2):
-    # phi per lane: all three regimes, then the one each lane's p selects
-    p = np.minimum(np.maximum(p, 1.0 - kappa), kappa)  # _clamp_to's clamp
+    # phi per lane: all three regimes, then the one each lane's p selects;
+    # every probe lies in [1 - kappa, kappa], where phi's clamp returns p
     d1, d2 = _D_lanes(p, kappa, m)
     s2 = _stake_lanes(kappa, 1.0 - q, d1, d2, d2, w)
     s1 = _stake_lanes(kappa, q, d1, d2, d1, w)
@@ -379,20 +379,25 @@ def _phi_lanes(p, kappa, q, w, m, pbar1, pbar2):
 
 def _bisect_lanes(g, lo: np.ndarray, hi: np.ndarray, width_tol: float,
                   residual_tol: float | None = None):
-    """_bisect_decreasing on every lane at once, step for step.
+    """The common path of _bisect_decreasing on every lane at once.
 
-    g(i, p) evaluates the lanes with indices i at points p. Returns
-    (root, |g(root)|, ok); a lane is not ok where the scalar bisection
-    raises or g is not finite, and its root then means nothing.
+    g(i, p) evaluates the lanes with indices i at points p. Each lane takes
+    the scalar bisection's midpoint steps, keeps its best point, and returns
+    where the scalar one returns on that path: at an exact zero, or once the
+    bracket is narrower than width_tol and the best |g| is within
+    residual_tol. Returns (root, |g(root)|, ok). Every other exit leaves the
+    lane not ok, its root meaningless, for ``solve`` to redo: a bracket check
+    that fails, a g that is not finite, a bracket that runs out of floats,
+    or the step cap.
     """
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)  # fresh arrays, updated in place
     every = np.arange(lo.size)
     glo, ghi = g(every, lo), g(every, hi)
-    ok = np.isfinite(glo) & np.isfinite(ghi) & (glo >= ghi) & (glo >= 0.0) & (ghi <= 0.0)
+    live = np.isfinite(glo) & np.isfinite(ghi) & (glo >= ghi) & (glo >= 0.0) & (ghi <= 0.0)
     take_lo = abs(glo) <= abs(ghi)
     best_p = np.where(take_lo, lo, hi)
     best_g = np.where(take_lo, abs(glo), abs(ghi))
-    live, returned = ok.copy(), np.zeros(lo.size, dtype=bool)
+    ok = np.zeros(lo.size, dtype=bool)
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         live &= (mid > lo) & (mid < hi)  # float resolution exhausted
@@ -401,8 +406,6 @@ def _bisect_lanes(g, lo: np.ndarray, hi: np.ndarray, width_tol: float,
             break
         m = mid[i]
         gm = g(i, m)
-        ok[i] &= np.isfinite(gm)
-        live[i] = ok[i]
         better = abs(gm) < best_g[i]
         best_p[i] = np.where(better, m, best_p[i])
         best_g[i] = np.where(better, abs(gm), best_g[i])
@@ -414,19 +417,8 @@ def _bisect_lanes(g, lo: np.ndarray, hi: np.ndarray, width_tol: float,
             stop &= best_g[i] <= residual_tol
         zero = gm == 0.0  # exact crossing: that midpoint, whatever the best
         best_p[i[zero]], best_g[i[zero]] = m[zero], 0.0
-        stop |= zero
-        returned[i[stop]] = True
-        live[i[stop]] = False
-    if residual_tol is not None:
-        # the bracket is ulp-wide; scan the neighbours of the best point
-        i = np.flatnonzero(ok & ~returned & (best_g > residual_tol))
-        up = dn = best_p[i]
-        for _ in range(8):
-            up, dn = np.nextafter(up, 1.0), np.nextafter(dn, 0.0)
-            for cand in (up, dn):
-                gc = g(i, cand)
-                ok[i] &= np.isfinite(gc)
-                better = abs(gc) < best_g[i]
-                best_p[i] = np.where(better, cand, best_p[i])
-                best_g[i] = np.where(better, abs(gc), best_g[i])
+        finite = np.isfinite(gm)
+        stop = (stop | zero) & finite
+        ok[i[stop]] = True
+        live[i] = finite & ~stop
     return best_p, best_g, ok

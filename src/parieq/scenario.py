@@ -16,12 +16,11 @@ from typing import Any, Optional, Union
 from . import measure as measure_mod
 from .errors import ConfigError, DomainError
 from .measure import BeliefMeasure
+from .stackelberg import KAPPA_SEARCH_HI, KAPPA_SEARCH_LO
 
 METRIC_NAMES = ("house_revenue", "diffuse_actual_profit",
                 "diffuse_subjective_profit", "atomic_subjective_profit")
 
-SWEEP_LO_MIN = 0.5 + 1e-4
-SWEEP_HI_MAX = 1.0 - 1e-4
 MAX_SCALED_DEPTH = 500  # each level adds frames to every mass call; about 984 crash
 
 
@@ -147,10 +146,10 @@ def parse_scenario(obj: Any) -> Scenario:
         steps = kappa_raw.get("steps")
         if type(steps) is not int or steps < 2:  # bool is an int subclass
             raise ConfigError(f"sweep 'steps' must be an integer >= 2, got {steps!r}")
-        if lo < SWEEP_LO_MIN or hi > SWEEP_HI_MAX or lo > hi:
+        if lo < KAPPA_SEARCH_LO or hi > KAPPA_SEARCH_HI or lo > hi:
             raise ConfigError(
-                f"sweep range must satisfy {SWEEP_LO_MIN} <= lo <= hi <= "
-                f"{SWEEP_HI_MAX}, got [{lo}, {hi}]")
+                f"sweep range must satisfy {KAPPA_SEARCH_LO} <= lo <= hi <= "
+                f"{KAPPA_SEARCH_HI}, got [{lo}, {hi}]")
         kappa = SweepSpec(lo=lo, hi=hi, steps=steps)
     elif _is_number(kappa_raw):
         kappa = float(kappa_raw)

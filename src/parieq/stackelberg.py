@@ -20,7 +20,8 @@ from .measure import BeliefMeasure
 from .metrics import house_revenue
 from .response import MarketParams
 
-# clamp away from the degenerate limits kappa -> 0.5 and kappa -> 1
+# the takes searched here and swept by scenarios: clamped away from the
+# degenerate limits kappa -> 0.5 and kappa -> 1
 KAPPA_SEARCH_LO = 0.5 + 1e-4
 KAPPA_SEARCH_HI = 1.0 - 1e-4
 

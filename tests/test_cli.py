@@ -193,6 +193,13 @@ class TestConfigErrors:
         path = write_scenario(tmp_path, **overrides)
         assert main(["solve", "--scenario", str(path)]) == 1
 
+    def test_sweep_range_is_the_take_search_interval(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, kappa={"lo": 0.5, "hi": 0.9, "steps": 5})
+        assert main(["sweep", "--scenario", str(path),
+                     "--out", str(tmp_path / "out.csv")]) == 1
+        assert ("sweep range must satisfy 0.5001 <= lo <= hi <= 0.9999"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("n", [1.5, True, "7"])
     @pytest.mark.parametrize("kind", ["wedge", "symmetrized_wedge"])
     def test_wedge_order_must_be_a_json_integer(self, tmp_path, kind, n):
@@ -501,4 +508,33 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True,
                           cwd=Path(parieq.__file__).resolve().parents[1])
     assert proc.returncode == 0
+    assert proc.stdout.startswith("# schema=1")
+
+
+# the parieq console script, run with the test-only packages unimportable
+_WITHOUT_TEST_PACKAGES = """
+import importlib.abc
+import sys
+
+
+class Unimportable(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("scipy", "hypothesis", "pytest"):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+
+sys.meta_path.insert(0, Unimportable())
+from parieq.cli import console_entry
+console_entry()
+"""
+
+
+def test_solve_needs_only_numpy_at_run_time(tmp_path):
+    path = write_scenario(tmp_path, metrics=list(METRIC_NAMES), p_actual=0.6)
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_TEST_PACKAGES, "solve",
+                           "--scenario", str(path)],
+                          capture_output=True, text=True,
+                          cwd=Path(parieq.__file__).resolve().parents[1])
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("# schema=1")

@@ -16,6 +16,7 @@ from scipy import optimize
 from conftest import (BASELINE_W, assert_equilibrium_properties, bundled_cases,
                       scenario_zoo)
 from test_measure import _family_zoo
+import parieq.equilibrium as equilibrium_mod
 from parieq.equilibrium import (_DOMAIN_EPS, FP_TOL, _D, _bisect_decreasing,
                                 compute_pbar1, compute_pbar2, phi, phi_context,
                                 solve, solve_grid, zeta1, zeta2)
@@ -331,6 +332,19 @@ def _assert_same_as_solve(kappas, q, w, m, fp_tol=FP_TOL):
     assert not bad, f"{len(bad)} lanes differ from solve, first at kappa={bad[0]}"
 
 
+def _handovers(monkeypatch, kappas, q, w, m):
+    # the takes solve_grid hands to solve, in the order it hands them over
+    taken = []
+
+    def counting_solve(params, *args, **kwargs):
+        taken.append(params.kappa)
+        return solve(params, *args, **kwargs)
+
+    monkeypatch.setattr(equilibrium_mod, "solve", counting_solve)
+    solve_grid(kappas, q, w, m)
+    return taken
+
+
 class TestSolveGrid:
     """solve_grid against solve, bit for bit, lane by lane."""
 
@@ -350,7 +364,7 @@ class TestSolveGrid:
     @pytest.mark.parametrize("m", [
         from_density(lambda p: 1.0 + 3.0 * p * p),
         # steep enough that one lane's bracket runs out of floats above the
-        # residual tolerance and takes the neighbour scan
+        # residual tolerance, and that lane goes to solve
         tabulated([(0.0, 1e-6), (0.5, 1e6), (1.0, 1e-6)]),
     ], ids=lambda m: m.kind)
     def test_quadrature_and_steep_measures(self, m):
@@ -402,3 +416,18 @@ class TestSolveGrid:
 
     def test_empty_grid(self):
         assert solve_grid([], 0.5, 1.0, uniform()) == []
+        # the scalar loop checks no tolerance when it has no take to solve
+        assert solve_grid([], 0.5, 1.0, uniform(), fp_tol=0.0) == []
+
+    def test_steep_measure_hands_over_the_lane_out_of_floats(self, monkeypatch):
+        m = tabulated([(0.0, 1e-6), (0.5, 1e6), (1.0, 1e-6)])
+        taken = _handovers(monkeypatch, _grid(64, 0.5001, 0.9999), 0.7, 1.0, m)
+        assert taken == [0.5001]
+        # only a bracket that runs out of floats ends above the residual tolerance
+        assert solve(MarketParams(kappa=0.5001, q=0.7, w=1.0), m).residual > FP_TOL
+
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_bundled_take_grids_hand_over_at_most_one_lane(self, monkeypatch, name):
+        sc = load_scenario(bundled_scenarios()[name])
+        assert len(_handovers(monkeypatch, _grid(256), sc.q, sc.w,
+                              sc.belief_measure)) <= 1

@@ -8,7 +8,7 @@ import pytest
 import parieq.stackelberg as stackelberg_mod
 from parieq.equilibrium import FP_TOL, solve
 from parieq.errors import DomainError
-from parieq.measure import scaled, uniform
+from parieq.measure import gaussian_mixture, scaled, uniform
 from parieq.metrics import house_revenue
 from parieq.response import MarketParams
 from parieq.scenario import build_measure, bundled_scenarios, load_scenario
@@ -125,3 +125,10 @@ class TestOptimizeTake:
         for (k1, r1), (k2, r2) in zip(base.profile, half.profile):
             assert k1 == k2
             assert r2 == pytest.approx(0.5 * r1, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=DomainError,
+                   reason="one take whose boundaries come out equal ends the "
+                          "whole search: out of order at kappa=0.6079")
+def test_one_degenerate_take_does_not_end_the_search():
+    optimize_take(gaussian_mixture([1, 1], [0.7, 0.9], [0.05, 0.05]), 0.8, 1.0)
