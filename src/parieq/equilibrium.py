@@ -22,13 +22,13 @@ phi(kappa) = 0, so it crosses the diagonal exactly once; ``solve`` brackets
 that crossing by bisection and rebuilds the equilibrium from it.
 
 ``solve_grid`` runs the same three bisections for many takes at once, one
-float64 numpy lane per kappa, and returns bit for bit what ``solve`` returns
-for each. The lanes carry only the common bisection path; the rare lane
-that leaves it (a bracket that runs out of floats, say) is handed to
-``solve``, which handles every exit. The batch pays when the grid is large:
-each numpy step has a fixed overhead, so at kappa = 0.8, q = 0.9, w = 1 a
-batch of one took 64 times as long as ``solve`` on wedge(100) (9.8 against
-0.15 ms), 60 times on a 4-knot tabulated density and 29 times on a
+float64 numpy lane per kappa and bisection, and returns bit for bit what
+``solve`` returns for each. The lanes carry only the common bisection path;
+the rare lane that leaves it (a bracket that runs out of floats, say) is
+handed to ``solve``, which handles every exit. The batch pays when the grid
+is large: each numpy step has a fixed overhead, so at kappa = 0.8, q = 0.9,
+w = 1 a batch of one took 25 times as long as ``solve`` on wedge(100) (7.1
+against 0.29 ms), 20 times on a 4-knot tabulated density and 14 times on a
 2-kernel Gaussian mixture. So single solves stay scalar, and ``solve``
 remains the reference the grid is tested against.
 """
@@ -282,28 +282,29 @@ def solve_grid(kappas: Sequence[float], q: float, w: float, measure: BeliefMeasu
                fp_tol: float = FP_TOL) -> list[Equilibrium]:
     """[solve(MarketParams(kappa=k, q=q, w=w), measure, fp_tol) for k in kappas].
 
-    The two boundary bisections and the fixed-point bisection run for every
-    kappa at once, one float64 lane each. The lanes carry only the common
-    path of ``_bisect_decreasing``: its midpoint steps with the best point
-    kept, to the width and residual stop or an exact zero. Masses come from
-    the measure's exact_mass_array, which matches exact_mass bit for bit,
-    so each lane that finishes equals the scalar solve.
+    The boundary bisections and the fixed-point bisection run for every
+    float kappa at once, one float64 lane each: first one loop over both
+    boundaries (a pbar1 lane and a pbar2 lane per kappa), then one over the
+    fixed points. The lanes carry only the common path of
+    ``_bisect_decreasing``: its midpoint steps with the best point kept, to
+    the width and residual stop or an exact zero. Masses come from the
+    measure's exact_mass_array, which matches exact_mass bit for bit, so
+    each lane that finishes equals the scalar solve.
 
-    Every other lane is handed to ``solve`` itself, in order: a kappa
-    outside (0.5, 1), a bad fp_tol, a bracket check that fails, action
-    boundaries out of order, a value that is not finite (where Python's
-    float division or math.sqrt raises), a bracket that runs out of floats,
-    or the step cap. So the first kappa that fails raises exactly what the
-    scalar loop raises for it; an error the measure itself raises
+    Every other take is handed to ``solve`` itself, in order: a kappa that
+    is not a float in (0.5, 1), a bad fp_tol, a bracket check that fails,
+    action boundaries out of order, a value that is not finite (where
+    Python's float division or math.sqrt raises), a bracket that runs out
+    of floats, or the step cap. So the first kappa that fails raises exactly
+    what the scalar loop raises for it; an error the measure itself raises
     propagates from the batch.
     """
-    kappa = np.array(kappas, dtype=float)
-    lanes = np.flatnonzero((kappa > 0.5) & (kappa < 1.0))
+    lanes = [i for i, k in enumerate(kappas) if isinstance(k, float) and 0.5 < k < 1.0]
     with np.errstate(all="ignore"):  # non-finite values mark lanes, not warnings
-        p_star, residual, d1s, d2s, ok = _grid_fixed_points(
-            kappa[lanes], q, w, measure, fp_tol)
-    done = dict(zip(lanes[ok].tolist(), zip(p_star[ok].tolist(), residual[ok].tolist(),
-                                             d1s[ok].tolist(), d2s[ok].tolist())))
+        solved = _grid_fixed_points(np.array([kappas[i] for i in lanes], dtype=float),
+                                    q, w, measure, fp_tol)
+    finished, *values = (a.tolist() for a in solved)
+    done = {lanes[j]: lane for j, lane in zip(finished, zip(*values))}
     out = []
     for i, k in enumerate(kappas):
         params = MarketParams(kappa=k, q=q, w=w)
@@ -314,85 +315,80 @@ def solve_grid(kappas: Sequence[float], q: float, w: float, measure: BeliefMeasu
 
 def _grid_fixed_points(kappa: np.ndarray, q: float, w: float, m: BeliefMeasure,
                        fp_tol: float):
-    # (p_star, residual, d1, d2, ok) per lane; the values are meaningless where not ok
+    # (lane, p_star, residual, d1, d2) for each lane that finishes
     lo, hi = 1.0 - kappa, kappa
-    ok = np.ones(kappa.size, dtype=bool)
-    if q == 0.0:
-        pbar1 = kappa
-    else:
-        def g1(i, p):
-            d1, d2 = _D_lanes(p, kappa[i], m)
-            return d1 / (kappa[i] * (d1 + d2)) - q
-        pbar1, _, ok1 = _bisect_lanes(g1, lo, hi, fp_tol)
-        ok &= ok1
-    if q == 1.0:
-        pbar2 = 1.0 - kappa
-    else:
-        def g2(i, p):
-            d1, d2 = _D_lanes(p, kappa[i], m)
-            return (1.0 - q) - d2 / (kappa[i] * (d1 + d2))
-        pbar2, _, ok2 = _bisect_lanes(g2, lo, hi, fp_tol)
-        ok &= ok2
-    ok &= pbar2 < pbar1
-    live = np.flatnonzero(ok)
+    # both boundaries in one loop: per kappa a pbar1 lane, unless q = 0 pins
+    # pbar1 to kappa, and a pbar2 lane, unless q = 1 pins pbar2 to 1 - kappa
+    halves = [is1 for is1, pinned in ((True, q == 0.0), (False, q == 1.0))
+              if not pinned]
+    on_pbar1, k2 = np.repeat(halves, kappa.size), np.tile(kappa, len(halves))
+
+    def g_bar(p):
+        d1, d2 = _D_lanes(p, k2, m)
+        t = k2 * (d1 + d2)
+        # compute_pbar2's rising ratio, negated as there
+        return np.where(on_pbar1, d1 / t - q, (1.0 - q) - d2 / t)
+
+    bar, _, bar_ok = _bisect_lanes(g_bar, np.tile(lo, len(halves)),
+                                   np.tile(hi, len(halves)), fp_tol)
+    bar, bar_ok = bar.reshape(len(halves), -1), bar_ok.reshape(len(halves), -1)
+    pbar1 = hi if q == 0.0 else bar[0]
+    pbar2 = lo if q == 1.0 else bar[-1]
+    live = np.flatnonzero(bar_ok.all(axis=0) & (pbar2 < pbar1))
     kappa, lo, hi, pbar1, pbar2 = (a[live] for a in (kappa, lo, hi, pbar1, pbar2))
 
-    def g(i, p):
-        return _phi_lanes(p, kappa[i], q, w, m, pbar1[i], pbar2[i]) - p
+    def g(p):
+        return _phi_lanes(p, kappa, q, w, m, pbar1, pbar2) - p
 
-    p_live, res_live, ok_live = _bisect_lanes(g, lo, hi, fp_tol, residual_tol=fp_tol)
-    ok[live] = ok_live
-    p_star, residual = np.zeros(ok.size), np.zeros(ok.size)
-    p_star[live], residual[live] = p_live, res_live
-    d1s, d2s = np.zeros(ok.size), np.zeros(ok.size)
-    d1s[live], d2s[live] = _D_lanes(p_live, kappa, m)
-    return p_star, residual, d1s, d2s, ok
+    p_star, residual, ok = _bisect_lanes(g, lo, hi, fp_tol, residual_tol=fp_tol)
+    d1s, d2s = _D_lanes(p_star, kappa, m)
+    return live[ok], p_star[ok], residual[ok], d1s[ok], d2s[ok]
 
 
 def _D_lanes(p: np.ndarray, kappa: np.ndarray, m: BeliefMeasure):
-    # _D per lane; mass() returns 0.0 for an empty interval without asking the measure
+    # _D per lane, both intervals in one exact_mass_array call; mass()
+    # returns 0.0 for an empty interval without asking the measure
     lo1 = np.minimum(p / kappa, 1.0)
     hi2 = np.maximum(1.0 - (1.0 - p) / kappa, 0.0)
-    d1 = np.where(lo1 == 1.0, 0.0, m.exact_mass_array(lo1, np.ones_like(p)))
-    d2 = np.where(hi2 == 0.0, 0.0, m.exact_mass_array(np.zeros_like(p), hi2))
-    return d1, d2
-
-
-def _stake_lanes(kappa, belief, d1, d2, own, w):
-    # min(w, _stake(...)) per lane, with Python's min/max tie rules. A
-    # negative d1 * d2 (masses rounded below zero) makes math.sqrt raise but
-    # np.sqrt return NaN, so NaN is kept to mark the lane for solve
-    x = np.sqrt(kappa * belief / (1.0 - kappa * belief) * d1 * d2) - own
-    x = np.where(x <= 0.0, 0.0, x)
-    return np.where(x >= w, w, x)
+    d = m.exact_mass_array(np.concatenate((lo1, np.zeros_like(p))),
+                           np.concatenate((np.ones_like(p), hi2)))
+    return np.where(lo1 == 1.0, 0.0, d[:p.size]), np.where(hi2 == 0.0, 0.0, d[p.size:])
 
 
 def _phi_lanes(p, kappa, q, w, m, pbar1, pbar2):
-    # phi per lane: all three regimes, then the one each lane's p selects;
-    # every probe lies in [1 - kappa, kappa], where phi's clamp returns p
+    # phi per lane, with one stake, on the side the lane's regime selects,
+    # set to 0.0 where she abstains: (s + d1) / (s + d1 + d2) when she backs
+    # Outcome 1, d1 / (s + d1 + d2) when she backs Outcome 2, and
+    # d1 / (d1 + d2), bit for bit, in between. Every probe lies in
+    # [1 - kappa, kappa], where phi's clamp returns p
     d1, d2 = _D_lanes(p, kappa, m)
-    s2 = _stake_lanes(kappa, 1.0 - q, d1, d2, d2, w)
-    s1 = _stake_lanes(kappa, q, d1, d2, d1, w)
-    return np.where(p < pbar2, d1 / (s2 + d1 + d2),
-                    np.where(p <= pbar1, d1 / (d1 + d2), (s1 + d1) / (s1 + d1 + d2)))
+    back1 = p > pbar1  # which excludes p < pbar2, as pbar2 < pbar1 on every lane
+    belief, own = np.where(back1, q, 1.0 - q), np.where(back1, d1, d2)
+    # min(w, _stake(...)) with Python's min/max tie rules. A negative d1 * d2
+    # (masses rounded below zero) makes math.sqrt raise but np.sqrt return
+    # NaN, so NaN is kept to mark the lane for solve, unless she abstains
+    s = np.sqrt(kappa * belief / (1.0 - kappa * belief) * d1 * d2) - own
+    s = np.where(s <= 0.0, 0.0, s)
+    s = np.where(back1 | (p < pbar2), np.where(s >= w, w, s), 0.0)
+    return (np.where(back1, s, 0.0) + d1) / (s + d1 + d2)
 
 
 def _bisect_lanes(g, lo: np.ndarray, hi: np.ndarray, width_tol: float,
                   residual_tol: float | None = None):
     """The common path of _bisect_decreasing on every lane at once.
 
-    g(i, p) evaluates the lanes with indices i at points p. Each lane takes
-    the scalar bisection's midpoint steps, keeps its best point, and returns
-    where the scalar one returns on that path: at an exact zero, or once the
-    bracket is narrower than width_tol and the best |g| is within
-    residual_tol. Returns (root, |g(root)|, ok). Every other exit leaves the
-    lane not ok, its root meaningless, for ``solve`` to redo: a bracket check
-    that fails, a g that is not finite, a bracket that runs out of floats,
-    or the step cap.
+    g(p) evaluates every lane at its point p. The arrays stay full width:
+    each round evaluates every lane, and masked copies update only the
+    live ones. Each lane takes the scalar bisection's midpoint steps, keeps
+    its best point, and returns where the scalar one returns on that path:
+    at an exact zero, or once the bracket is narrower than width_tol and the
+    best |g| is within residual_tol. Returns (root, |g(root)|, ok). Every
+    other exit leaves the lane not ok, its root meaningless, for ``solve``
+    to redo: a bracket check that fails, a g that is not finite, a bracket
+    that runs out of floats, or the step cap.
     """
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)  # fresh arrays, updated in place
-    every = np.arange(lo.size)
-    glo, ghi = g(every, lo), g(every, hi)
+    glo, ghi = g(lo), g(hi)
     live = np.isfinite(glo) & np.isfinite(ghi) & (glo >= ghi) & (glo >= 0.0) & (ghi <= 0.0)
     take_lo = abs(glo) <= abs(ghi)
     best_p = np.where(take_lo, lo, hi)
@@ -401,24 +397,21 @@ def _bisect_lanes(g, lo: np.ndarray, hi: np.ndarray, width_tol: float,
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         live &= (mid > lo) & (mid < hi)  # float resolution exhausted
-        i = np.flatnonzero(live)
-        if i.size == 0:
+        if not live.any():
             break
-        m = mid[i]
-        gm = g(i, m)
-        better = abs(gm) < best_g[i]
-        best_p[i] = np.where(better, m, best_p[i])
-        best_g[i] = np.where(better, abs(gm), best_g[i])
-        up = gm > 0.0
-        lo[i] = np.where(up, m, lo[i])
-        hi[i] = np.where(up, hi[i], m)
-        stop = hi[i] - lo[i] < width_tol
-        if residual_tol is not None:
-            stop &= best_g[i] <= residual_tol
+        gm = g(mid)
         zero = gm == 0.0  # exact crossing: that midpoint, whatever the best
-        best_p[i[zero]], best_g[i[zero]] = m[zero], 0.0
+        better = live & ((abs(gm) < best_g) | zero)
+        np.copyto(best_p, mid, where=better)
+        np.copyto(best_g, abs(gm), where=better)
+        up = gm > 0.0
+        np.copyto(lo, mid, where=live & up)
+        np.copyto(hi, mid, where=live & ~up)
+        stop = hi - lo < width_tol
+        if residual_tol is not None:
+            stop &= best_g <= residual_tol
         finite = np.isfinite(gm)
         stop = (stop | zero) & finite
-        ok[i[stop]] = True
-        live[i] = finite & ~stop
+        ok |= live & stop
+        live &= finite & ~stop
     return best_p, best_g, ok

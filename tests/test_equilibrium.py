@@ -5,6 +5,7 @@ equations with scipy refinement; fixed points are cross-checked by scipy
 brentq on the same response map.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -332,8 +333,8 @@ def _assert_same_as_solve(kappas, q, w, m, fp_tol=FP_TOL):
     assert not bad, f"{len(bad)} lanes differ from solve, first at kappa={bad[0]}"
 
 
-def _handovers(monkeypatch, kappas, q, w, m):
-    # the takes solve_grid hands to solve, in the order it hands them over
+def _count_handovers(monkeypatch):
+    # the takes solve_grid hands to solve from now on, in the order it hands them over
     taken = []
 
     def counting_solve(params, *args, **kwargs):
@@ -341,6 +342,11 @@ def _handovers(monkeypatch, kappas, q, w, m):
         return solve(params, *args, **kwargs)
 
     monkeypatch.setattr(equilibrium_mod, "solve", counting_solve)
+    return taken
+
+
+def _handovers(monkeypatch, kappas, q, w, m):
+    taken = _count_handovers(monkeypatch)
     solve_grid(kappas, q, w, m)
     return taken
 
@@ -382,12 +388,31 @@ class TestSolveGrid:
         (_grid(16), 0.5, math.inf),
         (_grid(16), 0.9, 0.0),                 # nonpositive tolerance
         (_grid(16), 1.5, FP_TOL),              # invalid belief
+        ([0.7, 10**400, 0.8], 0.9, FP_TOL),    # an int too large for a float
     ])
     def test_raises_what_the_scalar_loop_raises(self, kappas, q, fp_tol):
         got = _outcome(lambda: solve_grid(kappas, q, 1.0, uniform(), fp_tol=fp_tol))
         want = _outcome(lambda: _scalar_loop(kappas, q, 1.0, uniform(), fp_tol))
         assert not isinstance(want, list)
         assert got == want
+
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_bundled_take_grid_mass_calls(self, name):
+        # both boundaries bisect in one loop, and each probe of the 256 lanes
+        # asks the measure once for d1 and d2 together; a boundary that q
+        # pins gets no lanes
+        sc = load_scenario(bundled_scenarios()[name])
+        sizes = []
+
+        def counting(lo, hi, exact_mass_array=sc.belief_measure.exact_mass_array):
+            sizes.append(lo.size)
+            return exact_mass_array(lo, hi)
+
+        m = dataclasses.replace(sc.belief_measure, exact_mass_array=counting)
+        solve_grid(_grid(256), sc.q, sc.w, m)
+        assert len(sizes) <= 90
+        boundaries = 2 if 0.0 < sc.q < 1.0 else 1
+        assert max(sizes) == 2 * boundaries * 256
 
     def test_zero_totals_fall_back_to_solve(self):
         # every interval mass underflows to zero, so both totals vanish and
@@ -398,7 +423,7 @@ class TestSolveGrid:
         assert got[0] is DomainError
 
     @pytest.mark.parametrize("q", [0.1, 0.9])
-    def test_negative_mass_products_fall_back_to_solve(self, q):
+    def test_negative_mass_products_fall_back_to_solve(self, monkeypatch, q):
         # masses that come out negative on some intervals, as rounding can
         # make them, give d1 * d2 < 0 at some probes: math.sqrt raises
         # there, and the lane must not turn np.sqrt's NaN into a stake
@@ -408,11 +433,17 @@ class TestSolveGrid:
                           kind="rippled", exact_mass=exact,
                           exact_mass_array=lambda lo, hi: np.array([
                               exact(a, b) for a, b in zip(lo.tolist(), hi.tolist())]))
+        kappas = _grid(25, 0.51, 0.99)
+        taken = _count_handovers(monkeypatch)
         outcomes = [(_outcome(lambda: solve_grid([k], q, 1.0, m)),
                      _outcome(lambda: _scalar_loop([k], q, 1.0, m)))
-                    for k in _grid(25, 0.51, 0.99)]
+                    for k in kappas]
         assert all(got == want for got, want in outcomes)
         assert (ValueError, "math domain error") in [want for _, want in outcomes]
+        # where she abstains phi computes no stake, so a NaN one is dropped
+        # there and only takes whose solve raises are handed over
+        raised = [k for k, (_, want) in zip(kappas, outcomes) if not isinstance(want, list)]
+        assert taken and set(taken) <= set(raised)
 
     def test_empty_grid(self):
         assert solve_grid([], 0.5, 1.0, uniform()) == []

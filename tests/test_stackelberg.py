@@ -1,6 +1,8 @@
 """Take optimization: grid-plus-refinement search over the retention fraction."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,9 @@ from parieq.response import MarketParams
 from parieq.scenario import build_measure, bundled_scenarios, load_scenario
 from parieq.stackelberg import (_INV_GOLDEN, _REFINE_TOL, KAPPA_SEARCH_HI,
                                 KAPPA_SEARCH_LO, TakeOptimum, optimize_take)
+
+REFERENCE_TAKES = (Path(__file__).resolve().parents[1]
+                   / "benchmarks" / "reference" / "take_search.json")
 
 
 def scalar_optimize_take(measure, q, w, grid_points=256, fp_tol=FP_TOL):
@@ -81,6 +86,15 @@ class TestOptimizeTake:
         m = build_measure(sc.measure)
         assert _bits(optimize_take(m, sc.q, sc.w)) == _bits(
             scalar_optimize_take(m, sc.q, sc.w))
+
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_bundled_optimum_matches_the_reference_exactly(self, name):
+        # the take_search benchmark checks these within 1e-5 and 1e-9
+        want = json.loads(REFERENCE_TAKES.read_text())[name]
+        sc = load_scenario(bundled_scenarios()[name])
+        opt = optimize_take(sc.belief_measure, sc.q, sc.w)
+        assert (opt.kappa_star, opt.revenue_star) == (want["kappa_star"],
+                                                      want["revenue_star"])
 
     @pytest.mark.parametrize("fp_tol", [0.3, math.inf, 0.0, math.nan])
     def test_bad_tolerance_raises_what_the_scalar_loop_raises(self, fp_tol):
