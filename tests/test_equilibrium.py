@@ -252,6 +252,37 @@ class TestSolve:
                                   (eq.atomic.a2, base.atomic.a2)):
                     assert abs(got - c * want) <= 1e-8 * c * want, (sc.name, c)
 
+    @staticmethod
+    def _assert_exactly_scaled(m, rows):
+        # scaling by a power of two multiplies every mass and every budget
+        # exactly, so the solve must repeat its p* and scale its totals and
+        # stakes with no rounding at all
+        for c in (0.25, 4.0):
+            mc = scaled(m, c)
+            for kappa, q, w in rows:
+                base = solve(MarketParams(kappa=kappa, q=q, w=w), m)
+                eq = solve(MarketParams(kappa=kappa, q=q, w=c * w), mc)
+                assert eq.p_star == base.p_star, (kappa, q, w, c)
+                assert ((eq.d1_star, eq.d2_star, eq.atomic.a1, eq.atomic.a2)
+                        == (c * base.d1_star, c * base.d2_star,
+                            c * base.atomic.a1, c * base.atomic.a2)), (kappa, q, w, c)
+
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_scale_equivariance_is_exact_on_the_bundled_sweeps(self, name):
+        # every row of the bundled sweep --baseline, at both budgets
+        sc = load_scenario(bundled_scenarios()[name])
+        self._assert_exactly_scaled(
+            sc.belief_measure,
+            [(kappa, sc.q, w) for kappa in sc.kappa.kappas()
+             for w in sorted({BASELINE_W, sc.w})])
+
+    @pytest.mark.parametrize("m", _family_zoo() + [from_density(lambda p: 1.0 + p * p)],
+                             ids=lambda m: m.kind)
+    def test_scale_equivariance_is_exact_on_every_family(self, m):
+        self._assert_exactly_scaled(
+            m, [(kappa, q, w) for kappa in (0.5001, 0.55, 0.8, 0.95, 0.9999)
+                for q in (0.0, 0.3, 0.9, 1.0) for w in (BASELINE_W, 1.0)])
+
     def test_self_consistency_of_reconstruction(self):
         for sc in bundled_cases():
             eq = solve(sc.params, sc.measure)

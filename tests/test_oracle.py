@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import BASELINE_W, bundled_cases
 from test_measure import _family_zoo
+import parieq.oracle as oracle_mod
 from parieq.equilibrium import _D, solve
 from parieq.errors import DomainError
 from parieq.measure import (from_density, mass, scaled, symmetrized_wedge,
-                            uniform, wedge)
+                            tabulated, uniform, wedge)
 from parieq.oracle import discretize, discrete_totals, iterate_best_response
 from parieq.response import (AtomicBet, DiffuseAggregate, MarketParams,
                              atomic_best_response, implied_probability)
@@ -270,3 +271,114 @@ class TestIterateBestResponse:
         vals = [v for v in vals if v[1] is not None]
         rises = [(a, b) for a, b in zip(vals, vals[1:]) if b[1] > a[1]]
         assert not rises, rises[:3]
+
+
+def replayed_bisection(pop, params):
+    """The oracle's bisection with the totals taken afresh at every probe."""
+    def respond(P):
+        d1, d2 = discrete_totals(pop, P, params.kappa)
+        if d1 <= 0.0 or d2 <= 0.0:
+            return d1, d2, AtomicBet(a1=0.0, a2=0.0)
+        return d1, d2, atomic_best_response(DiffuseAggregate(d1=d1, d2=d2), params)
+
+    lo, hi = 1.0 - params.kappa, params.kappa
+    iterations = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        iterations += 1
+        d1, d2, bet = respond(mid)
+        pool = d1 + d2 + bet.a1 + bet.a2
+        if pool <= 0.0:
+            return mid, False, iterations, d1, d2, bet
+        if (d1 + bet.a1) / pool > mid:
+            lo = mid
+        else:
+            hi = mid
+    P = 0.5 * (lo + hi)
+    return (P, True, iterations, *respond(P))
+
+
+def count_totals(monkeypatch):
+    """Count the calls to parieq.oracle.discrete_totals from here on."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return discrete_totals(*args)
+
+    monkeypatch.setattr(oracle_mod, "discrete_totals", counted)
+    return calls
+
+
+FIVE_KNOTS = tabulated([(0.0, 0.8), (0.25, 1.5), (0.5, 0.7), (0.75, 1.6), (1.0, 1.0)])
+
+# (id, measure, N, params)
+LARGE_CASES = (
+    [(f"criterion8:{name}@{kappa}", m, 2000, MarketParams(kappa=kappa, q=q, w=w))
+     for name, m, q, w, kappa in CRITERION8_CASES]
+    + [(f"bundled:{sc.name}", sc.measure, 2000, sc.params) for sc in bundled_cases()]
+    + [("tabulated(k=5)", FIVE_KNOTS, 2000, MarketParams(kappa=0.8, q=0.65, w=1.0))])
+# the benchmark's 12 oracle_crosscheck cases at seed 0: the criterion-8
+# cases, the bundled scenarios but example1 (criterion8:example1 at 0.8) and
+# the seed-drawn tabulated measure
+CROSSCHECK_CASES = (
+    LARGE_CASES[:6] + [c for c in LARGE_CASES[6:12] if c[0] != "bundled:example1"]
+    + [("tabulated(seed=0)",
+        tabulated([(0.0, 0.7226444216845648), (0.2582177012392873, 1.5939810717600817),
+                   (0.4861872028258322, 0.7577857808188811),
+                   (0.7224584114361717, 1.6341234482454976), (1.0, 1.0458993121967997)]),
+        2000, MarketParams(kappa=0.8174028969515107, q=0.6543624991465422, w=1.0))])
+REPLAY_CASES = (
+    LARGE_CASES
+    + [("empty-pool", uniform(), 2, MarketParams(kappa=0.51, q=0.5, w=1.0))]
+    + [(f"{m.kind}:N={N}", m, N, params)
+       for m in _family_zoo() for N in (2, 3, 10)
+       for params in (MarketParams(kappa=0.839, q=1.0, w=1.0),
+                      MarketParams(kappa=0.6, q=0.7, w=0.1),
+                      MarketParams(kappa=0.51, q=0.5, w=1.0))])
+
+
+class TestCountKeyedTotals:
+    @pytest.mark.parametrize("case", REPLAY_CASES, ids=[c[0] for c in REPLAY_CASES])
+    def test_matches_fresh_totals_at_every_probe_bit_for_bit(self, case):
+        _, m, N, params = case
+        pop = discretize(m, N)
+        P, converged, iterations, d1, d2, bet = replayed_bisection(pop, params)
+        res = iterate_best_response(pop, params)
+        assert (res.iterations, res.converged) == (iterations, converged)
+        assert ([x.hex() for x in (res.p_approx, res.d1, res.d2,
+                                   res.atomic.a1, res.atomic.a2)]
+                == [x.hex() for x in (P, d1, d2, bet.a1, bet.a2)])
+
+    def test_empty_pool_counts_its_one_evaluation(self, monkeypatch):
+        params = MarketParams(kappa=0.51, q=0.5, w=1.0)
+        calls = count_totals(monkeypatch)
+        res = iterate_best_response(discretize(uniform(), 2), params)
+        assert not res.converged
+        assert res.evaluations == calls[0] == 1
+
+    @pytest.mark.parametrize("case", LARGE_CASES, ids=[c[0] for c in LARGE_CASES])
+    def test_evaluations_count_the_totals_calls(self, case, monkeypatch):
+        _, m, N, params = case
+        pop = discretize(m, N)
+        calls = count_totals(monkeypatch)
+        res = iterate_best_response(pop, params)
+        assert res.evaluations == calls[0] <= res.iterations + 1
+        again = iterate_best_response(pop, params)
+        assert again.evaluations == res.evaluations
+        # left out of == and repr, like the other result counts
+        assert dataclasses.replace(res, evaluations=res.evaluations + 1) == res
+        assert "evaluations" not in repr(res)
+
+    def test_benchmark_cases_compute_few_totals(self, monkeypatch):
+        # the bisection makes 48 to 55 probes per call on the 12
+        # oracle_crosscheck cases at N = 2000, but their totals take only 3
+        # to 18 distinct values, one per pair of bettor counts
+        for key, m, N, params in CROSSCHECK_CASES:
+            pop = discretize(m, N)
+            calls = count_totals(monkeypatch)
+            res = iterate_best_response(pop, params)
+            assert calls[0] <= 20, key
+            assert res.evaluations == calls[0], key
