@@ -48,14 +48,17 @@ again. A measure whose total mass is not finite is rejected at
 construction.
 
 exact_mass_array is exact_mass over float64 arrays, element for element,
-for the grid solver and the oracle's discretization. By default it calls
-exact_mass on each element through np.frompyfunc, so the bits are the
-same by construction. The wedge families build their scalar cumulative
-and its array twin in one place, from constants computed once per measure,
-with the same operations in the same order; uniform and tabulated write
-theirs over arrays the same way, and scaled multiplies its base's array
-mass by the factor. The Gaussian mixture (numpy has no erf) and
-from_density take the default.
+for the grid solver and the oracle's discretization. Its two bounds
+broadcast against each other as numpy operands do, so either may be a
+float: discretize passes the float 0.0 as its lower bound, and the
+cumulative at 0 is then computed once per call instead of once per lane.
+By default it calls exact_mass on each element through np.frompyfunc, so
+the bits are the same by construction. The wedge families build their
+scalar cumulative and its array twin in one place, from constants computed
+once per measure, with the same operations in the same order; uniform and
+tabulated write theirs over arrays the same way, and scaled multiplies its
+base's array mass by the factor. The Gaussian mixture (numpy has no erf)
+and from_density take the default.
 """
 
 import math
@@ -82,7 +85,9 @@ class BeliefMeasure:
     difference of the cumulative it built at construction. total_mass is
     exact_mass(0, 1).
     exact_mass_array(lo, hi) takes float64 arrays and returns, element for
-    element, the bits exact_mass returns.
+    element, the bits exact_mass returns. The bounds broadcast against each
+    other, so a float lower bound such as the 0.0 discretize passes is
+    paired with every upper bound.
     floor is a float at or below density(p) at every p in [0, 1], proven
     from the family's parameters; 0.0 when nothing is proven, and then the
     constructors establish positivity by sampling the density.
@@ -92,7 +97,7 @@ class BeliefMeasure:
     total_mass: float
     kind: str
     exact_mass: Callable[[float, float], float] = field(repr=False, compare=False)
-    exact_mass_array: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(
+    exact_mass_array: Callable[[np.ndarray | float, np.ndarray], np.ndarray] = field(
         repr=False, compare=False)
     floor: float = 0.0
 

@@ -16,12 +16,15 @@ the band), which pins that point down exactly with no tolerance to tune.
 The totals change only where a threshold crosses a bettor, so the roughly
 53 probes compute them once per distinct pair of bettor counts beyond the
 two thresholds: 3 to 18 times per call on the benchmark's 12 markets at
-N = 2000.
+N = 2000. Each count is a binary search in a sorted copy of the beliefs,
+made once per call with NaN beliefs left out (a NaN is on neither side of
+a threshold), so the population's beliefs need not be sorted.
 Agreement with the continuum solver validates both sides; no claim is made
 that the finite game itself has this as an equilibrium.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,10 +39,25 @@ MIN_POPULATION = 2
 
 @dataclass(frozen=True)
 class DiscretePopulation:
-    """Finite stand-in population: sorted beliefs with per-bettor wealth."""
+    """Finite stand-in population: one belief and one wealth per bettor.
+
+    Both are 1-D numpy float arrays of equal length. discretize returns the
+    beliefs sorted, but nothing here relies on their order.
+    """
 
     beliefs: np.ndarray
     wealths: np.ndarray
+
+    def __post_init__(self):
+        for name, a in (("beliefs", self.beliefs), ("wealths", self.wealths)):
+            if not isinstance(a, np.ndarray):
+                raise DomainError(f"{name} must be a numpy array, got {type(a).__name__}")
+            if not (a.ndim == 1 and a.dtype.kind == "f"):
+                raise DomainError(f"{name} must be a 1-D float array, got "
+                                  f"{a.dtype} of shape {a.shape}")
+        if self.beliefs.size != self.wealths.size:
+            raise DomainError(f"{self.beliefs.size} beliefs but "
+                              f"{self.wealths.size} wealths")
 
     @property
     def size(self) -> int:
@@ -63,10 +81,12 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
 
     Belief i solves mass(0, x) = (i + 1/2) * total / N. All N beliefs are
     found at once, one float64 lane each, and every mass comes from the
-    measure's exact_mass_array. A table of the cumulative mass(0, j / N) at
-    the N + 1 knots j / N, taken in one call, puts each target in a cell
-    between two knots. Its lane solves g(x) = mass(0, x) - target = 0
-    inside that cell.
+    measure's exact_mass_array, called with the float 0.0 as its lower
+    bound: it broadcasts against the array of upper bounds, so the
+    cumulative at 0 is taken once per call, not once per lane. A table of
+    the cumulative mass(0, j / N) at the N + 1 knots j / N, taken in one
+    call, puts each target in a cell between two knots. Its lane solves
+    g(x) = mass(0, x) - target = 0 inside that cell.
 
     The first probe is the quintic through the six table points around the
     cell, read as belief against mass, at the target (moved into the open
@@ -89,7 +109,7 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
     total = measure.total_mass
     mass_array = measure.exact_mass_array
     knots = np.arange(N + 1) / N
-    table = mass_array(np.zeros(N + 1), knots)  # the last entry is the total
+    table = mass_array(0.0, knots)  # the last entry is the total
     targets = (np.arange(N) + 0.5) * total / N
     # the knot at or below each target; the last cell also takes a target
     # that rounds up to the total, as the top ones do on a subnormal total
@@ -102,7 +122,7 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
         # no probe before the first: round one neither gallops nor tests |g|
         xp, gp = x, np.full(N, math.inf)
         while True:
-            g = mass_array(np.zeros_like(x), x) - targets
+            g = mass_array(0.0, x) - targets
             below = g < 0.0
             lo = np.where(below, x, lo)
             hi = np.where(below, hi, x)
@@ -177,21 +197,27 @@ def iterate_best_response(pop: DiscretePopulation, params: MarketParams) -> Orac
     undefined there.
 
     Each probe is keyed by how many bettors lie beyond each threshold, the
-    comparisons discrete_totals makes. A threshold moves monotonically with
-    P, so each set of bettors beyond it is nested in the next: equal counts
-    are equal sets, whose masked sums add the same floats in the same
-    order. So the totals and the best response are computed once per
-    distinct key, bit for bit what a fresh call would give, and
-    evaluations counts those calls.
+    comparisons discrete_totals makes, counted by binary search in a sorted
+    copy of the beliefs made once per call. NaN beliefs are left out of the
+    copy, as they are on neither side of a threshold, so the key is the
+    pair of counts for any population, sorted or not. A threshold moves
+    monotonically with P, so each set of bettors beyond it is nested in the
+    next: equal counts are equal sets, whose masked sums add the same
+    floats in the same order. So the totals and the best response are
+    computed once per distinct key, bit for bit what a fresh call would
+    give, and evaluations counts those calls.
     """
     if params.kappa <= 0.5:
         raise DomainError(f"the band needs kappa > 0.5, got {params.kappa}")
     kappa, beliefs = params.kappa, pop.beliefs
+    # NaN is on neither side of a threshold, so it is left out of the counts
+    ranked = np.sort(beliefs[~np.isnan(beliefs)]).tolist()
+    n = len(ranked)
     seen = {}  # (bettors above t1, bettors below t2) -> _respond's result
 
     def respond(P):
-        key = (np.count_nonzero(beliefs > P / kappa),
-               np.count_nonzero(beliefs < 1.0 - (1.0 - P) / kappa))
+        key = (n - bisect_right(ranked, P / kappa),
+               bisect_left(ranked, 1.0 - (1.0 - P) / kappa))
         if key not in seen:
             seen[key] = _respond(pop, P, params)
         return seen[key]

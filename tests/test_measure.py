@@ -358,6 +358,26 @@ class TestInvariants:
         want = [m.exact_mass(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
         assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
 
+    @pytest.mark.parametrize("m", [*_family_zoo(), from_density(lambda p: 1.0 + p * p)],
+                             ids=lambda m: m.kind)
+    def test_float_lower_bound_broadcasts_bit_for_bit(self, m):
+        # discretize passes the float 0.0 as the lower bound; it must give
+        # the bits of an array of zeros, lane by lane
+        rng = np.random.default_rng(11)
+        # three floats either side of each wedge knee and tabulated knot
+        # in the zoo, the mirrored knee of symmetrized_wedge(100) included
+        near = []
+        for knee in (1.0 / 10, 1.0 / 100, 1.0 - 1.0 / 100, 0.3):
+            down = up = knee
+            for _ in range(3):
+                down, up = math.nextafter(down, 0.0), math.nextafter(up, 1.0)
+                near += [down, up]
+            near.append(knee)
+        for x in (np.arange(2001) / 2000, rng.uniform(0.0, 1.0, 1000), np.array(near)):
+            got = m.exact_mass_array(0.0, x)
+            assert got.dtype == np.float64 and got.shape == x.shape
+            assert got.tobytes() == m.exact_mass_array(np.zeros_like(x), x).tobytes()
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(a=st.floats(0.0, 1.0), idx=st.integers(0, 7))
     def test_additivity_at_any_split(self, a, idx):

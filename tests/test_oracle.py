@@ -15,7 +15,8 @@ from parieq.equilibrium import _D, solve
 from parieq.errors import DomainError
 from parieq.measure import (from_density, mass, scaled, symmetrized_wedge,
                             tabulated, uniform, wedge)
-from parieq.oracle import discretize, discrete_totals, iterate_best_response
+from parieq.oracle import (DiscretePopulation, discretize, discrete_totals,
+                           iterate_best_response)
 from parieq.response import (AtomicBet, DiffuseAggregate, MarketParams,
                              atomic_best_response, implied_probability)
 
@@ -93,11 +94,12 @@ class TestDiscretize:
     @pytest.mark.parametrize("m", DISCRETIZE_ZOO, ids=lambda m: m.kind)
     def test_inversion_stays_within_twice_bisection(self, m):
         # count every cumulative evaluation, lane by lane: the elements of
-        # each exact_mass_array call, the table's included
+        # each exact_mass_array call, the table's included, with the lower
+        # bound broadcast against the upper one
         evals = [0]
 
         def counted(lo, hi):
-            evals[0] += lo.size
+            evals[0] += np.broadcast(lo, hi).size
             return m.exact_mass_array(lo, hi)
 
         b = discretize(dataclasses.replace(m, exact_mass_array=counted), 257).beliefs
@@ -113,6 +115,18 @@ class TestDiscretize:
                 mid = 0.5 * (lo + hi)
         assert evals[0] <= 2 * bisection
         assert evals[0] < bisection  # the interpolation and secant steps do fire
+
+    @pytest.mark.parametrize("m", DISCRETIZE_ZOO, ids=lambda m: m.kind)
+    def test_masses_take_a_float_lower_bound(self, m):
+        # the cumulative at 0 is computed once per call, not once per lane
+        bounds = []
+
+        def recorded(lo, hi):
+            bounds.append(np.ndim(lo))
+            return m.exact_mass_array(lo, hi)
+
+        discretize(dataclasses.replace(m, exact_mass_array=recorded), 257)
+        assert len(bounds) >= 2 and set(bounds) == {0}
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(idx=st.integers(0, len(DISCRETIZE_ZOO) - 1), N=st.integers(2, 8000))
@@ -156,6 +170,19 @@ class TestDiscretize:
     def test_rejects_a_population_size_that_is_not_an_int(self, N):
         with pytest.raises(DomainError, match="integer"):
             discretize(uniform(), N)
+
+
+class TestDiscretePopulation:
+    @pytest.mark.parametrize("beliefs, wealths", [
+        (np.array([0.2, 0.5, 0.8]), np.array([0.5, 0.5])),
+        ([0.25, 0.75], [0.5, 0.5]),
+        (np.array([0.25, 0.75]), [0.5, 0.5]),
+        (np.array([[0.25, 0.75]]), np.array([[0.5, 0.5]])),
+        (np.array([0, 1]), np.array([0.5, 0.5])),
+    ], ids=["unequal-lengths", "lists", "list-wealths", "2-D", "int-beliefs"])
+    def test_rejects_a_malformed_population(self, beliefs, wealths):
+        with pytest.raises(DomainError):
+            DiscretePopulation(beliefs=beliefs, wealths=wealths)
 
 
 class TestDiscreteTotals:
@@ -340,17 +367,72 @@ REPLAY_CASES = (
                       MarketParams(kappa=0.51, q=0.5, w=1.0))])
 
 
+def assert_replays(pop, params):
+    P, converged, iterations, d1, d2, bet = replayed_bisection(pop, params)
+    res = iterate_best_response(pop, params)
+    assert (res.iterations, res.converged) == (iterations, converged)
+    assert ([x.hex() for x in (res.p_approx, res.d1, res.d2,
+                               res.atomic.a1, res.atomic.a2)]
+            == [x.hex() for x in (P, d1, d2, bet.a1, bet.a2)])
+
+
+def _thresholds_of_first_probes(kappa, depth=4):
+    # both thresholds at every probe the bisection can make in its first
+    # depth rounds, whichever side each round keeps
+    out, brackets = [], [(1.0 - kappa, kappa)]
+    for _ in range(depth):
+        nxt = []
+        for lo, hi in brackets:
+            mid = 0.5 * (lo + hi)
+            out += [mid / kappa, 1.0 - (1.0 - mid) / kappa]
+            nxt += [(lo, mid), (mid, hi)]
+        brackets = nxt
+    return np.array(out)
+
+
+def _odd_population(kind, params):
+    # a population discretize never makes, built on wedge(10)'s at N = 500
+    base = discretize(wedge(10), 500)
+    b, w = base.beliefs.copy(), base.wealths.copy()
+    rng = np.random.default_rng(5)
+    if kind == "shuffled":
+        b = rng.permutation(b)
+    elif kind == "tied":
+        b = np.round(b, 2)  # 56 distinct beliefs, up to 82 bettors at one
+    elif kind == "at-thresholds":
+        at = _thresholds_of_first_probes(params.kappa)
+        b[rng.choice(b.size, at.size, replace=False)] = at
+    elif kind == "infinite":
+        b[[3, 200, 499]] = [-math.inf, math.inf, math.inf]
+    elif kind == "nan":
+        b[250] = math.nan
+    elif kind == "half-nan":  # left in the sorted copy, they mislead its search
+        b[::2] = math.nan
+    elif kind == "unequal-wealths":
+        w = rng.uniform(0.1, 2.0, b.size) / b.size
+    return DiscretePopulation(beliefs=b, wealths=w)
+
+
+ODD_POPULATIONS = ["shuffled", "tied", "at-thresholds", "infinite", "nan", "half-nan",
+                   "unequal-wealths"]
+ODD_MARKETS = [MarketParams(kappa=0.8, q=0.9, w=1.0),
+               MarketParams(kappa=0.839, q=1.0, w=1.0),
+               MarketParams(kappa=0.6, q=0.7, w=0.1)]
+
+
 class TestCountKeyedTotals:
     @pytest.mark.parametrize("case", REPLAY_CASES, ids=[c[0] for c in REPLAY_CASES])
     def test_matches_fresh_totals_at_every_probe_bit_for_bit(self, case):
         _, m, N, params = case
-        pop = discretize(m, N)
-        P, converged, iterations, d1, d2, bet = replayed_bisection(pop, params)
-        res = iterate_best_response(pop, params)
-        assert (res.iterations, res.converged) == (iterations, converged)
-        assert ([x.hex() for x in (res.p_approx, res.d1, res.d2,
-                                   res.atomic.a1, res.atomic.a2)]
-                == [x.hex() for x in (P, d1, d2, bet.a1, bet.a2)])
+        assert_replays(discretize(m, N), params)
+
+    @pytest.mark.parametrize("params", ODD_MARKETS, ids=lambda p: f"kappa={p.kappa}")
+    @pytest.mark.parametrize("kind", ODD_POPULATIONS)
+    def test_matches_fresh_totals_on_any_population(self, kind, params):
+        # the key counts bettors by binary search in a sorted copy of the
+        # beliefs, NaN left out; it must be the pair of counts
+        # discrete_totals compares for any population, sorted or not
+        assert_replays(_odd_population(kind, params), params)
 
     def test_empty_pool_counts_its_one_evaluation(self, monkeypatch):
         params = MarketParams(kappa=0.51, q=0.5, w=1.0)
