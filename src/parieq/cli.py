@@ -95,16 +95,23 @@ def sweep_csv(sc: Scenario, fp_tol: float, baseline: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def run_optimize_take(sc: Scenario, fp_tol: float, grid: int, out_path) -> int:
     opt = optimize_take(sc.belief_measure, sc.q, sc.w, grid_points=grid,
                         fp_tol=fp_tol)
+    if out_path is not None:  # before printing, so a failed write prints nothing
+        lines = [SCHEMA_LINE, "name,kappa,revenue"]
+        lines += [f"{sc.name},{_fmt(k)},{_fmt(r)}" for k, r in opt.profile]
+        _write(out_path, "\n".join(lines) + "\n")
     print(SCHEMA_LINE)
     print("name,kappa_star,revenue_star")
     print(f"{sc.name},{_fmt(opt.kappa_star)},{_fmt(opt.revenue_star)}")
-    if out_path is not None:
-        lines = [SCHEMA_LINE, "name,kappa,revenue"]
-        lines += [f"{sc.name},{_fmt(k)},{_fmt(r)}" for k, r in opt.profile]
-        Path(out_path).write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -172,7 +179,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return run_solve(sc, args.fp_tol)
         if args.command == "sweep":
-            Path(args.out).write_text(sweep_csv(sc, args.fp_tol, args.baseline))
+            _write(args.out, sweep_csv(sc, args.fp_tol, args.baseline))
             return EXIT_OK
         if args.command == "optimize-take":
             return run_optimize_take(sc, args.fp_tol, args.grid, args.out)

@@ -47,7 +47,6 @@ from .response import (AtomicBet, DiffuseAggregate, DiffuseThresholds,
 
 FP_TOL = 1e-10
 _DOMAIN_EPS = 1e-9
-_MAX_BISECT = 200
 
 
 @dataclass(frozen=True)
@@ -84,11 +83,10 @@ def _D(p: float, kappa: float, m: BeliefMeasure) -> tuple[float, float]:
     # then the mass below 1 - (1-p)/kappa. Inside the band at least one of
     # them is positive; masses that round to zero can make both vanish,
     # and every ratio of them would then divide by zero
-    # the conditionals are min(lo1, 1.0) and max(hi2, 0.0), ties and NaN
-    # included, without the builtin calls
-    lo1, hi2 = p / kappa, 1.0 - (1.0 - p) / kappa
-    d1 = mass(m, 1.0 if lo1 > 1.0 else lo1, 1.0)
-    d2 = mass(m, 0.0, 0.0 if hi2 < 0.0 else hi2)
+    # p must lie in [1-kappa, kappa], as every caller's does: 1 - kappa is
+    # exact and rounding monotone, so both thresholds lie in [0, 1]
+    d1 = mass(m, p / kappa, 1.0)
+    d2 = mass(m, 0.0, 1.0 - (1.0 - p) / kappa)
     if d1 + d2 == 0.0:
         raise DomainError(f"small-bettor totals vanish at candidate p={p} "
                           f"(kappa={kappa}): the measure's masses round to zero")
@@ -102,7 +100,8 @@ def _bisect_decreasing(g: Callable[[float], float], lo: float, hi: float,
 
     Accepts the bracket in either orientation. Shrinks until the bracket is
     narrower than width_tol and, when residual_tol is given, keeps going
-    until |g| <= residual_tol or float resolution runs out. Very steep
+    until |g| <= residual_tol or float resolution runs out; on the band
+    [1 - kappa, kappa] that takes at most 105 midpoints. Very steep
     crossings can leave |g| above residual_tol at every representable point;
     the best point found is returned regardless, with its honest residual.
     Returns (root, |g(root)|).
@@ -115,10 +114,7 @@ def _bisect_decreasing(g: Callable[[float], float], lo: float, hi: float,
     if glo < 0.0 or ghi > 0.0:
         raise DomainError("bisection bracket does not straddle a root")
     best_p, best_g = (lo, abs(glo)) if abs(glo) <= abs(ghi) else (hi, abs(ghi))
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # float resolution exhausted
-            break
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # until float resolution runs out
         gmid = g(mid)
         if abs(gmid) < best_g:
             best_p, best_g = mid, abs(gmid)
@@ -294,10 +290,10 @@ def solve_grid(kappas: Sequence[float], q: float, w: float, measure: BeliefMeasu
     Every other take is handed to ``solve`` itself, in order: a kappa that
     is not a float in (0.5, 1), a bad fp_tol, a bracket check that fails,
     action boundaries out of order, a value that is not finite (where
-    Python's float division or math.sqrt raises), a bracket that runs out
-    of floats, or the step cap. So the first kappa that fails raises exactly
-    what the scalar loop raises for it; an error the measure itself raises
-    propagates from the batch.
+    Python's float division or math.sqrt raises), or a bracket that runs
+    out of floats (within 105 midpoints on the band). So the first kappa
+    that fails raises exactly what the scalar loop raises for it; an error
+    the measure itself raises propagates from the batch.
     """
     lanes = [i for i, k in enumerate(kappas) if isinstance(k, float) and 0.5 < k < 1.0]
     with np.errstate(all="ignore"):  # non-finite values mark lanes, not warnings
@@ -346,10 +342,9 @@ def _grid_fixed_points(kappa: np.ndarray, q: float, w: float, m: BeliefMeasure,
 
 
 def _D_lanes(p: np.ndarray, kappa: np.ndarray, m: BeliefMeasure):
-    # _D per lane, both intervals in one exact_mass_array call; mass()
-    # returns 0.0 for an empty interval without asking the measure
-    lo1 = np.minimum(p / kappa, 1.0)
-    hi2 = np.maximum(1.0 - (1.0 - p) / kappa, 0.0)
+    # _D per lane for p in the band, both intervals in one exact_mass_array
+    # call; mass() returns 0.0 for an empty interval without asking the measure
+    lo1, hi2 = p / kappa, 1.0 - (1.0 - p) / kappa
     d = m.exact_mass_array(np.concatenate((lo1, np.zeros_like(p))),
                            np.concatenate((np.ones_like(p), hi2)))
     return np.where(lo1 == 1.0, 0.0, d[:p.size]), np.where(hi2 == 0.0, 0.0, d[p.size:])
@@ -384,8 +379,8 @@ def _bisect_lanes(g, lo: np.ndarray, hi: np.ndarray, width_tol: float,
     at an exact zero, or once the bracket is narrower than width_tol and the
     best |g| is within residual_tol. Returns (root, |g(root)|, ok). Every
     other exit leaves the lane not ok, its root meaningless, for ``solve``
-    to redo: a bracket check that fails, a g that is not finite, a bracket
-    that runs out of floats, or the step cap.
+    to redo: a bracket check that fails, a g that is not finite, or a
+    bracket that runs out of floats.
     """
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)  # fresh arrays, updated in place
     glo, ghi = g(lo), g(hi)
@@ -394,11 +389,8 @@ def _bisect_lanes(g, lo: np.ndarray, hi: np.ndarray, width_tol: float,
     best_p = np.where(take_lo, lo, hi)
     best_g = np.where(take_lo, abs(glo), abs(ghi))
     ok = np.zeros(lo.size, dtype=bool)
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        live &= (mid > lo) & (mid < hi)  # float resolution exhausted
-        if not live.any():
-            break
+    # a lane whose bracket runs out of floats stops, as in the scalar loop
+    while (live := live & (lo < (mid := 0.5 * (lo + hi))) & (mid < hi)).any():
         gm = g(mid)
         zero = gm == 0.0  # exact crossing: that midpoint, whatever the best
         better = live & ((abs(gm) < best_g) | zero)

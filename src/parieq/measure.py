@@ -382,8 +382,6 @@ def tabulated(knots: Sequence[tuple[float, float]]) -> BeliefMeasure:
         i = bisect_right(xs, p)
         if i >= len(xs):
             return vs[-1]
-        if i == 0:
-            return vs[0]
         t = (p - xs[i - 1]) / (xs[i] - xs[i - 1])
         return vs[i - 1] + t * (vs[i] - vs[i - 1])
 

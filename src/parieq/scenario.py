@@ -213,8 +213,8 @@ def loads_scenario(text: str, origin: str = "<string>") -> Scenario:
 def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")  # JSON's encoding
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     return loads_scenario(text, origin=str(path))
 

@@ -162,6 +162,17 @@ class TestConfigErrors:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", "--scenario", str(tmp_path / "nope.cfg")]) == 1
 
+    def test_file_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        # JSON is UTF-8; a UTF-16 file starts with the bytes ff fe
+        path = write_scenario(tmp_path)
+        path.write_bytes(path.read_text().encode("utf-16"))
+        assert path.read_bytes().startswith(b"\xff\xfe")
+        assert main(["solve", "--scenario", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: cannot read scenario file {path}: ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("overrides", [
         dict(q=1.5),
         dict(w=0.0),
@@ -367,6 +378,14 @@ class TestSweepCommand:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--scenario", str(path), "--out", str(out)]) == 1
 
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, kappa={"lo": 0.6, "hi": 0.9, "steps": 3})
+        out = tmp_path / "missing" / "sweep.csv"
+        assert main(["sweep", "--scenario", str(path), "--out", str(out)]) == 1
+        _, err = capsys.readouterr()
+        assert err.startswith(f"config error: cannot write {out}: ")
+        assert len(err.splitlines()) == 1
+
     def test_failing_rows_keep_the_file(self, tmp_path, monkeypatch):
         # a per-row solver failure must yield a status cell and blank values
         # while every other row still gets written
@@ -407,6 +426,17 @@ class TestOptimizeTakeCommand:
         assert len(profile) == 32
         assert float(rows[0]["revenue_star"]) >= max(
             float(r["revenue"]) for r in profile)
+
+    def test_unwritable_out_is_a_config_error_and_prints_nothing(self, tmp_path,
+                                                                  capsys):
+        path = write_scenario(tmp_path, q=0.9)
+        out = tmp_path / "missing" / "profile.csv"
+        assert main(["optimize-take", "--scenario", str(path),
+                     "--out", str(out), "--grid", "32"]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith(f"config error: cannot write {out}: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestOracleCommand:

@@ -19,8 +19,8 @@ from conftest import (BASELINE_W, assert_equilibrium_properties, bundled_cases,
 from test_measure import _family_zoo
 import parieq.equilibrium as equilibrium_mod
 from parieq.equilibrium import (_DOMAIN_EPS, FP_TOL, _D, _bisect_decreasing,
-                                compute_pbar1, compute_pbar2, phi, phi_context,
-                                solve, solve_grid, zeta1, zeta2)
+                                _bisect_lanes, compute_pbar1, compute_pbar2, phi,
+                                phi_context, solve, solve_grid, zeta1, zeta2)
 from parieq.errors import DomainError, NoEquilibriumError
 from parieq.measure import (BeliefMeasure, from_density, mass, scaled, tabulated,
                             uniform, wedge)
@@ -51,6 +51,15 @@ class TestDiffuseTotals:
     def test_band_endpoints_empty_one_side(self):
         assert _D(0.8, 0.8, uniform())[0] == 0.0
         assert _D(0.2, 0.8, uniform())[1] == 0.0
+
+    @pytest.mark.parametrize("kappa", [0.5001, 0.8, 0.9999])
+    def test_candidate_outside_the_band_is_a_domain_error(self, kappa):
+        # _D clamps neither threshold, so a probe past the band fails in
+        # mass(). One float below 1 - kappa, 1 - p can round back to kappa,
+        # so the low probe sits 2**-52 below the band
+        for p in (math.nextafter(kappa, 1.0), (1.0 - kappa) - 2.0**-52):
+            with pytest.raises(DomainError, match="mass requires"):
+                _D(p, kappa, uniform())
 
 
 class TestActionBoundaries:
@@ -180,6 +189,9 @@ class TestResponseMap:
 ZOO = _family_zoo()
 MARKETS = dict(idx=st.integers(0, len(ZOO) - 1), kappa=st.floats(0.5001, 0.9999),
                q=st.floats(0.0, 1.0), w=st.floats(1e-10, 10.0))
+# 40 markets across the take interval, both one-sided beliefs and both budgets
+FAMILY_MARKETS = [(kappa, q, w) for kappa in (0.5001, 0.55, 0.8, 0.95, 0.9999)
+                  for q in (0.0, 0.3, 0.9, 1.0) for w in (BASELINE_W, 1.0)]
 
 
 class TestSolverProperties:
@@ -279,9 +291,7 @@ class TestSolve:
     @pytest.mark.parametrize("m", _family_zoo() + [from_density(lambda p: 1.0 + p * p)],
                              ids=lambda m: m.kind)
     def test_scale_equivariance_is_exact_on_every_family(self, m):
-        self._assert_exactly_scaled(
-            m, [(kappa, q, w) for kappa in (0.5001, 0.55, 0.8, 0.95, 0.9999)
-                for q in (0.0, 0.3, 0.9, 1.0) for w in (BASELINE_W, 1.0)])
+        self._assert_exactly_scaled(m, FAMILY_MARKETS)
 
     def test_self_consistency_of_reconstruction(self):
         for sc in bundled_cases():
@@ -493,3 +503,137 @@ class TestSolveGrid:
         sc = load_scenario(bundled_scenarios()[name])
         assert len(_handovers(monkeypatch, _grid(256), sc.q, sc.w,
                               sc.belief_measure)) <= 1
+
+
+def _record_D_probes(monkeypatch):
+    # every (p, kappa) pair _D and _D_lanes are called with from now on,
+    # the lanes' as arrays
+    probes, lanes = [], []
+    real_D, real_D_lanes = equilibrium_mod._D, equilibrium_mod._D_lanes
+
+    def recording_D(p, kappa, m):
+        probes.append((p, kappa))
+        return real_D(p, kappa, m)
+
+    def recording_D_lanes(p, kappa, m):
+        lanes.append((p.copy(), kappa.copy()))
+        return real_D_lanes(p, kappa, m)
+
+    monkeypatch.setattr(equilibrium_mod, "_D", recording_D)
+    monkeypatch.setattr(equilibrium_mod, "_D_lanes", recording_D_lanes)
+    return probes, lanes
+
+
+def _assert_in_band(probes, lanes=()):
+    # _D computes its thresholds unclamped, so every probe must lie in the band
+    outside = [(p, kappa) for p, kappa in probes if not 1.0 - kappa <= p <= kappa]
+    assert not outside, f"{len(outside)} probes outside the band, first {outside[0]}"
+    for p, kappa in lanes:
+        assert np.all((1.0 - kappa <= p) & (p <= kappa))
+
+
+def _probe_the_map(params, m):
+    # solve, then phi, zeta1 and zeta2 at their interval ends, inside, and
+    # within the float dust their clamps pull back onto the band
+    solve(params, m)
+    ctx = phi_context(params, m)
+    lo, hi, dust = 1.0 - params.kappa, params.kappa, 0.5 * _DOMAIN_EPS
+    for p in (lo - dust, math.nextafter(lo, 0.0), lo, 0.5, hi,
+              math.nextafter(hi, 1.0), hi + dust):
+        phi(p, ctx)
+    for p in (ctx.pbar1 - dust, ctx.pbar1, 0.5 * (ctx.pbar1 + hi), hi,
+              math.nextafter(hi, 1.0), hi + dust):
+        zeta1(p, ctx)
+    for p in (lo - dust, math.nextafter(lo, 0.0), lo, 0.5 * (lo + ctx.pbar2),
+              ctx.pbar2, ctx.pbar2 + dust):
+        zeta2(p, ctx)
+
+
+class TestInBandProbes:
+    """Every probe of the map lies in [1 - kappa, kappa], so _D needs no clamp."""
+
+    @pytest.mark.parametrize("m", _family_zoo(), ids=lambda m: m.kind)
+    def test_scalar_probes_on_every_family(self, monkeypatch, m):
+        probes, _ = _record_D_probes(monkeypatch)
+        for kappa, q, w in FAMILY_MARKETS:
+            _probe_the_map(MarketParams(kappa=kappa, q=q, w=w), m)
+        _assert_in_band(probes)
+        assert len(probes) > 100 * len(FAMILY_MARKETS)
+
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_scalar_probes_on_the_bundled_sweeps(self, monkeypatch, name):
+        sc = load_scenario(bundled_scenarios()[name])
+        probes, _ = _record_D_probes(monkeypatch)
+        for kappa in sc.kappa.kappas():
+            for w in sorted({BASELINE_W, sc.w}):
+                _probe_the_map(MarketParams(kappa=kappa, q=sc.q, w=w), sc.belief_measure)
+        _assert_in_band(probes)
+
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_lane_probes_on_the_bundled_take_grids(self, monkeypatch, name):
+        # the probes of a lane handed over to solve are recorded by _D
+        sc = load_scenario(bundled_scenarios()[name])
+        probes, lanes = _record_D_probes(monkeypatch)
+        solve_grid(_grid(256), sc.q, sc.w, sc.belief_measure)
+        _assert_in_band(probes, lanes)
+        assert sum(p.size for p, _ in lanes) > 256 * 50
+
+
+BAND_KAPPAS = [math.nextafter(0.5, 1.0), 0.5001, 0.75, 0.9999, math.nextafter(1.0, 0.0)]
+
+
+def _roots(kappa):
+    lo, hi = 1.0 - kappa, kappa
+    return {"at 1 - kappa": lo, "inside": lo + (hi - lo) / 3.0, "at kappa": hi}
+
+
+ROOT_PLACES = list(_roots(0.75))
+
+
+class TestBisectionLength:
+    """Bisecting the band runs out of floats within 105 midpoints.
+
+    With width_tol = 0 and no residual tolerance, only an exact zero or
+    float resolution stops either bisection; the worst case is the root at
+    1 - kappa = 2**-53 for kappa = nextafter(1, 0), where floats are densest.
+    """
+
+    @pytest.mark.parametrize("where", ROOT_PLACES)
+    @pytest.mark.parametrize("kappa", BAND_KAPPAS)
+    def test_scalar_bisection(self, kappa, where):
+        r, probes = _roots(kappa)[where], []
+
+        def g(p):
+            probes.append(p)
+            return r - p
+
+        root, residual = _bisect_decreasing(g, 1.0 - kappa, kappa, width_tol=0.0)
+        assert (root, residual) == (r, 0.0)
+        assert len(probes) - 2 <= 105
+        # the last midpoint is r itself or its neighbour inside the band
+        assert abs(probes[-1] - r) <= math.ulp(r)
+
+    @pytest.mark.parametrize("where", ROOT_PLACES)
+    @pytest.mark.parametrize("kappa", BAND_KAPPAS)
+    def test_lane_bisection(self, kappa, where):
+        r, rounds = _roots(kappa)[where], []
+
+        def g(p):
+            rounds.append(p[0])
+            return r - p
+
+        root, residual, _ = _bisect_lanes(g, np.array([1.0 - kappa]),
+                                          np.array([kappa]), width_tol=0.0)
+        assert (root[0], residual[0]) == (r, 0.0)
+        assert len(rounds) - 2 <= 105
+        assert abs(rounds[-1] - r) <= math.ulp(r)
+
+    def test_the_bound_is_reached(self):
+        kappa, count = math.nextafter(1.0, 0.0), [0]
+
+        def g(p):
+            count[0] += 1
+            return (1.0 - kappa) - p
+
+        _bisect_decreasing(g, 1.0 - kappa, kappa, width_tol=0.0)
+        assert count[0] == 107  # two endpoints and 105 midpoints
