@@ -96,23 +96,19 @@ def _D(p: float, kappa: float, m: BeliefMeasure) -> tuple[float, float]:
 def _bisect_decreasing(g: Callable[[float], float], lo: float, hi: float,
                        width_tol: float, residual_tol: float | None = None,
                        ) -> tuple[float, float]:
-    """Root of a decreasing g with a sign change across [lo, hi].
+    """Root of a decreasing g on a bracket lo < hi with g(lo) >= 0 >= g(hi).
 
-    Accepts the bracket in either orientation. Shrinks until the bracket is
-    narrower than width_tol and, when residual_tol is given, keeps going
-    until |g| <= residual_tol or float resolution runs out; on the band
-    [1 - kappa, kappa] that takes at most 105 midpoints. Very steep
-    crossings can leave |g| above residual_tol at every representable point;
-    the best point found is returned regardless, with its honest residual.
-    Returns (root, |g(root)|).
+    The precondition is not checked. The solver's brackets are the band
+    [1 - kappa, kappa]: at its ends one small-bettor total is exactly 0.0,
+    which fixes the signs of both boundary ratios and of phi(p) - p there.
+    Shrinks until the bracket is narrower than width_tol and, when
+    residual_tol is given, keeps going until |g| <= residual_tol or float
+    resolution runs out; on the band that takes at most 105 midpoints. Very
+    steep crossings can leave |g| above residual_tol at every representable
+    point; the best point found is returned regardless, with its honest
+    residual. Returns (root, |g(root)|).
     """
-    if hi < lo:
-        lo, hi = hi, lo
     glo, ghi = g(lo), g(hi)
-    if glo < ghi:
-        raise DomainError("bisection target is not decreasing on the bracket")
-    if glo < 0.0 or ghi > 0.0:
-        raise DomainError("bisection bracket does not straddle a root")
     best_p, best_g = (lo, abs(glo)) if abs(glo) <= abs(ghi) else (hi, abs(ghi))
     while lo < (mid := 0.5 * (lo + hi)) < hi:  # until float resolution runs out
         gmid = g(mid)
@@ -204,8 +200,7 @@ def phi_context(params: MarketParams, measure: BeliefMeasure,
 def _stake(kappa: float, belief: float, d1: float, d2: float, own: float) -> float:
     # unconstrained optimal stake on the side held with probability belief,
     # whose small-bettor total is own
-    denom = 1.0 - kappa * belief
-    assert denom > 0.0
+    denom = 1.0 - kappa * belief  # positive: kappa < 1 and belief <= 1
     return max(0.0, sqrt(kappa * belief / denom * d1 * d2) - own)
 
 
@@ -288,12 +283,12 @@ def solve_grid(kappas: Sequence[float], q: float, w: float, measure: BeliefMeasu
     each lane that finishes equals the scalar solve.
 
     Every other take is handed to ``solve`` itself, in order: a kappa that
-    is not a float in (0.5, 1), a bad fp_tol, a bracket check that fails,
-    action boundaries out of order, a value that is not finite (where
-    Python's float division or math.sqrt raises), or a bracket that runs
-    out of floats (within 105 midpoints on the band). So the first kappa
-    that fails raises exactly what the scalar loop raises for it; an error
-    the measure itself raises propagates from the batch.
+    is not a float in (0.5, 1), a bad fp_tol, action boundaries out of
+    order, a value that is not finite (where Python's float division or
+    math.sqrt raises), or a bracket that runs out of floats (within 105
+    midpoints on the band). So the first kappa that fails raises exactly
+    what the scalar loop raises for it; an error the measure itself raises
+    propagates from the batch.
     """
     lanes = [i for i, k in enumerate(kappas) if isinstance(k, float) and 0.5 < k < 1.0]
     with np.errstate(all="ignore"):  # non-finite values mark lanes, not warnings
@@ -343,11 +338,10 @@ def _grid_fixed_points(kappa: np.ndarray, q: float, w: float, m: BeliefMeasure,
 
 def _D_lanes(p: np.ndarray, kappa: np.ndarray, m: BeliefMeasure):
     # _D per lane for p in the band, both intervals in one exact_mass_array
-    # call; mass() returns 0.0 for an empty interval without asking the measure
-    lo1, hi2 = p / kappa, 1.0 - (1.0 - p) / kappa
-    d = m.exact_mass_array(np.concatenate((lo1, np.zeros_like(p))),
-                           np.concatenate((np.ones_like(p), hi2)))
-    return np.where(lo1 == 1.0, 0.0, d[:p.size]), np.where(hi2 == 0.0, 0.0, d[p.size:])
+    # call; at a band end the empty interval's mass is +0.0, as from mass()
+    d = m.exact_mass_array(np.concatenate((p / kappa, np.zeros_like(p))),
+                           np.concatenate((np.ones_like(p), 1.0 - (1.0 - p) / kappa)))
+    return d[:p.size], d[p.size:]
 
 
 def _phi_lanes(p, kappa, q, w, m, pbar1, pbar2):
@@ -379,12 +373,12 @@ def _bisect_lanes(g, lo: np.ndarray, hi: np.ndarray, width_tol: float,
     at an exact zero, or once the bracket is narrower than width_tol and the
     best |g| is within residual_tol. Returns (root, |g(root)|, ok). Every
     other exit leaves the lane not ok, its root meaningless, for ``solve``
-    to redo: a bracket check that fails, a g that is not finite, or a
-    bracket that runs out of floats.
+    to redo: a g that is not finite, or a bracket that runs out of floats.
+    Each lane's bracket meets _bisect_decreasing's precondition, unchecked.
     """
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)  # fresh arrays, updated in place
+    lo, hi = lo.copy(), hi.copy()  # updated in place
     glo, ghi = g(lo), g(hi)
-    live = np.isfinite(glo) & np.isfinite(ghi) & (glo >= ghi) & (glo >= 0.0) & (ghi <= 0.0)
+    live = np.isfinite(glo) & np.isfinite(ghi)  # totals that vanish give NaN
     take_lo = abs(glo) <= abs(ghi)
     best_p = np.where(take_lo, lo, hi)
     best_g = np.where(take_lo, abs(glo), abs(ghi))

@@ -37,7 +37,11 @@ tabulated(knots)      piecewise-linear interpolation of user knots
 scaled(base, factor)  base measure with density multiplied by factor
 
 Every measure answers interval-mass questions through one function, its
-exact_mass, and mass() only checks the interval before calling it. The
+exact_mass, and mass() only checks the interval before calling it. An empty
+interval [x, x] has mass +0.0 from every measure, scalar and array alike:
+each family's mass is a difference of one cumulative at the interval's two
+ends (or a sum or a multiple of such differences), and c - c is +0.0 for
+every finite c. mass() and the solver's lanes rely on that rule. The
 built-in families take it from their antiderivatives: piecewise
 polynomials for the wedge families and tabulated densities, erf and
 erfc differences for Gaussian mixtures, and the base's mass times the factor
@@ -80,10 +84,10 @@ POSITIVITY_GRID = 10_001
 class BeliefMeasure:
     """A finite measure on [0, 1] given by a positive continuous density.
 
-    exact_mass(lo, hi) is the measure's interval mass for 0 <= lo < hi <= 1:
+    exact_mass(lo, hi) is the measure's interval mass for 0 <= lo <= hi <= 1:
     a closed form for every built-in family, and for from_density the
-    difference of the cumulative it built at construction. total_mass is
-    exact_mass(0, 1).
+    difference of the cumulative it built at construction; it is +0.0 when
+    lo == hi. total_mass is exact_mass(0, 1).
     exact_mass_array(lo, hi) takes float64 arrays and returns, element for
     element, the bits exact_mass returns. The bounds broadcast against each
     other, so a float lower bound such as the 0.0 discretize passes is
@@ -108,12 +112,11 @@ class BeliefMeasure:
 def mass(m: BeliefMeasure, lo: float, hi: float) -> float:
     """Wealth held by bettors with beliefs in [lo, hi].
 
-    Endpoint openness is immaterial because the measure has a density.
+    Endpoint openness is immaterial because the measure has a density. An
+    empty interval's mass is the +0.0 that exact_mass returns for it.
     """
     if not (0.0 <= lo <= hi <= 1.0):
         raise DomainError(f"mass requires 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
-    if lo == hi:
-        return 0.0
     return m.exact_mass(lo, hi)
 
 

@@ -129,8 +129,7 @@ def _capped_stake(kappa: float, belief: float, d1: float, d2: float, own: float,
                   w: float) -> float:
     # budget-capped square-root stake on the side held with probability belief,
     # whose small-bettor total is own; equilibrium._stake rounds it in another order
-    denom = 1.0 - kappa * belief
-    assert denom > 0.0  # kappa < 1 and belief <= 1
+    denom = 1.0 - kappa * belief  # positive: kappa < 1 and belief <= 1
     return min(w, max(0.0, math.sqrt(kappa * belief * d1 * d2 / denom) - own))
 
 

@@ -29,6 +29,10 @@ from parieq.scenario import build_measure, bundled_scenarios, load_scenario
 from parieq.stackelberg import KAPPA_SEARCH_HI, KAPPA_SEARCH_LO
 
 
+# takes from the band's narrowest to its widest
+BAND_KAPPAS = [math.nextafter(0.5, 1.0), 0.5001, 0.75, 0.9999, math.nextafter(1.0, 0.0)]
+
+
 def grid_bracket_root(f, lo, hi, n=4001):
     """Independent root finder: dense scan for the sign change, then brentq."""
     xs = np.linspace(lo, hi, n)
@@ -48,9 +52,24 @@ class TestDiffuseTotals:
         assert d1 == pytest.approx(0.25, abs=1e-12)
         assert d2 == pytest.approx(0.5, abs=1e-12)
 
-    def test_band_endpoints_empty_one_side(self):
-        assert _D(0.8, 0.8, uniform())[0] == 0.0
-        assert _D(0.2, 0.8, uniform())[1] == 0.0
+    @pytest.mark.parametrize("kappa", BAND_KAPPAS)
+    @pytest.mark.parametrize("m", _family_zoo(), ids=lambda m: m.kind)
+    def test_band_endpoints_empty_one_side(self, m, kappa):
+        # the bisections' unchecked precondition g(lo) >= 0 >= g(hi) on the
+        # band: one total is exactly 0.0 at each end. So d1 / (kappa (d1 + d2)),
+        # which compute_pbar1 bisects, is at least 1 >= q at 1 - kappa and 0
+        # at kappa; d2 / (kappa (d1 + d2)), which compute_pbar2 bisects, is 0
+        # at 1 - kappa and at least 1 >= 1 - q at kappa. phi's end values, 1
+        # and 0, are pinned by TestSolverProperties.test_phi_falls_from_one_to_zero
+        for p, own in ((1.0 - kappa, 0), (kappa, 1)):  # own: the total that is not 0
+            try:
+                d = _D(p, kappa, m)
+            except DomainError as exc:
+                # both totals round to zero, as the flat wedges' do at 1 - kappa
+                # on the narrowest take; solve raises there before it bisects
+                assert kappa == BAND_KAPPAS[0] and "vanish" in str(exc)
+                continue
+            assert d[1 - own] == 0.0 and d[own] / (kappa * (d[0] + d[1])) >= 1.0
 
     @pytest.mark.parametrize("kappa", [0.5001, 0.8, 0.9999])
     def test_candidate_outside_the_band_is_a_domain_error(self, kappa):
@@ -304,14 +323,14 @@ class TestSolve:
             assert m1 == pytest.approx(eq.d1_star, rel=1e-12)
             assert m2 == pytest.approx(eq.d2_star, rel=1e-12)
 
-    def test_unique_root_independent_of_bracket_orientation(self):
+    def test_unique_root_independent_of_tolerance(self):
         for sc in bundled_cases()[:3]:
             eq = solve(sc.params, sc.measure)
             ctx = phi_context(sc.params, sc.measure, fp_tol=FP_TOL / 10)
             kappa = sc.params.kappa
-            # reversed bracket and a tighter tolerance must land on the same point
+            # a tighter tolerance must land on the same point
             root, _ = _bisect_decreasing(lambda p: phi(p, ctx) - p,
-                                         kappa, 1.0 - kappa,
+                                         1.0 - kappa, kappa,
                                          width_tol=FP_TOL / 10,
                                          residual_tol=FP_TOL / 10)
             assert abs(root - eq.p_star) <= FP_TOL
@@ -577,9 +596,6 @@ class TestInBandProbes:
         solve_grid(_grid(256), sc.q, sc.w, sc.belief_measure)
         _assert_in_band(probes, lanes)
         assert sum(p.size for p, _ in lanes) > 256 * 50
-
-
-BAND_KAPPAS = [math.nextafter(0.5, 1.0), 0.5001, 0.75, 0.9999, math.nextafter(1.0, 0.0)]
 
 
 def _roots(kappa):

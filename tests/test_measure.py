@@ -304,6 +304,20 @@ class TestScaled:
             scaled(uniform(), 0.0)
 
 
+def _near_knees() -> list[float]:
+    # three floats either side of each wedge knee and tabulated knot in the
+    # zoo, and of the steep tabulated density's knot at 0.5, with the
+    # mirrored knee of symmetrized_wedge(100) included
+    near = []
+    for knee in (1.0 / 10, 1.0 / 100, 1.0 - 1.0 / 100, 0.3, 0.5):
+        down = up = knee
+        for _ in range(3):
+            down, up = math.nextafter(down, 0.0), math.nextafter(up, 1.0)
+            near += [down, up]
+        near.append(knee)
+    return near
+
+
 def _family_zoo() -> list[BeliefMeasure]:
     return [
         uniform(),
@@ -364,19 +378,26 @@ class TestInvariants:
         # discretize passes the float 0.0 as the lower bound; it must give
         # the bits of an array of zeros, lane by lane
         rng = np.random.default_rng(11)
-        # three floats either side of each wedge knee and tabulated knot
-        # in the zoo, the mirrored knee of symmetrized_wedge(100) included
-        near = []
-        for knee in (1.0 / 10, 1.0 / 100, 1.0 - 1.0 / 100, 0.3):
-            down = up = knee
-            for _ in range(3):
-                down, up = math.nextafter(down, 0.0), math.nextafter(up, 1.0)
-                near += [down, up]
-            near.append(knee)
-        for x in (np.arange(2001) / 2000, rng.uniform(0.0, 1.0, 1000), np.array(near)):
+        for x in (np.arange(2001) / 2000, rng.uniform(0.0, 1.0, 1000), np.array(_near_knees())):
             got = m.exact_mass_array(0.0, x)
             assert got.dtype == np.float64 and got.shape == x.shape
             assert got.tobytes() == m.exact_mass_array(np.zeros_like(x), x).tobytes()
+
+    @pytest.mark.parametrize("m", [*_family_zoo(), from_density(lambda p: 1.0 + p * p),
+                                   tabulated([(0.0, 1e-6), (0.5, 1e6), (1.0, 1e-6)])],
+                             ids=lambda m: m.kind)
+    def test_empty_interval_mass_is_positive_zero(self, m):
+        # mass() and the grid solver's _D_lanes ask the measure itself for
+        # the mass of [x, x], which the band's ends reach at 0 and 1; this is
+        # the only check that every measure answers +0.0 there
+        xs = [0.0, 1.0, *_near_knees(), *np.random.default_rng(13).uniform(0.0, 1.0, 200).tolist()]
+        positive_zero = lambda v: v == 0.0 and math.copysign(1.0, v) == 1.0
+        for x in xs:
+            assert positive_zero(m.exact_mass(x, x)), x
+        a = np.array(xs)
+        for got in (m.exact_mass_array(a, a), m.exact_mass_array(0.0, np.zeros(len(xs)))):
+            assert got.dtype == np.float64 and got.shape == a.shape
+            assert all(map(positive_zero, got.tolist()))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(a=st.floats(0.0, 1.0), idx=st.integers(0, 7))

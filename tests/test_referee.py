@@ -1,0 +1,139 @@
+"""An independent high-precision referee for the bundled sweeps.
+
+Every bundled scenario's measure is a wedge or a symmetrized wedge. Their
+densities are piecewise linear with rational knots, so each cumulative is a
+piecewise quadratic with rational coefficients, written here from the
+density's definition alone. At 50 significant decimal digits the referee
+evaluates the composed best-response map at a candidate p:
+- the small-bettor totals at p;
+- the large bettor's regime, decided at p from those totals;
+- her square-root stake, capped at the budget.
+
+It then bisects the map's crossing with the diagonal to a bracket below
+1e-30. It computes no action boundary and calls no float code of the
+package: from parieq it takes only the scenario files and the float p* it
+judges.
+"""
+
+from bisect import bisect_right
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
+from parieq.cli import BASELINE_W
+from parieq.equilibrium import solve
+from parieq.response import MarketParams
+from parieq.scenario import bundled_scenarios, load_scenario
+
+PRECISION = 50  # significant decimal digits
+BRACKET = Decimal("1e-30")
+
+# max |p*_float - p*_ref| over the 550 rows was 4.9505e-11, on
+# example4_case1 at w = 1e-10, where the float solve stops at p* = 0.5 with a
+# residual within its 1e-10 tolerance; pinned rounded up in its third digit
+P_STAR_BOUND = 4.96e-11
+
+
+def _density(spec: dict):
+    # the density as an exact function of a Fraction, and its knots
+    n = Fraction(spec["n"])
+    knee = 1 / n
+
+    def wedge(p):  # falls linearly to 1/n at the knee 1/n, then flat at 1/n
+        return 2 * (n - 1) * (1 - n * p) + knee if p < knee else knee
+
+    if spec["kind"] == "wedge":
+        return wedge, {Fraction(0), knee, Fraction(1)}
+    assert spec["kind"] == "symmetrized_wedge"  # wedge(n) averaged with its mirror
+    return (lambda p: (wedge(p) + wedge(1 - p)) / 2), {Fraction(0), knee, 1 - knee,
+                                                        Fraction(1)}
+
+
+def _pieces(spec: dict) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
+    # per linear piece of the density from knot a: (a, mass below a, density
+    # at a, half its slope), so the cumulative at a + t is
+    # head + t (f(a) + half_slope t)
+    f, knots = _density(spec)
+    xs = sorted(knots)
+    out, head = [], Fraction(0)
+    for a, b in zip(xs, xs[1:]):
+        out.append((a, head, f(a), (f(b) - f(a)) / (b - a) / 2))
+        head += (b - a) * (f(a) + f(b)) / 2
+    out.append((xs[-1], head, f(xs[-1]), Fraction(0)))
+    return out
+
+
+def _decimal(x: Fraction) -> Decimal:
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def _cumulative(spec: dict):
+    # the mass of [0, x] at the context's precision, for x in [0, 1]
+    pieces = [tuple(map(_decimal, piece)) for piece in _pieces(spec)]
+    edges = [a for a, *_ in pieces]
+
+    def F(x: Decimal) -> Decimal:
+        a, head, fa, half_slope = pieces[bisect_right(edges, x) - 1]
+        t = x - a
+        return head + t * (fa + half_slope * t)
+    return F
+
+
+def _referee_p_star(spec: dict, kappa: float, q: float, w: float) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        F = _cumulative(spec)
+        kappa, q, w = Decimal(kappa), Decimal(q), Decimal(w)  # exact
+        total = F(Decimal(1))
+
+        def stake(belief, d1, d2, own):
+            # the square root exceeds own exactly when the edge at a zero
+            # stake is positive, so in the regimes below it needs no max(0, .)
+            return min(w, (kappa * belief * d1 * d2 / (1 - kappa * belief)).sqrt() - own)
+
+        def phi(p):
+            d1 = total - F(p / kappa)
+            d2 = F(1 - (1 - p) / kappa)
+            pool = kappa * (d1 + d2)
+            if q * pool > d1:  # a positive edge on Outcome 1 at a zero stake
+                s = stake(q, d1, d2, d1)
+                return (s + d1) / (s + d1 + d2)
+            if (1 - q) * pool > d2:  # ... on Outcome 2
+                s = stake(1 - q, d1, d2, d2)
+                return d1 / (s + d1 + d2)
+            return d1 / (d1 + d2)
+
+        # phi(1 - kappa) = 1 and phi(kappa) = 0, so the ends straddle the root
+        lo, hi = 1 - kappa, kappa
+        while hi - lo >= BRACKET:
+            mid = (lo + hi) / 2
+            if phi(mid) > mid:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def _rows():
+    # every row of the bundled sweep --baseline: each take, at both budgets
+    for name, path in sorted(bundled_scenarios().items()):
+        sc = load_scenario(path)
+        for kappa in sc.kappa.kappas():
+            for w in sorted({BASELINE_W, sc.w}):
+                yield name, sc, kappa, w
+
+
+def test_referee_densities_have_unit_mass():
+    for spec in ({"kind": "wedge", "n": 1}, {"kind": "wedge", "n": 10},
+                 {"kind": "wedge", "n": 100}, {"kind": "symmetrized_wedge", "n": 100}):
+        assert _pieces(spec)[-1][1] == 1, spec
+
+
+def test_float_p_star_agrees_with_the_referee_on_every_bundled_row():
+    errors = []
+    for name, sc, kappa, w in _rows():
+        got = solve(MarketParams(kappa=kappa, q=sc.q, w=w), sc.belief_measure).p_star
+        ref = _referee_p_star(sc.measure, kappa, sc.q, w)
+        errors.append((float(abs(Decimal(got) - ref)), name, kappa, w))
+    assert len(errors) == 550
+    worst = sorted(errors, reverse=True)[:5]
+    assert worst[0][0] <= P_STAR_BOUND, worst
