@@ -23,18 +23,18 @@ that crossing by bisection and rebuilds the equilibrium from it.
 
 ``solve_grid`` runs the same three bisections for many takes at once, one
 float64 numpy lane per kappa and bisection, and returns bit for bit what
-``solve`` returns for each. The lanes carry only the common bisection path;
-the rare lane that leaves it (a bracket that runs out of floats, say) is
-handed to ``solve``, which handles every exit. The batch pays when the grid
-is large: each numpy step has a fixed overhead, so at kappa = 0.8, q = 0.9,
-w = 1 a batch of one took 25 times as long as ``solve`` on wedge(100) (7.1
-against 0.29 ms), 20 times on a 4-knot tabulated density and 14 times on a
-2-kernel Gaussian mixture. So single solves stay scalar, and ``solve``
-remains the reference the grid is tested against.
+``solve`` returns for each. A take that ``solve`` would reject, or whose
+lane meets a value that is not finite, is handed to ``solve``, so errors are
+the scalar loop's. The batch pays when the grid is large: each numpy step
+has a fixed overhead, so at kappa = 0.8, q = 0.9, w = 1 a batch of one took
+25 times as long as ``solve`` on wedge(100) (7.1 against 0.29 ms), 20 times
+on a 4-knot tabulated density and 14 times on a 2-kernel Gaussian mixture.
+So single solves stay scalar, and ``solve`` remains the reference the grid
+is tested against.
 """
 
 from dataclasses import dataclass
-from math import nextafter, sqrt
+from math import inf, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -94,19 +94,19 @@ def _D(p: float, kappa: float, m: BeliefMeasure) -> tuple[float, float]:
 
 
 def _bisect_decreasing(g: Callable[[float], float], lo: float, hi: float,
-                       width_tol: float, residual_tol: float | None = None,
+                       width_tol: float, residual_tol: float = inf,
                        ) -> tuple[float, float]:
     """Root of a decreasing g on a bracket lo < hi with g(lo) >= 0 >= g(hi).
 
     The precondition is not checked. The solver's brackets are the band
     [1 - kappa, kappa]: at its ends one small-bettor total is exactly 0.0,
     which fixes the signs of both boundary ratios and of phi(p) - p there.
-    Shrinks until the bracket is narrower than width_tol and, when
-    residual_tol is given, keeps going until |g| <= residual_tol or float
-    resolution runs out; on the band that takes at most 105 midpoints. Very
-    steep crossings can leave |g| above residual_tol at every representable
-    point; the best point found is returned regardless, with its honest
-    residual. Returns (root, |g(root)|).
+    Shrinks until the bracket is narrower than width_tol with the best |g|
+    within residual_tol, stops early at an exact zero, and stops at the
+    latest when float resolution runs out; on the band that takes at most
+    105 midpoints. Very steep crossings can leave |g| above residual_tol at
+    every point evaluated; the best of them is returned regardless, with its
+    honest residual. Returns (root, |g(root)|).
     """
     glo, ghi = g(lo), g(hi)
     best_p, best_g = (lo, abs(glo)) if abs(glo) <= abs(ghi) else (hi, abs(ghi))
@@ -120,20 +120,8 @@ def _bisect_decreasing(g: Callable[[float], float], lo: float, hi: float,
             lo = mid
         else:
             hi = mid
-        if hi - lo < width_tol:
-            if residual_tol is None or best_g <= residual_tol:
-                return best_p, best_g
-    if residual_tol is not None and best_g > residual_tol:
-        # the bracket is ulp-wide; the bisection midpoints need not include
-        # the representable point nearest the true root, so scan neighbors
-        up = dn = best_p
-        for _ in range(8):
-            up = nextafter(up, 1.0)
-            dn = nextafter(dn, 0.0)
-            for cand in (up, dn):
-                gc = abs(g(cand))
-                if gc < best_g:
-                    best_p, best_g = cand, gc
+        if hi - lo < width_tol and best_g <= residual_tol:
+            return best_p, best_g
     return best_p, best_g
 
 
@@ -276,21 +264,20 @@ def solve_grid(kappas: Sequence[float], q: float, w: float, measure: BeliefMeasu
     The boundary bisections and the fixed-point bisection run for every
     float kappa at once, one float64 lane each: first one loop over both
     boundaries (a pbar1 lane and a pbar2 lane per kappa), then one over the
-    fixed points. The lanes carry only the common path of
-    ``_bisect_decreasing``: its midpoint steps with the best point kept, to
-    the width and residual stop or an exact zero. Masses come from the
+    fixed points. Each lane takes ``_bisect_decreasing``'s midpoint steps,
+    keeps its best point and exits where it does. Masses come from the
     measure's exact_mass_array, which matches exact_mass bit for bit, so
     each lane that finishes equals the scalar solve.
 
     Every other take is handed to ``solve`` itself, in order: a kappa that
-    is not a float in (0.5, 1), a bad fp_tol, action boundaries out of
-    order, a value that is not finite (where Python's float division or
-    math.sqrt raises), or a bracket that runs out of floats (within 105
-    midpoints on the band). So the first kappa that fails raises exactly
-    what the scalar loop raises for it; an error the measure itself raises
-    propagates from the batch.
+    is not a float in (0.5, 1), every take when fp_tol is not positive,
+    action boundaries out of order, or a value that is not finite (where
+    Python's float division or math.sqrt raises). So the first kappa that
+    fails raises exactly what the scalar loop raises for it; an error the
+    measure itself raises propagates from the batch.
     """
-    lanes = [i for i, k in enumerate(kappas) if isinstance(k, float) and 0.5 < k < 1.0]
+    lanes = [i for i, k in enumerate(kappas)
+             if isinstance(k, float) and 0.5 < k < 1.0 and fp_tol > 0.0]
     with np.errstate(all="ignore"):  # non-finite values mark lanes, not warnings
         solved = _grid_fixed_points(np.array([kappas[i] for i in lanes], dtype=float),
                                     q, w, measure, fp_tol)
@@ -363,26 +350,26 @@ def _phi_lanes(p, kappa, q, w, m, pbar1, pbar2):
 
 
 def _bisect_lanes(g, lo: np.ndarray, hi: np.ndarray, width_tol: float,
-                  residual_tol: float | None = None):
-    """The common path of _bisect_decreasing on every lane at once.
+                  residual_tol: float = inf):
+    """_bisect_decreasing on every lane at once.
 
     g(p) evaluates every lane at its point p. The arrays stay full width:
     each round evaluates every lane, and masked copies update only the
     live ones. Each lane takes the scalar bisection's midpoint steps, keeps
-    its best point, and returns where the scalar one returns on that path:
-    at an exact zero, or once the bracket is narrower than width_tol and the
-    best |g| is within residual_tol. Returns (root, |g(root)|, ok). Every
-    other exit leaves the lane not ok, its root meaningless, for ``solve``
-    to redo: a g that is not finite, or a bracket that runs out of floats.
-    Each lane's bracket meets _bisect_decreasing's precondition, unchecked.
+    its best point, and returns where the scalar one returns: at an exact
+    zero, once the bracket is narrower than width_tol and the best |g| is
+    within residual_tol, or when its bracket runs out of floats. Returns
+    (root, |g(root)|, ok). A lane where g is not finite is not ok, its root
+    meaningless, for ``solve`` to redo. Each lane's bracket meets
+    _bisect_decreasing's precondition, unchecked.
     """
     lo, hi = lo.copy(), hi.copy()  # updated in place
     glo, ghi = g(lo), g(hi)
-    live = np.isfinite(glo) & np.isfinite(ghi)  # totals that vanish give NaN
+    ok = np.isfinite(glo) & np.isfinite(ghi)  # totals that vanish give NaN
     take_lo = abs(glo) <= abs(ghi)
     best_p = np.where(take_lo, lo, hi)
     best_g = np.where(take_lo, abs(glo), abs(ghi))
-    ok = np.zeros(lo.size, dtype=bool)
+    live = ok
     # a lane whose bracket runs out of floats stops, as in the scalar loop
     while (live := live & (lo < (mid := 0.5 * (lo + hi))) & (mid < hi)).any():
         gm = g(mid)
@@ -393,11 +380,7 @@ def _bisect_lanes(g, lo: np.ndarray, hi: np.ndarray, width_tol: float,
         up = gm > 0.0
         np.copyto(lo, mid, where=live & up)
         np.copyto(hi, mid, where=live & ~up)
-        stop = hi - lo < width_tol
-        if residual_tol is not None:
-            stop &= best_g <= residual_tol
-        finite = np.isfinite(gm)
-        stop = (stop | zero) & finite
-        ok |= live & stop
-        live &= finite & ~stop
+        ok &= ~live | np.isfinite(gm)
+        stop = zero | (hi - lo < width_tol) & (best_g <= residual_tol)
+        live &= ok & ~stop
     return best_p, best_g, ok

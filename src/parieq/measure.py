@@ -357,7 +357,8 @@ def tabulated(knots: Sequence[tuple[float, float]]) -> BeliefMeasure:
     Knot beliefs must be strictly increasing with first 0 and last 1; every
     value must be positive, and no piece may fall so steeply (by a factor of
     about 2**53) that its float interpolant rounds to zero. Together these
-    keep the density positive at every float p.
+    keep the density positive at every float p. Each piece's slope must be
+    finite, or its cumulative would be NaN at its left knot.
     """
     pts = [(float(p), float(v)) for p, v in knots]
     if not all(math.isfinite(x) for pt in pts for x in pt):
@@ -394,6 +395,8 @@ def tabulated(knots: Sequence[tuple[float, float]]) -> BeliefMeasure:
     for i in range(1, len(xs)):
         heads.append(heads[-1] + 0.5 * (vs[i - 1] + vs[i]) * (xs[i] - xs[i - 1]))
         slopes.append((vs[i] - vs[i - 1]) / (xs[i] - xs[i - 1]))
+    if not all(math.isfinite(slope) for slope in slopes):
+        raise DomainError("tabulated knots make a piece too steep: its slope overflows")
 
     def cumulative(p: float) -> float:
         i = bisect_right(xs, p)

@@ -224,10 +224,7 @@ def iterate_best_response(pop: DiscretePopulation, params: MarketParams) -> Orac
 
     lo, hi = 1.0 - kappa, kappa
     iterations = 0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # float resolution exhausted
-            break
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # until float resolution runs out
         iterations += 1
         d1, d2, bet = respond(mid)
         pool = d1 + d2 + bet.a1 + bet.a2
@@ -237,5 +234,4 @@ def iterate_best_response(pop: DiscretePopulation, params: MarketParams) -> Orac
             lo = mid
         else:
             hi = mid
-    P = 0.5 * (lo + hi)
-    return OracleResult(P, True, iterations, *respond(P), len(seen))
+    return OracleResult(mid, True, iterations, *respond(mid), len(seen))

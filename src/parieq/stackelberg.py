@@ -49,10 +49,6 @@ def optimize_take(measure: BeliefMeasure, q: float, w: float,
                           f"{MIN_GRID_POINTS}, got {grid_points!r}")
     MarketParams(kappa=KAPPA_SEARCH_LO, q=q, w=w)  # q and w checked before the grid
 
-    def revenue(kappa: float) -> float:
-        params = MarketParams(kappa=kappa, q=q, w=w)
-        return house_revenue(solve(params, measure, fp_tol=fp_tol), params)
-
     span = KAPPA_SEARCH_HI - KAPPA_SEARCH_LO
     grid = [KAPPA_SEARCH_LO + span * i / (grid_points - 1)
             for i in range(grid_points)]
@@ -64,7 +60,16 @@ def optimize_take(measure: BeliefMeasure, q: float, w: float,
     lo = grid[max(0, i_best - 1)]
     hi = grid[min(grid_points - 1, i_best + 1)]
 
-    # golden-section refinement, keeping the running best across all evals
+    def revenue(kappa: float) -> float:
+        # every take evaluated is a candidate for the running best
+        nonlocal best_k, best_r
+        params = MarketParams(kappa=kappa, q=q, w=w)
+        r = house_revenue(solve(params, measure, fp_tol=fp_tol), params)
+        if r > best_r:
+            best_k, best_r = kappa, r
+        return r
+
+    # golden-section refinement of the best grid cell
     c = hi - _INV_GOLDEN * (hi - lo)
     d = lo + _INV_GOLDEN * (hi - lo)
     fc, fd = revenue(c), revenue(d)
@@ -73,13 +78,9 @@ def optimize_take(measure: BeliefMeasure, q: float, w: float,
             hi, d, fd = d, c, fc
             c = hi - _INV_GOLDEN * (hi - lo)
             fc = revenue(c)
-            k_new, r_new = c, fc
         else:
             lo, c, fc = c, d, fd
             d = lo + _INV_GOLDEN * (hi - lo)
             fd = revenue(d)
-            k_new, r_new = d, fd
-        if r_new > best_r:
-            best_k, best_r = k_new, r_new
 
     return TakeOptimum(kappa_star=best_k, revenue_star=best_r, profile=profile)

@@ -192,6 +192,9 @@ class TestConfigErrors:
         # a coefficient overflows, and its term at p = 0 is inf * 0.0 = NaN
         dict(measure={"kind": "gaussian_mixture", "weights": [1e300, 1e300],
                       "means": [0.5, 0.5], "stddevs": [1e-10, 0.2]}),
+        # a piece whose slope overflows
+        dict(measure={"kind": "tabulated",
+                      "knots": [[0, 1], [1e-310, 1], [1e-300, 1e10], [1, 1]]}),
         # measures whose total mass overflows
         dict(measure={"kind": "tabulated", "knots": [[0, 1e308], [1, 1e308]]}),
         dict(measure={"kind": "gaussian_mixture", "weights": [1e308, 1e308],

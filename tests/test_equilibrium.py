@@ -510,18 +510,23 @@ class TestSolveGrid:
         # the scalar loop checks no tolerance when it has no take to solve
         assert solve_grid([], 0.5, 1.0, uniform(), fp_tol=0.0) == []
 
-    def test_steep_measure_hands_over_the_lane_out_of_floats(self, monkeypatch):
+    def test_steep_measure_finishes_the_lane_out_of_floats_in_the_batch(self,
+                                                                        monkeypatch):
         m = tabulated([(0.0, 1e-6), (0.5, 1e6), (1.0, 1e-6)])
-        taken = _handovers(monkeypatch, _grid(64, 0.5001, 0.9999), 0.7, 1.0, m)
-        assert taken == [0.5001]
-        # only a bracket that runs out of floats ends above the residual tolerance
-        assert solve(MarketParams(kappa=0.5001, q=0.7, w=1.0), m).residual > FP_TOL
+        kappas = _grid(64, 0.5001, 0.9999)
+        taken = _count_handovers(monkeypatch)
+        got = solve_grid(kappas, 0.7, 1.0, m)
+        assert taken == []
+        want = _scalar_loop(kappas, 0.7, 1.0, m)
+        assert [_bits(eq) for eq in got] == [_bits(eq) for eq in want]
+        # at kappa = 0.5001 the bracket runs out of floats above the residual
+        # tolerance, so only that exit ends the lane
+        assert kappas[0] == 0.5001 and want[0].residual > FP_TOL
 
     @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
-    def test_bundled_take_grids_hand_over_at_most_one_lane(self, monkeypatch, name):
+    def test_bundled_take_grids_hand_over_no_lane(self, monkeypatch, name):
         sc = load_scenario(bundled_scenarios()[name])
-        assert len(_handovers(monkeypatch, _grid(256), sc.q, sc.w,
-                              sc.belief_measure)) <= 1
+        assert _handovers(monkeypatch, _grid(256), sc.q, sc.w, sc.belief_measure) == []
 
 
 def _record_D_probes(monkeypatch):
@@ -606,6 +611,11 @@ def _roots(kappa):
 ROOT_PLACES = list(_roots(0.75))
 
 
+def _step(p):
+    # a decreasing map with no root: +1 below 0.3, -1 from 0.3 on
+    return 1.0 if p < 0.3 else -1.0
+
+
 class TestBisectionLength:
     """Bisecting the band runs out of floats within 105 midpoints.
 
@@ -643,6 +653,37 @@ class TestBisectionLength:
         assert (root[0], residual[0]) == (r, 0.0)
         assert len(rounds) - 2 <= 105
         assert abs(rounds[-1] - r) <= math.ulp(r)
+
+    def test_no_root_within_the_residual_tolerance(self):
+        # |g| is 1 at every point, so neither the width nor the residual stop
+        # fires: the bisection evaluates both ends and then only midpoints of
+        # its bracket, each inside it, until the bracket runs out of floats
+        probes = []
+
+        def g(p):
+            probes.append(p)
+            return _step(p)
+
+        root, residual = _bisect_decreasing(g, 0.2, 0.8, width_tol=0.0, residual_tol=0.5)
+        assert (root, residual) == (0.2, 1.0)  # the lower end on a tie
+        assert probes[:2] == [0.2, 0.8]
+        lo, hi = 0.2, 0.8
+        for p in probes[2:]:
+            assert lo < p < hi and p == 0.5 * (lo + hi)
+            lo, hi = (p, hi) if _step(p) > 0.0 else (lo, p)
+        assert (lo, hi) == (math.nextafter(0.3, 0.0), 0.3)
+        assert len(probes) == 2 + 53
+
+    def test_lanes_out_of_floats_finish_with_the_scalar_result(self):
+        brackets = [(0.2, 0.8), (0.25, 0.3), (0.0, 0.3), (0.2999, 0.5)]
+        lo, hi = (np.array(ends) for ends in zip(*brackets))
+        for tols in [(0.0, 0.5), (FP_TOL, 0.5), (0.0, math.inf)]:
+            root, residual, ok = _bisect_lanes(
+                lambda p: np.where(p < 0.3, 1.0, -1.0), lo, hi, *tols)
+            assert ok.all()
+            want = [_bisect_decreasing(_step, a, b, *tols) for a, b in brackets]
+            assert [(r.hex(), e.hex()) for r, e in zip(root.tolist(), residual.tolist())] \
+                == [(r.hex(), e.hex()) for r, e in want]
 
     def test_the_bound_is_reached(self):
         kappa, count = math.nextafter(1.0, 0.0), [0]

@@ -230,6 +230,17 @@ class TestTabulated:
         with pytest.raises(DomainError):
             tabulated([(0.0, 1.0)])  # single knot
 
+    @pytest.mark.parametrize("knots", [
+        # the piece from 1e-310 rises by 1e10 over 1e-300: its slope overflows,
+        # and the cumulative at 1e-310 would be 0 * inf = NaN
+        [(0.0, 1.0), (1e-310, 1.0), (1e-300, 1e10), (1.0, 1.0)],
+        [(0.0, 1.0), (1e-300, 1e10), (1.0, 1.0)],  # the same on the first piece
+        [(0.0, 1e10), (1e-300, 1.0), (1.0, 1.0)],  # ... and falling
+    ])
+    def test_rejects_a_piece_whose_slope_overflows(self, knots):
+        with pytest.raises(DomainError, match="slope overflows"):
+            tabulated(knots)
+
 
 class TestClosedForms:
     """Tabulated and mixture masses against scipy, to near float resolution."""

@@ -10,9 +10,9 @@ evaluates the composed best-response map at a candidate p:
 - her square-root stake, capped at the budget.
 
 It then bisects the map's crossing with the diagonal to a bracket below
-1e-30. It computes no action boundary and calls no float code of the
-package: from parieq it takes only the scenario files and the float p* it
-judges.
+1e-30, and reports p* with the totals d1*, d2* and the stakes a1, a2 there.
+It computes no action boundary and calls no float code of the package: from
+parieq it takes only the scenario files and the float solves it judges.
 """
 
 from bisect import bisect_right
@@ -27,10 +27,18 @@ from parieq.scenario import bundled_scenarios, load_scenario
 PRECISION = 50  # significant decimal digits
 BRACKET = Decimal("1e-30")
 
-# max |p*_float - p*_ref| over the 550 rows was 4.9505e-11, on
-# example4_case1 at w = 1e-10, where the float solve stops at p* = 0.5 with a
-# residual within its 1e-10 tolerance; pinned rounded up in its third digit
-P_STAR_BOUND = 4.96e-11
+FIELDS = ("p_star", "d1_star", "d2_star", "a1", "a2")
+# max |float - referee| over the 550 rows, each pinned rounded up in its third
+# digit. p*: 4.9505e-11, on example4_case1 at w = 1e-10, where the float solve
+# stops at p* = 0.5 with a residual within its 1e-10 tolerance. The totals
+# and stakes carry that error times the map's slopes: d1* 4.6403e-11 on
+# example2 at kappa = 0.9081, d2* 7.7007e-09 and a2 3.8505e-09 on appendixA at
+# kappa = 0.5205, w = 1, and a1 1.6005e-09 on example4_case2 at kappa = 0.5001,
+# w = 1, where the float stake is half the referee's
+BOUNDS = dict(zip(FIELDS, (4.96e-11, 4.65e-11, 7.71e-09, 1.61e-09, 3.86e-09)))
+# (scenario, take) of the rows near a regime boundary, whose tiny stakes
+# are most sensitive to the bisection's error; printed at both budgets
+BOUNDARY_ROWS = {("example4_case2", 0.5001), ("appendixA", 0.5205)}
 
 
 def _density(spec: dict):
@@ -78,29 +86,33 @@ def _cumulative(spec: dict):
     return F
 
 
-def _referee_p_star(spec: dict, kappa: float, q: float, w: float) -> Decimal:
+def _referee(spec: dict, kappa: float, q: float, w: float) -> tuple[Decimal, ...]:
+    # (p*, d1*, d2*, a1*, a2*): the crossing and everyone's wagers there
     with localcontext() as ctx:
         ctx.prec = PRECISION
         F = _cumulative(spec)
         kappa, q, w = Decimal(kappa), Decimal(q), Decimal(w)  # exact
-        total = F(Decimal(1))
+        total, zero = F(Decimal(1)), Decimal(0)
 
         def stake(belief, d1, d2, own):
             # the square root exceeds own exactly when the edge at a zero
             # stake is positive, so in the regimes below it needs no max(0, .)
             return min(w, (kappa * belief * d1 * d2 / (1 - kappa * belief)).sqrt() - own)
 
-        def phi(p):
+        def respond(p):
+            # the totals at p and the large bettor's best response: (d1, d2, a1, a2)
             d1 = total - F(p / kappa)
             d2 = F(1 - (1 - p) / kappa)
             pool = kappa * (d1 + d2)
             if q * pool > d1:  # a positive edge on Outcome 1 at a zero stake
-                s = stake(q, d1, d2, d1)
-                return (s + d1) / (s + d1 + d2)
+                return d1, d2, stake(q, d1, d2, d1), zero
             if (1 - q) * pool > d2:  # ... on Outcome 2
-                s = stake(1 - q, d1, d2, d2)
-                return d1 / (s + d1 + d2)
-            return d1 / (d1 + d2)
+                return d1, d2, zero, stake(1 - q, d1, d2, d2)
+            return d1, d2, zero, zero
+
+        def phi(p):
+            d1, d2, a1, a2 = respond(p)
+            return (a1 + d1) / (a1 + a2 + d1 + d2)
 
         # phi(1 - kappa) = 1 and phi(kappa) = 0, so the ends straddle the root
         lo, hi = 1 - kappa, kappa
@@ -110,7 +122,8 @@ def _referee_p_star(spec: dict, kappa: float, q: float, w: float) -> Decimal:
                 lo = mid
             else:
                 hi = mid
-        return (lo + hi) / 2
+        p = (lo + hi) / 2
+        return (p, *respond(p))
 
 
 def _rows():
@@ -128,12 +141,27 @@ def test_referee_densities_have_unit_mass():
         assert _pieces(spec)[-1][1] == 1, spec
 
 
-def test_float_p_star_agrees_with_the_referee_on_every_bundled_row():
-    errors = []
+def _errors():
+    # per bundled row: (name, kappa, w, the float solve's FIELDS, the
+    # referee's, and |float - referee| for each)
+    out = []
     for name, sc, kappa, w in _rows():
-        got = solve(MarketParams(kappa=kappa, q=sc.q, w=w), sc.belief_measure).p_star
-        ref = _referee_p_star(sc.measure, kappa, sc.q, w)
-        errors.append((float(abs(Decimal(got) - ref)), name, kappa, w))
-    assert len(errors) == 550
-    worst = sorted(errors, reverse=True)[:5]
-    assert worst[0][0] <= P_STAR_BOUND, worst
+        eq = solve(MarketParams(kappa=kappa, q=sc.q, w=w), sc.belief_measure)
+        got = (eq.p_star, eq.d1_star, eq.d2_star, eq.atomic.a1, eq.atomic.a2)
+        ref = _referee(sc.measure, kappa, sc.q, w)
+        out.append((name, kappa, w, got, ref,
+                    [float(abs(Decimal(x) - r)) for x, r in zip(got, ref)]))
+    return out
+
+
+def test_float_solve_agrees_with_the_referee_on_every_bundled_row():
+    rows = _errors()
+    assert len(rows) == 550
+    for name, kappa, w, got, ref, err in rows:
+        if (name, round(kappa, 4)) in BOUNDARY_ROWS:
+            print(f"{name} kappa={kappa!r} w={w!r}")
+            for field, x, r, e in zip(FIELDS, got, ref, err):
+                print(f"  {field}: float {x!r} referee {float(r)!r} error {e:.3e}")
+    for i, (field, bound) in enumerate(BOUNDS.items()):
+        worst = max(rows, key=lambda row: row[5][i])
+        assert worst[5][i] <= bound, (field, worst[:3], worst[5][i])

@@ -24,16 +24,24 @@ REFERENCE_TAKES = (Path(__file__).resolve().parents[1]
 def scalar_optimize_take(measure, q, w, grid_points=256, fp_tol=FP_TOL):
     """optimize_take as it was before the grid was batched: one solve per take."""
 
-    def revenue(kappa):
+    def solved_revenue(kappa):
         params = MarketParams(kappa=kappa, q=q, w=w)
         return house_revenue(solve(params, measure, fp_tol=fp_tol), params)
 
     span = KAPPA_SEARCH_HI - KAPPA_SEARCH_LO
     grid = [KAPPA_SEARCH_LO + span * i / (grid_points - 1)
             for i in range(grid_points)]
-    profile = tuple((k, revenue(k)) for k in grid)
+    profile = tuple((k, solved_revenue(k)) for k in grid)
     i_best = max(range(grid_points), key=lambda i: profile[i][1])
     best_k, best_r = profile[i_best]
+
+    def revenue(kappa):
+        nonlocal best_k, best_r
+        r = solved_revenue(kappa)
+        if r > best_r:
+            best_k, best_r = kappa, r
+        return r
+
     lo = grid[max(0, i_best - 1)]
     hi = grid[min(grid_points - 1, i_best + 1)]
     c = hi - _INV_GOLDEN * (hi - lo)
@@ -44,14 +52,10 @@ def scalar_optimize_take(measure, q, w, grid_points=256, fp_tol=FP_TOL):
             hi, d, fd = d, c, fc
             c = hi - _INV_GOLDEN * (hi - lo)
             fc = revenue(c)
-            k_new, r_new = c, fc
         else:
             lo, c, fc = c, d, fd
             d = lo + _INV_GOLDEN * (hi - lo)
             fd = revenue(d)
-            k_new, r_new = d, fd
-        if r_new > best_r:
-            best_k, best_r = k_new, r_new
     return TakeOptimum(kappa_star=best_k, revenue_star=best_r, profile=profile)
 
 
@@ -103,6 +107,19 @@ class TestOptimizeTake:
         with pytest.raises(DomainError) as got:
             optimize_take(uniform(), 0.5, 1.0, grid_points=16, fp_tol=fp_tol)
         assert str(got.value) == str(want.value)
+
+    def test_every_evaluated_take_is_a_candidate(self, monkeypatch):
+        # revenue peaks at the golden section's first take c, in the cell
+        # around grid take 100, and falls away from it: no later take beats
+        # c, so the search must report c itself
+        span = KAPPA_SEARCH_HI - KAPPA_SEARCH_LO
+        grid = [KAPPA_SEARCH_LO + span * i / 255 for i in range(256)]
+        c = grid[101] - _INV_GOLDEN * (grid[101] - grid[99])
+        monkeypatch.setattr(stackelberg_mod, "house_revenue",
+                            lambda eq, params: -abs(params.kappa - c))
+        opt = optimize_take(uniform(), 0.9, 1.0)
+        assert max(opt.profile, key=lambda pt: pt[1])[0] == grid[100]
+        assert (opt.kappa_star, opt.revenue_star) == (c, 0.0)
 
     def test_optimum_dominates_profile(self):
         opt = optimize_take(uniform(), 0.9, 1.0, grid_points=64)
