@@ -214,13 +214,9 @@ def phi(p: float, ctx: PhiContext) -> float:
     if not 1.0 - kappa <= p <= kappa:  # inside the band the clamp returns p
         p = _clamp_to(p, 1.0 - kappa, kappa, "candidate probability")
     d1, d2 = _D(p, kappa, ctx.measure)
-    if p < ctx.pbar2:
-        stake = min(w, _stake(kappa, 1.0 - q, d1, d2, d2))
-        return d1 / (stake + d1 + d2)
-    if p <= ctx.pbar1:
-        return d1 / (d1 + d2)
-    stake = min(w, _stake(kappa, q, d1, d2, d1))
-    return (stake + d1) / (stake + d1 + d2)
+    a1 = min(w, _stake(kappa, q, d1, d2, d1)) if p > ctx.pbar1 else 0.0
+    a2 = min(w, _stake(kappa, 1.0 - q, d1, d2, d2)) if p < ctx.pbar2 else 0.0
+    return (a1 + d1) / (a1 + a2 + d1 + d2)
 
 
 def solve(params: MarketParams, measure: BeliefMeasure,
@@ -332,11 +328,9 @@ def _D_lanes(p: np.ndarray, kappa: np.ndarray, m: BeliefMeasure):
 
 
 def _phi_lanes(p, kappa, q, w, m, pbar1, pbar2):
-    # phi per lane, with one stake, on the side the lane's regime selects,
-    # set to 0.0 where she abstains: (s + d1) / (s + d1 + d2) when she backs
-    # Outcome 1, d1 / (s + d1 + d2) when she backs Outcome 2, and
-    # d1 / (d1 + d2), bit for bit, in between. Every probe lies in
-    # [1 - kappa, kappa], where phi's clamp returns p
+    # phi per lane, bit for bit: s is its a1 + a2, the one stake the lane's
+    # regime selects. Every probe lies in [1 - kappa, kappa], where phi's
+    # clamp returns p
     d1, d2 = _D_lanes(p, kappa, m)
     back1 = p > pbar1  # which excludes p < pbar2, as pbar2 < pbar1 on every lane
     belief, own = np.where(back1, q, 1.0 - q), np.where(back1, d1, d2)

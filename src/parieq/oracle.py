@@ -3,8 +3,8 @@
 The population discretizes the wealth measure into N equal-mass cells, one
 small bettor per cell holding the cell's wealth at its mass-median belief.
 All N beliefs are found at once, one float64 lane each: a table of the
-cumulative mass at N + 1 evenly spaced beliefs brackets each one, an
-interpolant of that table gives the first probe, and secant steps take it
+cumulative mass at N + 1 evenly spaced beliefs brackets each one, the
+chord across its cell gives the first probe, and secant steps take it
 down to float resolution. Given an implied probability P, the
 bettors apply the threshold rule and the large bettor best-responds to their
 totals; the pool share of Outcome 1 that results is the discrete response
@@ -23,7 +23,6 @@ Agreement with the continuum solver validates both sides; no claim is made
 that the finite game itself has this as an equilibrium.
 """
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -88,19 +87,18 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
     call, puts each target in a cell between two knots. Its lane solves
     g(x) = mass(0, x) - target = 0 inside that cell.
 
-    The first probe is the quintic through the six table points around the
-    cell, read as belief against mass, at the target (moved into the open
-    cell when it falls outside). The second is a Newton step with that
-    quintic's slope, the later ones secant steps through the last two
-    probes. A step is taken when it lands strictly inside the bracket and
-    |g| has at least halved since the probe before. Otherwise the lane
-    gallops, repeating its last step doubled, if that stays strictly
-    inside, and else probes the bracket's midpoint; galloping carries a
-    lane across a run of beliefs whose masses round to the same value. A
-    lane stops when the step from its last probe is below float resolution
-    or nothing lies strictly inside its bracket. There is no tolerance and
-    no iteration cap: every probe lies strictly inside the bracket and
-    becomes one of its ends.
+    The first probe is where the chord through the cell's two table points
+    meets the target, moved into the open cell when it falls outside. Every
+    later one is a secant step through the last two probes, the cell's left
+    knot standing in for the probe before the first. A step is taken when
+    it lands strictly inside the bracket and |g| has at least halved since
+    the probe before. Otherwise the lane gallops, repeating its last step
+    doubled, if that stays strictly inside, and else probes the bracket's
+    midpoint; galloping carries a lane across a run of beliefs whose masses
+    round to the same value. A lane stops when the step from its last probe
+    is below float resolution or nothing lies strictly inside its bracket.
+    There is no tolerance and no iteration cap: every probe lies strictly
+    inside the bracket and becomes one of its ends.
     """
     # bool is an int subclass and a float is no count: neither is a population
     if not (type(N) is int and N >= MIN_POPULATION):
@@ -117,19 +115,16 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
     lo, hi = knots[j], knots[j + 1]
     lane, beliefs = np.arange(N), np.empty(N)
     with np.errstate(all="ignore"):  # inf or nan steps are never inside a bracket
-        seed, slope = _inverse_interpolant(knots, table, targets, j)
+        # the left knot stands in for the probe before the seed
+        xp, gp = lo, table[j] - targets
+        seed = lo - gp * (hi - lo) / (table[j + 1] - table[j])
         x = np.fmax(np.fmin(seed, np.nextafter(hi, lo)), np.nextafter(lo, hi))
-        # no probe before the first: round one neither gallops nor tests |g|
-        xp, gp = x, np.full(N, math.inf)
         while True:
             g = mass_array(0.0, x) - targets
             below = g < 0.0
             lo = np.where(below, x, lo)
             hi = np.where(below, hi, x)
-            if slope is None:
-                probe = x - g * (x - xp) / (g - gp)
-            else:
-                probe, slope = x - g * slope, None
+            probe = x - g * (x - xp) / (g - gp)
             gallop = x + 2.0 * (x - xp)
             nxt = np.where((lo < probe) & (probe < hi) & (2.0 * np.abs(g) <= np.abs(gp)),
                            probe, np.where((lo < gallop) & (gallop < hi), gallop,
@@ -144,24 +139,6 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
                     a[keep] for a in (lane, targets, lo, hi, x, g, nxt))
             xp, gp, x = x, g, nxt
     return DiscretePopulation(beliefs=beliefs, wealths=np.full(N, total / N))
-
-
-def _inverse_interpolant(knots, table, targets, j):
-    # the quintic through the six (table, knot) points around each target's
-    # cell (the polynomial through all N + 1 when N < 5), in Newton form:
-    # its value and slope at the target
-    N = knots.size - 1
-    K = min(5, N)
-    dd = [knots]  # dd[k]: the k-th divided differences of knots over table
-    for k in range(1, K + 1):
-        dd.append((dd[-1][1:] - dd[-1][:-1]) / (table[k:] - table[:-k]))
-    s = np.minimum(np.maximum(j - (K - 1) // 2, 0), N - K)
-    dt = targets - table[s + np.arange(K + 1)[:, None]]  # row k: from node s + k
-    value, slope = dd[K][s], 0.0
-    for k in range(K - 1, -1, -1):
-        slope = value + dt[k] * slope
-        value = dd[k][s] + dt[k] * value
-    return value, slope
 
 
 def discrete_totals(pop: DiscretePopulation, P: float, kappa: float,

@@ -114,7 +114,23 @@ class TestDiscretize:
                 lo, hi = (mid, hi) if mid < root else (lo, mid)
                 mid = 0.5 * (lo + hi)
         assert evals[0] <= 2 * bisection
-        assert evals[0] < bisection  # the interpolation and secant steps do fire
+        assert evals[0] < bisection  # the chord and secant steps do fire
+
+    def test_benchmark_cases_take_few_rounds(self):
+        # the chord seeds and the secant steps place all 2000 bettors of each
+        # oracle_crosscheck market in 1 to 12 exact_mass_array calls after
+        # the table's, 85 in all
+        rounds = []
+        for _, m, N, _ in CROSSCHECK_CASES:
+            calls = [0]
+
+            def counted(lo, hi, m=m):
+                calls[0] += 1
+                return m.exact_mass_array(lo, hi)
+
+            discretize(dataclasses.replace(m, exact_mass_array=counted), N)
+            rounds.append(calls[0] - 1)
+        assert max(rounds) <= 12 and sum(rounds) <= 85, rounds
 
     @pytest.mark.parametrize("m", DISCRETIZE_ZOO, ids=lambda m: m.kind)
     def test_masses_take_a_float_lower_bound(self, m):
