@@ -46,7 +46,6 @@ from .response import (AtomicBet, DiffuseAggregate, DiffuseThresholds,
                        diffuse_best_response)
 
 FP_TOL = 1e-10
-_DOMAIN_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,13 +68,6 @@ class Equilibrium:
     atomic: AtomicBet
     thresholds: DiffuseThresholds
     residual: float  # |phi(p_star) - p_star|
-
-
-def _clamp_to(p: float, lo: float, hi: float, what: str) -> float:
-    # tolerate float dust at interval ends, reject genuine violations
-    if lo - _DOMAIN_EPS <= p <= hi + _DOMAIN_EPS:
-        return min(max(p, lo), hi)
-    raise DomainError(f"{what} must lie in [{lo}, {hi}], got {p}")
 
 
 def _D(p: float, kappa: float, m: BeliefMeasure) -> tuple[float, float]:
@@ -193,26 +185,36 @@ def _stake(kappa: float, belief: float, d1: float, d2: float, own: float) -> flo
 
 
 def zeta1(p: float, ctx: PhiContext) -> float:
-    """Unconstrained optimal stake on Outcome 1 at candidate p in [pbar1, kappa]."""
+    """Unconstrained optimal stake on Outcome 1 at candidate p in [pbar1, kappa].
+
+    Past kappa, mass() rejects p, as in phi.
+    """
     kappa, q = ctx.params.kappa, ctx.params.q
-    p = _clamp_to(p, ctx.pbar1, kappa, "candidate probability")
+    if p < ctx.pbar1:
+        raise DomainError(f"candidate probability {p} lies below pbar1={ctx.pbar1}")
     d1, d2 = _D(p, kappa, ctx.measure)
     return _stake(kappa, q, d1, d2, d1)
 
 
 def zeta2(p: float, ctx: PhiContext) -> float:
-    """Unconstrained optimal stake on Outcome 2 at candidate p in [1-kappa, pbar2]."""
+    """Unconstrained optimal stake on Outcome 2 at candidate p in [1-kappa, pbar2].
+
+    Below 1 - kappa, mass() rejects p, as in phi.
+    """
     kappa, q = ctx.params.kappa, ctx.params.q
-    p = _clamp_to(p, 1.0 - kappa, ctx.pbar2, "candidate probability")
+    if p > ctx.pbar2:
+        raise DomainError(f"candidate probability {p} lies above pbar2={ctx.pbar2}")
     d1, d2 = _D(p, kappa, ctx.measure)
     return _stake(kappa, 1.0 - q, d1, d2, d2)
 
 
 def phi(p: float, ctx: PhiContext) -> float:
-    """Implied probability produced by best responses to candidate p."""
+    """Implied probability produced by best responses to candidate p.
+
+    p must lie in the band [1 - kappa, kappa]. The band check is mass()'s:
+    past the band, NaN included, a threshold leaves [0, 1] (see _D).
+    """
     kappa, q, w = ctx.params.kappa, ctx.params.q, ctx.params.w
-    if not 1.0 - kappa <= p <= kappa:  # inside the band the clamp returns p
-        p = _clamp_to(p, 1.0 - kappa, kappa, "candidate probability")
     d1, d2 = _D(p, kappa, ctx.measure)
     a1 = min(w, _stake(kappa, q, d1, d2, d1)) if p > ctx.pbar1 else 0.0
     a2 = min(w, _stake(kappa, 1.0 - q, d1, d2, d2)) if p < ctx.pbar2 else 0.0
@@ -329,8 +331,7 @@ def _D_lanes(p: np.ndarray, kappa: np.ndarray, m: BeliefMeasure):
 
 def _phi_lanes(p, kappa, q, w, m, pbar1, pbar2):
     # phi per lane, bit for bit: s is its a1 + a2, the one stake the lane's
-    # regime selects. Every probe lies in [1 - kappa, kappa], where phi's
-    # clamp returns p
+    # regime selects. Every probe lies in [1 - kappa, kappa]
     d1, d2 = _D_lanes(p, kappa, m)
     back1 = p > pbar1  # which excludes p < pbar2, as pbar2 < pbar1 on every lane
     belief, own = np.where(back1, q, 1.0 - q), np.where(back1, d1, d2)

@@ -358,7 +358,9 @@ def tabulated(knots: Sequence[tuple[float, float]]) -> BeliefMeasure:
     value must be positive, and no piece may fall so steeply (by a factor of
     about 2**53) that its float interpolant rounds to zero. Together these
     keep the density positive at every float p. Each piece's slope must be
-    finite, or its cumulative would be NaN at its left knot.
+    finite, or its cumulative would be NaN at its left knot. The last knot
+    starts a flat piece, so the total at p = 1 needs no branch; mass()
+    rejects a p outside [0, 1].
     """
     pts = [(float(p), float(v)) for p, v in knots]
     if not all(math.isfinite(x) for pt in pts for x in pt):
@@ -397,23 +399,21 @@ def tabulated(knots: Sequence[tuple[float, float]]) -> BeliefMeasure:
         slopes.append((vs[i] - vs[i - 1]) / (xs[i] - xs[i - 1]))
     if not all(math.isfinite(slope) for slope in slopes):
         raise DomainError("tabulated knots make a piece too steep: its slope overflows")
+    slopes.append(0.0)  # the last knot's piece, where d = 0: heads[-1] + 0.0
 
     def cumulative(p: float) -> float:
-        i = bisect_right(xs, p)
-        if i >= len(xs):
-            return heads[-1]
-        d = p - xs[i - 1]
-        return heads[i - 1] + d * (vs[i - 1] + 0.5 * slopes[i - 1] * d)
+        i = bisect_right(xs, p) - 1
+        d = p - xs[i]
+        return heads[i] + d * (vs[i] + 0.5 * slopes[i] * d)
 
     xs_a, heads_a, vs_a = np.array(xs), np.array(heads), np.array(vs)
-    slopes_a = np.array(slopes + [0.0])  # padded: the last knot has no piece
+    slopes_a = np.array(slopes)
 
     def cumulative_array(p: np.ndarray) -> np.ndarray:
         # cumulative elementwise, same operations in the same order
-        i = np.searchsorted(xs_a, p, side="right")
-        d = p - xs_a[i - 1]
-        return np.where(i >= len(xs), heads[-1], heads_a[i - 1] + d * (
-            vs_a[i - 1] + 0.5 * slopes_a[i - 1] * d))
+        i = np.searchsorted(xs_a, p, side="right") - 1
+        d = p - xs_a[i]
+        return heads_a[i] + d * (vs_a[i] + 0.5 * slopes_a[i] * d)
 
     return _finish(density, f"tabulated(k={len(pts)})",
                    lambda lo, hi: cumulative(hi) - cumulative(lo),

@@ -63,6 +63,7 @@ def diffuse_subjective_profit(eq: Equilibrium, params: MarketParams,
     (staking on Outcome 1) and below the lower one (staking on Outcome 2).
     Each group integrates its per-unit edge against the wealth density; both
     integrands are positive on their regions, so the total is nonnegative.
+    An empty group adds the 0.0 adaptive_simpson gives an empty interval.
     """
     kappa = params.kappa
     p_star = eq.p_star
@@ -70,15 +71,9 @@ def diffuse_subjective_profit(eq: Equilibrium, params: MarketParams,
     t2 = eq.thresholds.bet2_below
     dens = measure.density
 
-    total = 0.0
-    if t1 < 1.0:
-        total += adaptive_simpson(
-            lambda p: dens(p) * (kappa * p / p_star - 1.0), t1, 1.0)
-    if t2 > 0.0:
-        total += adaptive_simpson(
-            lambda p: dens(p) * (kappa * (1.0 - p) / (1.0 - p_star) - 1.0),
-            0.0, t2)
-    return total
+    return (adaptive_simpson(lambda p: dens(p) * (kappa * p / p_star - 1.0), t1, 1.0)
+            + adaptive_simpson(
+                lambda p: dens(p) * (kappa * (1.0 - p) / (1.0 - p_star) - 1.0), 0.0, t2))
 
 
 def atomic_subjective_profit(eq: Equilibrium, params: MarketParams) -> float:

@@ -41,7 +41,8 @@ class DiscretePopulation:
     """Finite stand-in population: one belief and one wealth per bettor.
 
     Both are 1-D numpy float arrays of equal length. discretize returns the
-    beliefs sorted, but nothing here relies on their order.
+    beliefs sorted, but nothing here relies on their order. Every wealth is
+    finite and at least 0, which discretize's total / N can underflow to.
     """
 
     beliefs: np.ndarray
@@ -57,6 +58,8 @@ class DiscretePopulation:
         if self.beliefs.size != self.wealths.size:
             raise DomainError(f"{self.beliefs.size} beliefs but "
                               f"{self.wealths.size} wealths")
+        if not np.all((self.wealths >= 0.0) & (self.wealths < np.inf)):  # NaN fails both
+            raise DomainError("wealths must be finite and nonnegative")
 
     @property
     def size(self) -> int:

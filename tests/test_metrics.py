@@ -80,6 +80,16 @@ class TestDiffuseSubjectiveProfit:
         assert diffuse_subjective_profit(eq, params, m) == pytest.approx(
             want, abs=1e-8)
 
+    @pytest.mark.parametrize("p_star", [0.8, 0.2])
+    def test_an_empty_group_adds_nothing(self, p_star):
+        # at p* = kappa nobody backs Outcome 1 (threshold 1), at p* = 1 - kappa
+        # nobody backs Outcome 2 (threshold 0): on the uniform measure the other
+        # group's edge integrates to 1.125 either way
+        eq = _synthetic_eq(p_star, 0.5, 0.5)
+        assert {eq.thresholds.bet1_above, eq.thresholds.bet2_below} & {0.0, 1.0}
+        got = diffuse_subjective_profit(eq, MarketParams(kappa=0.8, q=0.5, w=1.0), uniform())
+        assert got == pytest.approx(1.125, abs=1e-12)
+
     def test_nonnegative_everywhere(self):
         for sc in bundled_cases():
             eq = solve(sc.params, sc.measure)

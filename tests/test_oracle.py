@@ -195,10 +195,25 @@ class TestDiscretePopulation:
         (np.array([0.25, 0.75]), [0.5, 0.5]),
         (np.array([[0.25, 0.75]]), np.array([[0.5, 0.5]])),
         (np.array([0, 1]), np.array([0.5, 0.5])),
-    ], ids=["unequal-lengths", "lists", "list-wealths", "2-D", "int-beliefs"])
+        # once accepted: at kappa = 0.8, q = 0.6, w = 1 the oracle reported
+        # converged=True with d1 = nan, and d1 = -4 for the wealth -5
+        *((np.array([0.2, 0.5, 0.8]), np.array([1.0, wealth, 1.0]))
+          for wealth in (math.nan, math.inf, -math.inf, -5.0, -5e-324)),
+    ], ids=["unequal-lengths", "lists", "list-wealths", "2-D", "int-beliefs",
+            "nan-wealth", "inf-wealth", "-inf-wealth", "negative-wealth",
+            "subnormal-debt"])
     def test_rejects_a_malformed_population(self, beliefs, wealths):
         with pytest.raises(DomainError):
             DiscretePopulation(beliefs=beliefs, wealths=wealths)
+
+    def test_accepts_zero_wealths_and_nan_beliefs(self):
+        # zero is a wealth, as an underflowing total / N gives, and so is
+        # -0.0; neither it nor a NaN belief changes the oracle's result
+        params = MarketParams(kappa=0.8, q=0.6, w=1.0)
+        pop = DiscretePopulation(beliefs=np.array([0.2, math.nan, 0.5, 0.8]),
+                                 wealths=np.array([1.0, 1.0, 0.0, -0.0]))
+        plain = DiscretePopulation(beliefs=np.array([0.2, 0.8]), wealths=np.array([1.0, 0.0]))
+        assert iterate_best_response(pop, params) == iterate_best_response(plain, params)
 
 
 class TestDiscreteTotals:

@@ -4,8 +4,10 @@ Every bundled scenario's measure is a wedge or a symmetrized wedge, and a
 tabulated measure's density is linear between float knots. Each density is
 piecewise linear with rational knots, so its cumulative and first moment are
 piecewise polynomials with rational coefficients, written here from the
-knots alone. At 50 significant decimal digits the referee evaluates the
-composed best-response map at a candidate p:
+knots alone. A Gaussian mixture's cumulative is a sum of erf values, taken
+from erf's Maclaurin series, and its first moment adds exp values. At 50
+significant decimal digits the referee evaluates the composed best-response
+map at a candidate p:
 - the small-bettor totals at p;
 - the large bettor's regime, decided at p from those totals;
 - her square-root stake, capped at the budget.
@@ -29,7 +31,7 @@ import pytest
 
 from parieq.cli import BASELINE_W
 from parieq.equilibrium import solve
-from parieq.measure import tabulated
+from parieq.measure import gaussian_mixture, scaled, tabulated
 from parieq.metrics import diffuse_subjective_profit, house_revenue
 from parieq.response import MarketParams
 from parieq.scenario import bundled_scenarios, load_scenario
@@ -68,6 +70,20 @@ FUZZ_BOUNDS = dict(zip(FIELDS, (4.01e-11, 2.32e-09, 2.06e-09, 8.27e-10, 5.93e-10
 # the float nearest the referee's gives at most 3.14e-04 (kappa = 0.50011,
 # q = 1, stake 8.17e-12), so a solve converged to float resolution meets this
 STAKE_REL_BOUND = 1e-3
+
+
+# Gaussian mixtures (see _mixture_markets): (means, stddevs, scale factor)
+# templates and (kappa, q, w) points
+MIXTURE_SEED, MIXTURE_DRAWS = 2, 6
+MIXTURE_TEMPLATES = (((0.3, 0.7), (0.2, 0.2), 1.0),
+                     ((0.2, 0.5, 0.8), (0.25, 0.3, 0.25), 1.0),
+                     ((0.4, 0.75), (0.3, 0.2), 1.5))
+MIXTURE_POINTS = ((0.6, 0.3, 1.0), (0.75, 0.85, 0.1), (0.9, 0.6, 1.0))
+# max |float - referee| over them, pinned the same way, all on the kappa =
+# 0.90 point: p* 4.4823e-11, d1* 2.0730e-10, d2* 1.7855e-10, a1 2.1092e-10,
+# a2 1.2954e-10, revenue 1.7790e-11 and subjective profit 2.8388e-11
+MIXTURE_BOUNDS = dict(zip(FIELDS + METRICS, (4.49e-11, 2.08e-10, 1.79e-10, 2.11e-10,
+                                             1.30e-10, 1.78e-11, 2.84e-11)))
 
 
 def _wedge_knots(spec: dict) -> list[tuple[Fraction, Fraction]]:
@@ -127,12 +143,61 @@ def _cumulatives(knots):
     return F, M
 
 
-def _referee(knots, kappa: float, q: float, w: float) -> tuple[Decimal, ...]:
+# sqrt(pi) to 68 digits
+SQRT_PI = Decimal("1.7724538509055160272981674833411451827975494561223871282138077898529")
+ERF_GUARD = 20  # the series' terms reach about exp(x^2) and cancel: 1e12 at |x| = 5.3
+
+
+def _erf(x: Decimal) -> Decimal:
+    # 2 / sqrt(pi) * sum of (-1)^n x^(2n+1) / (n! (2n+1)), summed until a
+    # term no longer changes the sum, at the context's precision
+    with localcontext() as ctx:
+        ctx.prec += ERF_GUARD
+        term = total = x  # term: (-1)^n x^(2n+1) / n!
+        n = 0
+        while True:
+            n += 1
+            term = -term * x * x / n
+            if (nxt := total + term / (2 * n + 1)) == total:
+                break
+            total = nxt
+        out = 2 * total / SQRT_PI
+    return +out  # rounded to the caller's precision
+
+
+def _mixture_cumulatives(spec):
+    # the mass and first moment of [0, x] for factor times the Gaussian
+    # mixture: kernel k, weight c at mean mu with deviation sd, adds
+    # c/2 (erf(z(x)) - erf(z(0))) to the mass, z(t) = (t - mu) / (sd sqrt 2),
+    # and mu times that less c sd / sqrt(2 pi) (exp(-z(x)^2) - exp(-z(0)^2))
+    # to the first moment
+    weights, means, stddevs, factor = spec
+    kernels = []
+    for c, mu, sd in zip(weights, means, stddevs):
+        c, mu, sd = Decimal(c), Decimal(mu), Decimal(sd)
+        width = sd * Decimal(2).sqrt()
+        kernels.append((c, mu, width, _erf(-mu / width), (-(mu / width) ** 2).exp()))
+
+    def F(x: Decimal) -> Decimal:
+        return Decimal(factor) * sum(c / 2 * (_erf((x - mu) / width) - e0)
+                                     for c, mu, width, e0, g0 in kernels)
+
+    def M(x: Decimal) -> Decimal:
+        return Decimal(factor) * sum(
+            mu * c / 2 * (_erf((x - mu) / width) - e0)
+            - c * width / (2 * SQRT_PI) * ((-((x - mu) / width) ** 2).exp() - g0)
+            for c, mu, width, e0, g0 in kernels)
+    return F, M
+
+
+def _referee(spec, kappa: float, q: float, w: float,
+             cumulatives=_cumulatives) -> tuple[Decimal, ...]:
     # (p*, d1*, d2*, a1*, a2*, house revenue, small bettors' subjective
-    # profit): the crossing, everyone's wagers there and the two metrics
+    # profit): the crossing, everyone's wagers there and the two metrics,
+    # for the measure whose cumulatives(spec) are F and M
     with localcontext() as ctx:
         ctx.prec = PRECISION
-        F, M = _cumulatives(knots)
+        F, M = cumulatives(spec)
         kappa, q, w = Decimal(kappa), Decimal(q), Decimal(w)  # exact
         total, zero = F(Decimal(1)), Decimal(0)
 
@@ -201,6 +266,23 @@ def _random_markets():
         yield knots, MarketParams(kappa=kappa, q=q, w=10.0 ** rng.uniform(-10.0, 1.0))
 
 
+def _mixture_markets():
+    # the benchmark's quadrature_solve mixtures, two plain and one scaled,
+    # each jittered as it jitters them, at its three (kappa, q, w) points;
+    # q is mirrored on every other draw, so that both stakes occur
+    rng = random.Random(MIXTURE_SEED)
+    for draw in range(MIXTURE_DRAWS):
+        for means, stddevs, factor in MIXTURE_TEMPLATES:
+            spec = ([rng.uniform(0.9, 1.1) for _ in means],
+                    [mu + rng.uniform(-0.02, 0.02) for mu in means],
+                    [sd * rng.uniform(0.97, 1.03) for sd in stddevs],
+                    factor * rng.uniform(0.9, 1.1) if factor != 1.0 else 1.0)
+            for kappa, q, w in MIXTURE_POINTS:
+                kappa += rng.uniform(-0.005, 0.005)
+                q += rng.uniform(-0.02, 0.02)
+                yield spec, MarketParams(kappa=kappa, q=1.0 - q if draw % 2 else q, w=w)
+
+
 def _exact(knots) -> list[tuple[Fraction, Fraction]]:
     return [(Fraction(x), Fraction(v)) for x, v in knots]
 
@@ -225,6 +307,15 @@ def test_referee_moments_are_simpsons_on_each_piece(knots):
         m0 += (b - a) * (fa + 4 * fmid + fb) / 6
         m1 += (b - a) * (a * fa + 4 * mid * fmid + b * fb) / 6
     assert _pieces(knots)[-1][1:3] == (m0, m1)
+
+
+def test_referee_erf_is_maths_to_float_resolution():
+    # at 50 digits the series rounds to within an ulp or so of math.erf,
+    # across the range of z the mixtures reach and a little beyond
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        for x in (-6.0, -5.3, -1.0, -1e-3, 0.0, 0.1, 0.5, 2.5, 4.0):
+            assert float(_erf(Decimal(x))) == pytest.approx(math.erf(x), rel=3e-16, abs=0.0)
 
 
 def _solved(eq) -> tuple[float, ...]:
@@ -305,3 +396,24 @@ def test_positive_stakes_agree_with_the_referee_relatively(random_rows):
     for rel, params, x, r in errors[:5]:
         print(f"{params}: float {x!r} referee {float(r)!r} relative error {rel:.3e}")
     assert errors[0][0] <= STAKE_REL_BOUND, errors[0]
+
+
+def test_float_solve_and_metrics_agree_with_the_referee_on_mixtures():
+    # per market, the float FIELDS and METRICS, the referee's and their
+    # |float - referee|; a factor of 1.0 changes no bit
+    rows = []
+    for spec, params in _mixture_markets():
+        m = scaled(gaussian_mixture(*spec[:3]), spec[3])
+        eq = solve(params, m)
+        got = (*_solved(eq), house_revenue(eq, params),
+               diffuse_subjective_profit(eq, params, m))
+        ref = _referee(spec, params.kappa, params.q, params.w, _mixture_cumulatives)
+        rows.append((params, got, ref, _abs_errors(got, ref)))
+    assert len(rows) == MIXTURE_DRAWS * 9
+    for i in (3, 4):  # both stakes occur
+        assert any(got[i] > 0.0 for _, got, _, _ in rows)
+    for i, (field, bound) in enumerate(MIXTURE_BOUNDS.items()):
+        params, got, ref, err = max(rows, key=lambda row: row[3][i])
+        print(f"{field} {params}: float {got[i]!r} referee {float(ref[i])!r} "
+              f"error {err[i]:.4e}")
+        assert err[i] <= bound, (field, params, err[i])
