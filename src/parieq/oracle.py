@@ -4,8 +4,9 @@ The population discretizes the wealth measure into N equal-mass cells, one
 small bettor per cell holding the cell's wealth at its mass-median belief.
 All N beliefs are found at once, one float64 lane each: a table of the
 cumulative mass at N + 1 evenly spaced beliefs brackets each one, the
-chord across its cell gives the first probe, and secant steps take it
-down to float resolution. Given an implied probability P, the
+quadratic through the table at three knots around its cell gives the
+first probe, and secant steps take it down to float resolution. Given
+an implied probability P, the
 bettors apply the threshold rule and the large bettor best-responds to their
 totals; the pool share of Outcome 1 that results is the discrete response
 map. Its totals only jump down on Outcome 1 and up on Outcome 2 as P rises,
@@ -90,10 +91,15 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
     call, puts each target in a cell between two knots. Its lane solves
     g(x) = mass(0, x) - target = 0 inside that cell.
 
-    The first probe is where the chord through the cell's two table points
-    meets the target, moved into the open cell when it falls outside. Every
-    later one is a secant step through the last two probes, the cell's left
-    knot standing in for the probe before the first. A step is taken when
+    The first probe is where the quadratic through the table at three knots
+    meets the target: the cell's two and the one before them, or after them
+    at the first cell. It is exact where the cumulative is one quadratic
+    across the three, as on the wedge, uniform and tabulated families away
+    from their knees and knots, and it is the chord where the table's
+    second difference is 0. The probe is moved into the open cell when it
+    falls outside or is not a number. Every later one is a secant step
+    through the last two probes, the cell's left knot standing in for the
+    probe before the first. A step is taken when
     it lands strictly inside the bracket and |g| has at least halved since
     the probe before. Otherwise the lane gallops, repeating its last step
     doubled, if that stays strictly inside, and else probes the bracket's
@@ -120,7 +126,16 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
     with np.errstate(all="ignore"):  # inf or nan steps are never inside a bracket
         # the left knot stands in for the probe before the seed
         xp, gp = lo, table[j] - targets
-        seed = lo - gp * (hi - lo) / (table[j + 1] - table[j])
+        # the seed: in units of the cell's width and rise the quadratic is
+        # D t + a t^2, with a half the second difference and D = 1 - a; the
+        # units keep D * D finite on any total
+        rise = table[1:] - table[:-1]
+        bend = rise[1:] - rise[:-1]  # the second differences at knots 1 to N - 1
+        step = rise[j]
+        a = 0.5 * bend[np.maximum(j - 1, 0)] / step
+        r, D = -gp / step, 1.0 - a
+        seed = lo + (hi - lo) * (2.0 * r / (D + np.sqrt(D * D + 4.0 * a * r)))
+        # fmin and fmax take a nan seed to the cell's last float
         x = np.fmax(np.fmin(seed, np.nextafter(hi, lo)), np.nextafter(lo, hi))
         while True:
             g = mass_array(0.0, x) - targets

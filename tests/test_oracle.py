@@ -114,23 +114,86 @@ class TestDiscretize:
                 lo, hi = (mid, hi) if mid < root else (lo, mid)
                 mid = 0.5 * (lo + hi)
         assert evals[0] <= 2 * bisection
-        assert evals[0] < bisection  # the chord and secant steps do fire
+        assert evals[0] < bisection  # the quadratic seeds and secant steps do fire
 
     def test_benchmark_cases_take_few_rounds(self):
-        # the chord seeds and the secant steps place all 2000 bettors of each
-        # oracle_crosscheck market in 1 to 12 exact_mass_array calls after
-        # the table's, 85 in all
-        rounds = []
-        for _, m, N, _ in CROSSCHECK_CASES:
-            calls = [0]
+        # the three-knot quadratic seeds and the secant steps place all 2000
+        # bettors of each oracle_crosscheck market in 1 to 8 exact_mass_array
+        # calls after the table's, 55 in all
+        rounds = [len(self._probes(m, N)[0]) - 1 for _, m, N, _ in CROSSCHECK_CASES]
+        assert max(rounds) <= 8 and sum(rounds) <= 55, rounds
 
-            def counted(lo, hi, m=m):
-                calls[0] += 1
-                return m.exact_mass_array(lo, hi)
+    @pytest.mark.parametrize("factor", [1e-300, 1e300])
+    @pytest.mark.parametrize("m", [wedge(10), symmetrized_wedge(100)], ids=lambda m: m.kind)
+    def test_rounds_do_not_depend_on_the_total(self, m, factor):
+        # the seed is computed in units of its cell's rise, so neither a huge
+        # nor a tiny total over- or underflows it
+        rounds = [len(self._probes(measure, 2000)[0]) - 1
+                  for measure in (m, scaled(m, factor))]
+        assert rounds[1] <= rounds[0] + 1, rounds
 
-            discretize(dataclasses.replace(m, exact_mass_array=counted), N)
-            rounds.append(calls[0] - 1)
-        assert max(rounds) <= 12 and sum(rounds) <= 85, rounds
+    @staticmethod
+    def _probes(m, N):
+        # the upper bounds of every exact_mass_array call, the table's first
+        probes = []
+
+        def recorded(lo, hi):
+            probes.append(np.array(hi, copy=True))
+            return m.exact_mass_array(lo, hi)
+
+        beliefs = discretize(dataclasses.replace(m, exact_mass_array=recorded), N).beliefs
+        return probes, beliefs
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_seeds_are_exact_inside_one_quadratic_piece(self, n):
+        # at N = 2000 the knee 1/n of wedge(n) is a knot and no target lies
+        # in the cell just past it, so each target's three knots lie on one
+        # quadratic or linear piece of the cumulative and its seed is within
+        # rounding of its belief (13 and 27 ulps measured)
+        probes, beliefs = self._probes(wedge(n), 2000)
+        seeds = probes[1]
+        ulps = np.abs(seeds.view(np.int64) - beliefs.view(np.int64))
+        assert ulps.max() <= 32, ulps.max()
+
+    def test_uniform_lanes_finish_in_one_round(self):
+        # a linear cumulative has a zero second difference: the seed is the
+        # chord, which is the belief itself
+        probes, _ = self._probes(uniform(), 2000)
+        assert len(probes) == 2
+
+    @pytest.mark.parametrize("N", [2, 3, 57, 257, 2000])
+    @pytest.mark.parametrize("knots", [[(0.0, 1e-6), (0.5, 1e6), (1.0, 1e-6)],
+                                       [(0.0, 1e6), (0.5, 1e-6), (1.0, 1e6)]],
+                             ids=["peak", "vee"])
+    def test_seeds_across_a_kink_keep_the_quantiles(self, knots, N):
+        # the quadratic through three knots around a kink can turn back inside
+        # the cell, and at odd N the vee's middle target sits at its zero
+        # of the density; beliefs stay strictly increasing and exact
+        m = tabulated(knots)
+        b = discretize(m, N).beliefs
+        assert 0.0 < b[0] and b[-1] < 1.0 and np.all(np.diff(b) > 0.0)
+        total = m.total_mass
+        got = m.exact_mass_array(np.zeros(N), b)
+        assert np.max(np.abs(got - (np.arange(N) + 0.5) * total / N)) <= 1e-12 * total
+
+    @staticmethod
+    def _assert_within_a_subnormal(m, b):
+        # masses take a handful of values on a subnormal total, so beliefs
+        # can repeat and each mass is within one subnormal of its target
+        N, total = len(b), m.total_mass
+        assert 0.0 < b[0] and b[-1] < 1.0 and np.all(np.diff(b) >= 0.0)
+        got = m.exact_mass_array(np.zeros(N), b)
+        assert np.max(np.abs(got - (np.arange(N) + 0.5) * total / N)) <= 5e-324
+
+    def test_zero_denominator_seed_is_clamped_into_its_cell(self):
+        # the table is 0, 1, 4, 6, ..., 6 subnormals at N = 8: the first
+        # cell's quadratic has D = 0 and its target 0 is on the knot, so the
+        # seed is 0 / 0 and is clamped to the cell's last float
+        m = scaled(tabulated([(0.0, 1.0), (0.25, 32.0), (0.35, 1.0), (1.0, 1.0)]),
+                   5e-324)
+        probes, b = self._probes(m, 8)
+        assert probes[1][0] == np.nextafter(1 / 8, 0.0)
+        self._assert_within_a_subnormal(m, b)
 
     @pytest.mark.parametrize("m", DISCRETIZE_ZOO, ids=lambda m: m.kind)
     def test_masses_take_a_float_lower_bound(self, m):
@@ -163,13 +226,16 @@ class TestDiscretize:
         b = discretize(m, 257).beliefs
         assert 0.0 < b[0] and b[-1] < 1.0 and np.all(np.diff(b) >= 0.0)
 
-    def test_subnormal_total_keeps_the_last_cell_clamp(self):
+    @pytest.mark.parametrize("N", [2, 3, 57, 257, 2000])
+    def test_subnormal_total_keeps_the_last_cell_clamp(self, N):
         # on a subnormal total the top targets round up to the total itself,
         # which the table's last entry equals; they are searched in the last
-        # cell instead of past the last knot
+        # cell instead of past the last knot. The table rises by 0 across
+        # most cells, whose 0 / 0 seeds are clamped into the open cell
         m = scaled(uniform(), 5e-324)
-        b = discretize(m, 57).beliefs
-        assert 0.0 < b[0] and b[-1] < 1.0 and np.all(np.diff(b) >= 0.0)
+        probes, b = self._probes(m, N)
+        assert not np.isnan(probes[1]).any()
+        self._assert_within_a_subnormal(m, b)
 
     def test_small_total_spreads_the_bettors(self):
         # masses accurate relative to a small total keep the top bettors
