@@ -322,11 +322,12 @@ def _grid_fixed_points(kappa: np.ndarray, q: float, w: float, m: BeliefMeasure,
 
 
 def _D_lanes(p: np.ndarray, kappa: np.ndarray, m: BeliefMeasure):
-    # _D per lane for p in the band, both intervals in one exact_mass_array
-    # call; at a band end the empty interval's mass is +0.0, as from mass()
-    d = m.exact_mass_array(np.concatenate((p / kappa, np.zeros_like(p))),
-                           np.concatenate((np.ones_like(p), 1.0 - (1.0 - p) / kappa)))
-    return d[:p.size], d[p.size:]
+    # _D per lane for p in the band, one exact_mass_array call per total with
+    # the float band end as the other bound, so a measure takes its
+    # cumulative there once per call; at a band end the empty interval's
+    # mass is +0.0, as from mass()
+    return (m.exact_mass_array(p / kappa, 1.0),
+            m.exact_mass_array(0.0, 1.0 - (1.0 - p) / kappa))
 
 
 def _phi_lanes(p, kappa, q, w, m, pbar1, pbar2):

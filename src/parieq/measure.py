@@ -38,11 +38,17 @@ scaled(base, factor)  base measure with density multiplied by factor
 
 Every measure answers interval-mass questions through one function, its
 exact_mass, and mass() only checks the interval before calling it. An empty
-interval [x, x] has mass +0.0 from every measure, scalar and array alike:
-each family's mass is a difference of one cumulative at the interval's two
-ends (or a sum or a multiple of such differences), and c - c is +0.0 for
-every finite c. mass() and the solver's lanes rely on that rule. The
-built-in families take it from their antiderivatives: piecewise
+interval [x, x] has mass +0.0 from every measure, scalar and array alike,
+and so does [0.0, -0.0]: each family's mass is a difference of one
+cumulative at the interval's two ends (or a sum or a multiple of such
+differences), and c - c is +0.0 for every finite c. mass() and the
+solver's lanes rely on that rule. The wedge families, uniform, tabulated
+and from_density take that difference in one place, where the band ends'
+cumulatives are constants: cum(1.0) is taken once, at construction, and a
+lower bound of zero gives cum(hi) + 0.0. On these families the cumulative
+of a zero is a zero, so that is the difference's float, except that
+[0.0, -0.0] gets +0.0 where cum(-0.0) - cum(0.0) is -0.0. The built-in
+families take their cumulatives from their antiderivatives: piecewise
 polynomials for the wedge families and tabulated densities, erf and
 erfc differences for Gaussian mixtures, and the base's mass times the factor
 for scaled. from_density, which wraps an arbitrary user density, builds a
@@ -54,8 +60,11 @@ construction.
 exact_mass_array is exact_mass over float64 arrays, element for element,
 for the grid solver and the oracle's discretization. Its two bounds
 broadcast against each other as numpy operands do, so either may be a
-float: discretize passes the float 0.0 as its lower bound, and the
-cumulative at 0 is then computed once per call instead of once per lane.
+float: discretize passes the float 0.0 as its lower bound, and the grid
+solver's _D_lanes passes the float 1.0 as d1's upper bound and the float
+0.0 as d2's lower bound. On the families built on one cumulative, that
+band end's cumulative is then a constant, read once per call instead of
+computed once per lane.
 By default it calls exact_mass on each element through np.frompyfunc, so
 the bits are the same by construction. The wedge families build their
 scalar cumulative and its array twin in one place, from constants computed
@@ -91,7 +100,9 @@ class BeliefMeasure:
     exact_mass_array(lo, hi) takes float64 arrays and returns, element for
     element, the bits exact_mass returns. The bounds broadcast against each
     other, so a float lower bound such as the 0.0 discretize passes is
-    paired with every upper bound.
+    paired with every upper bound; _D_lanes passes the floats 1.0 and 0.0,
+    the band ends, whose cumulatives are constants on the families built on
+    one cumulative.
     floor is a float at or below density(p) at every p in [0, 1], proven
     from the family's parameters; 0.0 when nothing is proven, and then the
     constructors establish positivity by sampling the density.
@@ -202,8 +213,31 @@ def from_density(density: Callable[[float], float], kind: str = "custom") -> Bel
         t = (p - lo) / h  # exact: h is a power of 2
         return min(head + h * (t * (f0 + t * (b2 + t * c3))), top)
 
-    return _finish(density, kind, lambda lo, hi: cumulative(hi) - cumulative(lo),
-                   peak=peak)
+    return _finish(density, kind, *_interval_masses(cumulative), peak=peak)
+
+
+def _interval_masses(cum, cum_array=None):
+    # exact_mass and exact_mass_array as cum(hi) - cum(lo), with the band
+    # ends' cumulatives as constants (see the module docstring); without
+    # cum_array, _finish calls exact_mass per element
+    top = cum(1.0)
+
+    def exact(lo: float, hi: float) -> float:
+        upper = top if hi == 1.0 else cum(hi)
+        return upper + 0.0 if lo == 0.0 else upper - cum(lo)
+
+    if cum_array is None:
+        return exact, None
+
+    def exact_array(lo, hi):
+        # a float bound at a band end reads the constant; in an array lower
+        # bound a zero takes the difference, and + 0.0 gives exact's +0.0
+        # where that is cum(-0.0) - cum(0.0)
+        upper = top if isinstance(hi, float) and hi == 1.0 else cum_array(hi)
+        if isinstance(lo, float) and lo == 0.0:
+            return upper + 0.0
+        return upper - cum_array(lo) + 0.0
+    return exact, exact_array
 
 
 # --------------------------------------------------------------------------
@@ -245,30 +279,30 @@ def _wedge_cumulatives(n: int):
 def wedge(n: int) -> BeliefMeasure:
     """Wedge measure of order n; total mass 1, wedge(1) is uniform."""
     _check_wedge_args(n)
-    cum, cum_array = _wedge_cumulatives(n)
     return _finish(_wedge_density(n), f"wedge(n={n})",
-                   lambda lo, hi: cum(hi) - cum(lo),
-                   lambda lo, hi: cum_array(hi) - cum_array(lo), floor=1.0 / n)
+                   *_interval_masses(*_wedge_cumulatives(n)), floor=1.0 / n)
 
 
 def uniform() -> BeliefMeasure:
     """Unit density on [0, 1]."""
-    exact = lambda lo, hi: hi - lo  # the same expression on floats and arrays
-    return _finish(lambda p: 1.0, "uniform", exact, exact, floor=1.0)
+    identity = lambda p: p  # the cumulative, on floats and arrays alike
+    return _finish(lambda p: 1.0, "uniform", *_interval_masses(identity, identity),
+                   floor=1.0)
 
 
 def symmetrized_wedge(n: int) -> BeliefMeasure:
     """Symmetric measure splitting the wedge's wealth between both extremes."""
     _check_wedge_args(n)
-    cum, cum_array = _wedge_cumulatives(n)
+    w, w_array = _interval_masses(*_wedge_cumulatives(n))
     density = _wedge_density(n)
 
+    # the wedge's mass on [lo, hi] and on its mirror image [1 - hi, 1 - lo],
+    # so a band end's float bound reaches the mirror as the other band end
     def exact(lo: float, hi: float) -> float:
-        return 0.5 * ((cum(hi) - cum(lo)) + (cum(1.0 - lo) - cum(1.0 - hi)))
+        return 0.5 * (w(lo, hi) + w(1.0 - hi, 1.0 - lo))
 
-    def exact_array(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        return 0.5 * ((cum_array(hi) - cum_array(lo))
-                      + (cum_array(1.0 - lo) - cum_array(1.0 - hi)))
+    def exact_array(lo, hi):
+        return 0.5 * (w_array(lo, hi) + w_array(1.0 - hi, 1.0 - lo))
 
     # each wedge term is at least 1.0/n, so their float sum is at least 2.0/n
     # and its half at least 1.0/n
@@ -305,6 +339,10 @@ def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
             raise DomainError(f"mixture stddevs must be positive, got {sd}")
     kernels = tuple((0.5 * wgt, mu, sd * math.sqrt(2.0))
                     for wgt, mu, sd in zip(weights, means, stddevs))
+    # each kernel's density coefficient w / (sd sqrt(2 pi)), its mean and sd
+    terms = tuple((wgt * _INV_SQRT_2PI / sd, mu, sd)
+                  for wgt, mu, sd in zip(weights, means, stddevs))
+    erf, erfc, exp = math.erf, math.erfc, math.exp
 
     def exact(lo: float, hi: float) -> float:
         out = 0.0
@@ -312,22 +350,21 @@ def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
             a, b = (lo - mu) / width, (hi - mu) / width
             if b < 0.0:  # the mirror image of a lower tail is an upper one
                 a, b = -b, -a
-            out += half_w * (math.erfc(a) - math.erfc(b) if a > 0.0
-                             else math.erf(b) - math.erf(a))
+            out += half_w * (erfc(a) - erfc(b) if a > 0.0 else erf(b) - erf(a))
         return out
 
     def density(p: float) -> float:
         out = 0.0
-        for wgt, mu, sd in zip(weights, means, stddevs):
+        for coef, mu, sd in terms:
             z = (p - mu) / sd
-            out += wgt * _INV_SQRT_2PI / sd * math.exp(-0.5 * z * z)
+            out += coef * exp(-0.5 * z * z)
         return out
 
     return _finish(density, f"gaussian_mixture(k={len(weights)})", exact,
-                   floor=_mixture_floor(weights, means, stddevs))
+                   floor=_mixture_floor(terms))
 
 
-def _mixture_floor(weights, means, stddevs) -> float:
+def _mixture_floor(terms) -> float:
     # A float lower bound of the mixture density on [0, 1], or 0.0. With every
     # coefficient wgt * C / sd finite, no term is NaN, and a float sum of
     # finite nonnegative terms is at least its largest term. Rounding keeps
@@ -337,8 +374,7 @@ def _mixture_floor(weights, means, stddevs) -> float:
     # the float two below what it returns at that end, and the product with
     # the coefficient keeps the order.
     floor = 0.0
-    for wgt, mu, sd in zip(weights, means, stddevs):
-        coef = wgt * _INV_SQRT_2PI / sd
+    for coef, mu, sd in terms:
         if coef == math.inf:  # inf * exp(...) is NaN where exp underflows
             return 0.0
         z = max(abs(0.0 - mu), abs(1.0 - mu)) / sd
@@ -416,18 +452,18 @@ def tabulated(knots: Sequence[tuple[float, float]]) -> BeliefMeasure:
         return heads_a[i] + d * (vs_a[i] + 0.5 * slopes_a[i] * d)
 
     return _finish(density, f"tabulated(k={len(pts)})",
-                   lambda lo, hi: cumulative(hi) - cumulative(lo),
-                   lambda lo, hi: cumulative_array(hi) - cumulative_array(lo), floor)
+                   *_interval_masses(cumulative, cumulative_array), floor)
 
 
 def scaled(base: BeliefMeasure, factor: float) -> BeliefMeasure:
     """The base measure with all wealth multiplied by factor > 0."""
     if not 0.0 < factor < math.inf:
         raise DomainError(f"scale factor must be positive and finite, got {factor}")
-    base_mass, base_mass_array = base.exact_mass, base.exact_mass_array
+    base_density, base_mass, base_mass_array = (base.density, base.exact_mass,
+                                                base.exact_mass_array)
     # rounding is monotone, so factor * base.density(p) >= factor * base.floor;
     # a tiny factor can underflow that product to 0.0, and then it is scanned
-    return _finish(lambda p: factor * base.density(p),
+    return _finish(lambda p: factor * base_density(p),
                    f"scaled({base.kind}, factor={factor})",
                    lambda lo, hi: factor * base_mass(lo, hi),
                    lambda lo, hi: factor * base_mass_array(lo, hi), factor * base.floor)

@@ -517,20 +517,23 @@ class TestSolveGrid:
     @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
     def test_bundled_take_grid_mass_calls(self, name):
         # both boundaries bisect in one loop, and each probe of the 256 lanes
-        # asks the measure once for d1 and d2 together; a boundary that q
+        # asks the measure twice: for d1 with the float 1.0 as upper bound,
+        # then for d2 with the float 0.0 as lower bound; a boundary that q
         # pins gets no lanes
         sc = load_scenario(bundled_scenarios()[name])
-        sizes = []
+        calls = []
 
         def counting(lo, hi, exact_mass_array=sc.belief_measure.exact_mass_array):
-            sizes.append(lo.size)
+            calls.append((np.size(lo), np.size(hi)))
             return exact_mass_array(lo, hi)
 
         m = dataclasses.replace(sc.belief_measure, exact_mass_array=counting)
         solve_grid(_grid(256), sc.q, sc.w, m)
-        assert len(sizes) <= 90
+        d1_calls, d2_calls = calls[::2], calls[1::2]
+        assert len(d1_calls) == len(d2_calls) <= 85
+        assert {hi for _, hi in d1_calls} == {lo for lo, _ in d2_calls} == {1}
         boundaries = 2 if 0.0 < sc.q < 1.0 else 1
-        assert max(sizes) == 2 * boundaries * 256
+        assert max(lo for lo, _ in d1_calls) == max(hi for _, hi in d2_calls) == boundaries * 256
 
     def test_zero_totals_fall_back_to_solve(self):
         # every interval mass underflows to zero, so both totals vanish and
@@ -550,7 +553,8 @@ class TestSolveGrid:
         m = BeliefMeasure(density=lambda p: 1.0, total_mass=exact(0.0, 1.0),
                           kind="rippled", exact_mass=exact,
                           exact_mass_array=lambda lo, hi: np.array([
-                              exact(a, b) for a, b in zip(lo.tolist(), hi.tolist())]))
+                              exact(a, b) for a, b in zip(
+                                  *(x.tolist() for x in np.broadcast_arrays(lo, hi)))]))
         kappas = _grid(25, 0.51, 0.99)
         taken = _count_handovers(monkeypatch)
         outcomes = [(_outcome(lambda: solve_grid([k], q, 1.0, m)),

@@ -4,6 +4,7 @@ Closed-form masses are cross-checked against the in-package adaptive Simpson
 integrator and against scipy.integrate.quad as an outside reference.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -139,6 +140,24 @@ class TestGaussianMixtureDensity:
         want = stats.norm.pdf(0.2, 0.2, 0.05) + stats.norm.pdf(0.2, 0.8, 0.05)
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(7.9788456, abs=5e-7)
+
+    @pytest.mark.parametrize("weights, means, stddevs", [
+        ([1.0, 0.5], [0.3, 0.75], [0.15, 0.1]),
+        ([1.1, 0.9, 1.05], [0.21, 0.49, 0.8], [0.25, 0.3, 0.24]),
+    ])
+    def test_density_matches_the_written_out_formula(self, weights, means, stddevs):
+        # the family precomputes each kernel's coefficient; the sum written
+        # out term by term must give the same bits
+        def written_out(p):
+            out = 0.0
+            for wgt, mu, sd in zip(weights, means, stddevs):
+                z = (p - mu) / sd
+                out += wgt * measure_mod._INV_SQRT_2PI / sd * math.exp(-0.5 * z * z)
+            return out
+
+        m = gaussian_mixture(weights, means, stddevs)
+        ps = [0.0, 1.0, *means, *np.random.default_rng(5).uniform(0.0, 1.0, 200).tolist()]
+        assert [m.density(p).hex() for p in ps] == [written_out(p).hex() for p in ps]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
@@ -394,13 +413,25 @@ class TestInvariants:
             assert got.dtype == np.float64 and got.shape == x.shape
             assert got.tobytes() == m.exact_mass_array(np.zeros_like(x), x).tobytes()
 
+    @pytest.mark.parametrize("m", [*_family_zoo(), from_density(lambda p: 1.0 + p * p)],
+                             ids=lambda m: m.kind)
+    def test_float_upper_bound_broadcasts_bit_for_bit(self, m):
+        # the grid solver's _D_lanes passes the float 1.0 as d1's upper
+        # bound; it must give the bits of an array of ones, lane by lane
+        rng = np.random.default_rng(17)
+        for x in (np.arange(2001) / 2000, rng.uniform(0.0, 1.0, 1000), np.array(_near_knees())):
+            got = m.exact_mass_array(x, 1.0)
+            assert got.dtype == np.float64 and got.shape == x.shape
+            assert got.tobytes() == m.exact_mass_array(x, np.ones_like(x)).tobytes()
+
     @pytest.mark.parametrize("m", [*_family_zoo(), from_density(lambda p: 1.0 + p * p),
                                    tabulated([(0.0, 1e-6), (0.5, 1e6), (1.0, 1e-6)])],
                              ids=lambda m: m.kind)
     def test_empty_interval_mass_is_positive_zero(self, m):
         # mass() and the grid solver's _D_lanes ask the measure itself for
         # the mass of [x, x], which the band's ends reach at 0 and 1; this is
-        # the only check that every measure answers +0.0 there
+        # the only check that every measure answers +0.0 there, and on every
+        # pair of signed zeros, which mass() accepts
         xs = [0.0, 1.0, *_near_knees(), *np.random.default_rng(13).uniform(0.0, 1.0, 200).tolist()]
         positive_zero = lambda v: v == 0.0 and math.copysign(1.0, v) == 1.0
         for x in xs:
@@ -409,6 +440,12 @@ class TestInvariants:
         for got in (m.exact_mass_array(a, a), m.exact_mass_array(0.0, np.zeros(len(xs)))):
             assert got.dtype == np.float64 and got.shape == a.shape
             assert all(map(positive_zero, got.tolist()))
+        for lo, hi in itertools.product((0.0, -0.0), repeat=2):
+            assert positive_zero(mass(m, lo, hi)), (lo, hi)
+            for got in (m.exact_mass_array(np.array([lo]), np.array([hi])),
+                        m.exact_mass_array(lo, np.array([hi])),
+                        m.exact_mass_array(np.array([lo]), hi)):
+                assert got.shape == (1,) and positive_zero(got.item()), (lo, hi)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(a=st.floats(0.0, 1.0), idx=st.integers(0, 7))
@@ -427,6 +464,64 @@ class TestInvariants:
         hi2 = lo2 + v * (hi - lo2)
         m = _family_zoo()[idx]
         assert mass(m, lo2, hi2) <= mass(m, lo, hi) + QUAD_TOL
+
+
+def _plain_interval_masses(cum, cum_array=None):
+    # _interval_masses without its band-end constants: cum(hi) - cum(lo)
+    exact = lambda lo, hi: cum(hi) - cum(lo)
+    return exact, None if cum_array is None else (
+        lambda lo, hi: cum_array(hi) - cum_array(lo))
+
+
+_DIFFERENCE_FAMILIES = [
+    ("uniform", uniform), ("wedge(1)", lambda: wedge(1)), ("wedge(10)", lambda: wedge(10)),
+    ("wedge(100)", lambda: wedge(100)), ("wedge(2**53)", lambda: wedge(2**53)),
+    ("symmetrized_wedge(100)", lambda: symmetrized_wedge(100)),
+    ("symmetrized_wedge(2**40)", lambda: symmetrized_wedge(2**40)),
+    ("tabulated_v", lambda: tabulated([(0.0, 1e6), (0.5, 1e-6), (1.0, 1e6)])),
+    ("from_density", lambda: from_density(lambda p: 1.0 + p * p)),
+]
+# the signed zeros, the least subnormal, knots, each wedge knee and its
+# mirror, and the floats at and below 1
+_BAND_END_POINTS = [-0.0, 0.0, 5e-324, 0.25, 0.5, 1.0 / 10, 1.0 / 100, 2.0**-40, 2.0**-53,
+                    1.0 - 1.0 / 100, 1.0 - 2.0**-40, math.nextafter(1.0, 0.0), 1.0]
+
+
+class TestBandEndConstants:
+    """Each cumulative-difference family's mass is the plain difference's float.
+
+    The families take cum(1.0) once and cum(hi) + 0.0 for a zero lower
+    bound; that is cum(hi) - cum(lo) bit for bit, except that a zero comes
+    out +0.0.
+    """
+
+    @pytest.mark.parametrize("scale", [None, 0.75])
+    @pytest.mark.parametrize("build", [b for _, b in _DIFFERENCE_FAMILIES],
+                             ids=[name for name, _ in _DIFFERENCE_FAMILIES])
+    def test_mass_is_the_plain_difference(self, monkeypatch, build, scale):
+        m = build()
+        with monkeypatch.context() as patch:
+            patch.setattr(measure_mod, "_interval_masses", _plain_interval_masses)
+            plain = build()
+        if scale is not None:
+            m, plain = scaled(m, scale), scaled(plain, scale)
+        # indices, not floats, key the pairs: -0.0 and 0.0 are one dict key
+        pts = _BAND_END_POINTS
+        pairs = [(i, j) for i, lo in enumerate(pts) for j, hi in enumerate(pts) if lo <= hi]
+        want = {(i, j): (plain.exact_mass(pts[i], pts[j]) + 0.0).hex() for i, j in pairs}
+        assert m.total_mass.hex() == plain.total_mass.hex()
+        for i, j in pairs:
+            assert mass(m, pts[i], pts[j]).hex() == want[i, j], (pts[i], pts[j])
+        los, his = (np.array([pts[k] for k in side]) for side in zip(*pairs))
+        got = m.exact_mass_array(los, his).tolist()
+        assert [x.hex() for x in got] == [want[pair] for pair in pairs]
+        for k, x in enumerate(pts):  # a float bound on either side
+            above = [j for j, hi in enumerate(pts) if x <= hi]
+            below = [i for i, lo in enumerate(pts) if lo <= x]
+            got = m.exact_mass_array(x, np.array([pts[j] for j in above])).tolist()
+            assert [v.hex() for v in got] == [want[k, j] for j in above], x
+            got = m.exact_mass_array(np.array([pts[i] for i in below]), x).tolist()
+            assert [v.hex() for v in got] == [want[i, k] for i in below], x
 
 
 class TestPositivity:
