@@ -12,7 +12,9 @@ exists). For a candidate p:
 Two boundary candidates split the band by the large bettor's action: above
 ``pbar1`` she backs Outcome 1, below ``pbar2`` she backs Outcome 2, and in
 between she abstains. Each boundary is the unique root of her zero-edge
-condition along the band, found by bisection on a monotone ratio.
+condition along the band, found by bisection on a monotone ratio. It does
+not depend on her budget, so each boundary remembers its last root (see
+compute_pbar1), and the second budget of a take reuses both.
 
 ``zeta1``/``zeta2`` give her unconstrained optimal stake on the active side;
 the implied-probability response map ``phi`` recomputes the pool share of
@@ -27,10 +29,10 @@ float64 numpy lane per kappa and bisection, and returns bit for bit what
 lane meets a value that is not finite, is handed to ``solve``, so errors are
 the scalar loop's. The batch pays when the grid is large: each numpy step
 has a fixed overhead, so at kappa = 0.8, q = 0.9, w = 1 a batch of one took
-25 times as long as ``solve`` on wedge(100) (7.1 against 0.29 ms), 20 times
-on a 4-knot tabulated density and 14 times on a 2-kernel Gaussian mixture.
-So single solves stay scalar, and ``solve`` remains the reference the grid
-is tested against.
+27 times as long as a ``solve`` that bisects both boundaries on wedge(100)
+(4.2 against 0.16 ms), 21 times on a 4-knot tabulated density and 13 times
+on a 2-kernel Gaussian mixture. So single solves stay scalar, and ``solve``
+remains the reference the grid is tested against.
 """
 
 from dataclasses import dataclass
@@ -124,6 +126,14 @@ def compute_pbar1(params: MarketParams, measure: BeliefMeasure,
     Unique root of q = d1 / (kappa (d1 + d2)) along the band; the ratio falls
     continuously from 1/kappa to 0, so the root is interior unless q = 0, in
     which case the boundary collapses to kappa exactly.
+
+    The last root is remembered, keyed by the measure object (compared with
+    ``is``, so a copy that compares equal is another key) and by kappa, q
+    and tol; a call with that key returns it without bisecting. The
+    boundaries do not depend on the budget w, and ``sweep --baseline``
+    solves both budgets of a take in a row, so one entry is all such a
+    sweep can reuse. Any other key bisects and replaces the entry; a call
+    that raises leaves it as it was.
     """
     _require_solvable_take(params.kappa)
     if params.q == 0.0:
@@ -134,8 +144,7 @@ def compute_pbar1(params: MarketParams, measure: BeliefMeasure,
         d1, d2 = _D(p, kappa, m)
         return d1 / (kappa * (d1 + d2)) - q
 
-    root, _ = _bisect_decreasing(g, 1.0 - kappa, kappa, tol)
-    return root
+    return _remembered_root(0, g, params, measure, tol)
 
 
 def compute_pbar2(params: MarketParams, measure: BeliefMeasure,
@@ -143,7 +152,8 @@ def compute_pbar2(params: MarketParams, measure: BeliefMeasure,
     """Boundary candidate below which the large bettor backs Outcome 2.
 
     Mirror of compute_pbar1 on the rising ratio d2 / (kappa (d1 + d2));
-    collapses to 1 - kappa exactly when q = 1.
+    collapses to 1 - kappa exactly when q = 1. Remembers its last root in
+    an entry of its own, with compute_pbar1's key.
     """
     _require_solvable_take(params.kappa)
     if params.q == 1.0:
@@ -155,7 +165,28 @@ def compute_pbar2(params: MarketParams, measure: BeliefMeasure,
         # rising ratio; negate to reuse the decreasing-map bisection
         return (1.0 - q) - d2 / (kappa * (d1 + d2))
 
-    root, _ = _bisect_decreasing(g, 1.0 - kappa, kappa, tol)
+    return _remembered_root(1, g, params, measure, tol)
+
+
+# each boundary's last (measure, (kappa, q, tol), root): pbar1's, then
+# pbar2's. An entry is one tuple, read once and replaced whole, so threads
+# sharing it see a whole entry; two that miss at once both bisect
+_last_roots: list = [(None, None, None), (None, None, None)]
+
+
+def _remembered_root(slot: int, g: Callable[[float], float],
+                     params: MarketParams, measure: BeliefMeasure,
+                     tol: float) -> float:
+    # the bisection on the band, or its root from the entry in slot when
+    # the key matches; the measure is held, so its identity stays unique.
+    # Keys that compare equal bisect to the same bits: a signed zero q or
+    # tol enters only as 1 - q and in hi - lo < tol
+    last_measure, last_key, last_root = _last_roots[slot]
+    key = (params.kappa, params.q, tol)
+    if last_measure is measure and last_key == key:
+        return last_root
+    root, _ = _bisect_decreasing(g, 1.0 - params.kappa, params.kappa, tol)
+    _last_roots[slot] = (measure, key, root)
     return root
 
 

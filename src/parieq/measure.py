@@ -47,7 +47,9 @@ and from_density take that difference in one place, where the band ends'
 cumulatives are constants: cum(1.0) is taken once, at construction, and a
 lower bound of zero gives cum(hi) + 0.0. On these families the cumulative
 of a zero is a zero, so that is the difference's float, except that
-[0.0, -0.0] gets +0.0 where cum(-0.0) - cum(0.0) is -0.0. The built-in
+[0.0, -0.0] gets +0.0 where cum(-0.0) - cum(0.0) is -0.0. The Gaussian
+mixture takes each kernel's erf and erfc at the band ends 0.0 and 1.0 once,
+at construction, and reads them where a bound is that end. The built-in
 families take their cumulatives from their antiderivatives: piecewise
 polynomials for the wedge families and tabulated densities, erf and
 erfc differences for Gaussian mixtures, and the base's mass times the factor
@@ -323,7 +325,9 @@ def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
 
     Kernel k adds w_k/2 * (erf(z(hi)) - erf(z(lo))) to the mass of [lo, hi],
     z(p) = (p - mu_k)/(sd_k*sqrt 2); to one side of mu_k, where that
-    difference cancels, it takes the same difference of erfc values.
+    difference cancels, it takes the same difference of erfc values. The
+    values at z(0) and z(1), which every solver probe needs at one end,
+    are taken once, here.
     """
     weights = tuple(float(x) for x in weights)
     means = tuple(float(x) for x in means)
@@ -337,20 +341,39 @@ def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
             raise DomainError(f"mixture weights must be positive, got {wgt}")
         if sd <= 0.0:
             raise DomainError(f"mixture stddevs must be positive, got {sd}")
-    kernels = tuple((0.5 * wgt, mu, sd * math.sqrt(2.0))
-                    for wgt, mu, sd in zip(weights, means, stddevs))
+    erf, erfc, exp = math.erf, math.erfc, math.exp
+
+    def ends(z: float) -> tuple[float, float, float]:
+        # what exact takes at a band end's z on each of its branches
+        return erf(z), erfc(z), erfc(-z)
+
+    # each kernel's w/2, mean and sd sqrt 2, and ends() at z(0) and z(1)
+    widths = tuple(sd * math.sqrt(2.0) for sd in stddevs)
+    kernels = tuple((0.5 * wgt, mu, width, ends((0.0 - mu) / width),
+                     ends((1.0 - mu) / width))
+                    for wgt, mu, width in zip(weights, means, widths))
     # each kernel's density coefficient w / (sd sqrt(2 pi)), its mean and sd
     terms = tuple((wgt * _INV_SQRT_2PI / sd, mu, sd)
                   for wgt, mu, sd in zip(weights, means, stddevs))
-    erf, erfc, exp = math.erf, math.erfc, math.exp
 
     def exact(lo: float, hi: float) -> float:
-        out = 0.0
-        for half_w, mu, width in kernels:
+        # at lo == 0.0 or hi == 1.0, the band ends _D asks for, each kernel
+        # reads the erf or erfc of that end from its constants: the same
+        # function of the same argument, so the same float. A lo of -0.0
+        # reads +0.0's: with mu = 0 that flips the sign of a zero term only,
+        # which the sum, started at +0.0, does not keep
+        out, at0, at1 = 0.0, lo == 0.0, hi == 1.0
+        for half_w, mu, width, end0, end1 in kernels:
             a, b = (lo - mu) / width, (hi - mu) / width
             if b < 0.0:  # the mirror image of a lower tail is an upper one
-                a, b = -b, -a
-            out += half_w * (erfc(a) - erfc(b) if a > 0.0 else erf(b) - erf(a))
+                out += half_w * ((end1[2] if at1 else erfc(-b))
+                                 - (end0[2] if at0 else erfc(-a)))
+            elif a > 0.0:
+                out += half_w * ((end0[1] if at0 else erfc(a))
+                                 - (end1[1] if at1 else erfc(b)))
+            else:
+                out += half_w * ((end1[0] if at1 else erf(b))
+                                 - (end0[0] if at0 else erf(a)))
         return out
 
     def density(p: float) -> float:

@@ -8,6 +8,9 @@ brentq on the same response map.
 import dataclasses
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -620,11 +623,25 @@ def _assert_in_band(probes, lanes=()):
         assert np.all((1.0 - kappa <= p) & (p <= kappa))
 
 
-def _probe_the_map(params, m):
+def _forget_boundaries(probes):
+    # bisect both boundaries on another measure object, which replaces the
+    # remembered ones, and drop the probes that took: the next solve or
+    # phi_context then bisects both boundaries itself
+    n, other = len(probes), MarketParams(kappa=0.75, q=0.5, w=1.0)
+    compute_pbar1(other, uniform())
+    compute_pbar2(other, uniform())
+    del probes[n:]
+
+
+def _probe_the_map(params, m, probes):
     # solve, then phi, zeta1 and zeta2 at their interval ends and inside;
     # each rejects float dust past those ends (2**-52 below 1 - kappa, as
-    # one float below can round back onto the band's threshold 0)
+    # one float below can round back onto the band's threshold 0). The
+    # boundaries are forgotten before solve and before phi_context, so
+    # probes records every probe of every bisection, none of another take
+    _forget_boundaries(probes)
     solve(params, m)
+    _forget_boundaries(probes)
     ctx = phi_context(params, m)
     lo, hi, dust = 1.0 - params.kappa, params.kappa, 5e-10
     for p in (lo, 0.5, hi):
@@ -649,7 +666,7 @@ class TestInBandProbes:
     def test_scalar_probes_on_every_family(self, monkeypatch, m):
         probes, _ = _record_D_probes(monkeypatch)
         for kappa, q, w in FAMILY_MARKETS:
-            _probe_the_map(MarketParams(kappa=kappa, q=q, w=w), m)
+            _probe_the_map(MarketParams(kappa=kappa, q=q, w=w), m, probes)
         _assert_in_band(probes)
         assert len(probes) > 100 * len(FAMILY_MARKETS)
 
@@ -659,7 +676,8 @@ class TestInBandProbes:
         probes, _ = _record_D_probes(monkeypatch)
         for kappa in sc.kappa.kappas():
             for w in sorted({BASELINE_W, sc.w}):
-                _probe_the_map(MarketParams(kappa=kappa, q=sc.q, w=w), sc.belief_measure)
+                _probe_the_map(MarketParams(kappa=kappa, q=sc.q, w=w), sc.belief_measure,
+                               probes)
         _assert_in_band(probes)
 
     @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
@@ -670,6 +688,128 @@ class TestInBandProbes:
         solve_grid(_grid(256), sc.q, sc.w, sc.belief_measure)
         _assert_in_band(probes, lanes)
         assert sum(p.size for p, _ in lanes) > 256 * 50
+
+
+def _sweep_takes():
+    # the bundled sweep --baseline rows, take by take in CLI order: per take
+    # its (params, measure) rows, budgets ascending
+    takes = []
+    for _, path in sorted(bundled_scenarios().items()):
+        sc = load_scenario(path)
+        takes += [[(MarketParams(kappa=kappa, q=sc.q, w=w), sc.belief_measure)
+                   for w in sorted({BASELINE_W, sc.w})] for kappa in sc.kappa.kappas()]
+    return takes
+
+
+def _cold_bits(params, m):
+    # solve on a copy of the measure, a key no remembered boundary holds
+    return _bits(solve(params, dataclasses.replace(m)))
+
+
+SWEEP_ORDERS = {
+    "sweep": lambda takes: [row for take in takes for row in take],
+    "reversed": lambda takes: [row for take in takes for row in take][::-1],
+    "other budget first": lambda takes: [row for take in takes for row in take[::-1]],
+}
+
+
+class TestRememberedBoundaries:
+    """compute_pbar1 and compute_pbar2 each remember their last root.
+
+    The key is the measure object (by identity), kappa, q and tol. A hit
+    gives the bits a bisection gives; any other key bisects again.
+    """
+
+    @pytest.mark.parametrize("order", sorted(SWEEP_ORDERS))
+    def test_bundled_sweep_rows_equal_the_cold_solve(self, monkeypatch, order):
+        rows = SWEEP_ORDERS[order](_sweep_takes())
+        probes, _ = _record_D_probes(monkeypatch)
+        cold = [_cold_bits(params, m) for params, m in rows]
+        cold_probes = len(probes)
+        del probes[:]
+        assert [_bits(solve(params, m)) for params, m in rows] == cold
+        # the second budget of each take reused both boundaries
+        assert len(probes) < cold_probes
+
+    @pytest.mark.parametrize("between", ["kappa", "q", "tol", "equal measure"])
+    def test_another_key_in_between_bisects_again(self, monkeypatch, between):
+        m, params, tol = wedge(10), MarketParams(kappa=0.8, q=0.9, w=1.0), FP_TOL
+        other = {"kappa": (dataclasses.replace(params, kappa=0.7), m, tol),
+                 "q": (dataclasses.replace(params, q=0.6), m, tol),
+                 "tol": (params, m, FP_TOL / 10),
+                 # exact_mass is left out of ==, so this copy compares equal
+                 "equal measure": (params, dataclasses.replace(m, exact_mass=m.exact_mass),
+                                   tol)}[between]
+        assert other[1] == m
+        probes, _ = _record_D_probes(monkeypatch)
+
+        def solved(params, m, tol):
+            # (_D calls, bits) of one solve
+            n = len(probes)
+            bits = _bits(solve(params, m, fp_tol=tol))
+            return len(probes) - n, bits
+
+        _forget_boundaries(probes)
+        first = solved(params, m, tol)
+        again = solved(params, m, tol)
+        assert again[1] == first[1] and again[0] < first[0]
+        solved(*other)
+        assert solved(params, m, tol) == first
+
+    @pytest.mark.parametrize("boundary", [compute_pbar1, compute_pbar2],
+                             ids=lambda f: f.__name__)
+    def test_a_boundary_that_raises_is_not_remembered(self, monkeypatch, boundary):
+        m, params, calls = wedge(10), MarketParams(kappa=0.8, q=0.6, w=1.0), [0]
+
+        def flaky_mass(lo, hi):
+            calls[0] += 1
+            if calls[0] == 9:  # inside the bisection, once
+                raise DomainError("flaky")
+            return m.exact_mass(lo, hi)
+
+        flaky = dataclasses.replace(m, exact_mass=flaky_mass)
+        probes, _ = _record_D_probes(monkeypatch)
+        _forget_boundaries(probes)
+        root = boundary(params, m)
+        cold_probes = len(probes)
+        with pytest.raises(DomainError, match="flaky"):
+            boundary(params, flaky)
+        # m's entry is still there: no probe
+        n = len(probes)
+        assert boundary(params, m) == root and len(probes) == n
+        # and the measure that raised bisects in full
+        assert boundary(params, flaky).hex() == root.hex()
+        assert len(probes) - n == cold_probes
+
+    def test_threads_solving_interleaved_takes_match_the_serial_results(self):
+        takes = _sweep_takes()
+        want = [[_cold_bits(params, m) for params, m in take] for take in takes]
+        # four threads start each take together, two of them with its
+        # budgets swapped, so they bisect the same key at once and replace
+        # each other's entries
+        barrier = threading.Barrier(4, timeout=60)
+
+        def solve_all(swapped):
+            got = []
+            try:
+                for take in takes:
+                    barrier.wait()
+                    bits = [_bits(solve(params, m))
+                            for params, m in (take[::-1] if swapped else take)]
+                    got.append(bits[::-1] if swapped else bits)
+            except BaseException:
+                barrier.abort()  # no thread waits for one that failed
+                raise
+            return got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside a bisection
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(solve_all, [False, True, False, True], timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(got == want for got in results)
 
 
 def _roots(kappa):

@@ -159,6 +159,45 @@ class TestGaussianMixtureDensity:
         ps = [0.0, 1.0, *means, *np.random.default_rng(5).uniform(0.0, 1.0, 200).tolist()]
         assert [m.density(p).hex() for p in ps] == [written_out(p).hex() for p in ps]
 
+    @pytest.mark.parametrize("weights, means, stddevs", [
+        ([1.0, 0.5], [0.3, 0.75], [0.15, 0.1]),
+        ([0.3, 1.2, 0.7], [-0.4, 0.5, 1.6], [0.2, 0.05, 0.3]),
+        ([1.0, 2.0], [0.0, 1.0], [0.1, 0.3]),
+        ([1.0, 0.5], [-2.0, 3.0], [0.5, 0.7]),
+    ])
+    def test_mass_matches_the_written_out_formula(self, weights, means, stddevs):
+        # the family takes each kernel's erf and erfc at the band ends 0.0
+        # and 1.0 once, at construction; every mass written out kernel by
+        # kernel must give the same bits, on means below 0, inside [0, 1]
+        # and above 1, which take each branch, mirrored kernels included
+        def written_out(lo, hi):
+            out = 0.0
+            for wgt, mu, sd in zip(weights, means, stddevs):
+                width = sd * math.sqrt(2.0)
+                a, b = (lo - mu) / width, (hi - mu) / width
+                if b < 0.0:
+                    a, b = -b, -a
+                out += 0.5 * wgt * (math.erfc(a) - math.erfc(b) if a > 0.0
+                                    else math.erf(b) - math.erf(a))
+            return out
+
+        m = gaussian_mixture(weights, means, stddevs)
+        # both signed zeros, which a set or sort would merge
+        ps = [-0.0, 0.0] + sorted({5e-324, 0.05, 0.5, math.nextafter(1.0, 0.0), 1.0,
+                                   *(mu for mu in means if 0.0 < mu <= 1.0),
+                                   *np.random.default_rng(9).uniform(0.0, 1.0, 40).tolist()})
+        pairs = [(lo, hi) for lo in ps for hi in ps if lo <= hi]
+        want = [written_out(lo, hi).hex() for lo, hi in pairs]
+        assert [m.exact_mass(lo, hi).hex() for lo, hi in pairs] == want
+        los, his = (np.array(x) for x in zip(*pairs))
+        assert [x.hex() for x in m.exact_mass_array(los, his).tolist()] == want
+        # the band ends as floats, as _D_lanes and discretize pass them
+        tops, bottoms = np.array(ps), np.array(ps)
+        assert ([x.hex() for x in m.exact_mass_array(tops, 1.0).tolist()]
+                == [written_out(lo, 1.0).hex() for lo in ps])
+        assert ([x.hex() for x in m.exact_mass_array(0.0, bottoms).tolist()]
+                == [written_out(0.0, hi).hex() for hi in ps])
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
             gaussian_mixture([1.0, -1.0], [0.2, 0.8], [0.1, 0.1])
