@@ -23,21 +23,23 @@ budget w. phi is continuous and decreasing with phi(1-kappa) = 1 and
 phi(kappa) = 0, so it crosses the diagonal exactly once; ``solve`` brackets
 that crossing by bisection and rebuilds the equilibrium from it.
 
-``solve_grid`` runs the same three bisections for many takes at once, one
-float64 numpy lane per kappa and bisection, and returns bit for bit what
-``solve`` returns for each. A take that ``solve`` would reject, or whose
-lane meets a value that is not finite, is handed to ``solve``, so errors are
-the scalar loop's. The batch pays when the grid is large: each numpy step
-has a fixed overhead, so at kappa = 0.8, q = 0.9, w = 1 a batch of one took
-27 times as long as a ``solve`` that bisects both boundaries on wedge(100)
-(4.2 against 0.16 ms), 21 times on a 4-knot tabulated density and 13 times
-on a 2-kernel Gaussian mixture. So single solves stay scalar, and ``solve``
-remains the reference the grid is tested against.
+``grid_fixed_points`` runs the same three bisections for many takes at
+once, one float64 numpy lane per kappa and bisection, and gives for each
+take the fixed point, residual and totals that ``solve`` returns, bit for
+bit, as floats: no ``Equilibrium`` is built. A take that ``solve`` would
+reject, or whose lane meets a value that is not finite, gets None, for the
+caller to hand to ``solve`` (``stackelberg.grid_revenues`` does). The batch
+pays when the grid is large: each numpy step has a fixed overhead, so at
+kappa = 0.8, q = 0.9, w = 1 a batch of one took 25 times as long as a
+``solve`` that bisects both boundaries on wedge(100) (6.5 against 0.26 ms),
+20 times on a 4-knot tabulated density and 12 times on a 2-kernel Gaussian
+mixture. So single solves stay scalar, and ``solve`` remains the reference
+the grid is tested against.
 """
 
 from dataclasses import dataclass
 from math import inf, sqrt
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -270,12 +272,8 @@ def solve(params: MarketParams, measure: BeliefMeasure,
         lambda p: phi(p, ctx) - p,
         1.0 - params.kappa, params.kappa,
         width_tol=fp_tol, residual_tol=fp_tol)
-    return _equilibrium(params, p_star, residual, *_D(p_star, params.kappa, measure))
-
-
-def _equilibrium(params: MarketParams, p_star: float, residual: float,
-                 d1s: float, d2s: float) -> Equilibrium:
     # every wager rebuilt from the fixed point and the totals there
+    d1s, d2s = _D(p_star, params.kappa, measure)
     atomic = atomic_best_response(DiffuseAggregate(d1=d1s, d2=d2s), params)
     thresholds = diffuse_best_response(p_star, params.kappa)
     return Equilibrium(p_star=p_star, d1_star=d1s, d2_star=d2s,
@@ -286,43 +284,49 @@ def _equilibrium(params: MarketParams, p_star: float, residual: float,
 # many takes at once: each lane replays the scalar operations in their order
 # --------------------------------------------------------------------------
 
-def solve_grid(kappas: Sequence[float], q: float, w: float, measure: BeliefMeasure,
-               fp_tol: float = FP_TOL) -> list[Equilibrium]:
-    """[solve(MarketParams(kappa=k, q=q, w=w), measure, fp_tol) for k in kappas].
+def grid_fixed_points(kappas: Sequence[float], q: float, w: float,
+                      measure: BeliefMeasure, fp_tol: float = FP_TOL,
+                      ) -> list[Optional[tuple[float, float, float, float]]]:
+    """Per take, solve's (p_star, residual, d1_star, d2_star), or None.
 
-    The boundary bisections and the fixed-point bisection run for every
-    float kappa at once, one float64 lane each: first one loop over both
-    boundaries (a pbar1 lane and a pbar2 lane per kappa), then one over the
-    fixed points. Each lane takes ``_bisect_decreasing``'s midpoint steps,
-    keeps its best point and exits where it does. Masses come from the
-    measure's exact_mass_array, which matches exact_mass bit for bit, so
-    each lane that finishes equals the scalar solve.
+    The take at kappa k is solve(MarketParams(kappa=k, q=q, w=w), measure,
+    fp_tol). The boundary bisections and the fixed-point bisection run for
+    every float kappa at once, one float64 lane each: first one loop over
+    both boundaries (a pbar1 lane and a pbar2 lane per kappa), then one over
+    the fixed points. Each lane takes ``_bisect_decreasing``'s midpoint
+    steps, keeps its best point and exits where it does. Masses come from
+    the measure's exact_mass_array, which matches exact_mass bit for bit, so
+    each lane that finishes holds the bits solve returns.
 
-    Every other take is handed to ``solve`` itself, in order: a kappa that
-    is not a float in (0.5, 1), every take when fp_tol is not positive,
-    action boundaries out of order, or a value that is not finite (where
-    Python's float division or math.sqrt raises). So the first kappa that
-    fails raises exactly what the scalar loop raises for it; an error the
-    measure itself raises propagates from the batch.
+    None marks a take that only ``solve`` can decide, because it raises
+    there or may: a kappa that is not a float in (0.5, 1), a q or w that
+    MarketParams rejects, every take when fp_tol is not positive, action
+    boundaries out of order, a value that is not finite (where Python's
+    float division or math.sqrt raises), or totals at the fixed point that
+    are not both positive. A lane with both totals positive is one that
+    solve returns without raising. An error the measure itself raises
+    propagates from the batch.
     """
+    try:  # the scalar solve rejects every take then, each with its own error
+        MarketParams(kappa=0.75, q=q, w=w)
+    except DomainError:
+        return [None] * len(kappas)
     lanes = [i for i, k in enumerate(kappas)
              if isinstance(k, float) and 0.5 < k < 1.0 and fp_tol > 0.0]
     with np.errstate(all="ignore"):  # non-finite values mark lanes, not warnings
-        solved = _grid_fixed_points(np.array([kappas[i] for i in lanes], dtype=float),
+        solved = _fixed_point_lanes(np.array([kappas[i] for i in lanes], dtype=float),
                                     q, w, measure, fp_tol)
     finished, *values = (a.tolist() for a in solved)
-    done = {lanes[j]: lane for j, lane in zip(finished, zip(*values))}
-    out = []
-    for i, k in enumerate(kappas):
-        params = MarketParams(kappa=k, q=q, w=w)
-        out.append(_equilibrium(params, *done[i]) if i in done
-                   else solve(params, measure, fp_tol=fp_tol))
+    out: list = [None] * len(kappas)
+    for j, lane in zip(finished, zip(*values)):
+        out[lanes[j]] = lane
     return out
 
 
-def _grid_fixed_points(kappa: np.ndarray, q: float, w: float, m: BeliefMeasure,
+def _fixed_point_lanes(kappa: np.ndarray, q: float, w: float, m: BeliefMeasure,
                        fp_tol: float):
-    # (lane, p_star, residual, d1, d2) for each lane that finishes
+    # (lane, p_star, residual, d1, d2) for each lane that finishes with both
+    # totals positive
     lo, hi = 1.0 - kappa, kappa
     # both boundaries in one loop: per kappa a pbar1 lane, unless q = 0 pins
     # pbar1 to kappa, and a pbar2 lane, unless q = 1 pins pbar2 to 1 - kappa
@@ -343,12 +347,16 @@ def _grid_fixed_points(kappa: np.ndarray, q: float, w: float, m: BeliefMeasure,
     pbar2 = lo if q == 1.0 else bar[-1]
     live = np.flatnonzero(bar_ok.all(axis=0) & (pbar2 < pbar1))
     kappa, lo, hi, pbar1, pbar2 = (a[live] for a in (kappa, lo, hi, pbar1, pbar2))
+    # each side's stake coefficient kappa b / (1 - kappa b), rounded as
+    # _stake rounds it before the product d1 d2
+    c1, c2 = (kappa * b / (1.0 - kappa * b) for b in (q, 1.0 - q))
 
     def g(p):
-        return _phi_lanes(p, kappa, q, w, m, pbar1, pbar2) - p
+        return _phi_lanes(p, kappa, w, m, pbar1, pbar2, c1, c2) - p
 
     p_star, residual, ok = _bisect_lanes(g, lo, hi, fp_tol, residual_tol=fp_tol)
     d1s, d2s = _D_lanes(p_star, kappa, m)
+    ok &= (d1s > 0.0) & (d2s > 0.0)
     return live[ok], p_star[ok], residual[ok], d1s[ok], d2s[ok]
 
 
@@ -361,16 +369,17 @@ def _D_lanes(p: np.ndarray, kappa: np.ndarray, m: BeliefMeasure):
             m.exact_mass_array(0.0, 1.0 - (1.0 - p) / kappa))
 
 
-def _phi_lanes(p, kappa, q, w, m, pbar1, pbar2):
+def _phi_lanes(p, kappa, w, m, pbar1, pbar2, c1, c2):
     # phi per lane, bit for bit: s is its a1 + a2, the one stake the lane's
-    # regime selects. Every probe lies in [1 - kappa, kappa]
+    # regime selects, c1 and c2 its stake coefficients on Outcome 1 and 2.
+    # Every probe lies in [1 - kappa, kappa]
     d1, d2 = _D_lanes(p, kappa, m)
     back1 = p > pbar1  # which excludes p < pbar2, as pbar2 < pbar1 on every lane
-    belief, own = np.where(back1, q, 1.0 - q), np.where(back1, d1, d2)
+    c, own = np.where(back1, c1, c2), np.where(back1, d1, d2)
     # min(w, _stake(...)) with Python's min/max tie rules. A negative d1 * d2
     # (masses rounded below zero) makes math.sqrt raise but np.sqrt return
     # NaN, so NaN is kept to mark the lane for solve, unless she abstains
-    s = np.sqrt(kappa * belief / (1.0 - kappa * belief) * d1 * d2) - own
+    s = np.sqrt(c * d1 * d2) - own
     s = np.where(s <= 0.0, 0.0, s)
     s = np.where(back1 | (p < pbar2), np.where(s >= w, w, s), 0.0)
     return (np.where(back1, s, 0.0) + d1) / (s + d1 + d2)
@@ -400,10 +409,11 @@ def _bisect_lanes(g, lo: np.ndarray, hi: np.ndarray, width_tol: float,
     # a lane whose bracket runs out of floats stops, as in the scalar loop
     while (live := live & (lo < (mid := 0.5 * (lo + hi))) & (mid < hi)).any():
         gm = g(mid)
+        agm = abs(gm)
         zero = gm == 0.0  # exact crossing: that midpoint, whatever the best
-        better = live & ((abs(gm) < best_g) | zero)
+        better = live & ((agm < best_g) | zero)
         np.copyto(best_p, mid, where=better)
-        np.copyto(best_g, abs(gm), where=better)
+        np.copyto(best_g, agm, where=better)
         up = gm > 0.0
         np.copyto(lo, mid, where=live & up)
         np.copyto(hi, mid, where=live & ~up)

@@ -30,8 +30,12 @@ class MarketReport:
 
 def house_revenue(eq: Equilibrium, params: MarketParams) -> float:
     """Take revenue: (1 - kappa) times the full pool."""
-    pool = eq.d1_star + eq.d2_star + eq.atomic.a1 + eq.atomic.a2
-    return (1.0 - params.kappa) * pool
+    return take_revenue(params.kappa, eq.d1_star, eq.d2_star, eq.atomic.a1, eq.atomic.a2)
+
+
+def take_revenue(kappa: float, d1: float, d2: float, a1: float, a2: float) -> float:
+    """house_revenue from the take and the four wagers, as floats."""
+    return (1.0 - kappa) * (d1 + d2 + a1 + a2)
 
 
 def _expected_profit(stake1: float, stake2: float, belief: float,

@@ -187,8 +187,10 @@ def iterate_best_response(pop: DiscretePopulation, params: MarketParams) -> Orac
 
     Keeps the half of the band [1-kappa, kappa] where P -> (d1 + a1)/pool
     crosses P until float resolution runs out, and returns the last
-    bracket's midpoint: the map's jump point or crossing, exact to one ulp.
-    converged=False means a probe found nobody wagering, so the map is
+    bracket's midpoint: the jump point or crossing of the map as computed
+    in floats, to one ulp. The exact map, with exact thresholds, totals and
+    stake, crosses within 2.70 ulps of it on the benchmark's 12 markets at
+    N = 2000 (the exact referee in tests/test_oracle.py). converged=False means a probe found nobody wagering, so the map is
     undefined there.
 
     Each probe is keyed by how many bettors lie beyond each threshold, the

@@ -116,13 +116,22 @@ def atomic_best_response(d: DiffuseAggregate, params: MarketParams) -> AtomicBet
     unconstrained optimum; the budget caps it.
     """
     _require_two_sided(d)
-    kappa, q, w = params.kappa, params.q, params.w
-    d1, d2 = d.d1, d.d2
+    return AtomicBet(*atomic_stakes(params.kappa, params.q, params.w, d.d1, d.d2))
+
+
+def atomic_stakes(kappa: float, q: float, w: float, d1: float, d2: float,
+                  ) -> tuple[float, float]:
+    """atomic_best_response's (a1, a2) from floats, unchecked.
+
+    The market must be valid and both totals positive, as MarketParams and
+    atomic_best_response check; the take grid calls this on lanes it has
+    checked itself, so that it builds no object per take.
+    """
     if q > d1 / (kappa * (d1 + d2)):
-        return AtomicBet(a1=_capped_stake(kappa, q, d1, d2, d1, w), a2=0.0)
+        return _capped_stake(kappa, q, d1, d2, d1, w), 0.0
     if 1.0 - q > d2 / (kappa * (d1 + d2)):
-        return AtomicBet(a1=0.0, a2=_capped_stake(kappa, 1.0 - q, d1, d2, d2, w))
-    return AtomicBet(a1=0.0, a2=0.0)
+        return 0.0, _capped_stake(kappa, 1.0 - q, d1, d2, d2, w)
+    return 0.0, 0.0
 
 
 def _capped_stake(kappa: float, belief: float, d1: float, d2: float, own: float,

@@ -6,19 +6,21 @@ so a uniform grid scan guards against multimodality and a golden-section pass
 refines the best cell. Evaluated candidates are all retained, and the reported
 optimum is the best point ever seen, so it can never fall below a grid sample.
 
-The grid is solved in one batch by ``solve_grid``, which returns exactly what
-a ``solve`` per grid point would; the golden-section pass, about 15 solves
+The grid's revenues come in one batch from ``grid_revenues``, exactly what
+``house_revenue`` of a ``solve`` per grid point would give, with no
+``Equilibrium`` built per take; the golden-section pass, about 15 solves
 that each depend on the last, calls ``solve`` one take at a time.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from .equilibrium import FP_TOL, solve, solve_grid
+from .equilibrium import FP_TOL, grid_fixed_points, solve
 from .errors import DomainError
 from .measure import BeliefMeasure
-from .metrics import house_revenue
-from .response import MarketParams
+from .metrics import house_revenue, take_revenue
+from .response import MarketParams, atomic_stakes
 
 # the takes searched here and swept by scenarios: clamped away from the
 # degenerate limits kappa -> 0.5 and kappa -> 1
@@ -40,6 +42,32 @@ class TakeOptimum:
     profile: tuple[tuple[float, float], ...]  # (kappa, revenue) grid samples
 
 
+def grid_revenues(kappas: Sequence[float], q: float, w: float, measure: BeliefMeasure,
+                  fp_tol: float = FP_TOL) -> list[float]:
+    """[house_revenue(solve(params, measure, fp_tol), params) for each take],
+    bit for bit, with params = MarketParams(kappa=k, q=q, w=w) for k in kappas.
+
+    Each take that grid_fixed_points finishes takes its revenue straight
+    from the lane's totals, through the stakes and the revenue formula that
+    solve and house_revenue use. Every other take is solved, in order, so
+    the first take that fails raises what the scalar loop raises for it.
+    """
+    out = []
+    for k, lane in zip(kappas, grid_fixed_points(kappas, q, w, measure, fp_tol)):
+        if lane is None:
+            out.append(_solved_revenue(k, q, w, measure, fp_tol))
+        else:
+            d1, d2 = lane[2:]
+            out.append(take_revenue(k, d1, d2, *atomic_stakes(k, q, w, d1, d2)))
+    return out
+
+
+def _solved_revenue(kappa: float, q: float, w: float, measure: BeliefMeasure,
+                    fp_tol: float) -> float:
+    params = MarketParams(kappa=kappa, q=q, w=w)
+    return house_revenue(solve(params, measure, fp_tol=fp_tol), params)
+
+
 def optimize_take(measure: BeliefMeasure, q: float, w: float,
                   grid_points: int = 256, fp_tol: float = FP_TOL) -> TakeOptimum:
     """Maximize take revenue over kappa in the clamped search interval."""
@@ -52,8 +80,7 @@ def optimize_take(measure: BeliefMeasure, q: float, w: float,
     span = KAPPA_SEARCH_HI - KAPPA_SEARCH_LO
     grid = [KAPPA_SEARCH_LO + span * i / (grid_points - 1)
             for i in range(grid_points)]
-    profile = tuple((k, house_revenue(eq, MarketParams(kappa=k, q=q, w=w)))
-                    for k, eq in zip(grid, solve_grid(grid, q, w, measure, fp_tol=fp_tol)))
+    profile = tuple(zip(grid, grid_revenues(grid, q, w, measure, fp_tol=fp_tol)))
 
     i_best = max(range(grid_points), key=lambda i: profile[i][1])
     best_k, best_r = profile[i_best]
@@ -63,8 +90,7 @@ def optimize_take(measure: BeliefMeasure, q: float, w: float,
     def revenue(kappa: float) -> float:
         # every take evaluated is a candidate for the running best
         nonlocal best_k, best_r
-        params = MarketParams(kappa=kappa, q=q, w=w)
-        r = house_revenue(solve(params, measure, fp_tol=fp_tol), params)
+        r = _solved_revenue(kappa, q, w, measure, fp_tol)
         if r > best_r:
             best_k, best_r = kappa, r
         return r

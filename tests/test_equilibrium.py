@@ -22,15 +22,18 @@ from conftest import (BASELINE_W, assert_equilibrium_properties, bundled_cases,
                       scenario_zoo)
 from test_measure import _family_zoo
 import parieq.equilibrium as equilibrium_mod
-from parieq.equilibrium import (FP_TOL, _D, _bisect_decreasing,
-                                _bisect_lanes, compute_pbar1, compute_pbar2, phi,
-                                phi_context, solve, solve_grid, zeta1, zeta2)
+import parieq.stackelberg as stackelberg_mod
+from parieq.equilibrium import (FP_TOL, Equilibrium, _D, _bisect_decreasing,
+                                _bisect_lanes, compute_pbar1, compute_pbar2,
+                                grid_fixed_points, phi, phi_context, solve, zeta1,
+                                zeta2)
 from parieq.errors import DomainError, NoEquilibriumError
 from parieq.measure import (BeliefMeasure, from_density, mass, scaled, tabulated,
                             uniform, wedge)
+from parieq.metrics import house_revenue
 from parieq.response import DiffuseAggregate, MarketParams, implied_probability
 from parieq.scenario import build_measure, bundled_scenarios, load_scenario
-from parieq.stackelberg import KAPPA_SEARCH_HI, KAPPA_SEARCH_LO
+from parieq.stackelberg import KAPPA_SEARCH_HI, KAPPA_SEARCH_LO, grid_revenues
 
 
 # takes from the band's narrowest to its widest
@@ -186,7 +189,7 @@ class TestActionBoundaries:
         with pytest.raises(DomainError, match="out of order"):
             solve(params, uniform(), fp_tol=fp_tol)
         with pytest.raises(DomainError, match="out of order"):
-            solve_grid([0.7, 0.8], 0.5, 1.0, uniform(), fp_tol=fp_tol)
+            grid_revenues([0.7, 0.8], 0.5, 1.0, uniform(), fp_tol=fp_tol)
 
     def test_requires_majority_retention(self):
         with pytest.raises(DomainError):
@@ -430,10 +433,15 @@ def _bits(eq):
         eq.thresholds.bet1_above, eq.thresholds.bet2_below, eq.residual))
 
 
+def _lane_bits(p_star, residual, d1_star, d2_star):
+    # the floats a lane of grid_fixed_points holds, as hex
+    return tuple(x.hex() for x in (p_star, residual, d1_star, d2_star))
+
+
 def _outcome(run):
-    # the bits of every lane, or the error raised, as a comparable value
+    # what run returns, or the error it raises, as a comparable value
     try:
-        return [_bits(eq) for eq in run()]
+        return run()
     except Exception as exc:  # the comparison covers any error type
         return type(exc), str(exc)
 
@@ -442,38 +450,66 @@ def _scalar_loop(kappas, q, w, m, fp_tol=FP_TOL):
     return [solve(MarketParams(kappa=k, q=q, w=w), m, fp_tol=fp_tol) for k in kappas]
 
 
+def _scalar_revenues(kappas, q, w, m, fp_tol=FP_TOL):
+    # house_revenue(solve(...)) per take as hex, the loop grid_revenues stands for
+    return [house_revenue(eq, MarketParams(kappa=k, q=q, w=w)).hex()
+            for k, eq in zip(kappas, _scalar_loop(kappas, q, w, m, fp_tol))]
+
+
+def _grid_revenues(kappas, q, w, m, fp_tol=FP_TOL):
+    return [r.hex() for r in grid_revenues(kappas, q, w, m, fp_tol=fp_tol)]
+
+
+def _lanes_unlike_solve(kappas, q, w, m, fp_tol=FP_TOL):
+    # the takes whose lane is not what solve returns there, bit for bit: a
+    # lane whose solve raises counts. A take without a lane is grid_revenues'
+    # to hand over, and is judged by its revenue
+    bad = []
+    for k, lane in zip(kappas, grid_fixed_points(kappas, q, w, m, fp_tol)):
+        if lane is not None:
+            eq = _outcome(lambda: solve(MarketParams(kappa=k, q=q, w=w), m, fp_tol=fp_tol))
+            if not isinstance(eq, Equilibrium) or _lane_bits(*lane) != _lane_bits(
+                    eq.p_star, eq.residual, eq.d1_star, eq.d2_star):
+                bad.append(k)
+    return bad
+
+
 def _grid(points, lo=KAPPA_SEARCH_LO, hi=KAPPA_SEARCH_HI):
     return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
 
 
 def _assert_same_as_solve(kappas, q, w, m, fp_tol=FP_TOL):
-    got = _outcome(lambda: solve_grid(kappas, q, w, m, fp_tol=fp_tol))
-    want = _outcome(lambda: _scalar_loop(kappas, q, w, m, fp_tol))
-    assert isinstance(want, list), want
-    bad = [k for k, a, b in zip(kappas, got, want) if a != b]
+    # the lanes' fixed points and totals, and every take's revenue
+    bad = _lanes_unlike_solve(kappas, q, w, m, fp_tol)
     assert not bad, f"{len(bad)} lanes differ from solve, first at kappa={bad[0]}"
+    want = _scalar_revenues(kappas, q, w, m, fp_tol)
+    got = _grid_revenues(kappas, q, w, m, fp_tol)
+    bad = [k for k, a, b in zip(kappas, got, want) if a != b]
+    assert not bad, f"{len(bad)} revenues differ from solve's, first at kappa={bad[0]}"
+    assert len(got) == len(want) == len(kappas)
 
 
 def _count_handovers(monkeypatch):
-    # the takes solve_grid hands to solve from now on, in the order it hands them over
+    # the takes grid_revenues hands to solve from now on, in the order it
+    # hands them over
     taken = []
 
     def counting_solve(params, *args, **kwargs):
         taken.append(params.kappa)
         return solve(params, *args, **kwargs)
 
-    monkeypatch.setattr(equilibrium_mod, "solve", counting_solve)
+    monkeypatch.setattr(stackelberg_mod, "solve", counting_solve)
     return taken
 
 
 def _handovers(monkeypatch, kappas, q, w, m):
     taken = _count_handovers(monkeypatch)
-    solve_grid(kappas, q, w, m)
+    grid_revenues(kappas, q, w, m)
     return taken
 
 
-class TestSolveGrid:
-    """solve_grid against solve, bit for bit, lane by lane."""
+class TestTakeGrid:
+    """grid_fixed_points and grid_revenues against solve, bit for bit, take by take."""
 
     @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
     def test_bundled_take_and_sweep_grids(self, name):
@@ -491,7 +527,7 @@ class TestSolveGrid:
     @pytest.mark.parametrize("m", [
         from_density(lambda p: 1.0 + 3.0 * p * p),
         # steep enough that one lane's bracket runs out of floats above the
-        # residual tolerance, and that lane goes to solve
+        # residual tolerance
         tabulated([(0.0, 1e-6), (0.5, 1e6), (1.0, 1e-6)]),
     ], ids=lambda m: m.kind)
     def test_quadrature_and_steep_measures(self, m):
@@ -512,10 +548,23 @@ class TestSolveGrid:
         ([0.7, 10**400, 0.8], 0.9, FP_TOL),    # an int too large for a float
     ])
     def test_raises_what_the_scalar_loop_raises(self, kappas, q, fp_tol):
-        got = _outcome(lambda: solve_grid(kappas, q, 1.0, uniform(), fp_tol=fp_tol))
-        want = _outcome(lambda: _scalar_loop(kappas, q, 1.0, uniform(), fp_tol))
+        got = _outcome(lambda: _grid_revenues(kappas, q, 1.0, uniform(), fp_tol))
+        want = _outcome(lambda: _scalar_revenues(kappas, q, 1.0, uniform(), fp_tol))
         assert not isinstance(want, list)
         assert got == want
+        assert not _lanes_unlike_solve(kappas, q, 1.0, uniform(), fp_tol)
+
+    @pytest.mark.parametrize("kappas", [[0.7, 0.8], [0.4, 0.7]],
+                             ids=["valid-takes", "invalid-take-first"])
+    @pytest.mark.parametrize("q, w", [(1.5, 1.0), (-0.1, 1.0), (math.nan, 1.0),
+                                      (0.9, 0.0), (0.9, -1.0), (0.9, math.nan)])
+    def test_invalid_market_raises_what_the_scalar_loop_raises(self, kappas, q, w):
+        # a direct call checks q and w as solve's MarketParams does, take by
+        # take: no lane runs, and the first take's error is raised
+        assert grid_fixed_points(kappas, q, w, uniform()) == [None, None]
+        got = _outcome(lambda: _grid_revenues(kappas, q, w, uniform()))
+        want = _outcome(lambda: _scalar_revenues(kappas, q, w, uniform()))
+        assert got == want and got[0] is DomainError
 
     @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
     def test_bundled_take_grid_mass_calls(self, name):
@@ -531,7 +580,7 @@ class TestSolveGrid:
             return exact_mass_array(lo, hi)
 
         m = dataclasses.replace(sc.belief_measure, exact_mass_array=counting)
-        solve_grid(_grid(256), sc.q, sc.w, m)
+        grid_revenues(_grid(256), sc.q, sc.w, m)
         d1_calls, d2_calls = calls[::2], calls[1::2]
         assert len(d1_calls) == len(d2_calls) <= 85
         assert {hi for _, hi in d1_calls} == {lo for lo, _ in d2_calls} == {1}
@@ -540,10 +589,11 @@ class TestSolveGrid:
 
     def test_zero_totals_fall_back_to_solve(self):
         # every interval mass underflows to zero, so both totals vanish and
-        # solve raises; the batch hands the lane to solve, which raises the same
+        # solve raises; the batch hands the take to solve, which raises the same
         m = scaled(uniform(), 5e-324)
-        got = _outcome(lambda: solve_grid([0.6, 0.7], 0.5, 1.0, m))
-        assert got == _outcome(lambda: _scalar_loop([0.6, 0.7], 0.5, 1.0, m))
+        assert grid_fixed_points([0.6, 0.7], 0.5, 1.0, m) == [None, None]
+        got = _outcome(lambda: _grid_revenues([0.6, 0.7], 0.5, 1.0, m))
+        assert got == _outcome(lambda: _scalar_revenues([0.6, 0.7], 0.5, 1.0, m))
         assert got[0] is DomainError
 
     @pytest.mark.parametrize("q", [0.1, 0.9])
@@ -559,9 +609,10 @@ class TestSolveGrid:
                               exact(a, b) for a, b in zip(
                                   *(x.tolist() for x in np.broadcast_arrays(lo, hi)))]))
         kappas = _grid(25, 0.51, 0.99)
+        assert not _lanes_unlike_solve(kappas, q, 1.0, m)
         taken = _count_handovers(monkeypatch)
-        outcomes = [(_outcome(lambda: solve_grid([k], q, 1.0, m)),
-                     _outcome(lambda: _scalar_loop([k], q, 1.0, m)))
+        outcomes = [(_outcome(lambda: _grid_revenues([k], q, 1.0, m)),
+                     _outcome(lambda: _scalar_revenues([k], q, 1.0, m)))
                     for k in kappas]
         assert all(got == want for got, want in outcomes)
         assert (ValueError, "math domain error") in [want for _, want in outcomes]
@@ -571,21 +622,24 @@ class TestSolveGrid:
         assert taken and set(taken) <= set(raised)
 
     def test_empty_grid(self):
-        assert solve_grid([], 0.5, 1.0, uniform()) == []
+        assert grid_fixed_points([], 0.5, 1.0, uniform()) == []
+        assert grid_revenues([], 0.5, 1.0, uniform()) == []
         # the scalar loop checks no tolerance when it has no take to solve
-        assert solve_grid([], 0.5, 1.0, uniform(), fp_tol=0.0) == []
+        assert grid_revenues([], 0.5, 1.0, uniform(), fp_tol=0.0) == []
 
     def test_steep_measure_finishes_the_lane_out_of_floats_in_the_batch(self,
                                                                         monkeypatch):
         m = tabulated([(0.0, 1e-6), (0.5, 1e6), (1.0, 1e-6)])
         kappas = _grid(64, 0.5001, 0.9999)
         taken = _count_handovers(monkeypatch)
-        got = solve_grid(kappas, 0.7, 1.0, m)
+        got = _grid_revenues(kappas, 0.7, 1.0, m)
         assert taken == []
-        want = _scalar_loop(kappas, 0.7, 1.0, m)
-        assert [_bits(eq) for eq in got] == [_bits(eq) for eq in want]
+        assert got == _scalar_revenues(kappas, 0.7, 1.0, m)
+        assert None not in grid_fixed_points(kappas, 0.7, 1.0, m)
+        assert not _lanes_unlike_solve(kappas, 0.7, 1.0, m)
         # at kappa = 0.5001 the bracket runs out of floats above the residual
         # tolerance, so only that exit ends the lane
+        want = _scalar_loop(kappas[:1], 0.7, 1.0, m)
         assert kappas[0] == 0.5001 and want[0].residual > FP_TOL
 
     @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
@@ -685,7 +739,7 @@ class TestInBandProbes:
         # the probes of a lane handed over to solve are recorded by _D
         sc = load_scenario(bundled_scenarios()[name])
         probes, lanes = _record_D_probes(monkeypatch)
-        solve_grid(_grid(256), sc.q, sc.w, sc.belief_measure)
+        grid_revenues(_grid(256), sc.q, sc.w, sc.belief_measure)
         _assert_in_band(probes, lanes)
         assert sum(p.size for p, _ in lanes) > 256 * 50
 

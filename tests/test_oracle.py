@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+from bisect import bisect_left, bisect_right
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -561,3 +564,121 @@ class TestCountKeyedTotals:
             res = iterate_best_response(pop, params)
             assert calls[0] <= 20, key
             assert res.evaluations == calls[0], key
+
+
+# --------------------------------------------------------------------------
+# an exact referee for the discrete fixed point
+# --------------------------------------------------------------------------
+
+REFEREE_PRECISION = 50  # significant decimal digits of the stake's square root
+# max |p_approx - P*| in ulps of p_approx over the 12 CROSSCHECK_CASES at
+# N = 2000, P* the exact fixed point, rounded up in its third digit: +2.6974
+# on bundled:appendixA at kappa = 0.8, then -2.6420 on
+# criterion8:example4_case2 at kappa = 0.839; bundled:example2 lands on 0.5
+ORACLE_ULPS_BOUND = 2.70
+
+
+def exact_discrete_fixed_point(pop, params) -> Decimal:
+    """The exact crossing of the diagonal by the discrete response map.
+
+    Float beliefs, wealths and market parameters are exact rationals. A
+    bettor of belief b backs Outcome 1 at P < kappa b and Outcome 2 at
+    P > 1 - kappa (1 - b), so between consecutive breakpoints of that kind
+    the map is constant. On each step the counts and the totals are exact
+    Fractions, the large bettor's regime and cap are decided exactly, and
+    only her interior square-root stake is a Decimal, at the caller's
+    precision. She stakes nothing where a total is zero, as _respond does.
+    The map falls with P, so a binary search finds the first step whose
+    value is at most its right end; the fixed point is the larger of that
+    value and the step's left end, a jump point when the value lies below
+    it. The result is continuous in the map's values, so the Decimal
+    rounding moves it by no more than that rounding.
+    """
+    K, Q, W = (Fraction(x) for x in (params.kappa, params.q, params.w))
+    ranked = sorted(zip(pop.beliefs.tolist(), pop.wealths.tolist()))
+    prefix = [Fraction(0)]  # the wealth of the bettors below each rank
+    for _, wealth in ranked:
+        prefix.append(prefix[-1] + Fraction(wealth))
+    up = [K * Fraction(b) for b, _ in ranked]  # backs Outcome 1 below these P
+    down = [1 - K * (1 - Fraction(b)) for b, _ in ranked]  # ... Outcome 2 above
+    ends = [1 - K] + sorted({x for x in up + down if 1 - K < x < K}) + [K]
+
+    def value(j) -> Decimal:
+        # the map on the open step (ends[j], ends[j + 1])
+        P = (ends[j] + ends[j + 1]) / 2
+        n1, n2 = len(up) - bisect_right(up, P), bisect_left(down, P)
+        d1, d2 = prefix[-1] - prefix[len(up) - n1], prefix[n2]
+        assert d1 + d2 > 0, "empty pool"
+        stakes = [Decimal(0), Decimal(0)]
+        if d1 > 0 and d2 > 0:
+            for side, (b, own) in enumerate(((Q, d1), (1 - Q, d2))):
+                if b > own / (K * (d1 + d2)):  # Outcome 1 first, as she decides
+                    stakes[side] = _exact_stake(K * b / (1 - K * b) * d1 * d2, own, W)
+                    break
+        a1, a2 = stakes
+        return (_dec(d1) + a1) / (_dec(d1 + d2) + a1 + a2)
+
+    first, last = 0, len(ends) - 2  # the last step's value is 0, below kappa
+    while first < last:
+        mid = (first + last) // 2
+        if value(mid) <= _dec(ends[mid + 1]):
+            last = mid
+        else:
+            first = mid + 1
+    return max(value(first), _dec(ends[first]))
+
+
+def _exact_stake(square: Fraction, own: Fraction, cap: Fraction) -> Decimal:
+    # min(cap, max(0, sqrt(square) - own)), the comparisons exact
+    if square >= (own + cap) ** 2:
+        return _dec(cap)
+    if square > own ** 2:
+        return _dec(square).sqrt() - _dec(own)
+    return Decimal(0)
+
+
+def _dec(x: Fraction) -> Decimal:
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def _ulps_off(pop, params) -> float:
+    # (p_approx - the exact fixed point) in ulps of p_approx
+    res = iterate_best_response(pop, params)
+    assert res.converged
+    with localcontext() as ctx:
+        ctx.prec = REFEREE_PRECISION
+        exact = exact_discrete_fixed_point(pop, params)
+        return float((Decimal(res.p_approx) - exact) / Decimal(math.ulp(res.p_approx)))
+
+
+class TestExactReferee:
+    """iterate_best_response's p_approx against the exact discrete fixed point."""
+
+    def test_benchmark_cases_lie_within_a_few_ulps(self):
+        # p_approx is the last bracket's midpoint, where the float map, with
+        # its rounded thresholds, totals and stake, changes sides
+        ulps = {key: _ulps_off(discretize(m, N), params)
+                for key, m, N, params in CROSSCHECK_CASES}
+        worst = max(ulps, key=lambda k: abs(ulps[k]))
+        assert abs(ulps[worst]) <= ORACLE_ULPS_BOUND, (worst, ulps)
+
+    @pytest.mark.parametrize("wealths, q, want", [
+        # she abstains; on the step (0.4, 0.6) both bet and the map is 1/2
+        ((1.0, 1.0), 0.5, Fraction(1, 2)),
+        # she abstains and the map is 1/4 on that step, below its left end:
+        # the crossing is the jump where the low bettor starts on Outcome 2
+        ((3.0, 1.0), 0.3, 1 - Fraction(0.8) * (1 - Fraction(0.25))),
+        # she backs Outcome 1 with sqrt(18/7) - 1 on (0.4, 0.6), where the
+        # map is above 0.6; past 0.6 only Outcome 2 is backed: the jump there
+        ((1.0, 1.0), 0.9, Fraction(0.8) * Fraction(0.75)),
+    ])
+    def test_two_bettors_by_hand(self, wealths, q, want):
+        # beliefs 1/4 and 3/4 at kappa = 0.8: the high one backs Outcome 1
+        # below P = 0.6, the low one Outcome 2 above P = 0.4, and no other
+        # breakpoint lies in the band (0.2, 0.8)
+        pop = DiscretePopulation(beliefs=np.array([0.25, 0.75]), wealths=np.array(wealths))
+        params = MarketParams(kappa=0.8, q=q, w=1.0)
+        with localcontext() as ctx:
+            ctx.prec = REFEREE_PRECISION
+            assert exact_discrete_fixed_point(pop, params) == _dec(want)
+        assert abs(_ulps_off(pop, params)) <= 1.0

@@ -2,11 +2,13 @@
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import parieq.equilibrium as equilibrium_mod
 import parieq.stackelberg as stackelberg_mod
 from parieq.equilibrium import FP_TOL, solve
 from parieq.errors import DomainError
@@ -80,7 +82,7 @@ class TestOptimizeTake:
         def no_grid(*args, **kwargs):
             raise AssertionError("grid solved before q and w were checked")
 
-        monkeypatch.setattr(stackelberg_mod, "solve_grid", no_grid)
+        monkeypatch.setattr(stackelberg_mod, "grid_revenues", no_grid)
         with pytest.raises(DomainError):
             optimize_take(uniform(), q, w)
 
@@ -115,11 +117,38 @@ class TestOptimizeTake:
         span = KAPPA_SEARCH_HI - KAPPA_SEARCH_LO
         grid = [KAPPA_SEARCH_LO + span * i / 255 for i in range(256)]
         c = grid[101] - _INV_GOLDEN * (grid[101] - grid[99])
+        # the grid's revenues come from take_revenue, the refinement's from
+        # house_revenue
+        monkeypatch.setattr(stackelberg_mod, "take_revenue",
+                            lambda kappa, *wagers: -abs(kappa - c))
         monkeypatch.setattr(stackelberg_mod, "house_revenue",
                             lambda eq, params: -abs(params.kappa - c))
         opt = optimize_take(uniform(), 0.9, 1.0)
         assert max(opt.profile, key=lambda pt: pt[1])[0] == grid[100]
         assert (opt.kappa_star, opt.revenue_star) == (c, 0.0)
+
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_only_the_refinement_builds_equilibria(self, monkeypatch, name):
+        # the 256 grid takes get their revenues from the lanes' floats: the
+        # large bettor's best response and an Equilibrium are built once per
+        # refinement solve, and for no grid take
+        sc = load_scenario(bundled_scenarios()[name])
+        calls = Counter()
+
+        def counting(module, attr):
+            real = getattr(module, attr)
+
+            def counted(*args, **kwargs):
+                calls[attr] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, attr, counted)
+
+        counting(stackelberg_mod, "solve")
+        counting(equilibrium_mod, "atomic_best_response")
+        counting(equilibrium_mod, "Equilibrium")
+        assert len(optimize_take(sc.belief_measure, sc.q, sc.w).profile) == 256
+        assert 2 <= calls["solve"] <= 40
+        assert calls["atomic_best_response"] == calls["Equilibrium"] == calls["solve"]
 
     def test_optimum_dominates_profile(self):
         opt = optimize_take(uniform(), 0.9, 1.0, grid_points=64)
