@@ -12,9 +12,13 @@ exists). For a candidate p:
 Two boundary candidates split the band by the large bettor's action: above
 ``pbar1`` she backs Outcome 1, below ``pbar2`` she backs Outcome 2, and in
 between she abstains. Each boundary is the unique root of her zero-edge
-condition along the band, found by bisection on a monotone ratio. It does
-not depend on her budget, so each boundary remembers its last root (see
-compute_pbar1), and the second budget of a take reuses both.
+condition along the band, found by bisection on a monotone ratio. phi only
+compares its candidate with the boundaries, so each is a ``Boundary``: a
+bisection that a comparison advances only as far as it has to, whose
+finished root is the full bisection's, bit for bit. A solve takes about
+half the boundary steps of two full bisections. A boundary does not depend
+on her budget, so each remembers its last Boundary (see compute_pbar1),
+and the second budget of a take resumes both where the first left them.
 
 ``zeta1``/``zeta2`` give her unconstrained optimal stake on the active side;
 the implied-probability response map ``phi`` recomputes the pool share of
@@ -58,8 +62,8 @@ class PhiContext:
 
     params: MarketParams
     measure: BeliefMeasure
-    pbar1: float  # large bettor backs Outcome 1 for candidates above this
-    pbar2: float  # ... and Outcome 2 for candidates below this
+    pbar1: "Boundary"  # large bettor backs Outcome 1 for candidates above this
+    pbar2: "Boundary"  # ... and Outcome 2 for candidates below this
 
 
 @dataclass(frozen=True)
@@ -121,45 +125,144 @@ def _bisect_decreasing(g: Callable[[float], float], lo: float, hi: float,
     return best_p, best_g
 
 
+class Boundary:
+    """An action boundary's bisection, advanced only as far as it is asked.
+
+    Boundary(g, lo, hi, tol).root() is _bisect_decreasing(g, lo, hi,
+    tol)[0], bit for bit. The constructor evaluates g at both ends, as
+    that bisection does first; each later step is one pass of its loop,
+    with residual_tol = inf. below(p) and above(p) compare the root with p
+    and take only the steps that the comparison needs: the root the
+    remaining steps can return is the best point so far or a midpoint
+    strictly inside the bracket, so once p lies past the bracket and on
+    the same side of the best point, the answer is known.
+
+    The state is one tuple (lo, hi, best_p, best_g, root), root None until
+    the bisection ends. A step reads it once and replaces it whole, so
+    threads sharing a boundary see a state of the same bisection, and a g
+    that raises leaves it as it was. Two threads that step at once may
+    store an earlier state over a later one; that repeats steps, and every
+    answer from either state is the finished root's.
+    """
+
+    __slots__ = ("_g", "_tol", "_state")
+
+    def __init__(self, g: Callable[[float], float], lo: float, hi: float,
+                 tol: float):
+        glo, ghi = g(lo), g(hi)
+        best_p, best_g = (lo, abs(glo)) if abs(glo) <= abs(ghi) else (hi, abs(ghi))
+        self._g, self._tol = g, tol
+        self._state = (lo, hi, best_p, best_g, None)
+
+    @classmethod
+    def at(cls, root: float) -> "Boundary":
+        """A boundary known without bisecting, such as a pinned band end."""
+        b = cls.__new__(cls)  # finished, so it never steps
+        b._state = (root, root, root, 0.0, root)
+        return b
+
+    def _step(self) -> None:
+        # one pass of _bisect_decreasing's loop body, written out again: a
+        # step function shared with that loop slows the fixed point's
+        # bisection, so the tests pin the two together instead
+        lo, hi, best_p, best_g, root = self._state
+        if root is not None:  # another thread finished it
+            return
+        if not lo < (mid := 0.5 * (lo + hi)) < hi:  # float resolution ran out
+            self._state = (lo, hi, best_p, best_g, best_p)
+            return
+        gmid = self._g(mid)
+        if abs(gmid) < best_g:
+            best_p, best_g = mid, abs(gmid)
+        if gmid == 0.0:  # exact crossing
+            self._state = (lo, hi, best_p, best_g, mid)
+            return
+        if gmid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        # residual_tol = inf, kept so that a NaN best |g| stops as it does there
+        done = hi - lo < self._tol and best_g <= inf
+        self._state = (lo, hi, best_p, best_g, best_p if done else None)
+
+    def root(self) -> float:
+        """The finished bisection's root."""
+        while (root := self._state[4]) is None:
+            self._step()
+        return root
+
+    def span(self) -> tuple[float, float]:
+        """The closed interval holding every root the remaining steps can return."""
+        lo, hi, best_p, _, root = self._state
+        return (root, root) if root is not None else (min(lo, best_p), max(hi, best_p))
+
+    def below(self, p: float) -> bool:
+        """root() < p, stepping only until that is decided."""
+        while True:
+            lo, hi, best_p, _, root = self._state
+            if root is not None:
+                return root < p
+            if p >= hi and p > best_p:
+                return True
+            if p <= lo and p <= best_p:
+                return False
+            self._step()
+
+    def above(self, p: float) -> bool:
+        """root() > p, stepping only until that is decided."""
+        while True:
+            lo, hi, best_p, _, root = self._state
+            if root is not None:
+                return root > p
+            if p <= lo and p < best_p:
+                return True
+            if p >= hi and p >= best_p:
+                return False
+            self._step()
+
+
 def compute_pbar1(params: MarketParams, measure: BeliefMeasure,
-                  tol: float = FP_TOL) -> float:
+                  tol: float = FP_TOL) -> Boundary:
     """Boundary candidate above which the large bettor backs Outcome 1.
 
     Unique root of q = d1 / (kappa (d1 + d2)) along the band; the ratio falls
     continuously from 1/kappa to 0, so the root is interior unless q = 0, in
-    which case the boundary collapses to kappa exactly.
+    which case the boundary collapses to kappa exactly. Returns the
+    bisection as a Boundary, with only the band ends evaluated; its root()
+    is the bisection's root to tol.
 
-    The last root is remembered, keyed by the measure object (compared with
-    ``is``, so a copy that compares equal is another key) and by kappa, q
-    and tol; a call with that key returns it without bisecting. The
-    boundaries do not depend on the budget w, and ``sweep --baseline``
-    solves both budgets of a take in a row, so one entry is all such a
-    sweep can reuse. Any other key bisects and replaces the entry; a call
-    that raises leaves it as it was.
+    The last boundary is remembered, keyed by the measure object (compared
+    with ``is``, so a copy that compares equal is another key) and by
+    kappa, q and tol; a call with that key returns it, as far as earlier
+    comparisons have advanced it. The boundaries do not depend on the
+    budget w, and ``sweep --baseline`` solves both budgets of a take in a
+    row, so one entry is all such a sweep can reuse. Any other key starts
+    a new bisection and replaces the entry; a call that raises leaves it
+    as it was.
     """
     _require_solvable_take(params.kappa)
     if params.q == 0.0:
-        return params.kappa
+        return Boundary.at(params.kappa)
     kappa, q, m = params.kappa, params.q, measure
 
     def g(p: float) -> float:
         d1, d2 = _D(p, kappa, m)
         return d1 / (kappa * (d1 + d2)) - q
 
-    return _remembered_root(0, g, params, measure, tol)
+    return _remembered_boundary(0, g, params, measure, tol)
 
 
 def compute_pbar2(params: MarketParams, measure: BeliefMeasure,
-                  tol: float = FP_TOL) -> float:
+                  tol: float = FP_TOL) -> Boundary:
     """Boundary candidate below which the large bettor backs Outcome 2.
 
     Mirror of compute_pbar1 on the rising ratio d2 / (kappa (d1 + d2));
-    collapses to 1 - kappa exactly when q = 1. Remembers its last root in
-    an entry of its own, with compute_pbar1's key.
+    collapses to 1 - kappa exactly when q = 1. Remembers its last boundary
+    in an entry of its own, with compute_pbar1's key.
     """
     _require_solvable_take(params.kappa)
     if params.q == 1.0:
-        return 1.0 - params.kappa
+        return Boundary.at(1.0 - params.kappa)
     kappa, q, m = params.kappa, params.q, measure
 
     def g(p: float) -> float:
@@ -167,29 +270,29 @@ def compute_pbar2(params: MarketParams, measure: BeliefMeasure,
         # rising ratio; negate to reuse the decreasing-map bisection
         return (1.0 - q) - d2 / (kappa * (d1 + d2))
 
-    return _remembered_root(1, g, params, measure, tol)
+    return _remembered_boundary(1, g, params, measure, tol)
 
 
-# each boundary's last (measure, (kappa, q, tol), root): pbar1's, then
+# each boundary's last (measure, (kappa, q, tol), Boundary): pbar1's, then
 # pbar2's. An entry is one tuple, read once and replaced whole, so threads
-# sharing it see a whole entry; two that miss at once both bisect
-_last_roots: list = [(None, None, None), (None, None, None)]
+# sharing it see a whole entry; two that miss at once both start one
+_last_boundaries: list = [(None, None, None), (None, None, None)]
 
 
-def _remembered_root(slot: int, g: Callable[[float], float],
-                     params: MarketParams, measure: BeliefMeasure,
-                     tol: float) -> float:
-    # the bisection on the band, or its root from the entry in slot when
-    # the key matches; the measure is held, so its identity stays unique.
-    # Keys that compare equal bisect to the same bits: a signed zero q or
-    # tol enters only as 1 - q and in hi - lo < tol
-    last_measure, last_key, last_root = _last_roots[slot]
+def _remembered_boundary(slot: int, g: Callable[[float], float],
+                         params: MarketParams, measure: BeliefMeasure,
+                         tol: float) -> Boundary:
+    # a new bisection on the band, or the one in slot when the key matches;
+    # the measure is held, so its identity stays unique. Keys that compare
+    # equal bisect to the same bits: a signed zero q or tol enters only as
+    # 1 - q and in hi - lo < tol
+    last_measure, last_key, last = _last_boundaries[slot]
     key = (params.kappa, params.q, tol)
     if last_measure is measure and last_key == key:
-        return last_root
-    root, _ = _bisect_decreasing(g, 1.0 - params.kappa, params.kappa, tol)
-    _last_roots[slot] = (measure, key, root)
-    return root
+        return last
+    boundary = Boundary(g, 1.0 - params.kappa, params.kappa, tol)
+    _last_boundaries[slot] = (measure, key, boundary)
+    return boundary
 
 
 def _require_solvable_take(kappa: float) -> None:
@@ -197,16 +300,28 @@ def _require_solvable_take(kappa: float) -> None:
         raise DomainError(f"band is empty unless kappa > 0.5, got {kappa}")
 
 
+def _ordered(low: Boundary, high: Boundary) -> bool:
+    # low.root() < high.root(), stepping the wider span until the two spans
+    # are disjoint; two finished boundaries have one-point spans
+    while True:
+        (lo1, hi1), (lo2, hi2) = low.span(), high.span()
+        if hi1 < lo2:
+            return True
+        if hi2 <= lo1:
+            return False
+        (low if hi1 - lo1 >= hi2 - lo2 else high)._step()
+
+
 def phi_context(params: MarketParams, measure: BeliefMeasure,
                 fp_tol: float = FP_TOL) -> PhiContext:
-    """Precompute the action boundaries for a scenario."""
+    """The action boundaries for a scenario, checked to be in order."""
     pbar1 = compute_pbar1(params, measure, tol=fp_tol)
     pbar2 = compute_pbar2(params, measure, tol=fp_tol)
     # the true boundaries are ordered; a coarse fp_tol, or masses that
     # cancel to zero, can leave the computed ones equal or swapped
-    if not pbar2 < pbar1:
-        raise DomainError(f"action boundaries out of order: pbar2={pbar2} >= "
-                          f"pbar1={pbar1} at fp_tol={fp_tol}")
+    if not _ordered(pbar2, pbar1):
+        raise DomainError(f"action boundaries out of order: pbar2={pbar2.root()} >= "
+                          f"pbar1={pbar1.root()} at fp_tol={fp_tol}")
     return PhiContext(params=params, measure=measure, pbar1=pbar1, pbar2=pbar2)
 
 
@@ -223,8 +338,8 @@ def zeta1(p: float, ctx: PhiContext) -> float:
     Past kappa, mass() rejects p, as in phi.
     """
     kappa, q = ctx.params.kappa, ctx.params.q
-    if p < ctx.pbar1:
-        raise DomainError(f"candidate probability {p} lies below pbar1={ctx.pbar1}")
+    if ctx.pbar1.above(p):
+        raise DomainError(f"candidate probability {p} lies below pbar1={ctx.pbar1.root()}")
     d1, d2 = _D(p, kappa, ctx.measure)
     return _stake(kappa, q, d1, d2, d1)
 
@@ -235,8 +350,8 @@ def zeta2(p: float, ctx: PhiContext) -> float:
     Below 1 - kappa, mass() rejects p, as in phi.
     """
     kappa, q = ctx.params.kappa, ctx.params.q
-    if p > ctx.pbar2:
-        raise DomainError(f"candidate probability {p} lies above pbar2={ctx.pbar2}")
+    if ctx.pbar2.below(p):
+        raise DomainError(f"candidate probability {p} lies above pbar2={ctx.pbar2.root()}")
     d1, d2 = _D(p, kappa, ctx.measure)
     return _stake(kappa, 1.0 - q, d1, d2, d2)
 
@@ -249,8 +364,8 @@ def phi(p: float, ctx: PhiContext) -> float:
     """
     kappa, q, w = ctx.params.kappa, ctx.params.q, ctx.params.w
     d1, d2 = _D(p, kappa, ctx.measure)
-    a1 = min(w, _stake(kappa, q, d1, d2, d1)) if p > ctx.pbar1 else 0.0
-    a2 = min(w, _stake(kappa, 1.0 - q, d1, d2, d2)) if p < ctx.pbar2 else 0.0
+    a1 = min(w, _stake(kappa, q, d1, d2, d1)) if ctx.pbar1.below(p) else 0.0
+    a2 = min(w, _stake(kappa, 1.0 - q, d1, d2, d2)) if ctx.pbar2.above(p) else 0.0
     return (a1 + d1) / (a1 + a2 + d1 + d2)
 
 

@@ -109,3 +109,33 @@ def test_every_D_evaluation_calls_the_traced_mass_twice(monkeypatch, case):
     equilibrium_mod.solve(case.params, case.measure)
     assert len(per_eval) > phis[0] >= 2
     assert set(per_eval) == {2}
+
+
+def test_quadrature_solve_markets_take_at_most_50_D_calls_per_solve(monkeypatch):
+    # each solve steps its action boundaries only as far as phi's
+    # comparisons need: 47.1 _D calls per solve on the 21 seed-0 markets of
+    # the quadrature_solve workload, against 104.4 when both boundaries
+    # were bisected to the tolerance first. Each op solves a new key, so
+    # no remembered boundary takes part
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+
+    real_D, real_solve, calls, per_solve = equilibrium_mod._D, equilibrium_mod.solve, [0], []
+
+    def counted_D(*args):
+        calls[0] += 1
+        return real_D(*args)
+
+    def counted_solve(*args, **kwargs):
+        n = calls[0]
+        eq = real_solve(*args, **kwargs)
+        per_solve.append(calls[0] - n)
+        return eq
+
+    ops = workloads.setup_quadrature_solve(workloads.DEFAULT_SEED)
+    monkeypatch.setattr(equilibrium_mod, "_D", counted_D)
+    monkeypatch.setattr(equilibrium_mod, "solve", counted_solve)
+    for op in ops:
+        op.run()
+    assert len(per_solve) == 21
+    assert sum(per_solve) / len(per_solve) <= 50

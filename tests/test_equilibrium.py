@@ -23,7 +23,7 @@ from conftest import (BASELINE_W, assert_equilibrium_properties, bundled_cases,
 from test_measure import _family_zoo
 import parieq.equilibrium as equilibrium_mod
 import parieq.stackelberg as stackelberg_mod
-from parieq.equilibrium import (FP_TOL, Equilibrium, _D, _bisect_decreasing,
+from parieq.equilibrium import (FP_TOL, Boundary, Equilibrium, _D, _bisect_decreasing,
                                 _bisect_lanes, compute_pbar1, compute_pbar2,
                                 grid_fixed_points, phi, phi_context, solve, zeta1,
                                 zeta2)
@@ -146,21 +146,21 @@ class TestDiffuseTotals:
 class TestActionBoundaries:
     def test_zero_belief_collapses_upper(self):
         params = MarketParams(kappa=0.8, q=0.0, w=1.0)
-        assert compute_pbar1(params, wedge(7)) == 0.8
+        assert compute_pbar1(params, wedge(7)).root() == 0.8
 
     def test_full_belief_collapses_lower(self):
         params = MarketParams(kappa=0.8, q=1.0, w=1.0)
-        assert compute_pbar2(params, wedge(7)) == pytest.approx(0.2, abs=1e-15)
+        assert compute_pbar2(params, wedge(7)).root() == pytest.approx(0.2, abs=1e-15)
 
     def test_uniform_boundaries_closed_form(self):
         # for the uniform measure the defining equations are linear in p:
         # pbar1 solves (0.8-p)/0.8 = 0.6 q, giving 0.8 - 0.48 q
         params = MarketParams(kappa=0.8, q=0.5, w=1.0)
-        assert compute_pbar1(params, uniform()) == pytest.approx(0.56, abs=1e-9)
-        assert compute_pbar2(params, uniform()) == pytest.approx(0.44, abs=1e-9)
+        assert compute_pbar1(params, uniform()).root() == pytest.approx(0.56, abs=1e-9)
+        assert compute_pbar2(params, uniform()).root() == pytest.approx(0.44, abs=1e-9)
         params9 = MarketParams(kappa=0.8, q=0.9, w=1.0)
-        assert compute_pbar1(params9, uniform()) == pytest.approx(0.368, abs=1e-9)
-        assert compute_pbar2(params9, uniform()) == pytest.approx(0.248, abs=1e-9)
+        assert compute_pbar1(params9, uniform()).root() == pytest.approx(0.368, abs=1e-9)
+        assert compute_pbar2(params9, uniform()).root() == pytest.approx(0.248, abs=1e-9)
 
     def test_roots_match_grid_bracketing(self):
         m = wedge(10)
@@ -172,12 +172,12 @@ class TestActionBoundaries:
             return d1 / (0.75 * (d1 + d2)) - 0.7
 
         want = grid_bracket_root(ratio1_minus_q, 0.25, 0.75)
-        assert compute_pbar1(params, m) == pytest.approx(want, abs=1e-8)
+        assert compute_pbar1(params, m).root() == pytest.approx(want, abs=1e-8)
 
     def test_ordering_across_zoo(self):
         for sc in scenario_zoo(8):
             ctx = phi_context(sc.params, sc.measure)
-            assert ctx.pbar2 < ctx.pbar1
+            assert ctx.pbar2.root() < ctx.pbar1.root()
 
     @pytest.mark.parametrize("fp_tol", [0.3, 0.5, math.inf])
     def test_coarse_tolerance_is_a_domain_error(self, fp_tol):
@@ -200,26 +200,27 @@ class TestOptimalStakes:
     def setup_method(self):
         self.params = MarketParams(kappa=0.8, q=0.9, w=1.0)
         self.ctx = phi_context(self.params, uniform())
+        self.pbar1, self.pbar2 = self.ctx.pbar1.root(), self.ctx.pbar2.root()
 
     def test_vanishes_at_both_ends(self):
-        assert zeta1(self.ctx.pbar1, self.ctx) == pytest.approx(0.0, abs=1e-8)
+        assert zeta1(self.pbar1, self.ctx) == pytest.approx(0.0, abs=1e-8)
         assert zeta1(0.8, self.ctx) == pytest.approx(0.0, abs=1e-12)
         assert zeta2(0.2, self.ctx) == pytest.approx(0.0, abs=1e-12)
-        assert zeta2(self.ctx.pbar2, self.ctx) == pytest.approx(0.0, abs=1e-8)
+        assert zeta2(self.pbar2, self.ctx) == pytest.approx(0.0, abs=1e-8)
 
     def test_interior_value(self):
         # d1 = 0.125, d2 = 0.625 at p = 0.7; stake = sqrt(0.72/0.28 * d1 d2) - d1
         assert zeta1(0.7, self.ctx) == pytest.approx(0.3232107285003978, abs=1e-10)
 
     def test_positive_in_the_open_interval(self):
-        for p in np.linspace(self.ctx.pbar1 + 1e-3, 0.8 - 1e-3, 9):
+        for p in np.linspace(self.pbar1 + 1e-3, 0.8 - 1e-3, 9):
             assert zeta1(p, self.ctx) > 0.0
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
-            zeta1(self.ctx.pbar1 - 0.01, self.ctx)
+            zeta1(self.pbar1 - 0.01, self.ctx)
         with pytest.raises(DomainError):
-            zeta2(self.ctx.pbar2 + 0.01, self.ctx)
+            zeta2(self.pbar2 + 0.01, self.ctx)
 
 
 class TestResponseMap:
@@ -255,7 +256,7 @@ class TestResponseMap:
     def test_continuous_at_action_boundaries(self):
         ctx = phi_context(MarketParams(kappa=0.8, q=0.9, w=1.0), uniform())
         eps = 1e-9
-        for b in (ctx.pbar1, ctx.pbar2):
+        for b in (ctx.pbar1.root(), ctx.pbar2.root()):
             left = phi(b - eps, ctx)
             right = phi(b + eps, ctx)
             assert left == pytest.approx(right, abs=1e-5)
@@ -678,9 +679,9 @@ def _assert_in_band(probes, lanes=()):
 
 
 def _forget_boundaries(probes):
-    # bisect both boundaries on another measure object, which replaces the
+    # start both boundaries on another measure object, which replaces the
     # remembered ones, and drop the probes that took: the next solve or
-    # phi_context then bisects both boundaries itself
+    # phi_context then starts both boundaries itself
     n, other = len(probes), MarketParams(kappa=0.75, q=0.5, w=1.0)
     compute_pbar1(other, uniform())
     compute_pbar2(other, uniform())
@@ -691,23 +692,27 @@ def _probe_the_map(params, m, probes):
     # solve, then phi, zeta1 and zeta2 at their interval ends and inside;
     # each rejects float dust past those ends (2**-52 below 1 - kappa, as
     # one float below can round back onto the band's threshold 0). The
-    # boundaries are forgotten before solve and before phi_context, so
-    # probes records every probe of every bisection, none of another take
+    # boundaries are forgotten before solve and before phi_context, and
+    # finished after each, so probes records every probe of both full
+    # bisections twice and every probe of the solve, none of another take
     _forget_boundaries(probes)
     solve(params, m)
+    for boundary in (compute_pbar1, compute_pbar2):  # the solve's, remembered
+        boundary(params, m).root()
     _forget_boundaries(probes)
     ctx = phi_context(params, m)
+    pbar1, pbar2 = ctx.pbar1.root(), ctx.pbar2.root()
     lo, hi, dust = 1.0 - params.kappa, params.kappa, 5e-10
     for p in (lo, 0.5, hi):
         phi(p, ctx)
-    for p in (ctx.pbar1, 0.5 * (ctx.pbar1 + hi), hi):
+    for p in (pbar1, 0.5 * (pbar1 + hi), hi):
         zeta1(p, ctx)
-    for p in (lo, 0.5 * (lo + ctx.pbar2), ctx.pbar2):
+    for p in (lo, 0.5 * (lo + pbar2), pbar2):
         zeta2(p, ctx)
     below, above = (lo - 2.0**-52, lo - dust), (math.nextafter(hi, 1.0), hi + dust)
     for f, outside in ((phi, below + above),
-                       (zeta1, (math.nextafter(ctx.pbar1, 0.0), ctx.pbar1 - dust) + above),
-                       (zeta2, below + (math.nextafter(ctx.pbar2, 1.0), ctx.pbar2 + dust))):
+                       (zeta1, (math.nextafter(pbar1, 0.0), pbar1 - dust) + above),
+                       (zeta2, below + (math.nextafter(pbar2, 1.0), pbar2 + dust))):
         for p in outside:
             with pytest.raises(DomainError):
                 f(p, ctx)
@@ -768,10 +773,11 @@ SWEEP_ORDERS = {
 
 
 class TestRememberedBoundaries:
-    """compute_pbar1 and compute_pbar2 each remember their last root.
+    """compute_pbar1 and compute_pbar2 each remember their last boundary.
 
     The key is the measure object (by identity), kappa, q and tol. A hit
-    gives the bits a bisection gives; any other key bisects again.
+    returns the same Boundary, as far as earlier comparisons advanced it,
+    and gives the bits a new bisection gives; any other key starts again.
     """
 
     @pytest.mark.parametrize("order", sorted(SWEEP_ORDERS))
@@ -810,30 +816,91 @@ class TestRememberedBoundaries:
         solved(*other)
         assert solved(params, m, tol) == first
 
-    @pytest.mark.parametrize("boundary", [compute_pbar1, compute_pbar2],
-                             ids=lambda f: f.__name__)
-    def test_a_boundary_that_raises_is_not_remembered(self, monkeypatch, boundary):
-        m, params, calls = wedge(10), MarketParams(kappa=0.8, q=0.6, w=1.0), [0]
+    @staticmethod
+    def _flaky(m, at):
+        # m, whose at-th mass call from now on raises, once
+        calls = [0]
 
         def flaky_mass(lo, hi):
             calls[0] += 1
-            if calls[0] == 9:  # inside the bisection, once
+            if calls[0] == at:
                 raise DomainError("flaky")
             return m.exact_mass(lo, hi)
+        return dataclasses.replace(m, exact_mass=flaky_mass)
 
-        flaky = dataclasses.replace(m, exact_mass=flaky_mass)
+    @pytest.mark.parametrize("boundary", [compute_pbar1, compute_pbar2],
+                             ids=lambda f: f.__name__)
+    def test_a_boundary_that_raises_is_not_remembered(self, monkeypatch, boundary):
+        # a boundary starts with both band ends, four mass calls; the third
+        # raises, so the entry stays m's
+        m, params = wedge(10), MarketParams(kappa=0.8, q=0.6, w=1.0)
+        flaky = self._flaky(m, 3)
         probes, _ = _record_D_probes(monkeypatch)
         _forget_boundaries(probes)
-        root = boundary(params, m)
+        want = boundary(params, m)
+        root = want.root()
         cold_probes = len(probes)
         with pytest.raises(DomainError, match="flaky"):
             boundary(params, flaky)
         # m's entry is still there: no probe
         n = len(probes)
-        assert boundary(params, m) == root and len(probes) == n
+        assert boundary(params, m) is want and len(probes) == n
         # and the measure that raised bisects in full
-        assert boundary(params, flaky).hex() == root.hex()
+        assert boundary(params, flaky).root().hex() == root.hex()
         assert len(probes) - n == cold_probes
+
+    @pytest.mark.parametrize("boundary", [compute_pbar1, compute_pbar2],
+                             ids=lambda f: f.__name__)
+    def test_a_step_that_raises_leaves_the_state_as_it_was(self, monkeypatch, boundary):
+        # the ninth mass call is the third midpoint's first; the boundary
+        # stays remembered, at its second midpoint, and resumes from there
+        m, params = wedge(10), MarketParams(kappa=0.8, q=0.6, w=1.0)
+        probes, _ = _record_D_probes(monkeypatch)
+        _forget_boundaries(probes)
+        root = boundary(params, m).root()
+        cold_probes = len(probes)
+        del probes[:]
+        flaky = self._flaky(m, 9)
+        b = boundary(params, flaky)
+        with pytest.raises(DomainError, match="flaky"):
+            b.root()
+        assert len(probes) == 4  # both band ends and two midpoints
+        assert boundary(params, flaky) is b
+        assert b.root().hex() == root.hex() and len(probes) == cold_probes
+
+    def test_a_step_the_solve_never_needs_is_never_evaluated(self, monkeypatch):
+        # the solve compares phi's probes with the boundaries and steps each
+        # only as far as that needs; a _D that raises at a probe only the
+        # full bisection takes leaves the solve as it was. Before boundaries
+        # stepped on demand, that error ended the solve
+        m, params = wedge(10), MarketParams(kappa=0.8, q=0.9, w=1.0)
+        probes, _ = _record_D_probes(monkeypatch)
+        _forget_boundaries(probes)
+        want = _bits(solve(params, m))
+        solved = set(probes)
+        _forget_boundaries(probes)
+        full = []
+        for boundary in (compute_pbar1, compute_pbar2):
+            del probes[:]
+            boundary(params, m).root()
+            full.append([p for p in probes if p not in solved])
+        assert full[0] and full[1]
+        real_D = equilibrium_mod._D
+        for boundary, unneeded in zip((compute_pbar1, compute_pbar2), full):
+            p_bad = unneeded[len(unneeded) // 2]
+
+            def raising_D(p, kappa, m):
+                if (p, kappa) == p_bad:
+                    raise DomainError("never needed")
+                return real_D(p, kappa, m)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(equilibrium_mod, "_D", raising_D)
+                _forget_boundaries(probes)
+                assert _bits(solve(params, m)) == want
+                _forget_boundaries(probes)
+                with pytest.raises(DomainError, match="never needed"):
+                    boundary(params, m).root()
 
     def test_threads_solving_interleaved_takes_match_the_serial_results(self):
         takes = _sweep_takes()
@@ -957,3 +1024,112 @@ class TestBisectionLength:
 
         _bisect_decreasing(g, 1.0 - kappa, kappa, width_tol=0.0)
         assert count[0] == 107  # two endpoints and 105 midpoints
+
+
+def _noisy(r, eps):
+    # r - p plus a deterministic noise of size eps that is not monotone in p
+    def g(p):
+        return (r - p) + eps * ((int(p * 2.0**60) * 2654435761 % 1009) / 1009.0 - 0.5)
+    return g
+
+
+# decreasing or nearly decreasing g, each with a trap for a twin that is
+# not exact: exact zeros at a midpoint and at an end, flat runs whose |g|
+# ties, noise that is not monotone, a step with no root, and NaN
+ADVERSARIAL_G = {
+    "linear": lambda p: 0.3 - p,
+    "zero at the first midpoint": lambda p: 0.5 - p,
+    "flat runs with ties": lambda p: math.floor((0.37 - p) * 8.0) / 8.0,
+    "zero at the low end": lambda p: min(0.0, 0.2 - p),
+    "noise 1e-9": _noisy(0.3, 1e-9),
+    "noise 1e-15": _noisy(0.3, 1e-15),
+    "step with no root": _step,
+    "nan at the high end": lambda p: math.nan if p >= 0.8 else 0.3 - p,
+}
+# the band of kappa = 0.8, a narrow and a one-float bracket, a bracket
+# a few floats wide at 0.3, and the widest band, at nextafter(1, 0)
+ADVERSARIAL_BRACKETS = [(0.2, 0.8), (0.25, 0.3), (0.3, math.nextafter(0.3, 1.0)),
+                        (math.nextafter(0.3, 0.0) - 2e-17, 0.3 + 3e-17),
+                        (2.0**-53, math.nextafter(1.0, 0.0))]
+ADVERSARIAL_TOLS = [0.0, FP_TOL, 0.3, math.inf]
+
+
+def _floats_around(x, n=8):
+    # x and the n floats on either side of it: 2 n + 1 consecutive floats
+    out, down, up = [x], x, x
+    for _ in range(n):
+        down, up = math.nextafter(down, -math.inf), math.nextafter(up, math.inf)
+        out += [down, up]
+    return sorted(out)
+
+
+def _assert_decided_as_finished(start, lo, hi):
+    # start() begins one bisection afresh. At 17 consecutive floats around
+    # its root and around each bracket end, below and above, asked of a
+    # fresh boundary in either order and of one shared by every probe,
+    # agree with the finished root
+    root, shared = start().root(), start()
+    probes = _floats_around(root) + _floats_around(lo) + _floats_around(hi)
+    for i, p in enumerate(probes):
+        want = {"below": root < p, "above": root > p}
+        b = start()
+        for side in (("below", "above") if i % 2 else ("above", "below")):
+            assert getattr(b, side)(p) == want[side], (side, p, root)
+            assert getattr(shared, side)(p) == want[side], (side, p, root)
+    assert shared.root().hex() == b.root().hex() == root.hex()
+
+
+class TestBoundary:
+    """A Boundary takes _bisect_decreasing's steps and decides exactly."""
+
+    @pytest.mark.parametrize("tol", ADVERSARIAL_TOLS)
+    @pytest.mark.parametrize("lo, hi", ADVERSARIAL_BRACKETS)
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_G))
+    def test_root_is_the_bisection_root_bit_for_bit(self, name, lo, hi, tol):
+        # the twin of the loop: the same probes, in the same order, and the
+        # same root
+        g, probes = ADVERSARIAL_G[name], ([], [])
+
+        def recorded(k):
+            def h(p):
+                probes[k].append(p)
+                return g(p)
+            return h
+
+        want, _ = _bisect_decreasing(recorded(0), lo, hi, tol)
+        got = Boundary(recorded(1), lo, hi, tol).root()
+        assert got.hex() == want.hex()
+        assert probes[1] == probes[0]
+        _assert_decided_as_finished(lambda: Boundary(g, lo, hi, tol), lo, hi)
+
+    @pytest.mark.parametrize("m", _family_zoo(), ids=lambda m: m.kind)
+    def test_comparisons_agree_with_the_root_on_every_family(self, m):
+        # q = 0 and q = 1 pin a boundary to a band end, which never steps
+        for kappa in (0.5001, 0.55, 0.8, 0.95, 0.9999):
+            for q in (0.0, 0.3, 0.9, 1.0):
+                params = MarketParams(kappa=kappa, q=q, w=1.0)
+                for boundary in (compute_pbar1, compute_pbar2):
+                    # a copy of the measure is a key no boundary holds
+                    _assert_decided_as_finished(
+                        lambda: boundary(params, dataclasses.replace(m)),
+                        1.0 - kappa, kappa)
+
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_comparisons_agree_with_the_root_on_the_bundled_sweeps(self, name):
+        sc = load_scenario(bundled_scenarios()[name])
+        for kappa in sc.kappa.kappas():
+            params = MarketParams(kappa=kappa, q=sc.q, w=sc.w)
+            for boundary in (compute_pbar1, compute_pbar2):
+                _assert_decided_as_finished(
+                    lambda: boundary(params, dataclasses.replace(sc.belief_measure)),
+                    1.0 - kappa, kappa)
+
+    def test_the_order_check_raises_with_the_finished_roots(self):
+        # equal roots: the spans never separate, so both finish, and the
+        # message names the roots that the full bisections give
+        params = MarketParams(kappa=0.8, q=0.5, w=1.0)
+        with pytest.raises(DomainError) as raised:
+            phi_context(params, uniform(), fp_tol=0.3)
+        roots = [b(params, uniform(), tol=0.3).root() for b in (compute_pbar2, compute_pbar1)]
+        assert str(raised.value) == (f"action boundaries out of order: pbar2={roots[0]} >= "
+                                     f"pbar1={roots[1]} at fp_tol=0.3")

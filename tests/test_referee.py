@@ -385,9 +385,11 @@ def test_float_solve_agrees_with_the_referee_on_random_markets(random_rows):
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="a positive stake near a regime boundary comes out at "
                           "about half the referee's (kappa = 0.50069, q = 1: "
-                          "2.98e-11 against 5.95e-11): the 1e-10 bisection "
-                          "tolerance leaves sqrt(c d1 d2) - own off by about as "
-                          "much as the stake itself")
+                          "2.98e-11 against 5.95e-11). The halving comes from the "
+                          "computed action boundary, not from the 1e-10 fixed-point "
+                          "tolerance: a map with no boundaries, which chooses her "
+                          "side from the totals at each probe, passes at that "
+                          "tolerance (ROADMAP item 3)")
 def test_positive_stakes_agree_with_the_referee_relatively(random_rows):
     errors = sorted(((float(abs(Decimal(x) - r) / r), params, x, r)
                      for _, params, got, ref, _ in random_rows
