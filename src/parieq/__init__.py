@@ -8,9 +8,9 @@ evaluates revenue/profit metrics, optimizes the take, and cross-checks the
 continuum solution against a brute-force finite population.
 """
 
-from .equilibrium import (Equilibrium, FP_TOL, PhiContext, compute_pbar1,
-                          compute_pbar2, phi, phi_context, solve, zeta1,
-                          zeta2)
+from .equilibrium import (Boundary, Equilibrium, FP_TOL, PhiContext,
+                          compute_pbar1, compute_pbar2, phi, phi_context,
+                          solve, zeta1, zeta2)
 from .errors import (ConfigError, DomainError, NoEquilibriumError,
                      ParieqError, QuadratureError)
 from .measure import (BeliefMeasure, from_density, gaussian_mixture, mass,

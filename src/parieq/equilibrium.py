@@ -108,116 +108,112 @@ def _bisect_decreasing(g: Callable[[float], float], lo: float, hi: float,
     every point evaluated; the best of them is returned regardless, with its
     honest residual. Returns (root, |g(root)|).
     """
+    state = _bisect_steps(g, _bisect_start(g, lo, hi), width_tol, residual_tol)
+    return state[2], state[3]
+
+
+def _bisect_start(g: Callable[[float], float], lo: float, hi: float) -> tuple:
+    # the bisection's state (lo, hi, best_p, best_g, done) once g is known
+    # at both ends: best_p is the point of least |g| so far, best_g that |g|
     glo, ghi = g(lo), g(hi)
     best_p, best_g = (lo, abs(glo)) if abs(glo) <= abs(ghi) else (hi, abs(ghi))
+    return lo, hi, best_p, best_g, False
+
+
+def _bisect_steps(g: Callable[[float], float], state: tuple, width_tol: float,
+                  residual_tol: float, once: bool = False) -> tuple:
+    # the bisection's loop, from an open state to the state where it ends
+    # (done, with its root in best_p), or after one step if once
+    lo, hi, best_p, best_g, _ = state
     while lo < (mid := 0.5 * (lo + hi)) < hi:  # until float resolution runs out
         gmid = g(mid)
         if abs(gmid) < best_g:
             best_p, best_g = mid, abs(gmid)
         if gmid == 0.0:  # exact crossing, common in symmetric markets
-            return mid, 0.0
+            return lo, hi, mid, 0.0, True
         if gmid > 0.0:
             lo = mid
         else:
             hi = mid
         if hi - lo < width_tol and best_g <= residual_tol:
-            return best_p, best_g
-    return best_p, best_g
+            return lo, hi, best_p, best_g, True
+        if once:
+            return lo, hi, best_p, best_g, False
+    return lo, hi, best_p, best_g, True
 
 
 class Boundary:
     """An action boundary's bisection, advanced only as far as it is asked.
 
     Boundary(g, lo, hi, tol).root() is _bisect_decreasing(g, lo, hi,
-    tol)[0], bit for bit. The constructor evaluates g at both ends, as
-    that bisection does first; each later step is one pass of its loop,
-    with residual_tol = inf. below(p) and above(p) compare the root with p
-    and take only the steps that the comparison needs: the root the
-    remaining steps can return is the best point so far or a midpoint
-    strictly inside the bracket, so once p lies past the bracket and on
-    the same side of the best point, the answer is known.
+    tol)[0], bit for bit: the constructor evaluates g at both ends, as that
+    bisection does first, and each later step is one pass of the same loop,
+    _bisect_steps, with residual_tol = inf. below(p) and above(p) compare
+    the root with p and take only the steps that the comparison needs: the
+    root the remaining steps can return is the best point so far or a
+    midpoint strictly inside the bracket, so once p lies past the bracket
+    and on the same side of the best point, the answer is known.
 
-    The state is one tuple (lo, hi, best_p, best_g, root), root None until
-    the bisection ends. A step reads it once and replaces it whole, so
-    threads sharing a boundary see a state of the same bisection, and a g
-    that raises leaves it as it was. Two threads that step at once may
-    store an earlier state over a later one; that repeats steps, and every
-    answer from either state is the finished root's.
+    The state is _bisect_steps's tuple (lo, hi, best_p, best_g, done). A
+    step reads it once and replaces it whole, so threads sharing a
+    boundary see a state of the same bisection, and a g that raises leaves
+    it as it was. Two threads that step at once may store an earlier state
+    over a later one; that repeats steps, and every answer from either
+    state is the finished root's.
     """
 
     __slots__ = ("_g", "_tol", "_state")
 
     def __init__(self, g: Callable[[float], float], lo: float, hi: float,
                  tol: float):
-        glo, ghi = g(lo), g(hi)
-        best_p, best_g = (lo, abs(glo)) if abs(glo) <= abs(ghi) else (hi, abs(ghi))
         self._g, self._tol = g, tol
-        self._state = (lo, hi, best_p, best_g, None)
+        self._state = _bisect_start(g, lo, hi)
 
     @classmethod
     def at(cls, root: float) -> "Boundary":
         """A boundary known without bisecting, such as a pinned band end."""
         b = cls.__new__(cls)  # finished, so it never steps
-        b._state = (root, root, root, 0.0, root)
+        b._state = (root, root, root, 0.0, True)
         return b
 
-    def _step(self) -> None:
-        # one pass of _bisect_decreasing's loop body, written out again: a
-        # step function shared with that loop slows the fixed point's
-        # bisection, so the tests pin the two together instead
-        lo, hi, best_p, best_g, root = self._state
-        if root is not None:  # another thread finished it
-            return
-        if not lo < (mid := 0.5 * (lo + hi)) < hi:  # float resolution ran out
-            self._state = (lo, hi, best_p, best_g, best_p)
-            return
-        gmid = self._g(mid)
-        if abs(gmid) < best_g:
-            best_p, best_g = mid, abs(gmid)
-        if gmid == 0.0:  # exact crossing
-            self._state = (lo, hi, best_p, best_g, mid)
-            return
-        if gmid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        # residual_tol = inf, kept so that a NaN best |g| stops as it does there
-        done = hi - lo < self._tol and best_g <= inf
-        self._state = (lo, hi, best_p, best_g, best_p if done else None)
+    def __repr__(self) -> str:
+        lo, hi, best_p, _, done = self._state
+        return (f"Boundary(root={best_p!r})" if done
+                else f"Boundary(bracket=({lo!r}, {hi!r}), best={best_p!r})")
+
+    def _step(self) -> tuple:
+        # the state after one more step; a finished state stays as it is
+        state = self._state
+        if not state[4]:
+            self._state = state = _bisect_steps(self._g, state, self._tol, inf, once=True)
+        return state
 
     def root(self) -> float:
         """The finished bisection's root."""
-        while (root := self._state[4]) is None:
-            self._step()
-        return root
+        state = self._state
+        while not state[4]:
+            state = self._step()
+        return state[2]
 
     def span(self) -> tuple[float, float]:
         """The closed interval holding every root the remaining steps can return."""
-        lo, hi, best_p, _, root = self._state
-        return (root, root) if root is not None else (min(lo, best_p), max(hi, best_p))
+        lo, hi, best_p, _, done = self._state
+        return (best_p, best_p) if done else (min(lo, best_p), max(hi, best_p))
 
     def below(self, p: float) -> bool:
         """root() < p, stepping only until that is decided."""
         while True:
-            lo, hi, best_p, _, root = self._state
-            if root is not None:
-                return root < p
-            if p >= hi and p > best_p:
-                return True
-            if p <= lo and p <= best_p:
-                return False
+            lo, hi, best_p, _, done = self._state
+            if done or (p >= hi and p > best_p) or (p <= lo and p <= best_p):
+                return best_p < p
             self._step()
 
     def above(self, p: float) -> bool:
         """root() > p, stepping only until that is decided."""
         while True:
-            lo, hi, best_p, _, root = self._state
-            if root is not None:
-                return root > p
-            if p <= lo and p < best_p:
-                return True
-            if p >= hi and p >= best_p:
-                return False
+            lo, hi, best_p, _, done = self._state
+            if done or (p <= lo and p < best_p) or (p >= hi and p >= best_p):
+                return best_p > p
             self._step()
 
 

@@ -70,10 +70,10 @@ computed once per lane.
 By default it calls exact_mass on each element through np.frompyfunc, so
 the bits are the same by construction. The wedge families build their
 scalar cumulative and its array twin in one place, from constants computed
-once per measure, with the same operations in the same order; uniform,
-tabulated and from_density write theirs over arrays the same way, and
-scaled multiplies its base's array mass by the factor. The Gaussian
-mixture (numpy has no erf) takes the default.
+once per measure, with the same operations in the same order; uniform and
+tabulated write theirs over arrays the same way, and scaled multiplies its
+base's array mass by the factor. The Gaussian mixture (numpy has no erf)
+and from_density take the default.
 """
 
 import math
@@ -215,21 +215,7 @@ def from_density(density: Callable[[float], float], kind: str = "custom") -> Bel
         t = (p - lo) / h  # exact: h is a power of 2
         return min(head + h * (t * (f0 + t * (b2 + t * c3))), top)
 
-    edges_a = np.array(edges)
-    lo_a, h_a, head_a, f0_a, b2_a, c3_a, top_a = (np.array(c) for c in zip(*pieces))
-
-    def cumulative_array(p: np.ndarray) -> np.ndarray:
-        # cumulative elementwise, same operations in the same order; min and
-        # np.minimum break ties differently only between signed zeros, and
-        # every top is positive
-        i = np.searchsorted(edges_a, p, side="right") - 1
-        h = h_a[i]
-        t = (p - lo_a[i]) / h
-        return np.minimum(head_a[i] + h * (t * (f0_a[i] + t * (b2_a[i] + t * c3_a[i]))),
-                          top_a[i])
-
-    return _finish(density, kind, *_interval_masses(cumulative, cumulative_array),
-                   peak=peak)
+    return _finish(density, kind, *_interval_masses(cumulative), peak=peak)
 
 
 def _interval_masses(cum, cum_array=None):

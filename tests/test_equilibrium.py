@@ -6,6 +6,7 @@ brentq on the same response map.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 import sys
@@ -21,10 +22,11 @@ from scipy import optimize
 from conftest import (BASELINE_W, assert_equilibrium_properties, bundled_cases,
                       scenario_zoo)
 from test_measure import _family_zoo
+import parieq
 import parieq.equilibrium as equilibrium_mod
 import parieq.stackelberg as stackelberg_mod
 from parieq.equilibrium import (FP_TOL, Boundary, Equilibrium, _D, _bisect_decreasing,
-                                _bisect_lanes, compute_pbar1, compute_pbar2,
+                                _bisect_lanes, _ordered, compute_pbar1, compute_pbar2,
                                 grid_fixed_points, phi, phi_context, solve, zeta1,
                                 zeta2)
 from parieq.errors import DomainError, NoEquilibriumError
@@ -1004,6 +1006,16 @@ class TestBisectionLength:
         assert (lo, hi) == (math.nextafter(0.3, 0.0), 0.3)
         assert len(probes) == 2 + 53
 
+    def test_an_exact_zero_at_a_midpoint_stops_even_after_one_at_an_end(self):
+        # g is 0 from the low end up to 0.5: the first midpoint ties the low
+        # end's |g| = 0 and is the root that both bisections return
+        def g(p):
+            return min(0.0, 0.5 - p)
+
+        assert _bisect_decreasing(g, 0.2, 0.8, width_tol=0.0) == (0.5, 0.0)
+        b = Boundary(g, 0.2, 0.8, 0.0)
+        assert b.root() == 0.5 and b.span() == (0.5, 0.5)
+
     def test_lanes_out_of_floats_finish_with_the_scalar_result(self):
         brackets = [(0.2, 0.8), (0.25, 0.3), (0.0, 0.3), (0.2999, 0.5)]
         lo, hi = (np.array(ends) for ends in zip(*brackets))
@@ -1033,7 +1045,7 @@ def _noisy(r, eps):
     return g
 
 
-# decreasing or nearly decreasing g, each with a trap for a twin that is
+# decreasing or nearly decreasing g, each with a trap for a step that is
 # not exact: exact zeros at a midpoint and at an end, flat runs whose |g|
 # ties, noise that is not monotone, a step with no root, and NaN
 ADVERSARIAL_G = {
@@ -1086,8 +1098,8 @@ class TestBoundary:
     @pytest.mark.parametrize("lo, hi", ADVERSARIAL_BRACKETS)
     @pytest.mark.parametrize("name", sorted(ADVERSARIAL_G))
     def test_root_is_the_bisection_root_bit_for_bit(self, name, lo, hi, tol):
-        # the twin of the loop: the same probes, in the same order, and the
-        # same root
+        # one step at a time takes the same probes as the whole loop, in the
+        # same order, and gives the same root
         g, probes = ADVERSARIAL_G[name], ([], [])
 
         def recorded(k):
@@ -1123,6 +1135,25 @@ class TestBoundary:
                 _assert_decided_as_finished(
                     lambda: boundary(params, dataclasses.replace(sc.belief_measure)),
                     1.0 - kappa, kappa)
+
+    @pytest.mark.parametrize("tol", [0.0, FP_TOL])
+    def test_the_order_check_agrees_with_the_finished_roots(self, tol):
+        # every ordered pair of the adversarial g on one bracket; the step
+        # with no root keeps its best point at the low end, outside the
+        # bracket it shrinks toward 0.3
+        start = {name: (lambda g=g: Boundary(g, 0.2, 0.8, tol)) for name, g in ADVERSARIAL_G.items()}
+        roots = {name: s().root() for name, s in start.items()}
+        for low, high in itertools.product(start, repeat=2):
+            assert _ordered(start[low](), start[high]()) == (roots[low] < roots[high]), \
+                (low, high)
+
+    def test_repr_shows_the_state_and_the_package_exports_the_class(self):
+        b = Boundary(lambda p: 0.3 - p, 0.2, 0.8, FP_TOL)
+        assert repr(b) == "Boundary(bracket=(0.2, 0.8), best=0.2)"
+        assert b.below(0.5) and repr(b) == "Boundary(bracket=(0.2, 0.5), best=0.2)"
+        root = b.root()
+        assert repr(b) == repr(Boundary.at(root)) == f"Boundary(root={root!r})"
+        assert parieq.Boundary is Boundary
 
     def test_the_order_check_raises_with_the_finished_roots(self):
         # equal roots: the spans never separate, so both finish, and the

@@ -562,46 +562,6 @@ class TestBandEndConstants:
             got = m.exact_mass_array(np.array([pts[i] for i in below]), x).tolist()
             assert [v.hex() for v in got] == [want[i, k] for i in below], x
 
-    @pytest.mark.parametrize("density", [
-        lambda p: 1.0 + p * p,
-        lambda p: math.exp(0.3 * p - 0.9 * p * p),
-        lambda p: 1e-3 + math.exp(-((p - 0.4) / 0.05) ** 2),
-    ], ids=["1+p^2", "exp-quadratic", "peak"])
-    def test_from_density_array_mass_is_the_scalar_mass(self, density):
-        # from_density's array cumulative is its scalar one over arrays. At
-        # every piece edge and the floats on either side of it, the signed
-        # zeros, the least subnormal and 1.0, the mass up to and from each
-        # point, with a float band end as the other bound, gives mass()'s
-        # bits; so does every ordered pair of an evenly spread subset of
-        # those points and 40 draws, with array bounds and with a float
-        # bound on either side
-        m = from_density(density)
-        edges = [lo for lo, *_ in simpson_panels(density)] + [1.0]
-        near = sorted({x for e in edges
-                       for x in (math.nextafter(e, -1.0), e, math.nextafter(e, 2.0))
-                       if 0.0 < x <= 1.0} | {5e-324})
-        ends = np.array([-0.0, 0.0] + near)
-        for lo, hi in ((0.0, ends), (ends, 1.0), (ends, ends)):
-            got = m.exact_mass_array(lo, hi).tolist()
-            want = [mass(m, a, b).hex()
-                    for a, b in zip(*(np.broadcast_to(x, ends.shape).tolist() for x in (lo, hi)))]
-            assert [x.hex() for x in got] == want
-        draws = np.random.default_rng(19).uniform(0.0, 1.0, 40).tolist()
-        pts = [-0.0, 0.0] + sorted({*near[::max(1, len(near) // 60)], near[-1], *draws})
-        # indices, not floats, key the pairs: -0.0 and 0.0 are one dict key
-        pairs = [(i, j) for i, lo in enumerate(pts) for j, hi in enumerate(pts) if lo <= hi]
-        want = {(i, j): mass(m, pts[i], pts[j]).hex() for i, j in pairs}
-        los, his = (np.array([pts[k] for k in side]) for side in zip(*pairs))
-        got = m.exact_mass_array(los, his).tolist()
-        assert [x.hex() for x in got] == [want[pair] for pair in pairs]
-        for k, x in enumerate(pts):
-            above = [j for j, hi in enumerate(pts) if x <= hi]
-            below = [i for i, lo in enumerate(pts) if lo <= x]
-            got = m.exact_mass_array(x, np.array([pts[j] for j in above])).tolist()
-            assert [v.hex() for v in got] == [want[k, j] for j in above], x
-            got = m.exact_mass_array(np.array([pts[i] for i in below]), x).tolist()
-            assert [v.hex() for v in got] == [want[i, k] for i in below], x
-
 
 class TestPositivity:
     """Positivity is proven from the parameters where it can be, else sampled."""
