@@ -25,8 +25,7 @@ from .response import (AtomicBet, DiffuseAggregate, DiffuseThresholds,
                        diffuse_best_response, diffuse_unit_edge,
                        implied_probability)
 from .scenario import (Scenario, SweepSpec, build_measure, bundled_scenarios,
-                       dump_scenario, load_scenario, parse_scenario,
-                       scenario_to_dict)
+                       dump_scenario, load_scenario, parse_scenario)
 from .stackelberg import TakeOptimum, optimize_take
 
 __version__ = "0.1.0"

@@ -12,8 +12,7 @@ from pathlib import Path
 
 from .equilibrium import FP_TOL, solve
 from .errors import ConfigError, NoEquilibriumError, ParieqError
-from .metrics import (atomic_subjective_profit, diffuse_actual_profit,
-                      diffuse_subjective_profit, house_revenue)
+from .metrics import METRICS
 from .oracle import MIN_POPULATION, discretize, iterate_best_response
 from .response import MarketParams
 from .scenario import Scenario, load_scenario
@@ -36,14 +35,8 @@ def _fmt(x: float) -> str:
 
 
 def _metric_values(sc: Scenario, params: MarketParams, eq) -> list[str]:
-    table = {  # keyed by scenario.METRIC_NAMES
-        "house_revenue": lambda: house_revenue(eq, params),
-        "diffuse_actual_profit": lambda: diffuse_actual_profit(eq, params, sc.p_actual),
-        "diffuse_subjective_profit":
-            lambda: diffuse_subjective_profit(eq, params, sc.belief_measure),
-        "atomic_subjective_profit": lambda: atomic_subjective_profit(eq, params),
-    }
-    return [_fmt(table[name]()) for name in sc.metrics]
+    return [_fmt(METRICS[name](eq, params, sc.belief_measure, sc.p_actual))
+            for name in sc.metrics]
 
 
 def _core_values(sc: Scenario, kappa: float, w: float, eq) -> list[str]:

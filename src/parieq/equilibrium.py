@@ -34,9 +34,9 @@ bit, as floats: no ``Equilibrium`` is built. A take that ``solve`` would
 reject, or whose lane meets a value that is not finite, gets None, for the
 caller to hand to ``solve`` (``stackelberg.grid_revenues`` does). The batch
 pays when the grid is large: each numpy step has a fixed overhead, so at
-kappa = 0.8, q = 0.9, w = 1 a batch of one took 25 times as long as a
-``solve`` that bisects both boundaries on wedge(100) (6.5 against 0.26 ms),
-20 times on a 4-knot tabulated density and 12 times on a 2-kernel Gaussian
+kappa = 0.8, q = 0.9, w = 1 a batch of one took 21 times as long as a
+``solve`` with no remembered boundary on wedge(100) (2.8 against 0.13 ms),
+29 times on a 4-knot tabulated density and 19 times on a 2-kernel Gaussian
 mixture. So single solves stay scalar, and ``solve`` remains the reference
 the grid is tested against.
 """

@@ -85,14 +85,24 @@ def atomic_subjective_profit(eq: Equilibrium, params: MarketParams) -> float:
     return _expected_profit(eq.atomic.a1, eq.atomic.a2, params.q, eq, params)
 
 
+# Metric column name -> f(eq, params, measure, p_actual). Each entry looks its
+# function up here at call time, so one replaced here (a tracer's) is called.
+METRICS = {
+    "house_revenue": lambda eq, params, measure, p_actual: house_revenue(eq, params),
+    "diffuse_actual_profit":
+        lambda eq, params, measure, p_actual: diffuse_actual_profit(eq, params, p_actual),
+    "diffuse_subjective_profit":
+        lambda eq, params, measure, p_actual: diffuse_subjective_profit(eq, params, measure),
+    "atomic_subjective_profit":
+        lambda eq, params, measure, p_actual: atomic_subjective_profit(eq, params),
+}
+
+
 def market_report(eq: Equilibrium, params: MarketParams, measure: BeliefMeasure,
                   p_actual: Optional[float] = None) -> MarketReport:
-    """Bundle all metrics for one solved scenario."""
-    pool = eq.d1_star + eq.d2_star + eq.atomic.a1 + eq.atomic.a2
-    actual = None if p_actual is None else diffuse_actual_profit(eq, params, p_actual)
+    """Every METRICS value and the pool total; diffuse_actual_profit is None
+    without p_actual."""
     return MarketReport(
-        pool_total=pool,
-        house_revenue=house_revenue(eq, params),
-        diffuse_subjective_profit=diffuse_subjective_profit(eq, params, measure),
-        atomic_subjective_profit=atomic_subjective_profit(eq, params),
-        diffuse_actual_profit=actual)
+        pool_total=eq.d1_star + eq.d2_star + eq.atomic.a1 + eq.atomic.a2,
+        **{name: f(eq, params, measure, p_actual) for name, f in METRICS.items()
+           if p_actual is not None or name != "diffuse_actual_profit"})

@@ -2,24 +2,23 @@
 
 A scenario names a wealth measure (as a tagged record), the large bettor's
 belief q and budget w, either a single kappa or a sweep grid, an optional
-true probability, and the metric columns to emit. Parsing builds the measure
-once and keeps it on the Scenario, unserialized. Files round-trip exactly:
-parse -> serialize -> parse yields an equal Scenario.
+true probability, and the metric columns to emit, each a key of
+metrics.METRICS named at most once. Parsing builds the measure once and
+keeps it on the Scenario, unserialized. Files round-trip exactly through
+dump_scenario: parse -> serialize -> parse yields an equal Scenario.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
 from . import measure as measure_mod
 from .errors import ConfigError, DomainError
 from .measure import BeliefMeasure
+from .metrics import METRICS
 from .stackelberg import KAPPA_SEARCH_HI, KAPPA_SEARCH_LO
-
-METRIC_NAMES = ("house_revenue", "diffuse_actual_profit",
-                "diffuse_subjective_profit", "atomic_subjective_profit")
 
 MAX_SCALED_DEPTH = 500  # each level adds frames to every mass call; about 984 crash
 
@@ -165,9 +164,12 @@ def parse_scenario(obj: Any) -> Scenario:
     metrics_raw = obj.get("metrics", [])
     if not isinstance(metrics_raw, list):
         raise ConfigError("'metrics' must be an array of metric names")
-    for m in metrics_raw:
-        if m not in METRIC_NAMES:
-            raise ConfigError(f"unknown metric {m!r}; choose from {METRIC_NAMES}")
+    names = tuple(METRICS)  # a tuple: an unhashable entry is unknown, not a TypeError
+    for i, m in enumerate(metrics_raw):
+        if m not in names:
+            raise ConfigError(f"unknown metric {m!r}; choose from {names}")
+        if m in metrics_raw[:i]:
+            raise ConfigError(f"metric {m!r} is listed more than once")
     if "diffuse_actual_profit" in metrics_raw and p_actual is None:
         raise ConfigError("metric 'diffuse_actual_profit' requires 'p_actual'")
 
@@ -176,25 +178,19 @@ def parse_scenario(obj: Any) -> Scenario:
                     belief_measure=belief_measure)
 
 
-def scenario_to_dict(sc: Scenario) -> dict:
+def dump_scenario(sc: Scenario) -> str:
+    """The scenario as JSON text that parses back to an equal Scenario."""
     out: dict[str, Any] = {
         "name": sc.name,
         "measure": sc.measure,
         "q": sc.q,
         "w": sc.w,
+        "kappa": asdict(sc.kappa) if sc.is_sweep else sc.kappa,
     }
-    if isinstance(sc.kappa, SweepSpec):
-        out["kappa"] = {"lo": sc.kappa.lo, "hi": sc.kappa.hi, "steps": sc.kappa.steps}
-    else:
-        out["kappa"] = sc.kappa
     if sc.p_actual is not None:
         out["p_actual"] = sc.p_actual
     out["metrics"] = list(sc.metrics)
-    return out
-
-
-def dump_scenario(sc: Scenario) -> str:
-    return json.dumps(scenario_to_dict(sc), indent=2, allow_nan=False) + "\n"
+    return json.dumps(out, indent=2, allow_nan=False) + "\n"
 
 
 def loads_scenario(text: str, origin: str = "<string>") -> Scenario:

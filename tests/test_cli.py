@@ -13,9 +13,9 @@ import parieq
 from parieq.cli import main, sweep_csv
 from parieq.equilibrium import FP_TOL
 from parieq.errors import ConfigError
-from parieq.scenario import (METRIC_NAMES, build_measure, bundled_scenarios,
-                             dump_scenario, load_scenario, loads_scenario,
-                             parse_scenario)
+from parieq.metrics import METRICS
+from parieq.scenario import (build_measure, bundled_scenarios, dump_scenario,
+                             load_scenario, loads_scenario, parse_scenario)
 
 REFERENCE_SWEEPS = (Path(__file__).resolve().parents[1]
                     / "benchmarks" / "reference" / "sweep")
@@ -70,12 +70,21 @@ class TestSolveCommand:
         assert float(row["house_revenue"]) > 0.0
 
     def test_every_metric_name_gets_a_column(self, tmp_path, capsys):
-        path = write_scenario(tmp_path, q=0.9, p_actual=0.9,
-                              metrics=list(METRIC_NAMES))
+        path = write_scenario(tmp_path, q=0.9, p_actual=0.9, metrics=list(METRICS))
         assert main(["solve", "--scenario", str(path)]) == 0
         header, rows = parse_csv(capsys.readouterr().out)
-        assert tuple(header[-len(METRIC_NAMES):]) == METRIC_NAMES
-        assert all(math.isfinite(float(rows[0][name])) for name in METRIC_NAMES)
+        assert header[-len(METRICS):] == list(METRICS)
+        assert all(math.isfinite(float(rows[0][name])) for name in METRICS)
+
+    def test_metric_cells_look_the_function_up_at_call_time(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # the benchmark's tracer wraps parieq.metrics.* by replacing them there
+        import parieq.metrics
+        monkeypatch.setattr(parieq.metrics, "house_revenue", lambda eq, params: 0.125)
+        path = write_scenario(tmp_path)
+        assert main(["solve", "--scenario", str(path)]) == 0
+        header, rows = parse_csv(capsys.readouterr().out)
+        assert rows[0]["house_revenue"] == "0.125"
 
     def test_no_equilibrium_exit_code(self, tmp_path, capsys):
         path = write_scenario(tmp_path, kappa=0.5)
@@ -179,6 +188,8 @@ class TestConfigErrors:
         dict(kappa={"lo": 0.4, "hi": 0.9, "steps": 5}),
         dict(kappa={"lo": 0.6, "hi": 0.9, "steps": 1}),
         dict(metrics=["not_a_metric"]),
+        dict(metrics=[["house_revenue"]]),  # unhashable
+        dict(metrics=["house_revenue", "house_revenue"]),
         dict(metrics=["diffuse_actual_profit"]),  # p_actual missing
         dict(measure={"kind": "mystery"}),
         dict(measure={"kind": "wedge"}),  # n missing
@@ -206,6 +217,14 @@ class TestConfigErrors:
     def test_invalid_fields(self, tmp_path, capsys, overrides):
         path = write_scenario(tmp_path, **overrides)
         assert main(["solve", "--scenario", str(path)]) == 1
+
+    def test_a_metric_listed_twice_is_named(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, metrics=["house_revenue", "atomic_subjective_profit",
+                                                 "house_revenue"])
+        assert main(["solve", "--scenario", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: metric 'house_revenue' is listed more than once\n"
 
     def test_sweep_range_is_the_take_search_interval(self, tmp_path, capsys):
         path = write_scenario(tmp_path, kappa={"lo": 0.5, "hi": 0.9, "steps": 5})
@@ -564,7 +583,7 @@ console_entry()
 
 
 def test_solve_needs_only_numpy_at_run_time(tmp_path):
-    path = write_scenario(tmp_path, metrics=list(METRIC_NAMES), p_actual=0.6)
+    path = write_scenario(tmp_path, metrics=list(METRICS), p_actual=0.6)
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_TEST_PACKAGES, "solve",
                            "--scenario", str(path)],
                           capture_output=True, text=True,

@@ -1,5 +1,6 @@
 """Market metrics: take revenue, actual/subjective profits, accounting."""
 
+from dataclasses import astuple, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,10 @@ from conftest import BASELINE_W, bundled_cases
 from parieq.equilibrium import Equilibrium, solve
 from parieq.errors import DomainError
 from parieq.measure import tabulated, uniform, wedge
-from parieq.metrics import (atomic_actual_profit, atomic_subjective_profit,
-                            diffuse_actual_profit, diffuse_subjective_profit,
-                            house_revenue, market_report)
+from parieq.metrics import (METRICS, MarketReport, atomic_actual_profit,
+                            atomic_subjective_profit, diffuse_actual_profit,
+                            diffuse_subjective_profit, house_revenue,
+                            market_report)
 from parieq.response import (AtomicBet, DiffuseAggregate, MarketParams,
                              atomic_profit, diffuse_best_response)
 from parieq.scenario import bundled_scenarios, load_scenario
@@ -210,3 +212,47 @@ class TestMarketReport:
         params = MarketParams(kappa=0.8, q=0.9, w=1.0)
         eq = solve(params, uniform())
         assert market_report(eq, params, uniform()).diffuse_actual_profit is None
+
+
+def _bundled_sweep_rows():
+    # (params, measure, p_actual) for each row of every bundled `sweep
+    # --baseline`; a scenario without a p_actual gets 0.6
+    for path in bundled_scenarios().values():
+        sc = load_scenario(path)
+        p_actual = 0.6 if sc.p_actual is None else sc.p_actual
+        for kappa in sc.kappa.kappas():
+            for w in sorted({BASELINE_W, sc.w}):
+                yield MarketParams(kappa=kappa, q=sc.q, w=w), sc.belief_measure, p_actual
+
+
+def _hexes(report):
+    return [None if x is None else x.hex() for x in astuple(report)]
+
+
+class TestMetricsTable:
+    def test_names_in_column_order(self):
+        assert tuple(METRICS) == ("house_revenue", "diffuse_actual_profit",
+                                  "diffuse_subjective_profit",
+                                  "atomic_subjective_profit")
+        assert {f.name for f in fields(MarketReport)} == {"pool_total", *METRICS}
+
+    def test_each_entry_is_the_function_it_names_on_the_bundled_sweeps(self):
+        rows = 0
+        for params, m, p_actual in _bundled_sweep_rows():
+            eq = solve(params, m)
+            want = {"house_revenue": house_revenue(eq, params),
+                    "diffuse_actual_profit": diffuse_actual_profit(eq, params, p_actual),
+                    "diffuse_subjective_profit": diffuse_subjective_profit(eq, params, m),
+                    "atomic_subjective_profit": atomic_subjective_profit(eq, params)}
+            got = {name: f(eq, params, m, p_actual) for name, f in METRICS.items()}
+            assert {k: v.hex() for k, v in got.items()} == {
+                k: v.hex() for k, v in want.items()}, (params, p_actual)
+
+            pool = eq.d1_star + eq.d2_star + eq.atomic.a1 + eq.atomic.a2
+            full = MarketReport(pool_total=pool, **got)
+            assert (_hexes(market_report(eq, params, m, p_actual=p_actual))
+                    == _hexes(full))
+            assert (_hexes(market_report(eq, params, m))
+                    == _hexes(replace(full, diffuse_actual_profit=None)))
+            rows += 1
+        assert rows == 550
