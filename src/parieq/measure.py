@@ -59,6 +59,16 @@ pass to a tolerance relative to its total, and never calls the density
 again. A measure whose total mass is not finite is rejected at
 construction.
 
+exact_moment(lo, hi), the first moment of [lo, hi] (the integral of p
+times the density), serves the small bettors' subjective profit. It is
+optional, as exact_mass once was: uniform takes it from the cumulative
+p^2/2, a Gaussian mixture from erf and exp differences, from_density from
+quartic pieces built with its cumulative, and scaled as the factor times
+its base's, when the base has one. The wedge families and tabulated have
+none yet, so their subjective profit is still integrated by adaptive
+Simpson. Where a moment exists, an empty interval's moment is +0.0, as its
+mass is.
+
 exact_mass_array is exact_mass over float64 arrays, element for element,
 for the grid solver and the oracle's discretization. Its two bounds
 broadcast against each other as numpy operands do, so either may be a
@@ -108,6 +118,11 @@ class BeliefMeasure:
     floor is a float at or below density(p) at every p in [0, 1], proven
     from the family's parameters; 0.0 when nothing is proven, and then the
     constructors establish positivity by sampling the density.
+    exact_moment(lo, hi) is the first moment, the integral of p dmu over
+    [lo, hi] for 0 <= lo <= hi <= 1, +0.0 when lo == hi: a closed form for
+    uniform and Gaussian mixtures, quartic pieces for from_density and the
+    factor times the base's for scaled. It is None on the wedge families
+    and tabulated, and on scaled over any of them.
     """
 
     density: Callable[[float], float]
@@ -117,6 +132,8 @@ class BeliefMeasure:
     exact_mass_array: Callable[[np.ndarray | float, np.ndarray], np.ndarray] = field(
         repr=False, compare=False)
     floor: float = 0.0
+    exact_moment: Callable[[float, float], float] | None = field(
+        default=None, repr=False, compare=False)
 
     def __repr__(self) -> str:  # density callables have no useful repr
         return f"BeliefMeasure(kind={self.kind!r}, total_mass={self.total_mass!r})"
@@ -150,7 +167,7 @@ def _validate_density(density: Callable[[float], float], kind: str) -> tuple[flo
 
 
 def _finish(density, kind, exact_mass, exact_mass_array=None, floor=0.0,
-            peak=math.inf) -> BeliefMeasure:
+            peak=math.inf, exact_moment=None) -> BeliefMeasure:
     # floor: proven lower bound of the density, 0.0 when unproven; peak: the
     # largest density sample the construction took, if it took any
     if floor == 0.0:
@@ -165,7 +182,7 @@ def _finish(density, kind, exact_mass, exact_mass_array=None, floor=0.0,
     return BeliefMeasure(density=density, total_mass=total, kind=kind,
                          exact_mass=exact_mass,
                          exact_mass_array=exact_mass_array or _elementwise(exact_mass),
-                         floor=floor)
+                         floor=floor, exact_moment=exact_moment)
 
 
 def _elementwise(exact_mass):
@@ -183,7 +200,9 @@ def from_density(density: Callable[[float], float], kind: str = "custom") -> Bel
     samples, integrated to a cubic. Each piece starts at the previous one's
     right-end value and is capped by its own, so the float cumulative is
     continuous and nondecreasing across piece edges. Every mass is a
-    difference of that cumulative; the density is not called again. A
+    difference of that cumulative; the density is not called again. The
+    first moment is built the same way, from p times the same quadratics,
+    integrated to quartic pieces. A
     sample that is not positive and finite is a DomainError; a density the
     pass cannot resolve (a jump, say) is a QuadratureError, and so is one
     whose positivity scan finds a value above twice the pass's largest
@@ -197,25 +216,36 @@ def from_density(density: Callable[[float], float], kind: str = "custom") -> Bel
                 f"{kind}: density must be positive and finite on [0,1], got {value} at p={p}")
         return value
 
-    edges, pieces, top, peak = [], [], 0.0, 0.0
+    edges, pieces, moments, top, upper, peak = [], [], [], 0.0, 0.0, 0.0
     for lo, hi, f0, fm, f1 in simpson_panels(sample):
         peak = max(peak, f0, fm, f1)
         # with q(t) = f0 + b t + c t^2 through the samples at t = 0, 1/2, 1,
-        # the mass of [lo, lo + t h] is h t (f0 + t (b/2 + t c/3))
+        # the mass of [lo, lo + t h] is h t (f0 + t (b/2 + t c/3)), and its
+        # first moment h t (lo (f0 + t (b/2 + t c/3)) + h t (f0/2 + t (b/3 + t c/4)))
         h = hi - lo
         b2 = 0.5 * (4.0 * fm - 3.0 * f0 - f1)
         c3 = 2.0 * (f0 - 2.0 * fm + f1) / 3.0
-        # cumulative's expression at t = 1, bit for bit
+        e2, e3, e4 = 0.5 * f0, 2.0 * b2 / 3.0, 0.75 * c3
+        # each cumulative's expression at t = 1, bit for bit
         head, top = top, top + h * (f0 + (b2 + c3))
+        first, upper = upper, upper + h * (lo * (f0 + (b2 + c3)) + h * (e2 + (e3 + e4)))
         edges.append(lo)
         pieces.append((lo, h, head, f0, b2, c3, top))
+        moments.append((lo, h, first, f0, b2, c3, e2, e3, e4, upper))
 
     def cumulative(p: float) -> float:
         lo, h, head, f0, b2, c3, top = pieces[bisect_right(edges, p) - 1]
         t = (p - lo) / h  # exact: h is a power of 2
         return min(head + h * (t * (f0 + t * (b2 + t * c3))), top)
 
-    return _finish(density, kind, *_interval_masses(cumulative), peak=peak)
+    def first_moment(p: float) -> float:
+        lo, h, head, f0, b2, c3, e2, e3, e4, top = moments[bisect_right(edges, p) - 1]
+        t = (p - lo) / h
+        return min(head + h * (t * (lo * (f0 + t * (b2 + t * c3))
+                                    + h * (t * (e2 + t * (e3 + t * e4))))), top)
+
+    return _finish(density, kind, *_interval_masses(cumulative), peak=peak,
+                   exact_moment=_interval_masses(first_moment)[0])
 
 
 def _interval_masses(cum, cum_array=None):
@@ -289,7 +319,7 @@ def uniform() -> BeliefMeasure:
     """Unit density on [0, 1]."""
     identity = lambda p: p  # the cumulative, on floats and arrays alike
     return _finish(lambda p: 1.0, "uniform", *_interval_masses(identity, identity),
-                   floor=1.0)
+                   floor=1.0, exact_moment=_interval_masses(lambda p: 0.5 * p * p)[0])
 
 
 def symmetrized_wedge(n: int) -> BeliefMeasure:
@@ -327,7 +357,13 @@ def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
     z(p) = (p - mu_k)/(sd_k*sqrt 2); to one side of mu_k, where that
     difference cancels, it takes the same difference of erfc values. The
     values at z(0) and z(1), which every solver probe needs at one end,
-    are taken once, here.
+    are taken once, here. Its first moment on [lo, hi] is mu_k times that
+    mass plus sd_k^2 (g_k(lo) - g_k(hi)), g_k the kernel's density, whose
+    sd_k^2 g_k(p) is w_k sd_k/sqrt(2 pi) exp(-z(p)^2); the difference of
+    the two exp values is taken through expm1 (see moment). The mu_k mass
+    term is the mass's own erf sum with w_k mu_k in place of w_k. Where a
+    moment coefficient, w_k mu_k / 2 or w_k sd_k/sqrt(2 pi), overflows,
+    exact_moment is None.
     """
     weights = tuple(float(x) for x in weights)
     means = tuple(float(x) for x in means)
@@ -341,40 +377,68 @@ def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
             raise DomainError(f"mixture weights must be positive, got {wgt}")
         if sd <= 0.0:
             raise DomainError(f"mixture stddevs must be positive, got {sd}")
-    erf, erfc, exp = math.erf, math.erfc, math.exp
+    erf, erfc, exp, expm1 = math.erf, math.erfc, math.exp, math.expm1
 
     def ends(z: float) -> tuple[float, float, float]:
-        # what exact takes at a band end's z on each of its branches
+        # what erf_sum takes at a band end's z on each of its branches
         return erf(z), erfc(z), erfc(-z)
 
-    # each kernel's w/2, mean and sd sqrt 2, and ends() at z(0) and z(1)
+    # each kernel's mean and sd sqrt 2, and ends() at z(0) and z(1)
     widths = tuple(sd * math.sqrt(2.0) for sd in stddevs)
-    kernels = tuple((0.5 * wgt, mu, width, ends((0.0 - mu) / width),
-                     ends((1.0 - mu) / width))
-                    for wgt, mu, width in zip(weights, means, widths))
+    shapes = tuple((mu, width, ends((0.0 - mu) / width), ends((1.0 - mu) / width))
+                   for mu, width in zip(means, widths))
+
+    def erf_sum(coefs):
+        # sum over kernels of coef * (erf(z(hi)) - erf(z(lo))) on [lo, hi]:
+        # the mass with each kernel's w/2 as its coef
+        kernels = tuple((c, *shape) for c, shape in zip(coefs, shapes))
+
+        def total(lo: float, hi: float) -> float:
+            # at lo == 0.0 or hi == 1.0, the band ends _D asks for, each
+            # kernel reads the erf or erfc of that end from its constants: the
+            # same function of the same argument, so the same float. A lo of
+            # -0.0 reads +0.0's: with mu = 0 that flips the sign of a zero
+            # term only, which the sum, started at +0.0, does not keep
+            out, at0, at1 = 0.0, lo == 0.0, hi == 1.0
+            for c, mu, width, end0, end1 in kernels:
+                a, b = (lo - mu) / width, (hi - mu) / width
+                if b < 0.0:  # the mirror image of a lower tail is an upper one
+                    out += c * ((end1[2] if at1 else erfc(-b))
+                                - (end0[2] if at0 else erfc(-a)))
+                elif a > 0.0:
+                    out += c * ((end0[1] if at0 else erfc(a))
+                                - (end1[1] if at1 else erfc(b)))
+                else:
+                    out += c * ((end1[0] if at1 else erf(b))
+                                - (end0[0] if at0 else erf(a)))
+            return out
+        return total
+
+    exact = erf_sum(0.5 * wgt for wgt in weights)
     # each kernel's density coefficient w / (sd sqrt(2 pi)), its mean and sd
     terms = tuple((wgt * _INV_SQRT_2PI / sd, mu, sd)
                   for wgt, mu, sd in zip(weights, means, stddevs))
+    # each kernel's w sd / sqrt(2 pi), mean and sd sqrt 2
+    bumps = tuple((wgt * sd * _INV_SQRT_2PI, mu, width)
+                  for wgt, mu, sd, width in zip(weights, means, stddevs, widths))
+    half_w_mu = tuple(0.5 * wgt * mu for wgt, mu in zip(weights, means))
+    moment = None
+    if all(map(math.isfinite, (*half_w_mu, *(c for c, _, _ in bumps)))):
+        weighted = erf_sum(half_w_mu)
 
-    def exact(lo: float, hi: float) -> float:
-        # at lo == 0.0 or hi == 1.0, the band ends _D asks for, each kernel
-        # reads the erf or erfc of that end from its constants: the same
-        # function of the same argument, so the same float. A lo of -0.0
-        # reads +0.0's: with mu = 0 that flips the sign of a zero term only,
-        # which the sum, started at +0.0, does not keep
-        out, at0, at1 = 0.0, lo == 0.0, hi == 1.0
-        for half_w, mu, width, end0, end1 in kernels:
-            a, b = (lo - mu) / width, (hi - mu) / width
-            if b < 0.0:  # the mirror image of a lower tail is an upper one
-                out += half_w * ((end1[2] if at1 else erfc(-b))
-                                 - (end0[2] if at0 else erfc(-a)))
-            elif a > 0.0:
-                out += half_w * ((end0[1] if at0 else erfc(a))
-                                 - (end1[1] if at1 else erfc(b)))
-            else:
-                out += half_w * ((end1[0] if at1 else erf(b))
-                                 - (end0[0] if at0 else erf(a)))
-        return out
+        def moment(lo: float, hi: float) -> float:
+            # exp(-a^2) - exp(-b^2) is taken as the exp at the end nearer the
+            # mean times expm1 of b^2 - a^2 = (b - a)(b + a), so that a wide
+            # kernel's difference does not cancel
+            out = weighted(lo, hi)
+            for c, mu, width in bumps:
+                a, b = (lo - mu) / width, (hi - mu) / width
+                rise = (hi - lo) / width * (a + b)
+                if rise >= 0.0:
+                    out -= c * exp(-a * a) * expm1(-rise)
+                else:
+                    out += c * exp(-b * b) * expm1(rise)
+            return out
 
     def density(p: float) -> float:
         out = 0.0
@@ -384,7 +448,7 @@ def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
         return out
 
     return _finish(density, f"gaussian_mixture(k={len(weights)})", exact,
-                   floor=_mixture_floor(terms))
+                   floor=_mixture_floor(terms), exact_moment=moment)
 
 
 def _mixture_floor(terms) -> float:
@@ -482,11 +546,13 @@ def scaled(base: BeliefMeasure, factor: float) -> BeliefMeasure:
     """The base measure with all wealth multiplied by factor > 0."""
     if not 0.0 < factor < math.inf:
         raise DomainError(f"scale factor must be positive and finite, got {factor}")
-    base_density, base_mass, base_mass_array = (base.density, base.exact_mass,
-                                                base.exact_mass_array)
+    base_density, base_mass, base_mass_array, base_moment = (
+        base.density, base.exact_mass, base.exact_mass_array, base.exact_moment)
     # rounding is monotone, so factor * base.density(p) >= factor * base.floor;
     # a tiny factor can underflow that product to 0.0, and then it is scanned
     return _finish(lambda p: factor * base_density(p),
                    f"scaled({base.kind}, factor={factor})",
                    lambda lo, hi: factor * base_mass(lo, hi),
-                   lambda lo, hi: factor * base_mass_array(lo, hi), factor * base.floor)
+                   lambda lo, hi: factor * base_mass_array(lo, hi), factor * base.floor,
+                   exact_moment=None if base_moment is None
+                   else lambda lo, hi: factor * base_moment(lo, hi))

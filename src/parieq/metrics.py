@@ -12,7 +12,7 @@ from typing import Optional
 
 from .equilibrium import Equilibrium
 from .errors import DomainError
-from .measure import BeliefMeasure
+from .measure import BeliefMeasure, mass
 from .quadrature import adaptive_simpson
 from .response import MarketParams, diffuse_unit_edge
 
@@ -64,20 +64,32 @@ def diffuse_subjective_profit(eq: Equilibrium, params: MarketParams,
     """Small bettors' total expected profit under their own beliefs.
 
     Only the two betting groups contribute: beliefs above the upper threshold
-    (staking on Outcome 1) and below the lower one (staking on Outcome 2).
-    Each group integrates its per-unit edge against the wealth density; both
-    integrands are positive on their regions, so the total is nonnegative.
-    An empty group adds the 0.0 adaptive_simpson gives an empty interval.
+    t1 (staking on Outcome 1) and below the lower one t2 (staking on Outcome
+    2). Each group integrates its per-unit edge against the wealth density;
+    both integrands are positive on their regions, so the total is
+    nonnegative. With the measure's first moment M and its masses at the
+    thresholds, the Outcome 1 group gives kappa/p* M(t1, 1) - mass(t1, 1)
+    and the Outcome 2 group kappa/(1 - p*) (mass(0, t2) - M(0, t2)) -
+    mass(0, t2); an empty group adds the +0.0 of an empty interval's mass
+    and moment. The masses come from the measure, so a hand-built
+    Equilibrium's totals play no part; its p* outside the band puts a
+    threshold outside [0, 1], a DomainError from mass. A measure without a
+    moment (the wedge families, tabulated, and scaled over them) integrates
+    each group by adaptive_simpson, which gives an empty interval 0.0.
     """
     kappa = params.kappa
     p_star = eq.p_star
     t1 = eq.thresholds.bet1_above
     t2 = eq.thresholds.bet2_below
-    dens = measure.density
-
-    return (adaptive_simpson(lambda p: dens(p) * (kappa * p / p_star - 1.0), t1, 1.0)
-            + adaptive_simpson(
-                lambda p: dens(p) * (kappa * (1.0 - p) / (1.0 - p_star) - 1.0), 0.0, t2))
+    moment = measure.exact_moment
+    if moment is None:
+        dens = measure.density
+        return (adaptive_simpson(lambda p: dens(p) * (kappa * p / p_star - 1.0), t1, 1.0)
+                + adaptive_simpson(
+                    lambda p: dens(p) * (kappa * (1.0 - p) / (1.0 - p_star) - 1.0), 0.0, t2))
+    above, below = mass(measure, t1, 1.0), mass(measure, 0.0, t2)
+    return (kappa / p_star * moment(t1, 1.0) - above
+            + (kappa / (1.0 - p_star) * (below - moment(0.0, t2)) - below))
 
 
 def atomic_subjective_profit(eq: Equilibrium, params: MarketParams) -> float:

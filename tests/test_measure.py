@@ -6,6 +6,8 @@ integrator and against scipy.integrate.quad as an outside reference.
 
 import itertools
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -810,3 +812,209 @@ class TestFromDensityTable:
     def test_discontinuous_density_fails_at_construction(self):
         with pytest.raises(QuadratureError):
             from_density(lambda p: 1.0 if p < math.pi / 6 else 2.0)
+
+
+# --------------------------------------------------------------------------
+# first moments
+# --------------------------------------------------------------------------
+
+def _moment_zoo() -> list[BeliefMeasure]:
+    # every family with a first moment: uniform, Gaussian mixtures (narrow
+    # kernels, means outside [0, 1], kernels so wide that their density is
+    # all but flat), scaled over both, and from_density
+    return [
+        uniform(),
+        gaussian_mixture([1.0, 0.5], [0.3, 0.75], [0.15, 0.1]),
+        gaussian_mixture([0.9, 1.4], [0.45, 0.55], [0.03, 0.02]),
+        gaussian_mixture([0.3, 1.2, 0.7], [-0.4, 0.5, 1.6], [0.2, 0.05, 0.3]),
+        gaussian_mixture([1.0, 1.0, 1.0], [0.2, 0.5, 0.6], [10.0, 1e3, 1e6]),
+        scaled(gaussian_mixture([1.0], [0.5], [0.3]), 3.0),
+        scaled(uniform(), 0.5),
+        *(from_density(density, name) for name, (density, _) in sorted(TABLE_DENSITIES.items())),
+    ]
+
+
+# where scipy.integrate.quad needs a breakpoint, by kind
+_MOMENT_BREAKS = {"gaussian_mixture(k=2)": [0.3, 0.45, 0.55, 0.75],
+                  "gaussian_mixture(k=3)": [0.5], "narrow_bump": [0.5], "deep_dip": [0.3]}
+
+
+def _moment_intervals() -> list[tuple[float, float]]:
+    # seeded intervals, band ends, both far tails of the narrow kernels at
+    # 0.45 and 0.55, and one a billionth wide
+    rng = np.random.default_rng(21)
+    out = [tuple(x) for x in np.sort(rng.uniform(0.0, 1.0, (40, 2)), axis=1).tolist()]
+    xs = rng.uniform(0.0, 1.0, 10).tolist()
+    out += [(0.0, x) for x in xs] + [(x, 1.0) for x in xs] + [(0.0, 1.0)]
+    return out + FAR_TAILS + [(0.5, 0.5 + 1e-9)]
+
+
+FAR_TAILS = [(0.0, 0.2), (0.1, 0.25), (0.0, 1e-3), (0.7, 1.0), (0.8, 0.95), (0.999, 1.0)]
+
+
+def _scipy_moment(m, lo, hi):
+    # quad warns of roundoff where it cannot reach this tolerance, on some
+    # mixture intervals and far tails; its result there is still what the
+    # bounds below were measured against, and a looser tolerance moves it
+    points = [x for x in _MOMENT_BREAKS.get(m.kind, []) if lo < x < hi] or None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return integrate.quad(lambda p: p * m.density(p), lo, hi, points=points,
+                              epsabs=0.0, epsrel=1.2e-14, limit=500)[0]
+
+
+def _old_mixture_mass(weights, means, stddevs):
+    # gaussian_mixture's exact_mass as it was before its erf sum took the
+    # kernel coefficients as an argument, kept to check that it keeps its bits
+    erf, erfc = math.erf, math.erfc
+
+    def ends(z):
+        return erf(z), erfc(z), erfc(-z)
+
+    widths = tuple(sd * math.sqrt(2.0) for sd in stddevs)
+    kernels = tuple((0.5 * wgt, mu, width, ends((0.0 - mu) / width),
+                     ends((1.0 - mu) / width))
+                    for wgt, mu, width in zip(weights, means, widths))
+
+    def exact(lo, hi):
+        out, at0, at1 = 0.0, lo == 0.0, hi == 1.0
+        for half_w, mu, width, end0, end1 in kernels:
+            a, b = (lo - mu) / width, (hi - mu) / width
+            if b < 0.0:
+                out += half_w * ((end1[2] if at1 else erfc(-b))
+                                 - (end0[2] if at0 else erfc(-a)))
+            elif a > 0.0:
+                out += half_w * ((end0[1] if at0 else erfc(a))
+                                 - (end1[1] if at1 else erfc(b)))
+            else:
+                out += half_w * ((end1[0] if at1 else erf(b))
+                                 - (end0[0] if at0 else erf(a)))
+        return out
+    return exact
+
+
+# |moment - scipy's| / the moment of [0, 1], worst over _moment_intervals,
+# rounded up in its third digit: 1.681e-15 on the wide mixture among the
+# closed forms (7.225e-16 on the next); 7.232e-14 on from_density's
+# exp-quadratic, whose moment, like its mass, integrates the quadratics
+# through its samples
+MOMENT_BOUND, FROM_DENSITY_MOMENT_BOUND = 1.69e-15, 7.24e-14
+# |moment - scipy's| / scipy's on the narrow mixture's FAR_TAILS: 2.770e-11
+# on [0, 1e-3], where mu times the mass cancels against the kernel term by a
+# factor of about 450 and exp(-z^2) at z = -15 carries z^2 times z's rounding
+FAR_TAIL_REL_BOUND = 2.78e-11
+# the worst additivity error in test_lies_between_the_ends_times_the_mass_and_
+# adds_up, in ulps of 1 times the moment and the mass of [0, 1], rounded up
+# in its third digit: 3.752 on the wide mixture, whose widest kernel's mass
+# term takes erfc differences near 1; under 0.6 on every other measure. No
+# moment fell outside [lo mass, hi mass] at all
+MOMENT_ROUNDING = 3.76
+
+
+class TestFirstMoment:
+    """exact_moment, the integral of p dmu, per family."""
+
+    @pytest.mark.parametrize("m", [wedge(10), symmetrized_wedge(100), wedge(1),
+                                   tabulated([(0.0, 0.5), (0.3, 2.0), (1.0, 1.0)]),
+                                   scaled(wedge(100), 0.5)], ids=lambda m: m.kind)
+    def test_the_knotted_families_have_none(self, m):
+        assert m.exact_moment is None
+
+    @pytest.mark.parametrize("m", _moment_zoo(), ids=lambda m: m.kind)
+    def test_matches_scipy(self, m):
+        bound = FROM_DENSITY_MOMENT_BOUND if m.kind in TABLE_DENSITIES else MOMENT_BOUND
+        total = m.exact_moment(0.0, 1.0)
+        worst = max((abs(m.exact_moment(lo, hi) - _scipy_moment(m, lo, hi)) / total, lo, hi)
+                    for lo, hi in _moment_intervals())
+        print(f"{m.kind}: worst |error| / total {worst[0]:.4g} on [{worst[1]}, {worst[2]}]")
+        assert worst[0] <= bound, worst
+
+    def test_far_tails_of_narrow_kernels_keep_relative_accuracy(self):
+        m = gaussian_mixture([0.9, 1.4], [0.45, 0.55], [0.03, 0.02])
+        errors = []
+        for lo, hi in FAR_TAILS:
+            assert min(abs(lo - 0.45) / 0.03, abs(hi - 0.55) / 0.02, abs(lo - 0.55) / 0.02,
+                       abs(hi - 0.45) / 0.03) > 4.0
+            want = _scipy_moment(m, lo, hi)
+            errors.append((abs(m.exact_moment(lo, hi) - want) / want, lo, hi))
+        print("worst relative error", max(errors))
+        assert max(errors)[0] <= FAR_TAIL_REL_BOUND, max(errors)
+
+    @pytest.mark.parametrize("m", _moment_zoo(), ids=lambda m: m.kind)
+    def test_lies_between_the_ends_times_the_mass_and_adds_up(self, m):
+        # lo mass <= moment <= hi mass, and the moments of [lo, x] and [x, hi]
+        # add to that of [lo, hi], each within MOMENT_ROUNDING roundings of
+        # the moment and the mass of [0, 1], the scales of the cumulatives and
+        # erf sums the moments are differences of
+        slack = (MOMENT_ROUNDING * sys.float_info.epsilon
+                 * (m.exact_moment(0.0, 1.0) + m.total_mass))
+        rng = np.random.default_rng(23)
+        for lo, x, hi in np.sort(rng.uniform(0.0, 1.0, (200, 3)), axis=1).tolist():
+            for a, b in ((lo, hi), (0.0, x), (x, 1.0)):
+                ms, mom = mass(m, a, b), m.exact_moment(a, b)
+                assert a * ms - slack <= mom <= b * ms + slack, (a, b)
+            split = m.exact_moment(lo, x) + m.exact_moment(x, hi)
+            assert abs(split - m.exact_moment(lo, hi)) <= slack, (lo, x, hi)
+
+    @pytest.mark.parametrize("m", _moment_zoo(), ids=lambda m: m.kind)
+    def test_empty_interval_moment_is_positive_zero(self, m):
+        xs = [0.0, 1.0, 0.3, 0.45, 0.5, *np.random.default_rng(29).uniform(0.0, 1.0, 50).tolist()]
+        positive_zero = lambda v: v == 0.0 and math.copysign(1.0, v) == 1.0
+        for x in xs:
+            assert positive_zero(m.exact_moment(x, x)), x
+        for lo, hi in itertools.product((0.0, -0.0), repeat=2):
+            assert positive_zero(m.exact_moment(lo, hi)), (lo, hi)
+
+    @pytest.mark.parametrize("m", _moment_zoo(), ids=lambda m: m.kind)
+    def test_scaled_moment_is_the_factor_times_the_base_bit_for_bit(self, m):
+        ps = [0.0, 1e-300, 0.05, 0.3, 0.5, 0.77, 1.0]
+        for factor in (3.0, 0.1, 1e-200):
+            s = scaled(m, factor)
+            for lo, hi in itertools.combinations_with_replacement(ps, 2):
+                assert s.exact_moment(lo, hi) == factor * m.exact_moment(lo, hi), (lo, hi)
+
+    @pytest.mark.parametrize("m", [*_family_zoo(), *_moment_zoo(),
+                                   # extreme mixtures that construction accepts
+                                   gaussian_mixture([1e307, 1e307], [0.3, 0.7], [0.2, 0.2]),
+                                   gaussian_mixture([1e300], [0.5], [1e5]),
+                                   gaussian_mixture([1e-300], [0.5], [0.2]),
+                                   gaussian_mixture([1.0, 1.0], [0.5, 0.5], [1e-6, 0.3]),
+                                   gaussian_mixture([1.0], [0.5], [1e6]),
+                                   gaussian_mixture([1.0, 1.0], [-3.0, 4.0], [1.0, 1.0]),
+                                   gaussian_mixture([1e300, 1.0], [-40.0, 0.5], [1.0, 0.3])],
+                             ids=lambda m: m.kind)
+    def test_moment_is_finite_wherever_the_mass_is(self, m):
+        if m.exact_moment is None:
+            return
+        ps = sorted({0.0, 5e-324, 1e-300, 1e-9, 0.1, 0.3, 0.5, math.nextafter(0.5, 1.0),
+                     0.5 + 1e-9, 0.7, 0.9, math.nextafter(1.0, 0.0), 1.0})
+        for lo, hi in itertools.combinations_with_replacement(ps, 2):
+            if math.isfinite(mass(m, lo, hi)):
+                assert math.isfinite(m.exact_moment(lo, hi)), (lo, hi)
+
+    @pytest.mark.parametrize("weights, means, stddevs", [
+        ([1.7e308], [4.0], [1.0]),  # w mu / 2 overflows
+        ([1e308], [0.5], [5.0]),  # w sd / sqrt(2 pi) overflows
+    ])
+    def test_a_mixture_whose_moment_coefficient_overflows_has_none(self, weights, means,
+                                                                    stddevs):
+        m = gaussian_mixture(weights, means, stddevs)
+        assert math.isfinite(m.total_mass) and m.exact_moment is None
+
+    @pytest.mark.parametrize("weights, means, stddevs", [
+        ([1.0, 0.5], [0.3, 0.75], [0.15, 0.1]),
+        ([0.3, 1.2, 0.7], [-0.4, 0.5, 1.6], [0.2, 0.05, 0.3]),
+        ([1.0, 2.0], [0.0, 1.0], [0.1, 0.3]),
+        ([1.1, 0.9, 1.05], [0.21, 0.49, 0.8], [0.25, 0.3, 0.24]),
+    ])
+    def test_mixture_mass_keeps_the_bits_of_the_old_loop(self, weights, means, stddevs):
+        # the erf sum now serves the mass with the weights and the moment with
+        # weight times mean; the mass must keep every bit
+        old, m = _old_mixture_mass(weights, means, stddevs), gaussian_mixture(weights, means,
+                                                                             stddevs)
+        rng = np.random.default_rng(31)
+        pairs = [tuple(x) for x in np.sort(rng.uniform(0.0, 1.0, (300, 2)), axis=1).tolist()]
+        pairs += [(0.0, hi) for _, hi in pairs[:50]] + [(lo, 1.0) for lo, _ in pairs[:50]]
+        pairs += [(0.0, 1.0), (0.0, 0.0), (1.0, 1.0), (-0.0, 0.0), (0.0, -0.0)]
+        assert [m.exact_mass(lo, hi).hex() for lo, hi in pairs] == [
+            old(lo, hi).hex() for lo, hi in pairs]

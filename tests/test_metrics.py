@@ -1,15 +1,18 @@
 """Market metrics: take revenue, actual/subjective profits, accounting."""
 
+import math
 from dataclasses import astuple, fields, replace
 from fractions import Fraction
 
 import pytest
 from scipy import integrate
 
+import parieq.metrics as metrics_mod
 from conftest import BASELINE_W, bundled_cases
 from parieq.equilibrium import Equilibrium, solve
 from parieq.errors import DomainError
-from parieq.measure import tabulated, uniform, wedge
+from parieq.measure import (from_density, gaussian_mixture, mass, scaled, tabulated,
+                            uniform, wedge)
 from parieq.metrics import (METRICS, MarketReport, atomic_actual_profit,
                             atomic_subjective_profit, diffuse_actual_profit,
                             diffuse_subjective_profit, house_revenue,
@@ -17,6 +20,7 @@ from parieq.metrics import (METRICS, MarketReport, atomic_actual_profit,
 from parieq.response import (AtomicBet, DiffuseAggregate, MarketParams,
                              atomic_profit, diffuse_best_response)
 from parieq.scenario import bundled_scenarios, load_scenario
+from test_measure import _family_zoo
 
 
 def _synthetic_eq(p_star, d1, d2, a1=0.0, a2=0.0, kappa=0.8):
@@ -83,14 +87,76 @@ class TestDiffuseSubjectiveProfit:
             want, abs=1e-8)
 
     @pytest.mark.parametrize("p_star", [0.8, 0.2])
-    def test_an_empty_group_adds_nothing(self, p_star):
+    def test_an_empty_group_adds_nothing(self, monkeypatch, p_star):
         # at p* = kappa nobody backs Outcome 1 (threshold 1), at p* = 1 - kappa
         # nobody backs Outcome 2 (threshold 0): on the uniform measure the other
-        # group's edge integrates to 1.125 either way
+        # group's edge integrates to 1.125 either way. uniform has a first
+        # moment, so no Simpson runs, and the empty group adds the +0.0 of its
+        # empty interval's mass and moment to the other group's value
+        simpson = _count_simpson(monkeypatch)
+        m, kappa = uniform(), 0.8
         eq = _synthetic_eq(p_star, 0.5, 0.5)
-        assert {eq.thresholds.bet1_above, eq.thresholds.bet2_below} & {0.0, 1.0}
-        got = diffuse_subjective_profit(eq, MarketParams(kappa=0.8, q=0.5, w=1.0), uniform())
-        assert got == pytest.approx(1.125, abs=1e-12)
+        t1, t2 = eq.thresholds.bet1_above, eq.thresholds.bet2_below
+        assert {t1, t2} & {0.0, 1.0}
+        got = diffuse_subjective_profit(eq, MarketParams(kappa=kappa, q=0.5, w=1.0), m)
+        assert got == pytest.approx(1.125, abs=1e-15)
+        if t1 == 1.0:
+            below = mass(m, 0.0, t2)
+            other = kappa / (1.0 - p_star) * (below - m.exact_moment(0.0, t2)) - below
+        else:
+            other = kappa / p_star * m.exact_moment(t1, 1.0) - mass(m, t1, 1.0)
+        assert got.hex() == other.hex()
+        assert simpson == []
+
+    @pytest.mark.parametrize("m", [*_family_zoo(), from_density(lambda p: 1.0 + p * p),
+                                   scaled(tabulated([(0.0, 1.0), (0.4, 2.0), (1.0, 0.5)]), 2.0),
+                                   scaled(from_density(lambda p: 1.0 + p * p), 2.0)],
+                             ids=lambda m: m.kind)
+    def test_simpson_integrates_only_where_there_is_no_moment(self, monkeypatch, m):
+        # the wedge families and tabulated, and scaled over them, still go
+        # through parieq.metrics.adaptive_simpson, once per group; a measure
+        # with a first moment never does
+        simpson = _count_simpson(monkeypatch)
+        params = MarketParams(kappa=0.8, q=0.9, w=1.0)
+        diffuse_subjective_profit(solve(params, m), params, m)
+        knotted = m.kind.startswith(("wedge", "symmetrized_wedge", "tabulated",
+                                     "scaled(wedge", "scaled(tabulated"))
+        assert (m.exact_moment is None) == knotted
+        assert len(simpson) == (2 if knotted else 0)
+
+    @pytest.mark.parametrize("m", [
+        gaussian_mixture([1.0, 0.5], [0.3, 0.75], [0.15, 0.1]),
+        scaled(gaussian_mixture([1.0, 1.0], [0.3, 0.7], [0.2, 0.2]), 1.5),
+        from_density(lambda p: math.exp(0.3 * p - 0.9 * p * p), "exp_quadratic"),
+        uniform()], ids=lambda m: m.kind)
+    @pytest.mark.parametrize("kappa, q, w", [(0.6, 0.3, 1.0), (0.75, 0.85, 0.1),
+                                             (0.9, 0.6, 1.0)])
+    def test_moments_match_scipy_quadrature(self, m, kappa, q, w):
+        params = MarketParams(kappa=kappa, q=q, w=w)
+        eq = solve(params, m)
+        t1, t2, ps = eq.thresholds.bet1_above, eq.thresholds.bet2_below, eq.p_star
+        want = (integrate.quad(lambda p: m.density(p) * (kappa * p / ps - 1.0), t1, 1.0,
+                               epsabs=1e-15, epsrel=1e-13)[0]
+                + integrate.quad(lambda p: m.density(p) * (kappa * (1.0 - p) / (1.0 - ps) - 1.0),
+                                 0.0, t2, epsabs=1e-15, epsrel=1e-13)[0])
+        assert diffuse_subjective_profit(eq, params, m) == pytest.approx(want, abs=1e-12)
+
+    def test_a_p_star_outside_the_band_is_a_domain_error_with_a_moment(self):
+        # p* = 0.85 > kappa puts t1 above 1: mass rejects it, while Simpson,
+        # still used on the wedge families, gives the empty group 0.0
+        eq, params = _synthetic_eq(0.85, 0.5, 0.5), MarketParams(kappa=0.8, q=0.5, w=1.0)
+        assert eq.thresholds.bet1_above > 1.0
+        with pytest.raises(DomainError):
+            diffuse_subjective_profit(eq, params, uniform())
+        assert diffuse_subjective_profit(eq, params, wedge(1)) > 0.0
+
+    def test_a_hand_built_equilibrium_gets_its_integral(self):
+        # the groups' masses come from the measure at the thresholds, not
+        # from the equilibrium's totals, which a hand-built one may not match
+        m, params = gaussian_mixture([1.0], [0.5], [0.3]), MarketParams(kappa=0.8, q=0.5, w=1.0)
+        got = [diffuse_subjective_profit(_synthetic_eq(0.45, d1, d2), params, m)
+               for d1, d2 in ((0.5, 0.5), (7.0, 0.0), (0.0, 0.0))]
+        assert got[0] == got[1] == got[2] > 0.0
 
     def test_nonnegative_everywhere(self):
         for sc in bundled_cases():
@@ -132,6 +198,20 @@ class TestDiffuseSubjectiveProfit:
             lambda p: m.density(p) * (0.9 * (1.0 - p) / (1.0 - ps) - 1.0), 0.0, t2,
             points=[x for x in xs if 0.0 < x < t2] or None)[0]
         assert diffuse_subjective_profit(eq, params, m) == pytest.approx(want, abs=1e-10)
+
+
+def _count_simpson(monkeypatch):
+    # every adaptive Simpson integral diffuse_subjective_profit starts, through
+    # the module attribute that benchmarks/spans.py also replaces
+    calls = []
+    real = metrics_mod.adaptive_simpson
+
+    def counted(f, a, b):
+        calls.append((a, b))
+        return real(f, a, b)
+
+    monkeypatch.setattr(metrics_mod, "adaptive_simpson", counted)
+    return calls
 
 
 def _exact_wedge_subjective_profit(n, eq, params):

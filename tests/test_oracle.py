@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 from bisect import bisect_left, bisect_right
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import BASELINE_W, bundled_cases
 from test_measure import _family_zoo
+from test_referee import random_market
 import parieq.oracle as oracle_mod
 from parieq.equilibrium import _D, solve
 from parieq.errors import DomainError
@@ -578,37 +580,59 @@ REFEREE_PRECISION = 50  # significant decimal digits of the stake's square root
 ORACLE_ULPS_BOUND = 2.70
 
 
-def exact_discrete_fixed_point(pop, params) -> Decimal:
-    """The exact crossing of the diagonal by the discrete response map.
+def exact_totals(pop, kappa):
+    """(totals, breakpoints) of the discrete market at the exact kappa.
 
-    Float beliefs, wealths and market parameters are exact rationals. A
-    bettor of belief b backs Outcome 1 at P < kappa b and Outcome 2 at
-    P > 1 - kappa (1 - b), so between consecutive breakpoints of that kind
-    the map is constant. On each step the counts and the totals are exact
-    Fractions, the large bettor's regime and cap are decided exactly, and
-    only her interior square-root stake is a Decimal, at the caller's
-    precision. She stakes nothing where a total is zero, as _respond does.
-    The map falls with P, so a binary search finds the first step whose
-    value is at most its right end; the fixed point is the larger of that
-    value and the step's left end, a jump point when the value lies below
-    it. The result is continuous in the map's values, so the Decimal
-    rounding moves it by no more than that rounding.
+    totals(P) gives the exact wealth (d1, d2) backing each outcome at a
+    rational P: a bettor of belief b backs Outcome 1 at P < kappa b and
+    Outcome 2 at P > 1 - kappa (1 - b). The breakpoints are the band's ends
+    and every such kappa b or 1 - kappa (1 - b) strictly inside the band,
+    in order; between consecutive ones the totals are constant.
     """
-    K, Q, W = (Fraction(x) for x in (params.kappa, params.q, params.w))
+    K = Fraction(kappa)
     ranked = sorted(zip(pop.beliefs.tolist(), pop.wealths.tolist()))
     prefix = [Fraction(0)]  # the wealth of the bettors below each rank
     for _, wealth in ranked:
         prefix.append(prefix[-1] + Fraction(wealth))
     up = [K * Fraction(b) for b, _ in ranked]  # backs Outcome 1 below these P
     down = [1 - K * (1 - Fraction(b)) for b, _ in ranked]  # ... Outcome 2 above
-    ends = [1 - K] + sorted({x for x in up + down if 1 - K < x < K}) + [K]
 
-    def value(j) -> Decimal:
-        # the map on the open step (ends[j], ends[j + 1])
-        P = (ends[j] + ends[j + 1]) / 2
+    def totals(P: Fraction) -> tuple[Fraction, Fraction]:
         n1, n2 = len(up) - bisect_right(up, P), bisect_left(down, P)
-        d1, d2 = prefix[-1] - prefix[len(up) - n1], prefix[n2]
-        assert d1 + d2 > 0, "empty pool"
+        return prefix[-1] - prefix[len(up) - n1], prefix[n2]
+
+    return totals, [1 - K] + sorted({x for x in up + down if 1 - K < x < K}) + [K]
+
+
+def exact_discrete_fixed_point(pop, params) -> Decimal | None:
+    """The exact crossing of the diagonal by the discrete response map.
+
+    Float beliefs, wealths and market parameters are exact rationals, and
+    the map is constant between consecutive breakpoints of exact_totals.
+    On each step the totals are exact Fractions, the large bettor's regime
+    and cap are decided exactly, and only her interior square-root stake is
+    a Decimal, at the caller's precision. She stakes nothing where a total
+    is zero, as _respond does. The map falls with P, so a binary search
+    finds the first step whose value is at most its right end; the fixed
+    point is the larger of that value and the step's left end, a jump point
+    when the value lies below it. The result is continuous in the map's
+    values, so the Decimal rounding moves it by no more than that rounding.
+
+    None when the search meets a step where nobody wagers. The totals are
+    monotone in P, so such steps form one run, with only Outcome 1 backed
+    (the map at 1) before it and only Outcome 2 (the map at 0) after it:
+    the map crosses the diagonal nowhere it is defined. Every step before
+    the run has a value above its right end, so the search can neither
+    settle before the run nor pass it without a probe in it.
+    """
+    Q, W, K = Fraction(params.q), Fraction(params.w), Fraction(params.kappa)
+    totals, ends = exact_totals(pop, params.kappa)
+
+    def value(j) -> Decimal | None:
+        # the map on the open step (ends[j], ends[j + 1])
+        d1, d2 = totals((ends[j] + ends[j + 1]) / 2)
+        if d1 + d2 == 0:
+            return None
         stakes = [Decimal(0), Decimal(0)]
         if d1 > 0 and d2 > 0:
             for side, (b, own) in enumerate(((Q, d1), (1 - Q, d2))):
@@ -621,11 +645,24 @@ def exact_discrete_fixed_point(pop, params) -> Decimal:
     first, last = 0, len(ends) - 2  # the last step's value is 0, below kappa
     while first < last:
         mid = (first + last) // 2
-        if value(mid) <= _dec(ends[mid + 1]):
+        if (at := value(mid)) is None:
+            return None
+        if at <= _dec(ends[mid + 1]):
             last = mid
         else:
             first = mid + 1
-    return max(value(first), _dec(ends[first]))
+    at = value(first)
+    return None if at is None else max(at, _dec(ends[first]))
+
+
+# small random tabulated markets, drawn as test_referee draws its fuzz, each
+# discretized at N = U{2, ..., 64}, where one-sided totals and empty pools
+# occur
+SMALL_FUZZ_SEED, SMALL_FUZZ_MARKETS = 3, 500
+# max |p_approx - P*| in ulps over the converged ones, rounded up in its
+# third digit: -2.6335 at N = 50. Other seeds reach further (3.86 ulps on
+# seed 5 at 1,000 markets), so this bound is the seeded set's alone
+SMALL_FUZZ_ULPS_BOUND = 2.64
 
 
 def _exact_stake(square: Fraction, own: Fraction, cap: Fraction) -> Decimal:
@@ -654,6 +691,41 @@ def _ulps_off(pop, params) -> float:
 class TestExactReferee:
     """iterate_best_response's p_approx against the exact discrete fixed point."""
 
+    def test_small_random_markets(self):
+        # converged=False exactly where the exact map's pool is empty at the
+        # P where the search stopped, and there the exact referee finds no
+        # crossing either; elsewhere p_approx lies within a few ulps of the
+        # exact fixed point P*_N. The discretisation error |P*_N - p*|, p*
+        # the continuum's, is printed apart: it is the oracle's gap to the
+        # continuum, not a float error
+        rng = random.Random(SMALL_FUZZ_SEED)
+        ulps, gaps, empty = [], [], 0
+        for _ in range(SMALL_FUZZ_MARKETS):
+            knots, params = random_market(rng)
+            N, m = rng.randint(2, 64), tabulated(knots)
+            pop = discretize(m, N)
+            res = iterate_best_response(pop, params)
+            d1, d2 = exact_totals(pop, params.kappa)[0](Fraction(res.p_approx))
+            assert res.converged == (d1 + d2 > 0), (knots, params, N)
+            with localcontext() as ctx:
+                ctx.prec = REFEREE_PRECISION
+                exact = exact_discrete_fixed_point(pop, params)
+                assert (exact is None) == (not res.converged), (knots, params, N)
+                if exact is None:
+                    empty += 1
+                    continue
+                ulps.append((float((Decimal(res.p_approx) - exact)
+                                   / Decimal(math.ulp(res.p_approx))), N, params))
+            gaps.append((abs(float(exact) - solve(params, m).p_star), N, params))
+        worst = max(ulps, key=lambda u: abs(u[0]))
+        gaps.sort(key=lambda g: g[0])
+        print(f"{empty} of {SMALL_FUZZ_MARKETS} pools empty; float error: worst "
+              f"{worst[0]:+.4f} ulps at N = {worst[1]}, {worst[2]}")
+        print(f"discretisation error |P*_N - p*|: median {gaps[len(gaps) // 2][0]:.3e}, "
+              f"worst {gaps[-1][0]:.3e} at N = {gaps[-1][1]}, {gaps[-1][2]}")
+        assert 0 < empty < SMALL_FUZZ_MARKETS
+        assert abs(worst[0]) <= SMALL_FUZZ_ULPS_BOUND, worst
+
     def test_benchmark_cases_lie_within_a_few_ulps(self):
         # p_approx is the last bracket's midpoint, where the float map, with
         # its rounded thresholds, totals and stake, changes sides
@@ -661,6 +733,15 @@ class TestExactReferee:
                 for key, m, N, params in CROSSCHECK_CASES}
         worst = max(ulps, key=lambda k: abs(ulps[k]))
         assert abs(ulps[worst]) <= ORACLE_ULPS_BOUND, (worst, ulps)
+
+    def test_an_empty_pool_has_no_crossing(self):
+        # beliefs 0.25 and 0.75 both abstain on the step around P = 0.5 at
+        # kappa = 0.51, between the steps where only one side is backed
+        pop, params = discretize(uniform(), 2), MarketParams(kappa=0.51, q=0.5, w=1.0)
+        with localcontext() as ctx:
+            ctx.prec = REFEREE_PRECISION
+            assert exact_discrete_fixed_point(pop, params) is None
+        assert not iterate_best_response(pop, params).converged
 
     @pytest.mark.parametrize("wealths, q, want", [
         # she abstains; on the step (0.4, 0.6) both bet and the map is 1/2

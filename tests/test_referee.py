@@ -81,9 +81,14 @@ MIXTURE_TEMPLATES = (((0.3, 0.7), (0.2, 0.2), 1.0),
 MIXTURE_POINTS = ((0.6, 0.3, 1.0), (0.75, 0.85, 0.1), (0.9, 0.6, 1.0))
 # max |float - referee| over them, pinned the same way, all on the kappa =
 # 0.90 point: p* 4.4823e-11, d1* 2.0730e-10, d2* 1.7855e-10, a1 2.1092e-10,
-# a2 1.2954e-10, revenue 1.7790e-11 and subjective profit 2.8388e-11
+# a2 1.2954e-10, revenue 1.7790e-11 and subjective profit 2.8340e-11 from
+# first moments (2.8388e-11 when it was integrated by adaptive Simpson)
 MIXTURE_BOUNDS = dict(zip(FIELDS + METRICS, (4.49e-11, 2.08e-10, 1.79e-10, 2.11e-10,
                                              1.30e-10, 1.78e-11, 2.84e-11)))
+# max |exact_moment - referee| over both betting groups' intervals, [t1, 1]
+# and [0, t2], at the thresholds of the float solve on each of them, pinned
+# the same way: 3.5580e-16 on [0.61046, 1] at kappa = 0.9023, a moment of 1.046
+MIXTURE_MOMENT_BOUND = 3.56e-16
 
 
 def _wedge_knots(spec: dict) -> list[tuple[Fraction, Fraction]]:
@@ -249,21 +254,29 @@ def _rows():
                 yield name, sc, kappa, w
 
 
+def random_market(rng: random.Random):
+    """One random tabulated market, (knots, params), drawn from rng.
+
+    2 to 6 knots, the inner ones uniform, with values 10^U(-2, 2); kappa
+    0.5 + 10^U(-4, log10 0.5) or U(0.5, 1), half each; q 0, 1 or U(0, 1), a
+    third each; w 10^U(-10, 1).
+    """
+    xs = [0.0, *sorted(rng.random() for _ in range(rng.randint(0, 4))), 1.0]
+    knots = [(x, 10.0 ** rng.uniform(-2.0, 2.0)) for x in xs]
+    if rng.random() < 0.5:
+        kappa = 0.5 + 10.0 ** rng.uniform(-4.0, math.log10(0.5))
+    else:
+        kappa = rng.uniform(0.5, 1.0)
+    q = rng.choice((0.0, 1.0, None))
+    q = rng.random() if q is None else q
+    return knots, MarketParams(kappa=kappa, q=q, w=10.0 ** rng.uniform(-10.0, 1.0))
+
+
 def _random_markets():
-    # seeded, so every run draws the same markets: 2 to 6 knots, the inner
-    # ones uniform, with values 10^U(-2, 2); kappa 0.5 + 10^U(-4, log10 0.5)
-    # or U(0.5, 1), half each; q 0, 1 or U(0, 1), a third each; w 10^U(-10, 1)
+    # seeded, so every run draws the same markets
     rng = random.Random(FUZZ_SEED)
     for _ in range(FUZZ_MARKETS):
-        xs = [0.0, *sorted(rng.random() for _ in range(rng.randint(0, 4))), 1.0]
-        knots = [(x, 10.0 ** rng.uniform(-2.0, 2.0)) for x in xs]
-        if rng.random() < 0.5:
-            kappa = 0.5 + 10.0 ** rng.uniform(-4.0, math.log10(0.5))
-        else:
-            kappa = rng.uniform(0.5, 1.0)
-        q = rng.choice((0.0, 1.0, None))
-        q = rng.random() if q is None else q
-        yield knots, MarketParams(kappa=kappa, q=q, w=10.0 ** rng.uniform(-10.0, 1.0))
+        yield random_market(rng)
 
 
 def _mixture_markets():
@@ -419,3 +432,26 @@ def test_float_solve_and_metrics_agree_with_the_referee_on_mixtures():
         print(f"{field} {params}: float {got[i]!r} referee {float(ref[i])!r} "
               f"error {err[i]:.4e}")
         assert err[i] <= bound, (field, params, err[i])
+
+
+def test_mixture_moments_at_the_thresholds_agree_with_the_referee():
+    # the float first moment of each betting group, which the subjective
+    # profit multiplies by kappa / p* (or kappa / (1 - p*)), against the
+    # referee's M at the same float thresholds
+    errors = []
+    for spec, params in _mixture_markets():
+        m = scaled(gaussian_mixture(*spec[:3]), spec[3])
+        thresholds = solve(params, m).thresholds
+        t1, t2 = thresholds.bet1_above, thresholds.bet2_below
+        with localcontext() as ctx:
+            ctx.prec = PRECISION
+            M = _mixture_cumulatives(spec)[1]
+            for lo, hi in ((t1, 1.0), (0.0, t2)):
+                want = M(Decimal(hi)) - M(Decimal(lo))
+                got = m.exact_moment(lo, hi)
+                errors.append((float(abs(Decimal(got) - want)), params, lo, hi, got))
+    assert len(errors) == 2 * MIXTURE_DRAWS * 9
+    worst = max(errors, key=lambda e: e[0])
+    print(f"worst moment error {worst[0]:.4e} on [{worst[2]!r}, {worst[3]!r}] at "
+          f"{worst[1]}: float {worst[4]!r}")
+    assert worst[0] <= MIXTURE_MOMENT_BOUND, worst
