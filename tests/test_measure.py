@@ -839,6 +839,9 @@ _MOMENT_BREAKS = {"gaussian_mixture(k=2)": [0.3, 0.45, 0.55, 0.75],
                   "gaussian_mixture(k=3)": [0.5], "narrow_bump": [0.5], "deep_dip": [0.3]}
 
 
+FAR_TAILS = [(0.0, 0.2), (0.1, 0.25), (0.0, 1e-3), (0.7, 1.0), (0.8, 0.95), (0.999, 1.0)]
+
+
 def _moment_intervals() -> list[tuple[float, float]]:
     # seeded intervals, band ends, both far tails of the narrow kernels at
     # 0.45 and 0.55, and one a billionth wide
@@ -847,9 +850,6 @@ def _moment_intervals() -> list[tuple[float, float]]:
     xs = rng.uniform(0.0, 1.0, 10).tolist()
     out += [(0.0, x) for x in xs] + [(x, 1.0) for x in xs] + [(0.0, 1.0)]
     return out + FAR_TAILS + [(0.5, 0.5 + 1e-9)]
-
-
-FAR_TAILS = [(0.0, 0.2), (0.1, 0.25), (0.0, 1e-3), (0.7, 1.0), (0.8, 0.95), (0.999, 1.0)]
 
 
 def _scipy_moment(m, lo, hi):
@@ -973,19 +973,18 @@ class TestFirstMoment:
             for lo, hi in itertools.combinations_with_replacement(ps, 2):
                 assert s.exact_moment(lo, hi) == factor * m.exact_moment(lo, hi), (lo, hi)
 
-    @pytest.mark.parametrize("m", [*_family_zoo(), *_moment_zoo(),
-                                   # extreme mixtures that construction accepts
-                                   gaussian_mixture([1e307, 1e307], [0.3, 0.7], [0.2, 0.2]),
-                                   gaussian_mixture([1e300], [0.5], [1e5]),
-                                   gaussian_mixture([1e-300], [0.5], [0.2]),
-                                   gaussian_mixture([1.0, 1.0], [0.5, 0.5], [1e-6, 0.3]),
-                                   gaussian_mixture([1.0], [0.5], [1e6]),
-                                   gaussian_mixture([1.0, 1.0], [-3.0, 4.0], [1.0, 1.0]),
-                                   gaussian_mixture([1e300, 1.0], [-40.0, 0.5], [1.0, 0.3])],
-                             ids=lambda m: m.kind)
+    @pytest.mark.parametrize("m", [m for m in [
+        *_family_zoo(), *_moment_zoo(),
+        # extreme mixtures that construction accepts
+        gaussian_mixture([1e307, 1e307], [0.3, 0.7], [0.2, 0.2]),
+        gaussian_mixture([1e300], [0.5], [1e5]),
+        gaussian_mixture([1e-300], [0.5], [0.2]),
+        gaussian_mixture([1.0, 1.0], [0.5, 0.5], [1e-6, 0.3]),
+        gaussian_mixture([1.0], [0.5], [1e6]),
+        gaussian_mixture([1.0, 1.0], [-3.0, 4.0], [1.0, 1.0]),
+        gaussian_mixture([1e300, 1.0], [-40.0, 0.5], [1.0, 0.3]),
+    ] if m.exact_moment is not None], ids=lambda m: m.kind)
     def test_moment_is_finite_wherever_the_mass_is(self, m):
-        if m.exact_moment is None:
-            return
         ps = sorted({0.0, 5e-324, 1e-300, 1e-9, 0.1, 0.3, 0.5, math.nextafter(0.5, 1.0),
                      0.5 + 1e-9, 0.7, 0.9, math.nextafter(1.0, 0.0), 1.0})
         for lo, hi in itertools.combinations_with_replacement(ps, 2):
