@@ -41,7 +41,7 @@ mixture. So single solves stay scalar, and ``solve`` remains the reference
 the grid is tested against.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf, sqrt
 from typing import Callable, Optional, Sequence
 
@@ -64,6 +64,14 @@ class PhiContext:
     measure: BeliefMeasure
     pbar1: "Boundary"  # large bettor backs Outcome 1 for candidates above this
     pbar2: "Boundary"  # ... and Outcome 2 for candidates below this
+    # the stake coefficients on Outcome 1 and 2, from params
+    c1: float = field(init=False, repr=False, compare=False)
+    c2: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        kappa, q = self.params.kappa, self.params.q
+        object.__setattr__(self, "c1", _stake_coefficient(kappa, q))
+        object.__setattr__(self, "c2", _stake_coefficient(kappa, 1.0 - q))
 
 
 @dataclass(frozen=True)
@@ -321,11 +329,17 @@ def phi_context(params: MarketParams, measure: BeliefMeasure,
     return PhiContext(params=params, measure=measure, pbar1=pbar1, pbar2=pbar2)
 
 
-def _stake(kappa: float, belief: float, d1: float, d2: float, own: float) -> float:
-    # unconstrained optimal stake on the side held with probability belief,
-    # whose small-bettor total is own
-    denom = 1.0 - kappa * belief  # positive: kappa < 1 and belief <= 1
-    return max(0.0, sqrt(kappa * belief / denom * d1 * d2) - own)
+def _stake_coefficient(kappa, belief):
+    # kappa b / (1 - kappa b) for the side held with probability b = belief,
+    # on floats or arrays; the denominator is positive, as kappa < 1 and
+    # b <= 1. A stake is sqrt of it times d1 d2, rounded in that order
+    return kappa * belief / (1.0 - kappa * belief)
+
+
+def _stake(c: float, d1: float, d2: float, own: float) -> float:
+    # unconstrained optimal stake on the side whose stake coefficient is c
+    # and whose small-bettor total is own
+    return max(0.0, sqrt(c * d1 * d2) - own)
 
 
 def zeta1(p: float, ctx: PhiContext) -> float:
@@ -333,11 +347,10 @@ def zeta1(p: float, ctx: PhiContext) -> float:
 
     Past kappa, mass() rejects p, as in phi.
     """
-    kappa, q = ctx.params.kappa, ctx.params.q
     if ctx.pbar1.above(p):
         raise DomainError(f"candidate probability {p} lies below pbar1={ctx.pbar1.root()}")
-    d1, d2 = _D(p, kappa, ctx.measure)
-    return _stake(kappa, q, d1, d2, d1)
+    d1, d2 = _D(p, ctx.params.kappa, ctx.measure)
+    return _stake(ctx.c1, d1, d2, d1)
 
 
 def zeta2(p: float, ctx: PhiContext) -> float:
@@ -345,11 +358,10 @@ def zeta2(p: float, ctx: PhiContext) -> float:
 
     Below 1 - kappa, mass() rejects p, as in phi.
     """
-    kappa, q = ctx.params.kappa, ctx.params.q
     if ctx.pbar2.below(p):
         raise DomainError(f"candidate probability {p} lies above pbar2={ctx.pbar2.root()}")
-    d1, d2 = _D(p, kappa, ctx.measure)
-    return _stake(kappa, 1.0 - q, d1, d2, d2)
+    d1, d2 = _D(p, ctx.params.kappa, ctx.measure)
+    return _stake(ctx.c2, d1, d2, d2)
 
 
 def phi(p: float, ctx: PhiContext) -> float:
@@ -358,10 +370,10 @@ def phi(p: float, ctx: PhiContext) -> float:
     p must lie in the band [1 - kappa, kappa]. The band check is mass()'s:
     past the band, NaN included, a threshold leaves [0, 1] (see _D).
     """
-    kappa, q, w = ctx.params.kappa, ctx.params.q, ctx.params.w
-    d1, d2 = _D(p, kappa, ctx.measure)
-    a1 = min(w, _stake(kappa, q, d1, d2, d1)) if ctx.pbar1.below(p) else 0.0
-    a2 = min(w, _stake(kappa, 1.0 - q, d1, d2, d2)) if ctx.pbar2.above(p) else 0.0
+    w = ctx.params.w
+    d1, d2 = _D(p, ctx.params.kappa, ctx.measure)
+    a1 = min(w, _stake(ctx.c1, d1, d2, d1)) if ctx.pbar1.below(p) else 0.0
+    a2 = min(w, _stake(ctx.c2, d1, d2, d2)) if ctx.pbar2.above(p) else 0.0
     return (a1 + d1) / (a1 + a2 + d1 + d2)
 
 
@@ -458,9 +470,7 @@ def _fixed_point_lanes(kappa: np.ndarray, q: float, w: float, m: BeliefMeasure,
     pbar2 = lo if q == 1.0 else bar[-1]
     live = np.flatnonzero(bar_ok.all(axis=0) & (pbar2 < pbar1))
     kappa, lo, hi, pbar1, pbar2 = (a[live] for a in (kappa, lo, hi, pbar1, pbar2))
-    # each side's stake coefficient kappa b / (1 - kappa b), rounded as
-    # _stake rounds it before the product d1 d2
-    c1, c2 = (kappa * b / (1.0 - kappa * b) for b in (q, 1.0 - q))
+    c1, c2 = _stake_coefficient(kappa, q), _stake_coefficient(kappa, 1.0 - q)
 
     def g(p):
         return _phi_lanes(p, kappa, w, m, pbar1, pbar2, c1, c2) - p

@@ -354,16 +354,16 @@ def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
     """Mixture-of-Gaussians measure; masses are exact erf differences.
 
     Kernel k adds w_k/2 * (erf(z(hi)) - erf(z(lo))) to the mass of [lo, hi],
-    z(p) = (p - mu_k)/(sd_k*sqrt 2); to one side of mu_k, where that
-    difference cancels, it takes the same difference of erfc values. The
-    values at z(0) and z(1), which every solver probe needs at one end,
-    are taken once, here. Its first moment on [lo, hi] is mu_k times that
-    mass plus sd_k^2 (g_k(lo) - g_k(hi)), g_k the kernel's density, whose
-    sd_k^2 g_k(p) is w_k sd_k/sqrt(2 pi) exp(-z(p)^2); the difference of
-    the two exp values is taken through expm1 (see moment). The mu_k mass
-    term is the mass's own erf sum with w_k mu_k in place of w_k. Where a
-    moment coefficient, w_k mu_k / 2 or w_k sd_k/sqrt(2 pi), overflows,
-    exact_moment is None.
+    z(p) = (p - mu_k)/(sd_k*sqrt 2); on an interval to one side of mu_k
+    whose far end has |z| > 0.5, where that difference cancels, it takes
+    the same difference of erfc values. The values at z(0) and z(1), which
+    every solver probe needs at one end, are taken once, here. Its first
+    moment on [lo, hi] is mu_k times that mass plus sd_k^2 (g_k(lo) -
+    g_k(hi)), g_k the kernel's density, whose sd_k^2 g_k(p) is w_k
+    sd_k/sqrt(2 pi) exp(-z(p)^2); the difference of the two exp values is
+    taken through expm1 (see moment). The mu_k mass term is the mass's own
+    erf sum with w_k mu_k in place of w_k. Where a moment coefficient,
+    w_k mu_k / 2 or w_k sd_k/sqrt(2 pi), overflows, exact_moment is None.
     """
     weights = tuple(float(x) for x in weights)
     means = tuple(float(x) for x in means)
@@ -402,10 +402,13 @@ def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
             out, at0, at1 = 0.0, lo == 0.0, hi == 1.0
             for c, mu, width, end0, end1 in kernels:
                 a, b = (lo - mu) / width, (hi - mu) / width
-                if b < 0.0:  # the mirror image of a lower tail is an upper one
+                # erfc only on a tail reaching past |z| = 0.5, where the erf
+                # values near +-1 would cancel; nearer the mean the erfc
+                # values near 1 would
+                if a < -0.5 and b < 0.0:  # a lower tail's mirror image is an upper one
                     out += c * ((end1[2] if at1 else erfc(-b))
                                 - (end0[2] if at0 else erfc(-a)))
-                elif a > 0.0:
+                elif b > 0.5 and a > 0.0:
                     out += c * ((end0[1] if at0 else erfc(a))
                                 - (end1[1] if at1 else erfc(b)))
                 else:

@@ -137,7 +137,13 @@ def atomic_stakes(kappa: float, q: float, w: float, d1: float, d2: float,
 def _capped_stake(kappa: float, belief: float, d1: float, d2: float, own: float,
                   w: float) -> float:
     # budget-capped square-root stake on the side held with probability belief,
-    # whose small-bettor total is own; equilibrium._stake rounds it in another order
+    # whose small-bettor total is own, rounded as kappa b d1 d2 / (1 - kappa b).
+    # equilibrium._stake rounds (kappa b / (1 - kappa b)) d1 d2, and neither
+    # can take the other's order bit for bit: this stake in phi's order turns
+    # appendixA's a2 at kappa = 0.5205, w = 1 from 3.8504572973e-09 to
+    # 3.85045729741e-09, a cell the benchmark checks byte for byte, and phi
+    # in this order moves the residual on 29 rows of four bundled
+    # sweep --baseline CSVs
     denom = 1.0 - kappa * belief  # positive: kappa < 1 and belief <= 1
     return min(w, max(0.0, math.sqrt(kappa * belief * d1 * d2 / denom) - own))
 

@@ -1,15 +1,27 @@
-"""Shared scenario builders and equilibrium property checks."""
+"""Shared scenario builders, equilibrium property checks and a fresh boundary
+memory for every test."""
 
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
+import parieq.equilibrium
 from parieq.equilibrium import Equilibrium
 from parieq.measure import (BeliefMeasure, gaussian_mixture, scaled,
                             symmetrized_wedge, tabulated, uniform, wedge)
 from parieq.response import MarketParams
 
 BASELINE_W = 1e-10
+
+
+@pytest.fixture(autouse=True)
+def no_remembered_boundary(monkeypatch):
+    # compute_pbar1/2 remember their last boundary in module state; every
+    # test starts with none, as the first test of a file run alone does,
+    # whatever ran before it
+    monkeypatch.setattr(parieq.equilibrium, "_last_boundaries",
+                        [(None, None, None), (None, None, None)])
 
 
 @dataclass(frozen=True)

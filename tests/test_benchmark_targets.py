@@ -115,8 +115,8 @@ def test_quadrature_solve_markets_take_at_most_50_D_calls_per_solve(monkeypatch)
     # each solve steps its action boundaries only as far as phi's
     # comparisons need: 47.1 _D calls per solve on the 21 seed-0 markets of
     # the quadrature_solve workload, against 104.4 when both boundaries
-    # were bisected to the tolerance first. Each op solves a new key, so
-    # no remembered boundary takes part
+    # were bisected to the tolerance first. The test starts with no
+    # remembered boundary and each op solves a new key, so none takes part
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     import workloads
 

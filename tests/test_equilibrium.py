@@ -680,28 +680,24 @@ def _assert_in_band(probes, lanes=()):
         assert np.all((1.0 - kappa <= p) & (p <= kappa))
 
 
-def _forget_boundaries(probes):
-    # start both boundaries on another measure object, which replaces the
-    # remembered ones, and drop the probes that took: the next solve or
+def _forget_boundaries():
+    # empty the boundary memory, as the test began: the next solve or
     # phi_context then starts both boundaries itself
-    n, other = len(probes), MarketParams(kappa=0.75, q=0.5, w=1.0)
-    compute_pbar1(other, uniform())
-    compute_pbar2(other, uniform())
-    del probes[n:]
+    equilibrium_mod._last_boundaries[:] = [(None, None, None), (None, None, None)]
 
 
 def _probe_the_map(params, m, probes):
     # solve, then phi, zeta1 and zeta2 at their interval ends and inside;
     # each rejects float dust past those ends (2**-52 below 1 - kappa, as
     # one float below can round back onto the band's threshold 0). The
-    # boundaries are forgotten before solve and before phi_context, and
-    # finished after each, so probes records every probe of both full
-    # bisections twice and every probe of the solve, none of another take
-    _forget_boundaries(probes)
+    # boundary memory is emptied before solve and before phi_context, and
+    # both boundaries finished after each, so probes records every probe of
+    # both full bisections twice and every probe of the solve
+    _forget_boundaries()
     solve(params, m)
     for boundary in (compute_pbar1, compute_pbar2):  # the solve's, remembered
         boundary(params, m).root()
-    _forget_boundaries(probes)
+    _forget_boundaries()
     ctx = phi_context(params, m)
     pbar1, pbar2 = ctx.pbar1.root(), ctx.pbar2.root()
     lo, hi, dust = 1.0 - params.kappa, params.kappa, 5e-10
@@ -763,8 +759,9 @@ def _sweep_takes():
 
 
 def _cold_bits(params, m):
-    # solve on a copy of the measure, a key no remembered boundary holds
-    return _bits(solve(params, dataclasses.replace(m)))
+    # solve with the boundary memory emptied first
+    _forget_boundaries()
+    return _bits(solve(params, m))
 
 
 SWEEP_ORDERS = {
@@ -780,6 +777,8 @@ class TestRememberedBoundaries:
     The key is the measure object (by identity), kappa, q and tol. A hit
     returns the same Boundary, as far as earlier comparisons advanced it,
     and gives the bits a new bisection gives; any other key starts again.
+    Each test starts with an empty memory (conftest's autouse fixture), and
+    _forget_boundaries empties it again within a test.
     """
 
     @pytest.mark.parametrize("order", sorted(SWEEP_ORDERS))
@@ -811,7 +810,6 @@ class TestRememberedBoundaries:
             bits = _bits(solve(params, m, fp_tol=tol))
             return len(probes) - n, bits
 
-        _forget_boundaries(probes)
         first = solved(params, m, tol)
         again = solved(params, m, tol)
         assert again[1] == first[1] and again[0] < first[0]
@@ -838,7 +836,6 @@ class TestRememberedBoundaries:
         m, params = wedge(10), MarketParams(kappa=0.8, q=0.6, w=1.0)
         flaky = self._flaky(m, 3)
         probes, _ = _record_D_probes(monkeypatch)
-        _forget_boundaries(probes)
         want = boundary(params, m)
         root = want.root()
         cold_probes = len(probes)
@@ -858,7 +855,6 @@ class TestRememberedBoundaries:
         # stays remembered, at its second midpoint, and resumes from there
         m, params = wedge(10), MarketParams(kappa=0.8, q=0.6, w=1.0)
         probes, _ = _record_D_probes(monkeypatch)
-        _forget_boundaries(probes)
         root = boundary(params, m).root()
         cold_probes = len(probes)
         del probes[:]
@@ -877,10 +873,9 @@ class TestRememberedBoundaries:
         # stepped on demand, that error ended the solve
         m, params = wedge(10), MarketParams(kappa=0.8, q=0.9, w=1.0)
         probes, _ = _record_D_probes(monkeypatch)
-        _forget_boundaries(probes)
         want = _bits(solve(params, m))
         solved = set(probes)
-        _forget_boundaries(probes)
+        _forget_boundaries()
         full = []
         for boundary in (compute_pbar1, compute_pbar2):
             del probes[:]
@@ -898,9 +893,9 @@ class TestRememberedBoundaries:
 
             with monkeypatch.context() as patch:
                 patch.setattr(equilibrium_mod, "_D", raising_D)
-                _forget_boundaries(probes)
+                _forget_boundaries()
                 assert _bits(solve(params, m)) == want
-                _forget_boundaries(probes)
+                _forget_boundaries()
                 with pytest.raises(DomainError, match="never needed"):
                     boundary(params, m).root()
 
@@ -933,6 +928,16 @@ class TestRememberedBoundaries:
         finally:
             sys.setswitchinterval(interval)
         assert all(got == want for got in results)
+
+    @pytest.mark.parametrize("run", [1, 2])
+    def test_every_test_starts_with_no_remembered_boundary(self, run):
+        # the tests above, and the first run here, leave a solve's
+        # boundaries behind; conftest's autouse fixture empties the memory
+        # before each test, so a file or test run alone gives the results
+        # it gives in the full suite
+        assert equilibrium_mod._last_boundaries == [(None, None, None)] * 2
+        solve(MarketParams(kappa=0.8, q=0.9, w=1.0), wedge(10))
+        assert all(boundary is not None for _, _, boundary in equilibrium_mod._last_boundaries)
 
 
 def _roots(kappa):

@@ -171,16 +171,19 @@ class TestGaussianMixtureDensity:
         # the family takes each kernel's erf and erfc at the band ends 0.0
         # and 1.0 once, at construction; every mass written out kernel by
         # kernel must give the same bits, on means below 0, inside [0, 1]
-        # and above 1, which take each branch, mirrored kernels included
+        # and above 1, which take each branch, mirrored kernels included.
+        # erfc serves a tail whose far end has |z| > 0.5, erf the rest
         def written_out(lo, hi):
             out = 0.0
             for wgt, mu, sd in zip(weights, means, stddevs):
                 width = sd * math.sqrt(2.0)
                 a, b = (lo - mu) / width, (hi - mu) / width
-                if b < 0.0:
-                    a, b = -b, -a
-                out += 0.5 * wgt * (math.erfc(a) - math.erfc(b) if a > 0.0
-                                    else math.erf(b) - math.erf(a))
+                if a < -0.5 and b < 0.0:
+                    out += 0.5 * wgt * (math.erfc(-b) - math.erfc(-a))
+                elif b > 0.5 and a > 0.0:
+                    out += 0.5 * wgt * (math.erfc(a) - math.erfc(b))
+                else:
+                    out += 0.5 * wgt * (math.erf(b) - math.erf(a))
             return out
 
         m = gaussian_mixture(weights, means, stddevs)
@@ -864,8 +867,9 @@ def _scipy_moment(m, lo, hi):
 
 
 def _old_mixture_mass(weights, means, stddevs):
-    # gaussian_mixture's exact_mass as it was before its erf sum took the
-    # kernel coefficients as an argument, kept to check that it keeps its bits
+    # gaussian_mixture's exact_mass as one loop over its kernels' w/2, as it
+    # was before its erf sum took the coefficients as an argument, with the
+    # erf sum's branches: erfc on a tail whose far end has |z| > 0.5
     erf, erfc = math.erf, math.erfc
 
     def ends(z):
@@ -880,10 +884,10 @@ def _old_mixture_mass(weights, means, stddevs):
         out, at0, at1 = 0.0, lo == 0.0, hi == 1.0
         for half_w, mu, width, end0, end1 in kernels:
             a, b = (lo - mu) / width, (hi - mu) / width
-            if b < 0.0:
+            if a < -0.5 and b < 0.0:
                 out += half_w * ((end1[2] if at1 else erfc(-b))
                                  - (end0[2] if at0 else erfc(-a)))
-            elif a > 0.0:
+            elif b > 0.5 and a > 0.0:
                 out += half_w * ((end0[1] if at0 else erfc(a))
                                  - (end1[1] if at1 else erfc(b)))
             else:
@@ -894,21 +898,22 @@ def _old_mixture_mass(weights, means, stddevs):
 
 
 # |moment - scipy's| / the moment of [0, 1], worst over _moment_intervals,
-# rounded up in its third digit: 1.681e-15 on the wide mixture among the
-# closed forms (7.225e-16 on the next); 7.232e-14 on from_density's
-# exp-quadratic, whose moment, like its mass, integrates the quadratics
-# through its samples
-MOMENT_BOUND, FROM_DENSITY_MOMENT_BOUND = 1.69e-15, 7.24e-14
+# rounded up in its third digit: 7.225e-16 on the three-kernel mixture with
+# means outside [0, 1] among the closed forms (the wide mixture read
+# 1.681e-15 while its mass term took erfc differences near 1, 3.449e-16
+# now); 7.232e-14 on from_density's exp-quadratic, whose moment, like its
+# mass, integrates the quadratics through its samples
+MOMENT_BOUND, FROM_DENSITY_MOMENT_BOUND = 7.23e-16, 7.24e-14
 # |moment - scipy's| / scipy's on the narrow mixture's FAR_TAILS: 2.770e-11
 # on [0, 1e-3], where mu times the mass cancels against the kernel term by a
 # factor of about 450 and exp(-z^2) at z = -15 carries z^2 times z's rounding
 FAR_TAIL_REL_BOUND = 2.78e-11
 # the worst additivity error in test_lies_between_the_ends_times_the_mass_and_
 # adds_up, in ulps of 1 times the moment and the mass of [0, 1], rounded up
-# in its third digit: 3.752 on the wide mixture, whose widest kernel's mass
-# term takes erfc differences near 1; under 0.6 on every other measure. No
-# moment fell outside [lo mass, hi mass] at all
-MOMENT_ROUNDING = 3.76
+# in its third digit: 0.5755 on the narrow mixture, 0.3882 on the wide one
+# (3.752 while its widest kernel's mass term took erfc differences near 1).
+# No moment fell outside [lo mass, hi mass] at all
+MOMENT_ROUNDING = 0.576
 
 
 class TestFirstMoment:

@@ -89,6 +89,13 @@ MIXTURE_BOUNDS = dict(zip(FIELDS + METRICS, (4.49e-11, 2.08e-10, 1.79e-10, 2.11e
 # and [0, t2], at the thresholds of the float solve on each of them, pinned
 # the same way: 3.5580e-16 on [0.61046, 1] at kappa = 0.9023, a moment of 1.046
 MIXTURE_MOMENT_BOUND = 3.56e-16
+# |mass - referee| / referee on a kernel a million times wider than [0, 1],
+# over intervals to one side of its mean: 2.3091e-16 on [0.6, 0.9], pinned
+# the same way. Its z there are below 1e-6, where erfc values near 1 would
+# cancel to about 2.6e-10, as they did before erf served that side
+WIDE_KERNEL = ((1.0,), (0.5,), (1e6,), 1.0)
+WIDE_KERNEL_INTERVALS = ((0.0, 0.3), (0.1, 0.45), (0.55, 1.0), (0.6, 0.9), (0.7, 1.0))
+WIDE_KERNEL_REL_BOUND = 2.31e-16
 
 
 def _wedge_knots(spec: dict) -> list[tuple[Fraction, Fraction]]:
@@ -455,3 +462,17 @@ def test_mixture_moments_at_the_thresholds_agree_with_the_referee():
     print(f"worst moment error {worst[0]:.4e} on [{worst[2]!r}, {worst[3]!r}] at "
           f"{worst[1]}: float {worst[4]!r}")
     assert worst[0] <= MIXTURE_MOMENT_BOUND, worst
+
+
+def test_a_wide_kernel_keeps_its_mass_near_the_mean():
+    m = gaussian_mixture(*WIDE_KERNEL[:3])
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        F = _mixture_cumulatives(WIDE_KERNEL)[0]
+        errors = []
+        for lo, hi in WIDE_KERNEL_INTERVALS:
+            want = F(Decimal(hi)) - F(Decimal(lo))
+            errors.append((float(abs(Decimal(m.exact_mass(lo, hi)) - want) / want), lo, hi))
+    worst = max(errors)
+    print(f"worst relative mass error {worst[0]:.4e} on [{worst[1]!r}, {worst[2]!r}]")
+    assert worst[0] <= WIDE_KERNEL_REL_BOUND, worst
