@@ -27,18 +27,19 @@ budget w. phi is continuous and decreasing with phi(1-kappa) = 1 and
 phi(kappa) = 0, so it crosses the diagonal exactly once; ``solve`` brackets
 that crossing by bisection and rebuilds the equilibrium from it.
 
-``grid_fixed_points`` runs the same three bisections for many takes at
-once, one float64 numpy lane per kappa and bisection, and gives for each
-take the fixed point, residual and totals that ``solve`` returns, bit for
-bit, as floats: no ``Equilibrium`` is built. A take that ``solve`` would
-reject, or whose lane meets a value that is not finite, gets None, for the
-caller to hand to ``solve`` (``stackelberg.grid_revenues`` does). The batch
-pays when the grid is large: each numpy step has a fixed overhead, so at
-kappa = 0.8, q = 0.9, w = 1 a batch of one took 21 times as long as a
-``solve`` with no remembered boundary on wedge(100) (2.8 against 0.13 ms),
-29 times on a 4-knot tabulated density and 19 times on a 2-kernel Gaussian
-mixture. So single solves stay scalar, and ``solve`` remains the reference
-the grid is tested against.
+``grid_fixed_points`` solves many takes at once, one float64 numpy lane
+per kappa, with no ``Equilibrium`` built. Its lanes bisect the composed
+best-response map: at each candidate the large bettor's side is decided
+from the totals there, by ``response.atomic_stakes``' float tests, with no
+boundary. A lane's result is solve's except where solve's bisected
+boundaries misplace a regime switch (6 of the 1,536 bundled 256-take grid
+points, each closer to a 50-digit referee). An invalid take, or one whose
+lane meets a value that is not finite, gets None, for the caller to hand
+to ``solve`` (as ``stackelberg.grid_revenues`` does). A batch of one at
+kappa = 0.8, q = 0.9, w = 1 took 15 times as long as a ``solve`` with no
+remembered boundary on wedge(100) (1.8 against 0.12 ms), 19 times on a
+4-knot tabulated density and 12 times on a 2-kernel Gaussian mixture, so
+single solves stay scalar.
 """
 
 from dataclasses import dataclass, field
@@ -410,25 +411,22 @@ def solve(params: MarketParams, measure: BeliefMeasure,
 def grid_fixed_points(kappas: Sequence[float], q: float, w: float,
                       measure: BeliefMeasure, fp_tol: float = FP_TOL,
                       ) -> list[Optional[tuple[float, float, float, float]]]:
-    """Per take, solve's (p_star, residual, d1_star, d2_star), or None.
+    """Per take, the composed map's (p_star, residual, d1_star, d2_star), or None.
 
-    The take at kappa k is solve(MarketParams(kappa=k, q=q, w=w), measure,
-    fp_tol). The boundary bisections and the fixed-point bisection run for
-    every float kappa at once, one float64 lane each: first one loop over
-    both boundaries (a pbar1 lane and a pbar2 lane per kappa), then one over
-    the fixed points. Each lane takes ``_bisect_decreasing``'s midpoint
-    steps, keeps its best point and exits where it does. Masses come from
-    the measure's exact_mass_array, which matches exact_mass bit for bit, so
-    each lane that finishes holds the bits solve returns.
+    The take at kappa k is the market MarketParams(kappa=k, q=q, w=w). Every
+    float kappa's fixed-point bisection runs at once, one float64 lane
+    each, in one loop. Each lane takes ``_bisect_decreasing``'s midpoint
+    steps with fp_tol as both tolerances, keeps its best point and exits
+    where it does, on the composed map (see the module docstring). Masses
+    come from the measure's exact_mass_array, which matches exact_mass bit
+    for bit.
 
     None marks a take that only ``solve`` can decide, because it raises
     there or may: a kappa that is not a float in (0.5, 1), a q or w that
-    MarketParams rejects, every take when fp_tol is not positive, action
-    boundaries out of order, a value that is not finite (where Python's
-    float division or math.sqrt raises), or totals at the fixed point that
-    are not both positive. A lane with both totals positive is one that
-    solve returns without raising. An error the measure itself raises
-    propagates from the batch.
+    MarketParams rejects, every take when fp_tol is not positive, a value
+    that is not finite (where Python's float division or math.sqrt would
+    raise), or totals at the fixed point that are not both positive. An
+    error the measure itself raises propagates from the batch.
     """
     try:  # the scalar solve rejects every take then, each with its own error
         MarketParams(kappa=0.75, q=q, w=w)
@@ -450,35 +448,16 @@ def _fixed_point_lanes(kappa: np.ndarray, q: float, w: float, m: BeliefMeasure,
                        fp_tol: float):
     # (lane, p_star, residual, d1, d2) for each lane that finishes with both
     # totals positive
-    lo, hi = 1.0 - kappa, kappa
-    # both boundaries in one loop: per kappa a pbar1 lane, unless q = 0 pins
-    # pbar1 to kappa, and a pbar2 lane, unless q = 1 pins pbar2 to 1 - kappa
-    halves = [is1 for is1, pinned in ((True, q == 0.0), (False, q == 1.0))
-              if not pinned]
-    on_pbar1, k2 = np.repeat(halves, kappa.size), np.tile(kappa, len(halves))
-
-    def g_bar(p):
-        d1, d2 = _D_lanes(p, k2, m)
-        t = k2 * (d1 + d2)
-        # compute_pbar2's rising ratio, negated as there
-        return np.where(on_pbar1, d1 / t - q, (1.0 - q) - d2 / t)
-
-    bar, _, bar_ok = _bisect_lanes(g_bar, np.tile(lo, len(halves)),
-                                   np.tile(hi, len(halves)), fp_tol)
-    bar, bar_ok = bar.reshape(len(halves), -1), bar_ok.reshape(len(halves), -1)
-    pbar1 = hi if q == 0.0 else bar[0]
-    pbar2 = lo if q == 1.0 else bar[-1]
-    live = np.flatnonzero(bar_ok.all(axis=0) & (pbar2 < pbar1))
-    kappa, lo, hi, pbar1, pbar2 = (a[live] for a in (kappa, lo, hi, pbar1, pbar2))
     c1, c2 = _stake_coefficient(kappa, q), _stake_coefficient(kappa, 1.0 - q)
 
     def g(p):
-        return _phi_lanes(p, kappa, w, m, pbar1, pbar2, c1, c2) - p
+        return _phi_lanes(p, kappa, q, w, m, c1, c2) - p
 
-    p_star, residual, ok = _bisect_lanes(g, lo, hi, fp_tol, residual_tol=fp_tol)
+    p_star, residual, ok = _bisect_lanes(g, 1.0 - kappa, kappa, fp_tol,
+                                         residual_tol=fp_tol)
     d1s, d2s = _D_lanes(p_star, kappa, m)
     ok &= (d1s > 0.0) & (d2s > 0.0)
-    return live[ok], p_star[ok], residual[ok], d1s[ok], d2s[ok]
+    return np.flatnonzero(ok), p_star[ok], residual[ok], d1s[ok], d2s[ok]
 
 
 def _D_lanes(p: np.ndarray, kappa: np.ndarray, m: BeliefMeasure):
@@ -490,19 +469,23 @@ def _D_lanes(p: np.ndarray, kappa: np.ndarray, m: BeliefMeasure):
             m.exact_mass_array(0.0, 1.0 - (1.0 - p) / kappa))
 
 
-def _phi_lanes(p, kappa, w, m, pbar1, pbar2, c1, c2):
-    # phi per lane, bit for bit: s is its a1 + a2, the one stake the lane's
-    # regime selects, c1 and c2 its stake coefficients on Outcome 1 and 2.
-    # Every probe lies in [1 - kappa, kappa]
+def _phi_lanes(p, kappa, q, w, m, c1, c2):
+    # the composed best-response map per lane: her side is decided at p from
+    # the totals there, by atomic_stakes' float tests, and s is the one
+    # stake that side takes; c1 and c2 are her stake coefficients on Outcome
+    # 1 and 2. Every probe lies in [1 - kappa, kappa]
     d1, d2 = _D_lanes(p, kappa, m)
-    back1 = p > pbar1  # which excludes p < pbar2, as pbar2 < pbar1 on every lane
+    t = kappa * (d1 + d2)
+    back1 = q > d1 / t
+    back2 = ~back1 & (1.0 - q > d2 / t)
     c, own = np.where(back1, c1, c2), np.where(back1, d1, d2)
-    # min(w, _stake(...)) with Python's min/max tie rules. A negative d1 * d2
-    # (masses rounded below zero) makes math.sqrt raise but np.sqrt return
-    # NaN, so NaN is kept to mark the lane for solve, unless she abstains
+    # min(w, max(0.0, sqrt(c * d1 * d2) - own)) with Python's min/max tie
+    # rules. A negative d1 * d2 (masses rounded below zero) makes math.sqrt
+    # raise but np.sqrt return NaN, so NaN is kept to mark the lane for
+    # solve, unless she abstains
     s = np.sqrt(c * d1 * d2) - own
     s = np.where(s <= 0.0, 0.0, s)
-    s = np.where(back1 | (p < pbar2), np.where(s >= w, w, s), 0.0)
+    s = np.where(back1 | back2, np.where(s >= w, w, s), 0.0)
     return (np.where(back1, s, 0.0) + d1) / (s + d1 + d2)
 
 

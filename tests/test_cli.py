@@ -449,6 +449,18 @@ class TestOptimizeTakeCommand:
         assert float(rows[0]["revenue_star"]) >= max(
             float(r["revenue"]) for r in profile)
 
+    def test_takes_where_solve_fails_do_not_end_the_search(self, tmp_path, capsys):
+        # solve raises "action boundaries out of order" at three grid takes
+        # of this mixture (test_stackelberg.py); the grid's lanes finish them
+        path = write_scenario(tmp_path, q=0.8, measure={
+            "kind": "gaussian_mixture", "weights": [1, 1], "means": [0.7, 0.9],
+            "stddevs": [0.05, 0.05]})
+        assert main(["optimize-take", "--scenario", str(path)]) == 0
+        stdout, err = capsys.readouterr()
+        assert err == ""
+        _, rows = parse_csv(stdout)
+        assert len(rows) == 1 and 0.5 < float(rows[0]["kappa_star"]) < 1.0
+
     def test_unwritable_out_is_a_config_error_and_prints_nothing(self, tmp_path,
                                                                   capsys):
         path = write_scenario(tmp_path, q=0.9)

@@ -35,6 +35,7 @@ from parieq.measure import gaussian_mixture, scaled, tabulated
 from parieq.metrics import diffuse_subjective_profit, house_revenue
 from parieq.response import MarketParams
 from parieq.scenario import bundled_scenarios, load_scenario
+from parieq.stackelberg import KAPPA_SEARCH_HI, KAPPA_SEARCH_LO, grid_revenues
 
 PRECISION = 50  # significant decimal digits
 BRACKET = Decimal("1e-30")
@@ -60,6 +61,15 @@ METRICS = ("house_revenue", "diffuse_subjective_profit")
 # Simpson converges falsely across the wedge's knee at 1/n, and scipy's quad
 # split at the knee agrees with the referee
 METRIC_BOUNDS = dict(zip(METRICS, (2.41e-09, 2.77e-04)))
+
+# the first takes of each bundled 256-take optimize_take grid, where the
+# lanes' composed map and solve's boundaries differ on six takes
+GRID_TAKES = 16
+# max |grid revenue - referee| over them, pinned rounded up in its third
+# digit: 4.4043e-12 on example3 at take 13, as solve's there. On the six
+# takes where solve's revenue differs, the grid's errors are 3.8e-15 to
+# 4.5e-14 and solve's 1.7e-11 to 2.4e-09
+GRID_REVENUE_BOUND = 4.41e-12
 
 # random tabulated markets (see _random_markets)
 FUZZ_SEED, FUZZ_MARKETS = 1, 1000
@@ -381,6 +391,27 @@ def test_revenue_and_subjective_profit_agree_with_the_referee(bundled_rows):
             print(f"{metric} {name} kappa={kappa!r} w={w!r}: float {got[i]!r} "
                   f"referee {float(ref[i])!r} error {err[i]:.3e}")
         assert ranked[0][5][i] <= bound, (metric, ranked[0][:3], ranked[0][5][i])
+
+
+def test_take_grid_revenues_agree_with_the_referee():
+    # and wherever the grid's revenue is not solve's, it is the closer one
+    span, errors = KAPPA_SEARCH_HI - KAPPA_SEARCH_LO, []
+    grid = [KAPPA_SEARCH_LO + span * i / 255 for i in range(256)]
+    for name, path in sorted(bundled_scenarios().items()):
+        sc = load_scenario(path)
+        revenues = grid_revenues(grid, sc.q, sc.w, sc.belief_measure)
+        for kappa, got in zip(grid[:GRID_TAKES], revenues):
+            params = MarketParams(kappa=kappa, q=sc.q, w=sc.w)
+            solved = house_revenue(solve(params, sc.belief_measure), params)
+            ref = _referee(_wedge_knots(sc.measure), kappa, sc.q, sc.w)[5]
+            err, solved_err = _abs_errors((got, solved), (ref, ref))
+            if got != solved:
+                print(f"{name} kappa={kappa!r}: grid error {err:.3e}, "
+                      f"solve's {solved_err:.3e}")
+                assert err < solved_err, (name, kappa, err, solved_err)
+            errors.append((err, name, kappa))
+    assert len(errors) == 6 * GRID_TAKES
+    assert max(errors)[0] <= GRID_REVENUE_BOUND, max(errors)
 
 
 @pytest.fixture(scope="module")

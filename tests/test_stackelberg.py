@@ -18,13 +18,16 @@ from parieq.response import MarketParams
 from parieq.scenario import build_measure, bundled_scenarios, load_scenario
 from parieq.stackelberg import (_INV_GOLDEN, _REFINE_TOL, KAPPA_SEARCH_HI,
                                 KAPPA_SEARCH_LO, TakeOptimum, optimize_take)
+from test_equilibrium import _composed_revenues
 
 REFERENCE_TAKES = (Path(__file__).resolve().parents[1]
                    / "benchmarks" / "reference" / "take_search.json")
 
 
 def scalar_optimize_take(measure, q, w, grid_points=256, fp_tol=FP_TOL):
-    """optimize_take as it was before the grid was batched: one solve per take."""
+    """optimize_take take by take: the grid's revenues from the scalar
+    composed map (test_equilibrium's reference of the lanes), the
+    refinement's from one solve each."""
 
     def solved_revenue(kappa):
         params = MarketParams(kappa=kappa, q=q, w=w)
@@ -33,7 +36,8 @@ def scalar_optimize_take(measure, q, w, grid_points=256, fp_tol=FP_TOL):
     span = KAPPA_SEARCH_HI - KAPPA_SEARCH_LO
     grid = [KAPPA_SEARCH_LO + span * i / (grid_points - 1)
             for i in range(grid_points)]
-    profile = tuple((k, solved_revenue(k)) for k in grid)
+    profile = tuple(zip(grid, map(float.fromhex,
+                                  _composed_revenues(grid, q, w, measure, fp_tol))))
     i_best = max(range(grid_points), key=lambda i: profile[i][1])
     best_k, best_r = profile[i_best]
 
@@ -187,8 +191,13 @@ class TestOptimizeTake:
             assert r2 == pytest.approx(0.5 * r1, rel=1e-12)
 
 
-@pytest.mark.xfail(strict=True, raises=DomainError,
-                   reason="one take whose boundaries come out equal ends the "
-                          "whole search: out of order at kappa=0.6079")
 def test_one_degenerate_take_does_not_end_the_search():
-    optimize_take(gaussian_mixture([1, 1], [0.7, 0.9], [0.05, 0.05]), 0.8, 1.0)
+    # solve's two boundaries come out equal at the grid takes 0.6079,
+    # 0.60986 and 0.61182, and it raises "out of order" there; the lanes
+    # compute no boundary and finish every grid take
+    m = gaussian_mixture([1, 1], [0.7, 0.9], [0.05, 0.05])
+    for kappa in (0.6079, 0.60986, 0.61182):
+        with pytest.raises(DomainError, match="out of order"):
+            solve(MarketParams(kappa=kappa, q=0.8, w=1.0), m)
+    opt = optimize_take(m, 0.8, 1.0)
+    assert len(opt.profile) == 256 and opt.revenue_star >= max(r for _, r in opt.profile)
