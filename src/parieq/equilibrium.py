@@ -28,18 +28,23 @@ phi(kappa) = 0, so it crosses the diagonal exactly once; ``solve`` brackets
 that crossing by bisection and rebuilds the equilibrium from it.
 
 ``grid_fixed_points`` solves many takes at once, one float64 numpy lane
-per kappa, with no ``Equilibrium`` built. Its lanes bisect the composed
-best-response map: at each candidate the large bettor's side is decided
-from the totals there, by ``response.atomic_stakes``' float tests, with no
-boundary. A lane's result is solve's except where solve's bisected
-boundaries misplace a regime switch (6 of the 1,536 bundled 256-take grid
-points, each closer to a 50-digit referee). An invalid take, or one whose
-lane meets a value that is not finite, gets None, for the caller to hand
-to ``solve`` (as ``stackelberg.grid_revenues`` does). A batch of one at
-kappa = 0.8, q = 0.9, w = 1 took 15 times as long as a ``solve`` with no
-remembered boundary on wedge(100) (1.8 against 0.12 ms), 19 times on a
-4-knot tabulated density and 12 times on a 2-kernel Gaussian mixture, so
-single solves stay scalar.
+per kappa, with no ``Equilibrium`` built. Its lanes find the crossing of
+the composed best-response map: at each candidate the large bettor's side
+is decided from the totals there, by ``response.atomic_stakes``' float
+tests, with no boundary. phi(p) - p falls with slope at most -1, so any
+search that keeps the crossing in its bracket finds it; the lanes take
+secant steps, by the rule ``oracle.discretize`` uses too
+(``_secant_step``), to float resolution with no tolerance, in 7 to 26
+rounds on the bundled 256-take grids. A lane's fixed point lies within
+FP_TOL of solve's, which stops at that tolerance and whose bisected
+boundaries can misplace a regime switch; its revenue is the closer of the
+two to a 50-digit referee, up to float resolution. An invalid take, or
+one whose lane meets a value that is not finite, gets None, for the caller
+to hand to ``solve`` (as ``stackelberg.grid_revenues`` does). A batch of
+one at kappa = 0.8, q = 0.9, w = 1 took 7 times as long as a ``solve``
+with no remembered boundary on wedge(100) (1.1 against 0.15 ms), 6 times
+on a 4-knot tabulated density and 4 times on a 2-kernel Gaussian mixture,
+so single solves stay scalar.
 """
 
 from dataclasses import dataclass, field
@@ -409,34 +414,32 @@ def solve(params: MarketParams, measure: BeliefMeasure,
 # --------------------------------------------------------------------------
 
 def grid_fixed_points(kappas: Sequence[float], q: float, w: float,
-                      measure: BeliefMeasure, fp_tol: float = FP_TOL,
+                      measure: BeliefMeasure,
                       ) -> list[Optional[tuple[float, float, float, float]]]:
     """Per take, the composed map's (p_star, residual, d1_star, d2_star), or None.
 
     The take at kappa k is the market MarketParams(kappa=k, q=q, w=w). Every
-    float kappa's fixed-point bisection runs at once, one float64 lane
-    each, in one loop. Each lane takes ``_bisect_decreasing``'s midpoint
-    steps with fp_tol as both tolerances, keeps its best point and exits
-    where it does, on the composed map (see the module docstring). Masses
-    come from the measure's exact_mass_array, which matches exact_mass bit
-    for bit.
+    float kappa's fixed point is found at once, one float64 lane each, in
+    one loop of ``_secant_lanes`` on the composed map (see the module
+    docstring), to float resolution with no tolerance. The residual is
+    |phi(p_star) - p_star| at the lane's best point. Masses come from the
+    measure's exact_mass_array, which matches exact_mass bit for bit.
 
     None marks a take that only ``solve`` can decide, because it raises
     there or may: a kappa that is not a float in (0.5, 1), a q or w that
-    MarketParams rejects, every take when fp_tol is not positive, a value
-    that is not finite (where Python's float division or math.sqrt would
-    raise), or totals at the fixed point that are not both positive. An
-    error the measure itself raises propagates from the batch.
+    MarketParams rejects, a value that is not finite (where Python's float
+    division or math.sqrt would raise), or totals at the fixed point that
+    are not both positive. An error the measure itself raises propagates
+    from the batch.
     """
     try:  # the scalar solve rejects every take then, each with its own error
         MarketParams(kappa=0.75, q=q, w=w)
     except DomainError:
         return [None] * len(kappas)
-    lanes = [i for i, k in enumerate(kappas)
-             if isinstance(k, float) and 0.5 < k < 1.0 and fp_tol > 0.0]
+    lanes = [i for i, k in enumerate(kappas) if isinstance(k, float) and 0.5 < k < 1.0]
     with np.errstate(all="ignore"):  # non-finite values mark lanes, not warnings
         solved = _fixed_point_lanes(np.array([kappas[i] for i in lanes], dtype=float),
-                                    q, w, measure, fp_tol)
+                                    q, w, measure)
     finished, *values = (a.tolist() for a in solved)
     out: list = [None] * len(kappas)
     for j, lane in zip(finished, zip(*values)):
@@ -444,8 +447,7 @@ def grid_fixed_points(kappas: Sequence[float], q: float, w: float,
     return out
 
 
-def _fixed_point_lanes(kappa: np.ndarray, q: float, w: float, m: BeliefMeasure,
-                       fp_tol: float):
+def _fixed_point_lanes(kappa: np.ndarray, q: float, w: float, m: BeliefMeasure):
     # (lane, p_star, residual, d1, d2) for each lane that finishes with both
     # totals positive
     c1, c2 = _stake_coefficient(kappa, q), _stake_coefficient(kappa, 1.0 - q)
@@ -453,8 +455,7 @@ def _fixed_point_lanes(kappa: np.ndarray, q: float, w: float, m: BeliefMeasure,
     def g(p):
         return _phi_lanes(p, kappa, q, w, m, c1, c2) - p
 
-    p_star, residual, ok = _bisect_lanes(g, 1.0 - kappa, kappa, fp_tol,
-                                         residual_tol=fp_tol)
+    p_star, residual, ok = _secant_lanes(g, 1.0 - kappa, kappa)
     d1s, d2s = _D_lanes(p_star, kappa, m)
     ok &= (d1s > 0.0) & (d2s > 0.0)
     return np.flatnonzero(ok), p_star[ok], residual[ok], d1s[ok], d2s[ok]
@@ -489,39 +490,67 @@ def _phi_lanes(p, kappa, q, w, m, c1, c2):
     return (np.where(back1, s, 0.0) + d1) / (s + d1 + d2)
 
 
-def _bisect_lanes(g, lo: np.ndarray, hi: np.ndarray, width_tol: float,
-                  residual_tol: float = inf):
-    """_bisect_decreasing on every lane at once.
+def _secant_step(x, g, xp, gp, lo, hi):
+    """The next probe of a bracketing secant search, on every lane at once.
 
-    g(p) evaluates every lane at its point p. The arrays stay full width:
-    each round evaluates every lane, and masked copies update only the
-    live ones. Each lane takes the scalar bisection's midpoint steps, keeps
-    its best point, and returns where the scalar one returns: at an exact
-    zero, once the bracket is narrower than width_tol and the best |g| is
-    within residual_tol, or when its bracket runs out of floats. Returns
-    (root, |g(root)|, ok). A lane where g is not finite is not ok, its root
-    meaningless, for ``solve`` to redo. Each lane's bracket meets
-    _bisect_decreasing's precondition, unchecked.
+    x is the last probe and g the map there, xp the probe before and gp
+    the map there, and lo < hi the bracket, already narrowed by x. The next
+    probe is the secant point through the two probes when it lies strictly
+    inside the bracket and |g| has at least halved since xp. Otherwise the
+    lane gallops, repeating its last step doubled, if that stays strictly
+    inside, and else takes the bracket's midpoint. Galloping carries a lane
+    across a run of points where the map rounds to one value. Returns
+    (next probe, done): a lane is done when the secant step from x rounds
+    to nothing, as at an exact zero, or when nothing lies strictly inside
+    its bracket. Shared by ``_secant_lanes`` and ``oracle.discretize``.
     """
-    lo, hi = lo.copy(), hi.copy()  # updated in place
+    with np.errstate(all="ignore"):  # inf or nan steps are never inside a bracket
+        probe = x - g * (x - xp) / (g - gp)
+        gallop = x + 2.0 * (x - xp)
+        nxt = np.where((lo < probe) & (probe < hi) & (2.0 * np.abs(g) <= np.abs(gp)),
+                       probe, np.where((lo < gallop) & (gallop < hi), gallop,
+                                       0.5 * (lo + hi)))
+    return nxt, (probe == x) | ~((lo < nxt) & (nxt < hi))
+
+
+def _secant_lanes(g, lo: np.ndarray, hi: np.ndarray):
+    """Root of a decreasing g on every lane at once, to float resolution.
+
+    g(p) evaluates every lane at its point p, and each lane's bracket lo <
+    hi has g(lo) >= 0 >= g(hi), unchecked. The arrays stay full width:
+    each round evaluates every lane, and masked copies update only the
+    live ones. A lane's first probe is the chord through its bracket's
+    ends, moved strictly inside, with the upper end standing in for the
+    probe before it; every later one is ``_secant_step``'s, and each probe
+    replaces the bracket end whose sign it shares. A lane keeps its best
+    point, where |g| is least, and stops where ``_secant_step`` says it is
+    done. There is no tolerance. Returns (root, |g(root)|, ok). A lane
+    where g is not finite is not ok, its root meaningless, for ``solve``
+    to redo.
+    """
     glo, ghi = g(lo), g(hi)
     ok = np.isfinite(glo) & np.isfinite(ghi)  # totals that vanish give NaN
     take_lo = abs(glo) <= abs(ghi)
     best_p = np.where(take_lo, lo, hi)
     best_g = np.where(take_lo, abs(glo), abs(ghi))
-    live = ok
-    # a lane whose bracket runs out of floats stops, as in the scalar loop
-    while (live := live & (lo < (mid := 0.5 * (lo + hi))) & (mid < hi)).any():
-        gm = g(mid)
-        agm = abs(gm)
-        zero = gm == 0.0  # exact crossing: that midpoint, whatever the best
-        better = live & ((agm < best_g) | zero)
-        np.copyto(best_p, mid, where=better)
-        np.copyto(best_g, agm, where=better)
-        up = gm > 0.0
-        np.copyto(lo, mid, where=live & up)
-        np.copyto(hi, mid, where=live & ~up)
-        ok &= ~live | np.isfinite(gm)
-        stop = zero | (hi - lo < width_tol) & (best_g <= residual_tol)
-        live &= ok & ~stop
+    with np.errstate(all="ignore"):
+        chord = lo + (hi - lo) * (glo / (glo - ghi))
+    # fmin and fmax take a nan chord to the bracket's last float
+    x = np.fmax(np.fmin(chord, np.nextafter(hi, lo)), np.nextafter(lo, hi))
+    xp, gp = hi, ghi
+    lo, hi = lo.copy(), hi.copy()  # updated in place
+    live = ok & (lo < x) & (x < hi)
+    while live.any():
+        gx = g(x)
+        agx = abs(gx)
+        better = live & (agx < best_g)
+        np.copyto(best_p, x, where=better)
+        np.copyto(best_g, agx, where=better)
+        up = gx > 0.0
+        np.copyto(lo, x, where=live & up)
+        np.copyto(hi, x, where=live & ~up)
+        ok &= ~live | np.isfinite(gx)
+        nxt, done = _secant_step(x, gx, xp, gp, lo, hi)
+        live &= ok & ~done
+        xp, gp, x = x, gx, np.where(live, nxt, x)  # a finished lane stays put
     return best_p, best_g, ok

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .equilibrium import _secant_step
 from .errors import DomainError
 # mass is not called here, but benchmarks/spans.py wraps parieq.oracle.mass
 from .measure import BeliefMeasure, mass  # noqa: F401
@@ -97,17 +98,17 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
     across the three, as on the wedge, uniform and tabulated families away
     from their knees and knots, and it is the chord where the table's
     second difference is 0. The probe is moved into the open cell when it
-    falls outside or is not a number. Every later one is a secant step
-    through the last two probes, the cell's left knot standing in for the
-    probe before the first. A step is taken when
-    it lands strictly inside the bracket and |g| has at least halved since
-    the probe before. Otherwise the lane gallops, repeating its last step
-    doubled, if that stays strictly inside, and else probes the bracket's
-    midpoint; galloping carries a lane across a run of beliefs whose masses
-    round to the same value. A lane stops when the step from its last probe
-    is below float resolution or nothing lies strictly inside its bracket.
-    There is no tolerance and no iteration cap: every probe lies strictly
-    inside the bracket and becomes one of its ends.
+    falls outside or is not a number. Every later one is
+    ``equilibrium._secant_step``'s, the rule the take grid's lanes share,
+    with the cell's left knot standing in for the probe before the first: a
+    secant step through the last two probes when it lands strictly inside
+    the bracket and |g| has at least halved since the probe before, else
+    the last step doubled if that stays strictly inside, else the
+    bracket's midpoint. Galloping carries a lane across a run of beliefs
+    whose masses round to the same value. A lane stops when the step from
+    its last probe is below float resolution or nothing lies strictly
+    inside its bracket. There is no tolerance and no iteration cap: every
+    probe lies strictly inside the bracket and becomes one of its ends.
     """
     # bool is an int subclass and a float is no count: neither is a population
     if not (type(N) is int and N >= MIN_POPULATION):
@@ -123,7 +124,7 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
     j = np.minimum(np.searchsorted(table, targets, side="right") - 1, N - 1)
     lo, hi = knots[j], knots[j + 1]
     lane, beliefs = np.arange(N), np.empty(N)
-    with np.errstate(all="ignore"):  # inf or nan steps are never inside a bracket
+    with np.errstate(all="ignore"):  # an inf or nan seed is moved into its cell
         # the left knot stands in for the probe before the seed
         xp, gp = lo, table[j] - targets
         # the seed: in units of the cell's width and rise the quadratic is
@@ -142,12 +143,7 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
             below = g < 0.0
             lo = np.where(below, x, lo)
             hi = np.where(below, hi, x)
-            probe = x - g * (x - xp) / (g - gp)
-            gallop = x + 2.0 * (x - xp)
-            nxt = np.where((lo < probe) & (probe < hi) & (2.0 * np.abs(g) <= np.abs(gp)),
-                           probe, np.where((lo < gallop) & (gallop < hi), gallop,
-                                           0.5 * (lo + hi)))
-            done = (probe == x) | ~((lo < nxt) & (nxt < hi))
+            nxt, done = _secant_step(x, g, xp, gp, lo, hi)
             if done.any():
                 beliefs[lane[done]] = x[done]
                 keep = ~done

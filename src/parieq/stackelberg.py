@@ -8,10 +8,12 @@ optimum is the best point ever seen, so it can never fall below a grid sample.
 
 The grid's revenues come in one batch from ``grid_revenues``, with no
 ``Equilibrium`` built per take; the golden-section pass, about 15 solves
-that each depend on the last, calls ``solve`` one take at a time. Where
-solve's bisected action boundaries misplace a regime switch, a grid
-revenue differs from solve's at that take (by up to 2.4e-9 on the bundled
-scenarios) and is the closer of the two to the exact value.
+that each depend on the last, calls ``solve`` one take at a time. The
+batch's lanes run to float resolution and solve stops within ``fp_tol``,
+and where solve's bisected action boundaries misplace a regime switch,
+its revenue is off by more (up to 2.4e-9 on the bundled scenarios). So a
+grid revenue differs from solve's at most takes, and is the closer of the
+two to the exact value, up to float resolution.
 """
 
 import math
@@ -52,13 +54,16 @@ def grid_revenues(kappas: Sequence[float], q: float, w: float, measure: BeliefMe
     Each take that grid_fixed_points finishes takes its revenue straight
     from the lane's totals, through the stakes and the revenue formula that
     solve and house_revenue use; that is house_revenue(solve(params,
-    measure, fp_tol), params) except where solve's action boundaries
-    misplace a regime switch (see the module docstring). Every other take
-    is solved, in order, so the first such take that fails raises what
-    solve raises for it.
+    measure, fp_tol), params) up to solve's tolerance and boundaries (see
+    the module docstring). The lanes take no tolerance: fp_tol is the one
+    that the other takes are solved with, and when it is not positive,
+    every take is. Those takes are solved in order, so the first that
+    fails raises what solve raises for it.
     """
+    # a tolerance solve rejects is its to reject, take by take
+    lanes = grid_fixed_points(kappas, q, w, measure) if fp_tol > 0.0 else [None] * len(kappas)
     out = []
-    for k, lane in zip(kappas, grid_fixed_points(kappas, q, w, measure, fp_tol)):
+    for k, lane in zip(kappas, lanes):
         if lane is None:
             out.append(_solved_revenue(k, q, w, measure, fp_tol))
         else:

@@ -27,7 +27,7 @@ BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 DIGESTS = {
     "closed_form_sweep": "e34c7b6a9884641c04f5262afbc6d3c17baa0bf5eec97f77583910a1c03770d2",
     "quadrature_solve": "e98bc5fd72f9afeb3bb1f801122eebdb5b9ba318fbcdb1bfb2b44ab4f63c4477",
-    "take_search": "8919508a28573395cc22f047dc0eb17560506b9d5865304ec41022e0a249346a",
+    "take_search": "12996fc37bc2f394e2d722aafd6f33e206e956a08e4bb47409f66e21d98c6edc",
     "oracle_crosscheck": "fc97a771e0b9993bc4353eef95d28fde01840f50236cc606355deb264efa3d9b",
     "sweep_csv": "0a23064f4c960d2122e26ad2621df257ffb39a209ef693b7c7baeb57a5e3ad04",
 }

@@ -18,7 +18,7 @@ from parieq.response import MarketParams
 from parieq.scenario import build_measure, bundled_scenarios, load_scenario
 from parieq.stackelberg import (_INV_GOLDEN, _REFINE_TOL, KAPPA_SEARCH_HI,
                                 KAPPA_SEARCH_LO, TakeOptimum, optimize_take)
-from test_equilibrium import _composed_revenues
+from test_equilibrium import GRID_REVENUE_BOUND, _composed_revenues
 
 REFERENCE_TAKES = (Path(__file__).resolve().parents[1]
                    / "benchmarks" / "reference" / "take_search.json")
@@ -26,8 +26,8 @@ REFERENCE_TAKES = (Path(__file__).resolve().parents[1]
 
 def scalar_optimize_take(measure, q, w, grid_points=256, fp_tol=FP_TOL):
     """optimize_take take by take: the grid's revenues from the scalar
-    composed map (test_equilibrium's reference of the lanes), the
-    refinement's from one solve each."""
+    bisection of the composed map (test_equilibrium's reference of the
+    lanes), the refinement's from one solve each."""
 
     def solved_revenue(kappa):
         params = MarketParams(kappa=kappa, q=q, w=w)
@@ -92,10 +92,17 @@ class TestOptimizeTake:
 
     @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
     def test_matches_the_scalar_loop_bit_for_bit(self, name):
+        # the optimum bit for bit, as the golden section's probes are solved
+        # take by take; the grid's takes bit for bit and its revenues within
+        # the lanes' bound, as the lanes run to float resolution and the
+        # scalar bisection stops within FP_TOL
         sc = load_scenario(bundled_scenarios()[name])
         m = build_measure(sc.measure)
-        assert _bits(optimize_take(m, sc.q, sc.w)) == _bits(
-            scalar_optimize_take(m, sc.q, sc.w))
+        got, want = optimize_take(m, sc.q, sc.w), scalar_optimize_take(m, sc.q, sc.w)
+        assert _bits(got)[:2] == _bits(want)[:2]
+        assert [k.hex() for k, _ in got.profile] == [k.hex() for k, _ in want.profile]
+        assert max(abs(a - b) for (_, a), (_, b) in zip(got.profile, want.profile)) \
+            <= GRID_REVENUE_BOUND
 
     @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
     def test_bundled_optimum_matches_the_reference_exactly(self, name):
