@@ -2,8 +2,8 @@
 
 Subcommands: solve (one CSV row to stdout), sweep (CSV file over a kappa
 grid), optimize-take (revenue-maximizing kappa plus profile CSV), oracle
-(finite-population cross-check). Exit codes: 0 success, 1 config error,
-2 no equilibrium, 3 any other solver failure (for example quadrature).
+(finite-population cross-check). Exit codes: 0 success, 1 usage or config
+error, 2 no equilibrium, 3 any other solver failure (such as quadrature).
 """
 
 import argparse
@@ -95,9 +95,8 @@ def _write(path, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def run_optimize_take(sc: Scenario, fp_tol: float, grid: int, out_path) -> int:
-    opt = optimize_take(sc.belief_measure, sc.q, sc.w, grid_points=grid,
-                        fp_tol=fp_tol)
+def run_optimize_take(sc: Scenario, grid: int, out_path) -> int:
+    opt = optimize_take(sc.belief_measure, sc.q, sc.w, grid_points=grid)
     if out_path is not None:  # before printing, so a failed write prints nothing
         lines = [SCHEMA_LINE, "name,kappa,revenue"]
         lines += [f"{sc.name},{_fmt(k)},{_fmt(r)}" for k, r in opt.profile]
@@ -125,10 +124,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "parimutuel wagering with one large bettor.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tolerance=True):
         p.add_argument("--scenario", required=True, help="scenario .cfg path")
-        p.add_argument("--fp-tol", type=float, default=FP_TOL,
-                       help="fixed-point tolerance (default %(default)g)")
+        if tolerance:  # the take search's grid runs to float resolution
+            p.add_argument("--fp-tol", type=float, default=FP_TOL,
+                           help="fixed-point tolerance (default %(default)g)")
 
     p = sub.add_parser("solve", help="solve one scalar-kappa scenario")
     common(p)
@@ -140,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"also solve with the tiny budget w={BASELINE_W:g}")
 
     p = sub.add_parser("optimize-take", help="find the revenue-maximizing kappa")
-    common(p)
+    common(p, tolerance=False)
     p.add_argument("--out", default=None, help="profile CSV path")
     p.add_argument("--grid", type=int, default=256,
                    help="kappa grid points (default %(default)s)")
@@ -155,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_numbers(args) -> None:
     # the library would reject these too, but only mid-run: as solver
     # failures, or as one error row per kappa in a sweep file
-    if not args.fp_tol > 0.0:
+    if args.command != "optimize-take" and not args.fp_tol > 0.0:
         raise ConfigError(f"--fp-tol must be positive, got {args.fp_tol}")
     if args.command == "optimize-take" and args.grid < MIN_GRID_POINTS:
         raise ConfigError(f"--grid must be at least {MIN_GRID_POINTS}, got {args.grid}")
@@ -164,8 +164,10 @@ def _check_numbers(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         _check_numbers(args)
         sc = load_scenario(args.scenario)
@@ -175,7 +177,7 @@ def main(argv=None) -> int:
             _write(args.out, sweep_csv(sc, args.fp_tol, args.baseline))
             return EXIT_OK
         if args.command == "optimize-take":
-            return run_optimize_take(sc, args.fp_tol, args.grid, args.out)
+            return run_optimize_take(sc, args.grid, args.out)
         if args.command == "oracle":
             return run_oracle(sc, args.fp_tol, args.n)
         raise AssertionError(args.command)

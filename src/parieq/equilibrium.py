@@ -28,23 +28,25 @@ phi(kappa) = 0, so it crosses the diagonal exactly once; ``solve`` brackets
 that crossing by bisection and rebuilds the equilibrium from it.
 
 ``grid_fixed_points`` solves many takes at once, one float64 numpy lane
-per kappa, with no ``Equilibrium`` built. Its lanes find the crossing of
-the composed best-response map: at each candidate the large bettor's side
-is decided from the totals there, by ``response.atomic_stakes``' float
-tests, with no boundary. phi(p) - p falls with slope at most -1, so any
-search that keeps the crossing in its bracket finds it; the lanes take
-secant steps, by the rule ``oracle.discretize`` uses too
-(``_secant_step``), to float resolution with no tolerance, in 7 to 26
-rounds on the bundled 256-take grids. A lane's fixed point lies within
-FP_TOL of solve's, which stops at that tolerance and whose bisected
-boundaries can misplace a regime switch; its revenue is the closer of the
-two to a 50-digit referee, up to float resolution. An invalid take, or
-one whose lane meets a value that is not finite, gets None, for the caller
-to hand to ``solve`` (as ``stackelberg.grid_revenues`` does). A batch of
-one at kappa = 0.8, q = 0.9, w = 1 took 7 times as long as a ``solve``
-with no remembered boundary on wedge(100) (1.1 against 0.15 ms), 6 times
-on a 4-knot tabulated density and 4 times on a 2-kernel Gaussian mixture,
-so single solves stay scalar.
+per kappa, with no ``Equilibrium`` built, and checks neither its takes
+nor the market: ``stackelberg.optimize_take`` has. Its lanes find the
+crossing of the composed best-response map: at each candidate the large
+bettor's side is decided from the totals there, by
+``response.atomic_stakes``' float tests, with no boundary. phi(p) - p
+falls with slope at most -1, so any search that keeps the crossing in
+its bracket finds it; the lanes take secant steps, by the rule
+``oracle.discretize`` uses too (``_secant_step``), to float resolution
+with no tolerance, in 7 to 26 rounds on the bundled 256-take grids. A
+lane's fixed point lies within FP_TOL of solve's, which stops at that
+tolerance and whose bisected boundaries can misplace a regime switch;
+its revenue is the closer of the two to a 50-digit referee, up to float
+resolution. A take whose lane meets a value that is not finite, or whose
+totals are not both positive, gets None, for the caller to hand to
+``solve`` (as ``stackelberg.grid_revenues`` does). A batch of one at
+kappa = 0.8, q = 0.9, w = 1 took 7 times as long as a ``solve`` with no
+remembered boundary on wedge(100) (1.1 against 0.15 ms), 6 times on a
+4-knot tabulated density and 4 times on a 2-kernel Gaussian mixture, so
+single solves stay scalar.
 """
 
 from dataclasses import dataclass, field
@@ -418,32 +420,27 @@ def grid_fixed_points(kappas: Sequence[float], q: float, w: float,
                       ) -> list[Optional[tuple[float, float, float, float]]]:
     """Per take, the composed map's (p_star, residual, d1_star, d2_star), or None.
 
-    The take at kappa k is the market MarketParams(kappa=k, q=q, w=w). Every
-    float kappa's fixed point is found at once, one float64 lane each, in
-    one loop of ``_secant_lanes`` on the composed map (see the module
-    docstring), to float resolution with no tolerance. The residual is
-    |phi(p_star) - p_star| at the lane's best point. Masses come from the
-    measure's exact_mass_array, which matches exact_mass bit for bit.
+    The take at kappa k is the market MarketParams(kappa=k, q=q, w=w). The
+    precondition is not checked: every kappa is a float in (0.5, 1), and q
+    and w are values MarketParams accepts, as in optimize_take's grid. Every
+    fixed point is found at once, one float64 lane each, in one loop of
+    ``_secant_lanes`` on the composed map (see the module docstring), to
+    float resolution with no tolerance. The residual is |phi(p_star) -
+    p_star| at the lane's best point. Masses come from the measure's
+    exact_mass_array, which matches exact_mass bit for bit.
 
     None marks a take that only ``solve`` can decide, because it raises
-    there or may: a kappa that is not a float in (0.5, 1), a q or w that
-    MarketParams rejects, a value that is not finite (where Python's float
-    division or math.sqrt would raise), or totals at the fixed point that
-    are not both positive. An error the measure itself raises propagates
-    from the batch.
+    there or may: a lane that meets a value that is not finite (where
+    Python's float division or math.sqrt would raise), or totals at the
+    fixed point that are not both positive. An error the measure itself
+    raises propagates from the batch.
     """
-    try:  # the scalar solve rejects every take then, each with its own error
-        MarketParams(kappa=0.75, q=q, w=w)
-    except DomainError:
-        return [None] * len(kappas)
-    lanes = [i for i, k in enumerate(kappas) if isinstance(k, float) and 0.5 < k < 1.0]
     with np.errstate(all="ignore"):  # non-finite values mark lanes, not warnings
-        solved = _fixed_point_lanes(np.array([kappas[i] for i in lanes], dtype=float),
-                                    q, w, measure)
+        solved = _fixed_point_lanes(np.array(kappas, dtype=float), q, w, measure)
     finished, *values = (a.tolist() for a in solved)
     out: list = [None] * len(kappas)
-    for j, lane in zip(finished, zip(*values)):
-        out[lanes[j]] = lane
+    for i, lane in zip(finished, zip(*values)):
+        out[i] = lane
     return out
 
 
@@ -519,9 +516,13 @@ def _secant_lanes(g, lo: np.ndarray, hi: np.ndarray):
     g(p) evaluates every lane at its point p, and each lane's bracket lo <
     hi has g(lo) >= 0 >= g(hi), unchecked. The arrays stay full width:
     each round evaluates every lane, and masked copies update only the
-    live ones. A lane's first probe is the chord through its bracket's
-    ends, moved strictly inside, with the upper end standing in for the
-    probe before it; every later one is ``_secant_step``'s, and each probe
+    live ones. Compacting the live lanes, as ``discretize`` does, gives
+    the same bits but was slower on the six bundled 256-take grids (10.8
+    against 10.5 ms in all, in process on one CPU) and on a 4-knot
+    tabulated one, where masses are cheap; it paid only where they are
+    dear (a 2-kernel mixture, 4.4 against 5.5 ms). A lane's first probe is
+    the chord through its bracket's ends, moved strictly inside, with the
+    upper end standing in for the probe before it; every later one is ``_secant_step``'s, and each probe
     replaces the bracket end whose sign it shares. A lane keeps its best
     point, where |g| is least, and stops where ``_secant_step`` says it is
     done. There is no tolerance. Returns (root, |g(root)|, ok). A lane

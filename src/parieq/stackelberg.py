@@ -9,18 +9,19 @@ optimum is the best point ever seen, so it can never fall below a grid sample.
 The grid's revenues come in one batch from ``grid_revenues``, with no
 ``Equilibrium`` built per take; the golden-section pass, about 15 solves
 that each depend on the last, calls ``solve`` one take at a time. The
-batch's lanes run to float resolution and solve stops within ``fp_tol``,
-and where solve's bisected action boundaries misplace a regime switch,
-its revenue is off by more (up to 2.4e-9 on the bundled scenarios). So a
-grid revenue differs from solve's at most takes, and is the closer of the
-two to the exact value, up to float resolution.
+search takes no tolerance: the batch's lanes run to float resolution and
+each solve stops within FP_TOL, and where solve's bisected action
+boundaries misplace a regime switch, its revenue is off by more (up to
+2.4e-9 on the bundled scenarios). So a grid revenue differs from solve's
+at most takes, and is the closer of the two to the exact value, up to
+float resolution.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .equilibrium import FP_TOL, grid_fixed_points, solve
+from .equilibrium import grid_fixed_points, solve
 from .errors import DomainError
 from .measure import BeliefMeasure
 from .metrics import house_revenue, take_revenue
@@ -46,51 +47,46 @@ class TakeOptimum:
     profile: tuple[tuple[float, float], ...]  # (kappa, revenue) grid samples
 
 
-def grid_revenues(kappas: Sequence[float], q: float, w: float, measure: BeliefMeasure,
-                  fp_tol: float = FP_TOL) -> list[float]:
+def grid_revenues(kappas: Sequence[float], q: float, w: float,
+                  measure: BeliefMeasure) -> list[float]:
     """The house revenue at each take's equilibrium, with MarketParams(kappa=k,
-    q=q, w=w) for k in kappas.
+    q=q, w=w) for k in kappas, which meet grid_fixed_points' precondition.
 
-    Each take that grid_fixed_points finishes takes its revenue straight
-    from the lane's totals, through the stakes and the revenue formula that
-    solve and house_revenue use; that is house_revenue(solve(params,
-    measure, fp_tol), params) up to solve's tolerance and boundaries (see
-    the module docstring). The lanes take no tolerance: fp_tol is the one
-    that the other takes are solved with, and when it is not positive,
-    every take is. Those takes are solved in order, so the first that
+    Each take that a lane finishes takes its revenue straight from the
+    lane's totals, through the stakes and the revenue formula that solve
+    and house_revenue use; that is house_revenue(solve(params, measure),
+    params) up to solve's tolerance and boundaries (see the module
+    docstring). The other takes are solved in order, so the first that
     fails raises what solve raises for it.
     """
-    # a tolerance solve rejects is its to reject, take by take
-    lanes = grid_fixed_points(kappas, q, w, measure) if fp_tol > 0.0 else [None] * len(kappas)
     out = []
-    for k, lane in zip(kappas, lanes):
+    for k, lane in zip(kappas, grid_fixed_points(kappas, q, w, measure)):
         if lane is None:
-            out.append(_solved_revenue(k, q, w, measure, fp_tol))
+            out.append(_solved_revenue(k, q, w, measure))
         else:
             d1, d2 = lane[2:]
             out.append(take_revenue(k, d1, d2, *atomic_stakes(k, q, w, d1, d2)))
     return out
 
 
-def _solved_revenue(kappa: float, q: float, w: float, measure: BeliefMeasure,
-                    fp_tol: float) -> float:
+def _solved_revenue(kappa: float, q: float, w: float, measure: BeliefMeasure) -> float:
     params = MarketParams(kappa=kappa, q=q, w=w)
-    return house_revenue(solve(params, measure, fp_tol=fp_tol), params)
+    return house_revenue(solve(params, measure), params)
 
 
 def optimize_take(measure: BeliefMeasure, q: float, w: float,
-                  grid_points: int = 256, fp_tol: float = FP_TOL) -> TakeOptimum:
+                  grid_points: int = 256) -> TakeOptimum:
     """Maximize take revenue over kappa in the clamped search interval."""
     # bool is an int subclass and a float breaks range(): neither is a count
     if not (type(grid_points) is int and grid_points >= MIN_GRID_POINTS):
         raise DomainError(f"grid_points must be an integer of at least "
                           f"{MIN_GRID_POINTS}, got {grid_points!r}")
-    MarketParams(kappa=KAPPA_SEARCH_LO, q=q, w=w)  # q and w checked before the grid
+    MarketParams(kappa=KAPPA_SEARCH_LO, q=q, w=w)  # the grid's lanes take q and w unchecked
 
     span = KAPPA_SEARCH_HI - KAPPA_SEARCH_LO
     grid = [KAPPA_SEARCH_LO + span * i / (grid_points - 1)
             for i in range(grid_points)]
-    profile = tuple(zip(grid, grid_revenues(grid, q, w, measure, fp_tol=fp_tol)))
+    profile = tuple(zip(grid, grid_revenues(grid, q, w, measure)))
 
     i_best = max(range(grid_points), key=lambda i: profile[i][1])
     best_k, best_r = profile[i_best]
@@ -100,7 +96,7 @@ def optimize_take(measure: BeliefMeasure, q: float, w: float,
     def revenue(kappa: float) -> float:
         # every take evaluated is a candidate for the running best
         nonlocal best_k, best_r
-        r = _solved_revenue(kappa, q, w, measure, fp_tol)
+        r = _solved_revenue(kappa, q, w, measure)
         if r > best_r:
             best_k, best_r = kappa, r
         return r

@@ -444,18 +444,18 @@ def _outcome(run):
         return type(exc), str(exc)
 
 
-def _scalar_loop(kappas, q, w, m, fp_tol=FP_TOL):
-    return [solve(MarketParams(kappa=k, q=q, w=w), m, fp_tol=fp_tol) for k in kappas]
+def _scalar_loop(kappas, q, w, m):
+    return [solve(MarketParams(kappa=k, q=q, w=w), m) for k in kappas]
 
 
-def _scalar_revenues(kappas, q, w, m, fp_tol=FP_TOL):
+def _scalar_revenues(kappas, q, w, m):
     # house_revenue(solve(...)) per take as hex, the loop grid_revenues stands for
     return [house_revenue(eq, MarketParams(kappa=k, q=q, w=w)).hex()
-            for k, eq in zip(kappas, _scalar_loop(kappas, q, w, m, fp_tol))]
+            for k, eq in zip(kappas, _scalar_loop(kappas, q, w, m))]
 
 
-def _grid_revenues(kappas, q, w, m, fp_tol=FP_TOL):
-    return [r.hex() for r in grid_revenues(kappas, q, w, m, fp_tol=fp_tol)]
+def _grid_revenues(kappas, q, w, m):
+    return [r.hex() for r in grid_revenues(kappas, q, w, m)]
 
 
 def _composed_phi(p, kappa, q, w, m):
@@ -475,12 +475,10 @@ def _composed_phi(p, kappa, q, w, m):
 def _composed_lane(kappa, q, w, m):
     # one take's lane by the scalar bisection of the composed map at FP_TOL:
     # (p_star, residual, d1_star, d2_star), or None where the take is
-    # solve's to decide: an invalid take, a float operation that raises on
-    # the way (math.sqrt of a negative product included), or a zero total
-    if not (isinstance(kappa, float) and 0.5 < kappa < 1.0):
-        return None
+    # solve's to decide: a float operation that raises on the way (math.sqrt
+    # of a negative product included), or a zero total. The take meets
+    # grid_fixed_points' precondition
     try:
-        MarketParams(kappa=kappa, q=q, w=w)
         p, residual = _bisect_decreasing(lambda p: _composed_phi(p, kappa, q, w, m) - p,
                                          1.0 - kappa, kappa, width_tol=FP_TOL,
                                          residual_tol=FP_TOL)
@@ -490,16 +488,16 @@ def _composed_lane(kappa, q, w, m):
     return (p, residual, d1, d2) if d1 > 0.0 and d2 > 0.0 else None
 
 
-def _composed_revenues(kappas, q, w, m, fp_tol=FP_TOL):
+def _composed_revenues(kappas, q, w, m):
     # grid_revenues as a scalar loop, as hex: each take's revenue at the
     # bisected composed map's fixed point, or house_revenue(solve(...))
-    # where that map leaves the take to solve or fp_tol is not positive
+    # where that map leaves the take to solve
     out = []
     for k in kappas:
         lane = _composed_lane(k, q, w, m)
-        if lane is None or not fp_tol > 0.0:
+        if lane is None:
             params = MarketParams(kappa=k, q=q, w=w)
-            out.append(house_revenue(solve(params, m, fp_tol=fp_tol), params).hex())
+            out.append(house_revenue(solve(params, m), params).hex())
         else:
             d1, d2 = lane[2:]
             out.append(take_revenue(k, d1, d2, *atomic_stakes(k, q, w, d1, d2)).hex())
@@ -530,7 +528,7 @@ GRID_P_STAR_BOUND = FP_TOL
 GRID_REVENUE_BOUND = 2.41e-09
 
 
-def _assert_lanes_keep_the_contract(kappas, q, w, m, fp_tol=FP_TOL, handed=None):
+def _assert_lanes_keep_the_contract(kappas, q, w, m, handed=None):
     # per take: the lane is None exactly where the scalar bisection of the
     # composed map leaves the take to solve (or at the takes in handed, if
     # given), and such a take gets solve's revenue. A lane's residual is
@@ -541,13 +539,13 @@ def _assert_lanes_keep_the_contract(kappas, q, w, m, fp_tol=FP_TOL, handed=None)
     # totals are _D's at p*, and its revenue is take_revenue's from them.
     # Each lane lies within the bounds above of solve, where solve returns
     lanes = grid_fixed_points(kappas, q, w, m)
-    got = grid_revenues(kappas, q, w, m, fp_tol=fp_tol)
+    got = grid_revenues(kappas, q, w, m)
     assert len(lanes) == len(got) == len(kappas)
     assert [k for k, lane in zip(kappas, lanes) if lane is None] == (
         _handed_over(kappas, q, w, m)[1] if handed is None else handed)
     for k, lane, revenue in zip(kappas, lanes, got):
         params = MarketParams(kappa=k, q=q, w=w)
-        eq = _outcome(lambda: solve(params, m, fp_tol=fp_tol))
+        eq = _outcome(lambda: solve(params, m))
         if lane is None:
             assert revenue.hex() == house_revenue(eq, params).hex(), k
             continue
@@ -630,46 +628,6 @@ class TestTakeGrid:
     def test_one_sided_beliefs(self, q):
         _assert_lanes_keep_the_contract(_grid(32), q, 1.0, wedge(100))
 
-    @pytest.mark.parametrize("kappas, q, fp_tol", [
-        ([0.7, 0.5, 0.8], 0.9, FP_TOL),        # no equilibrium at the second take
-        ([0.7, 0.4, 1.0], 0.9, FP_TOL),        # ... raised before the invalid third
-        ([0.7, 1.0, 0.4], 0.9, FP_TOL),        # an invalid take first
-        (_grid(16), 0.9, 0.0),                 # nonpositive tolerance
-        (_grid(16), 1.5, FP_TOL),              # invalid belief
-        ([0.7, 10**400, 0.8], 0.9, FP_TOL),    # an int too large for a float
-    ])
-    def test_raises_what_the_scalar_loop_raises(self, kappas, q, fp_tol):
-        got = _outcome(lambda: _grid_revenues(kappas, q, 1.0, uniform(), fp_tol))
-        want = _outcome(lambda: _scalar_revenues(kappas, q, 1.0, uniform(), fp_tol))
-        assert not isinstance(want, list)
-        assert got == want
-        handed, want_handed = _handed_over(kappas, q, 1.0, uniform())
-        assert handed == want_handed
-
-    @pytest.mark.parametrize("fp_tol", [0.3, 0.5, math.inf])
-    def test_coarse_tolerance_leaves_the_lanes_at_float_resolution(self, fp_tol):
-        # solve raises at these tolerances, its boundaries out of order; the
-        # lanes have no boundaries and no tolerance, so every take gets the
-        # revenue it gets at FP_TOL
-        kappas = _grid(16)
-        assert _outcome(lambda: _scalar_revenues(kappas, 0.5, 1.0, uniform(), fp_tol)
-                        )[0] is DomainError
-        _assert_lanes_keep_the_contract(kappas, 0.5, 1.0, uniform(), fp_tol)
-        assert _grid_revenues(kappas, 0.5, 1.0, uniform(), fp_tol) == _grid_revenues(
-            kappas, 0.5, 1.0, uniform())
-
-    @pytest.mark.parametrize("kappas", [[0.7, 0.8], [0.4, 0.7]],
-                             ids=["valid-takes", "invalid-take-first"])
-    @pytest.mark.parametrize("q, w", [(1.5, 1.0), (-0.1, 1.0), (math.nan, 1.0),
-                                      (0.9, 0.0), (0.9, -1.0), (0.9, math.nan)])
-    def test_invalid_market_raises_what_the_scalar_loop_raises(self, kappas, q, w):
-        # a direct call checks q and w as solve's MarketParams does, take by
-        # take: no lane runs, and the first take's error is raised
-        assert grid_fixed_points(kappas, q, w, uniform()) == [None, None]
-        got = _outcome(lambda: _grid_revenues(kappas, q, w, uniform()))
-        want = _outcome(lambda: _scalar_revenues(kappas, q, w, uniform()))
-        assert got == want and got[0] is DomainError
-
     @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
     def test_bundled_take_grid_mass_calls(self, name):
         # one loop of 256 full-width lanes, and each evaluation asks the
@@ -726,8 +684,6 @@ class TestTakeGrid:
     def test_empty_grid(self):
         assert grid_fixed_points([], 0.5, 1.0, uniform()) == []
         assert grid_revenues([], 0.5, 1.0, uniform()) == []
-        # the scalar loop checks no tolerance when it has no take to solve
-        assert grid_revenues([], 0.5, 1.0, uniform(), fp_tol=0.0) == []
 
     def test_steep_measure_finishes_the_lane_out_of_floats_in_the_batch(self,
                                                                         monkeypatch):

@@ -1,6 +1,7 @@
 """Finite-population cross-check: discretization and the bisected response map."""
 
 import dataclasses
+import itertools
 import math
 import random
 from bisect import bisect_left, bisect_right
@@ -328,6 +329,26 @@ class TestIterateBestResponse:
             errs.append(abs(res.p_approx - eq.p_star))
         assert errs[1] <= errs[0] + 2e-4
         assert errs[2] <= errs[1] + 2e-4
+
+    @pytest.mark.parametrize("k", [-3, 5])
+    @pytest.mark.parametrize("m", DISCRETIZE_ZOO, ids=lambda m: m.kind)
+    def test_scaling_wealth_by_a_power_of_two_rescales_exactly(self, m, k):
+        # scaled(m, 2**k) multiplies every mass, so every wealth, with no
+        # rounding; with the budget scaled too, every comparison the
+        # iteration makes comes out the same, so it repeats its probes and
+        # scales its totals and stakes exactly
+        c = 2.0 ** k
+        pop, pop_c = discretize(m, 257), discretize(scaled(m, c), 257)
+        for kappa, q, w in itertools.product((0.55, 0.8, 0.95), (0.0, 0.3, 0.9, 1.0),
+                                             (BASELINE_W, 1.0)):
+            base = iterate_best_response(pop, MarketParams(kappa=kappa, q=q, w=w))
+            res = iterate_best_response(pop_c, MarketParams(kappa=kappa, q=q, w=c * w))
+            case = (kappa, q, w)
+            assert (res.p_approx.hex(), res.converged) == (base.p_approx.hex(),
+                                                           base.converged), case
+            assert ((res.d1, res.d2, res.atomic.a1, res.atomic.a2)
+                    == (c * base.d1, c * base.d2, c * base.atomic.a1,
+                        c * base.atomic.a2)), case
 
     @pytest.mark.parametrize("N", [500, 2000, 8000])
     @pytest.mark.parametrize("m", _family_zoo(), ids=lambda m: m.kind)
