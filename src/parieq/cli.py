@@ -45,16 +45,16 @@ def _core_values(sc: Scenario, kappa: float, w: float, eq) -> list[str]:
             _fmt(eq.atomic.a2), _fmt(eq.residual)]
 
 
-def _solve_scalar(sc: Scenario, fp_tol: float, command: str):
+def _solve_scalar(sc: Scenario, command: str):
     """The market at the scenario's one kappa, and its equilibrium."""
     if sc.is_sweep:
         raise ConfigError(f"'{command}' needs a scalar kappa; use 'sweep' for grids")
     params = MarketParams(kappa=sc.kappa, q=sc.q, w=sc.w)
-    return params, solve(params, sc.belief_measure, fp_tol=fp_tol)
+    return params, solve(params, sc.belief_measure)
 
 
-def run_solve(sc: Scenario, fp_tol: float) -> int:
-    params, eq = _solve_scalar(sc, fp_tol, "solve")
+def run_solve(sc: Scenario) -> int:
+    params, eq = _solve_scalar(sc, "solve")
     print(SCHEMA_LINE)
     print(",".join(_CORE_COLUMNS + sc.metrics))
     print(",".join(_core_values(sc, sc.kappa, sc.w, eq)
@@ -107,8 +107,8 @@ def run_optimize_take(sc: Scenario, grid: int, out_path) -> int:
     return EXIT_OK
 
 
-def run_oracle(sc: Scenario, fp_tol: float, n: int) -> int:
-    params, eq = _solve_scalar(sc, fp_tol, "oracle")
+def run_oracle(sc: Scenario, n: int) -> int:
+    params, eq = _solve_scalar(sc, "oracle")
     res = iterate_best_response(discretize(sc.belief_measure, n), params)
     print(f"p_approx={_fmt(res.p_approx)}")
     print(f"p_star={_fmt(eq.p_star)}")
@@ -124,11 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "parimutuel wagering with one large bettor.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tolerance=True):
+    def common(p):
         p.add_argument("--scenario", required=True, help="scenario .cfg path")
-        if tolerance:  # the take search's grid runs to float resolution
-            p.add_argument("--fp-tol", type=float, default=FP_TOL,
-                           help="fixed-point tolerance (default %(default)g)")
 
     p = sub.add_parser("solve", help="solve one scalar-kappa scenario")
     common(p)
@@ -140,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"also solve with the tiny budget w={BASELINE_W:g}")
 
     p = sub.add_parser("optimize-take", help="find the revenue-maximizing kappa")
-    common(p, tolerance=False)
+    common(p)
     p.add_argument("--out", default=None, help="profile CSV path")
     p.add_argument("--grid", type=int, default=256,
                    help="kappa grid points (default %(default)s)")
@@ -155,8 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_numbers(args) -> None:
     # the library would reject these too, but only mid-run: as solver
     # failures, or as one error row per kappa in a sweep file
-    if args.command != "optimize-take" and not args.fp_tol > 0.0:
-        raise ConfigError(f"--fp-tol must be positive, got {args.fp_tol}")
     if args.command == "optimize-take" and args.grid < MIN_GRID_POINTS:
         raise ConfigError(f"--grid must be at least {MIN_GRID_POINTS}, got {args.grid}")
     if args.command == "oracle" and args.n < MIN_POPULATION:
@@ -172,14 +167,14 @@ def main(argv=None) -> int:
         _check_numbers(args)
         sc = load_scenario(args.scenario)
         if args.command == "solve":
-            return run_solve(sc, args.fp_tol)
+            return run_solve(sc)
         if args.command == "sweep":
-            _write(args.out, sweep_csv(sc, args.fp_tol, args.baseline))
+            _write(args.out, sweep_csv(sc, FP_TOL, args.baseline))
             return EXIT_OK
         if args.command == "optimize-take":
             return run_optimize_take(sc, args.grid, args.out)
         if args.command == "oracle":
-            return run_oracle(sc, args.fp_tol, args.n)
+            return run_oracle(sc, args.n)
         raise AssertionError(args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

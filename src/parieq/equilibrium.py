@@ -66,20 +66,15 @@ FP_TOL = 1e-10
 
 @dataclass(frozen=True)
 class PhiContext:
-    """Per-scenario state for evaluating the response map phi."""
+    """Per-market state for evaluating the response map phi; see phi_context."""
 
     params: MarketParams
     measure: BeliefMeasure
     pbar1: "Boundary"  # large bettor backs Outcome 1 for candidates above this
     pbar2: "Boundary"  # ... and Outcome 2 for candidates below this
     # the stake coefficients on Outcome 1 and 2, from params
-    c1: float = field(init=False, repr=False, compare=False)
-    c2: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        kappa, q = self.params.kappa, self.params.q
-        object.__setattr__(self, "c1", _stake_coefficient(kappa, q))
-        object.__setattr__(self, "c2", _stake_coefficient(kappa, 1.0 - q))
+    c1: float = field(repr=False, compare=False)
+    c2: float = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -161,8 +156,8 @@ def _bisect_steps(g: Callable[[float], float], state: tuple, width_tol: float,
 class Boundary:
     """An action boundary's bisection, advanced only as far as it is asked.
 
-    Boundary(g, lo, hi, tol).root() is _bisect_decreasing(g, lo, hi,
-    tol)[0], bit for bit: the constructor evaluates g at both ends, as that
+    Boundary(g, lo, hi).root() is _bisect_decreasing(g, lo, hi, FP_TOL)[0],
+    bit for bit: the constructor evaluates g at both ends, as that
     bisection does first, and each later step is one pass of the same loop,
     _bisect_steps, with residual_tol = inf. below(p) and above(p) compare
     the root with p and take only the steps that the comparison needs: the
@@ -178,11 +173,10 @@ class Boundary:
     state is the finished root's.
     """
 
-    __slots__ = ("_g", "_tol", "_state")
+    __slots__ = ("_g", "_state")
 
-    def __init__(self, g: Callable[[float], float], lo: float, hi: float,
-                 tol: float):
-        self._g, self._tol = g, tol
+    def __init__(self, g: Callable[[float], float], lo: float, hi: float):
+        self._g = g
         self._state = _bisect_start(g, lo, hi)
 
     @classmethod
@@ -201,7 +195,7 @@ class Boundary:
         # the state after one more step; a finished state stays as it is
         state = self._state
         if not state[4]:
-            self._state = state = _bisect_steps(self._g, state, self._tol, inf, once=True)
+            self._state = state = _bisect_steps(self._g, state, FP_TOL, inf, once=True)
         return state
 
     def root(self) -> float:
@@ -233,19 +227,18 @@ class Boundary:
             self._step()
 
 
-def compute_pbar1(params: MarketParams, measure: BeliefMeasure,
-                  tol: float = FP_TOL) -> Boundary:
+def compute_pbar1(params: MarketParams, measure: BeliefMeasure) -> Boundary:
     """Boundary candidate above which the large bettor backs Outcome 1.
 
     Unique root of q = d1 / (kappa (d1 + d2)) along the band; the ratio falls
     continuously from 1/kappa to 0, so the root is interior unless q = 0, in
     which case the boundary collapses to kappa exactly. Returns the
     bisection as a Boundary, with only the band ends evaluated; its root()
-    is the bisection's root to tol.
+    is the bisection's root to FP_TOL, whatever tolerance solve is given.
 
     The last boundary is remembered, keyed by the measure object (compared
     with ``is``, so a copy that compares equal is another key) and by
-    kappa, q and tol; a call with that key returns it, as far as earlier
+    kappa and q; a call with that key returns it, as far as earlier
     comparisons have advanced it. The boundaries do not depend on the
     budget w, and ``sweep --baseline`` solves both budgets of a take in a
     row, so one entry is all such a sweep can reuse. Any other key starts
@@ -261,11 +254,10 @@ def compute_pbar1(params: MarketParams, measure: BeliefMeasure,
         d1, d2 = _D(p, kappa, m)
         return d1 / (kappa * (d1 + d2)) - q
 
-    return _remembered_boundary(0, g, params, measure, tol)
+    return _remembered_boundary(0, g, params, measure)
 
 
-def compute_pbar2(params: MarketParams, measure: BeliefMeasure,
-                  tol: float = FP_TOL) -> Boundary:
+def compute_pbar2(params: MarketParams, measure: BeliefMeasure) -> Boundary:
     """Boundary candidate below which the large bettor backs Outcome 2.
 
     Mirror of compute_pbar1 on the rising ratio d2 / (kappa (d1 + d2));
@@ -282,27 +274,25 @@ def compute_pbar2(params: MarketParams, measure: BeliefMeasure,
         # rising ratio; negate to reuse the decreasing-map bisection
         return (1.0 - q) - d2 / (kappa * (d1 + d2))
 
-    return _remembered_boundary(1, g, params, measure, tol)
+    return _remembered_boundary(1, g, params, measure)
 
 
-# each boundary's last (measure, (kappa, q, tol), Boundary): pbar1's, then
+# each boundary's last (measure, (kappa, q), Boundary): pbar1's, then
 # pbar2's. An entry is one tuple, read once and replaced whole, so threads
 # sharing it see a whole entry; two that miss at once both start one
 _last_boundaries: list = [(None, None, None), (None, None, None)]
 
 
 def _remembered_boundary(slot: int, g: Callable[[float], float],
-                         params: MarketParams, measure: BeliefMeasure,
-                         tol: float) -> Boundary:
+                         params: MarketParams, measure: BeliefMeasure) -> Boundary:
     # a new bisection on the band, or the one in slot when the key matches;
     # the measure is held, so its identity stays unique. Keys that compare
-    # equal bisect to the same bits: a signed zero q or tol enters only as
-    # 1 - q and in hi - lo < tol
+    # equal bisect to the same bits: a signed zero q enters only as 1 - q
     last_measure, last_key, last = _last_boundaries[slot]
-    key = (params.kappa, params.q, tol)
+    key = (params.kappa, params.q)
     if last_measure is measure and last_key == key:
         return last
-    boundary = Boundary(g, 1.0 - params.kappa, params.kappa, tol)
+    boundary = Boundary(g, 1.0 - params.kappa, params.kappa)
     _last_boundaries[slot] = (measure, key, boundary)
     return boundary
 
@@ -324,17 +314,19 @@ def _ordered(low: Boundary, high: Boundary) -> bool:
         (low if hi1 - lo1 >= hi2 - lo2 else high)._step()
 
 
-def phi_context(params: MarketParams, measure: BeliefMeasure,
-                fp_tol: float = FP_TOL) -> PhiContext:
-    """The action boundaries for a scenario, checked to be in order."""
-    pbar1 = compute_pbar1(params, measure, tol=fp_tol)
-    pbar2 = compute_pbar2(params, measure, tol=fp_tol)
-    # the true boundaries are ordered; a coarse fp_tol, or masses that
-    # cancel to zero, can leave the computed ones equal or swapped
+def phi_context(params: MarketParams, measure: BeliefMeasure) -> PhiContext:
+    """The market's boundaries, bisected to FP_TOL and checked to be in order."""
+    pbar1, pbar2 = compute_pbar1(params, measure), compute_pbar2(params, measure)
+    # the true boundaries are ordered; two that lie within FP_TOL of each
+    # other, as on steep wedges next to a band end, or masses that cancel
+    # to zero, can leave the computed ones equal or swapped
     if not _ordered(pbar2, pbar1):
         raise DomainError(f"action boundaries out of order: pbar2={pbar2.root()} >= "
-                          f"pbar1={pbar1.root()} at fp_tol={fp_tol}")
-    return PhiContext(params=params, measure=measure, pbar1=pbar1, pbar2=pbar2)
+                          f"pbar1={pbar1.root()}")
+    kappa, q = params.kappa, params.q
+    return PhiContext(params=params, measure=measure, pbar1=pbar1, pbar2=pbar2,
+                      c1=_stake_coefficient(kappa, q),
+                      c2=_stake_coefficient(kappa, 1.0 - q))
 
 
 def _stake_coefficient(kappa, belief):
@@ -391,14 +383,16 @@ def solve(params: MarketParams, measure: BeliefMeasure,
 
     Bisects phi(p) - p over the band; the endpoint values phi(1-kappa) = 1
     and phi(kappa) = 0 guarantee the sign change, and monotonicity makes the
-    crossing unique. The bracket is narrowed below fp_tol and the reported
-    fixed-point residual is driven below fp_tol as well.
+    crossing unique. fp_tol stops this bisection and nothing else: the
+    bracket is narrowed below fp_tol and the reported fixed-point residual
+    is driven below fp_tol as well. The map, phi_context's, does not depend
+    on fp_tol, so at any fp_tol eq.residual is |phi(p_star) - p_star| on it.
     """
     if not fp_tol > 0.0:
         raise DomainError(f"fp_tol must be positive, got {fp_tol}")
     if params.kappa <= 0.5:
         raise NoEquilibriumError("no equilibrium: kappa must exceed 0.5")
-    ctx = phi_context(params, measure, fp_tol=fp_tol)
+    ctx = phi_context(params, measure)
     p_star, residual = _bisect_decreasing(
         lambda p: phi(p, ctx) - p,
         1.0 - params.kappa, params.kappa,
@@ -520,14 +514,20 @@ def _secant_lanes(g, lo: np.ndarray, hi: np.ndarray):
     the same bits but was slower on the six bundled 256-take grids (10.8
     against 10.5 ms in all, in process on one CPU) and on a 4-knot
     tabulated one, where masses are cheap; it paid only where they are
-    dear (a 2-kernel mixture, 4.4 against 5.5 ms). A lane's first probe is
-    the chord through its bracket's ends, moved strictly inside, with the
-    upper end standing in for the probe before it; every later one is ``_secant_step``'s, and each probe
-    replaces the bracket end whose sign it shares. A lane keeps its best
-    point, where |g| is least, and stops where ``_secant_step`` says it is
-    done. There is no tolerance. Returns (root, |g(root)|, ok). A lane
-    where g is not finite is not ok, its root meaningless, for ``solve``
-    to redo.
+    dear (a 2-kernel mixture, 4.4 against 5.5 ms). One loop for both costs
+    more: compacting and keeping the best probe slowed ``oracle_crosscheck``
+    (0.0177 against 0.0155 s per run) and moved 2,597 of its 24,000
+    beliefs; ``discretize``'s loop with the grid's best probe tracked in g
+    slowed the six grids (11.5 against 10.2 ms); a lane's last probe, or
+    the better of its last two, misses the tests' revenue bound (2.38e-14
+    against 1.48e-14, example4_case2 at kappa = 0.50402). A lane's first
+    probe is the chord through its bracket's ends, moved strictly inside,
+    with the upper end standing in for the probe before it; every later one
+    is ``_secant_step``'s, and each probe replaces the bracket end whose
+    sign it shares. A lane keeps its best point, where |g| is least, and
+    stops where ``_secant_step`` says it is done. There is no tolerance.
+    Returns (root, |g(root)|, ok). A lane where g is not finite is not ok,
+    its root meaningless, for ``solve`` to redo.
     """
     glo, ghi = g(lo), g(hi)
     ok = np.isfinite(glo) & np.isfinite(ghi)  # totals that vanish give NaN

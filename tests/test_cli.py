@@ -10,8 +10,7 @@ from pathlib import Path
 import pytest
 
 import parieq
-from parieq.cli import main, sweep_csv
-from parieq.equilibrium import FP_TOL
+from parieq.cli import main
 from parieq.errors import ConfigError
 from parieq.metrics import METRICS
 from parieq.scenario import (build_measure, bundled_scenarios, dump_scenario,
@@ -96,7 +95,7 @@ class TestSolveCommand:
         import parieq.cli as cli_mod
         from parieq.errors import QuadratureError
 
-        def failing_solve(params, measure, fp_tol):
+        def failing_solve(params, measure):
             raise QuadratureError("synthetic failure")
 
         monkeypatch.setattr(cli_mod, "solve", failing_solve)
@@ -282,12 +281,8 @@ class TestConfigErrors:
 
 class TestBadNumbers:
     @pytest.mark.parametrize("command, extra", [
-        ("solve", ["--fp-tol", "nan"]),
-        ("solve", ["--fp-tol", "-1"]),
-        ("solve", ["--fp-tol", "0"]),
         ("optimize-take", ["--grid", "8"]),
         ("oracle", ["--n", "1"]),
-        ("sweep", ["--fp-tol", "0"]),
     ], ids=lambda v: v if isinstance(v, str) else "=".join(v).lstrip("-"))
     def test_config_error_before_any_solve_or_file(self, tmp_path, capsys,
                                                   monkeypatch, command, extra):
@@ -308,21 +303,23 @@ class TestBadNumbers:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, fp_tol", [("solve", "0.3"), ("solve", "inf")])
-    def test_too_coarse_tolerance_is_a_solver_failure(self, tmp_path, capsys,
-                                                      command, fp_tol):
-        # a positive tolerance is a valid number, but at this one the two
-        # action boundaries come out of order
-        path = write_scenario(tmp_path)
-        assert main([command, "--scenario", str(path), "--fp-tol", fp_tol]) == 3
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_boundaries_out_of_order_are_a_solver_failure(self, tmp_path, capsys,
+                                                          command):
+        # on this steep wedge the two action boundaries bisect to one point
+        path = write_scenario(tmp_path, measure={"kind": "wedge", "n": 2**20},
+                              q=0.01, kappa=0.6)
+        assert main([command, "--scenario", str(path)]) == 3
         assert "action boundaries out of order" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["optimize-take", "--scenario", "x.cfg", "--grid", "abc"],
-        # the take search has no tolerance to set
+        # no command has a tolerance to set
         ["optimize-take", "--scenario", "x.cfg", "--fp-tol", "1e-10"],
+        ["solve", "--scenario", "x.cfg", "--fp-tol", "1e-10"],
+        ["sweep", "--scenario", "x.cfg", "--out", "x.csv", "--fp-tol", "1e-10"],
+        ["oracle", "--scenario", "x.cfg", "--fp-tol", "1e-10"],
         ["solve"],
-        ["solve", "--scenario", "x.cfg", "--fp-tol", "abc"],
         ["oracle", "--scenario", "x.cfg", "--n", "abc"],
         ["frobnicate"],
         [],
@@ -332,13 +329,14 @@ class TestBadNumbers:
         assert main(argv) == 1
         assert "usage: parieq" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [[], ["solve"], ["optimize-take"]],
+    @pytest.mark.parametrize("command", [[], ["solve"], ["sweep"], ["optimize-take"],
+                                         ["oracle"]],
                              ids=lambda argv: " ".join(argv) or "no-command")
     def test_help_exits_zero(self, capsys, command):
         assert main([*command, "--help"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("usage: parieq")
-        assert ("--fp-tol" in out) == (command == ["solve"])
+        assert "--fp-tol" not in out
 
     @pytest.mark.parametrize("command", ["solve", "optimize-take"])
     def test_vanishing_totals_are_a_solver_failure(self, tmp_path, capsys, command):
@@ -409,11 +407,14 @@ class TestSweepCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
-    def test_bundled_sweep_matches_reference_bytes(self, name):
-        # the benchmark checks one of these files per run; this checks all
-        # six, so a changed digit, column or row order fails here too
-        got = sweep_csv(load_scenario(bundled_scenarios()[name]), FP_TOL, True)
-        assert got.encode() == (REFERENCE_SWEEPS / f"{name}.csv").read_bytes()
+    def test_bundled_sweep_matches_reference_bytes(self, tmp_path, name):
+        # the benchmark checks one of these files per run, from sweep_csv;
+        # this runs all six through the command line, so a changed digit,
+        # column, row order or solve tolerance fails here too
+        out = tmp_path / f"{name}.csv"
+        assert main(["sweep", "--scenario", str(bundled_scenarios()[name]),
+                     "--out", str(out), "--baseline"]) == 0
+        assert out.read_bytes() == (REFERENCE_SWEEPS / f"{name}.csv").read_bytes()
 
     def test_scalar_scenario_rejected(self, tmp_path, capsys):
         path = write_scenario(tmp_path)

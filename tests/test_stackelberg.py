@@ -12,7 +12,7 @@ import parieq.equilibrium as equilibrium_mod
 import parieq.stackelberg as stackelberg_mod
 from parieq.equilibrium import solve
 from parieq.errors import DomainError
-from parieq.measure import gaussian_mixture, scaled, uniform
+from parieq.measure import gaussian_mixture, scaled, uniform, wedge
 from parieq.metrics import house_revenue
 from parieq.response import MarketParams
 from parieq.scenario import build_measure, bundled_scenarios, load_scenario
@@ -214,4 +214,16 @@ def test_one_degenerate_take_does_not_end_the_search():
         with pytest.raises(DomainError, match="out of order"):
             solve(MarketParams(kappa=kappa, q=0.8, w=1.0), m)
     opt = optimize_take(m, 0.8, 1.0)
+    assert len(opt.profile) == 256 and opt.revenue_star >= max(r for _, r in opt.profile)
+
+
+@pytest.mark.xfail(strict=True, raises=DomainError,
+                   reason="on wedge(2**20) a golden-section probe meets a take "
+                          "whose two action boundaries bisect to the same point, "
+                          "so solve raises 'out of order' there and ends the "
+                          "search; the grid lanes finish every take")
+def test_the_search_on_a_steep_wedge():
+    # the same holds at q = 0.01, 0.5, 0.7 and 0.99
+    opt = optimize_take(wedge(2**20), 0.3, 1.0)
+    assert KAPPA_SEARCH_LO <= opt.kappa_star <= KAPPA_SEARCH_HI
     assert len(opt.profile) == 256 and opt.revenue_star >= max(r for _, r in opt.profile)
