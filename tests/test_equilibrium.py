@@ -400,17 +400,19 @@ class TestSolve:
                 assert (edge2 > 0) == (p < eq.thresholds.bet2_below)
 
     @pytest.mark.parametrize("fp_tol", [1e-15, FP_TOL, 0.3, 0.5, math.inf])
-    def test_residual_is_the_map_residual_at_every_tolerance(self, fp_tol):
+    @pytest.mark.parametrize(
+        "sc", scenario_zoo() + bundled_cases()
+        + [Scen("symmetric", uniform(), MarketParams(kappa=0.8, q=0.5, w=1.0))],
+        ids=lambda sc: sc.name)
+    def test_residual_is_the_map_residual_at_every_tolerance(self, sc, fp_tol):
         # the tolerance stops solve's bisection and nothing else: the
         # boundaries bisect to FP_TOL and stay in order, so a coarse
         # tolerance returns a coarse p_star, and the reported residual is
         # exactly the residual of phi_context's map there
-        symmetric = Scen("symmetric", uniform(), MarketParams(kappa=0.8, q=0.5, w=1.0))
-        for sc in scenario_zoo() + bundled_cases() + [symmetric]:
-            eq = solve(sc.params, sc.measure, fp_tol=fp_tol)
-            ctx = phi_context(sc.params, sc.measure)
-            assert 1.0 - sc.params.kappa <= eq.p_star <= sc.params.kappa
-            assert eq.residual == abs(phi(eq.p_star, ctx) - eq.p_star), sc.name
+        eq = solve(sc.params, sc.measure, fp_tol=fp_tol)
+        ctx = phi_context(sc.params, sc.measure)
+        assert 1.0 - sc.params.kappa <= eq.p_star <= sc.params.kappa
+        assert eq.residual == abs(phi(eq.p_star, ctx) - eq.p_star)
 
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(DomainError):
