@@ -48,16 +48,15 @@ cumulatives are constants: cum(1.0) is taken once, at construction, and a
 lower bound of zero gives cum(hi) + 0.0. On these families the cumulative
 of a zero is a zero, so that is the difference's float, except that
 [0.0, -0.0] gets +0.0 where cum(-0.0) - cum(0.0) is -0.0. The Gaussian
-mixture takes each kernel's erf and erfc at the band ends 0.0 and 1.0 once,
-at construction, and reads them where a bound is that end. The built-in
-families take their cumulatives from their antiderivatives: piecewise
-polynomials for the wedge families and tabulated densities, erf and
-erfc differences for Gaussian mixtures, and the base's mass times the factor
-for scaled. from_density, which wraps an arbitrary user density, builds a
-piecewise-cubic cumulative once at construction, from an adaptive Simpson
-pass to a tolerance relative to its total, and never calls the density
-again. A measure whose total mass is not finite is rejected at
-construction.
+mixture takes each kernel's erf or erfc at 0.0 and 1.0 as at any other
+bound. The built-in families take their cumulatives from their
+antiderivatives: piecewise polynomials for the wedge families and tabulated
+densities, erf and erfc differences for Gaussian mixtures, and the base's
+mass times the factor for scaled. from_density, which wraps an arbitrary
+user density, builds a piecewise-cubic cumulative once at construction,
+from an adaptive Simpson pass to a tolerance relative to its total, and
+never calls the density again. A measure whose total mass is not finite is
+rejected at construction.
 
 exact_moment(lo, hi), the first moment of [lo, hi] (the integral of p
 times the density), serves the small bettors' subjective profit. It is
@@ -93,7 +92,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, as_count
 # adaptive_simpson is not called here, but benchmarks/spans.py wraps
 # parieq.measure.adaptive_simpson
 from .quadrature import adaptive_simpson, simpson_panels  # noqa: F401
@@ -286,11 +285,10 @@ def _wedge_density(n: int) -> Callable[[float], float]:
     return lambda p: ramp * p + top + cut if p < cut else cut
 
 
-def _check_wedge_args(n: int) -> None:
-    # bool is an int subclass, not an order; above 2**53 the order is no
-    # longer an exact float, and the density loses its positivity proof
-    if not (type(n) is int and 1 <= n <= 2**53):
-        raise DomainError(f"wedge order must be an integer in [1, 2**53], got {n!r}")
+def _wedge_order(n: int) -> int:
+    # above 2**53 the order is no longer an exact float, and the density
+    # loses its positivity proof
+    return as_count(n, 1, 2**53, "wedge order must be an integer in [1, 2**53]")
 
 
 def _wedge_cumulatives(n: int):
@@ -310,7 +308,7 @@ def _wedge_cumulatives(n: int):
 
 def wedge(n: int) -> BeliefMeasure:
     """Wedge measure of order n; total mass 1, wedge(1) is uniform."""
-    _check_wedge_args(n)
+    n = _wedge_order(n)
     return _finish(_wedge_density(n), f"wedge(n={n})",
                    *_interval_masses(*_wedge_cumulatives(n)), floor=1.0 / n)
 
@@ -324,7 +322,7 @@ def uniform() -> BeliefMeasure:
 
 def symmetrized_wedge(n: int) -> BeliefMeasure:
     """Symmetric measure splitting the wedge's wealth between both extremes."""
-    _check_wedge_args(n)
+    n = _wedge_order(n)
     w, w_array = _interval_masses(*_wedge_cumulatives(n))
     density = _wedge_density(n)
 
@@ -356,14 +354,13 @@ def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
     Kernel k adds w_k/2 * (erf(z(hi)) - erf(z(lo))) to the mass of [lo, hi],
     z(p) = (p - mu_k)/(sd_k*sqrt 2); on an interval to one side of mu_k
     whose far end has |z| > 0.5, where that difference cancels, it takes
-    the same difference of erfc values. The values at z(0) and z(1), which
-    every solver probe needs at one end, are taken once, here. Its first
-    moment on [lo, hi] is mu_k times that mass plus sd_k^2 (g_k(lo) -
-    g_k(hi)), g_k the kernel's density, whose sd_k^2 g_k(p) is w_k
-    sd_k/sqrt(2 pi) exp(-z(p)^2); the difference of the two exp values is
-    taken through expm1 (see moment). The mu_k mass term is the mass's own
-    erf sum with w_k mu_k in place of w_k. Where a moment coefficient,
-    w_k mu_k / 2 or w_k sd_k/sqrt(2 pi), overflows, exact_moment is None.
+    the same difference of erfc values. Its first moment on [lo, hi] is
+    mu_k times that mass plus sd_k^2 (g_k(lo) - g_k(hi)), g_k the kernel's
+    density, whose sd_k^2 g_k(p) is w_k sd_k/sqrt(2 pi) exp(-z(p)^2); the
+    difference of the two exp values is taken through expm1 (see moment).
+    The mu_k mass term is the mass's own erf sum with w_k mu_k in place of
+    w_k. Where a moment coefficient, w_k mu_k / 2 or w_k sd_k/sqrt(2 pi),
+    overflows, exact_moment is None.
     """
     weights = tuple(float(x) for x in weights)
     means = tuple(float(x) for x in means)
@@ -379,41 +376,27 @@ def gaussian_mixture(weights: Sequence[float], means: Sequence[float],
             raise DomainError(f"mixture stddevs must be positive, got {sd}")
     erf, erfc, exp, expm1 = math.erf, math.erfc, math.exp, math.expm1
 
-    def ends(z: float) -> tuple[float, float, float]:
-        # what erf_sum takes at a band end's z on each of its branches
-        return erf(z), erfc(z), erfc(-z)
-
-    # each kernel's mean and sd sqrt 2, and ends() at z(0) and z(1)
+    # each kernel's sd sqrt 2
     widths = tuple(sd * math.sqrt(2.0) for sd in stddevs)
-    shapes = tuple((mu, width, ends((0.0 - mu) / width), ends((1.0 - mu) / width))
-                   for mu, width in zip(means, widths))
 
     def erf_sum(coefs):
         # sum over kernels of coef * (erf(z(hi)) - erf(z(lo))) on [lo, hi]:
         # the mass with each kernel's w/2 as its coef
-        kernels = tuple((c, *shape) for c, shape in zip(coefs, shapes))
+        kernels = tuple(zip(coefs, means, widths))
 
         def total(lo: float, hi: float) -> float:
-            # at lo == 0.0 or hi == 1.0, the band ends _D asks for, each
-            # kernel reads the erf or erfc of that end from its constants: the
-            # same function of the same argument, so the same float. A lo of
-            # -0.0 reads +0.0's: with mu = 0 that flips the sign of a zero
-            # term only, which the sum, started at +0.0, does not keep
-            out, at0, at1 = 0.0, lo == 0.0, hi == 1.0
-            for c, mu, width, end0, end1 in kernels:
+            out = 0.0
+            for c, mu, width in kernels:
                 a, b = (lo - mu) / width, (hi - mu) / width
                 # erfc only on a tail reaching past |z| = 0.5, where the erf
                 # values near +-1 would cancel; nearer the mean the erfc
                 # values near 1 would
                 if a < -0.5 and b < 0.0:  # a lower tail's mirror image is an upper one
-                    out += c * ((end1[2] if at1 else erfc(-b))
-                                - (end0[2] if at0 else erfc(-a)))
+                    out += c * (erfc(-b) - erfc(-a))
                 elif b > 0.5 and a > 0.0:
-                    out += c * ((end0[1] if at0 else erfc(a))
-                                - (end1[1] if at1 else erfc(b)))
+                    out += c * (erfc(a) - erfc(b))
                 else:
-                    out += c * ((end1[0] if at1 else erf(b))
-                                - (end0[0] if at0 else erf(a)))
+                    out += c * (erf(b) - erf(a))
             return out
         return total
 

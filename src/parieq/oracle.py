@@ -24,13 +24,14 @@ Agreement with the continuum solver validates both sides; no claim is made
 that the finite game itself has this as an equilibrium.
 """
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .equilibrium import _secant_step
-from .errors import DomainError
+from .errors import DomainError, as_count
 # mass is not called here, but benchmarks/spans.py wraps parieq.oracle.mass
 from .measure import BeliefMeasure, mass  # noqa: F401
 from .response import AtomicBet, DiffuseAggregate, MarketParams, atomic_best_response
@@ -110,10 +111,8 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
     inside its bracket. There is no tolerance and no iteration cap: every
     probe lies strictly inside the bracket and becomes one of its ends.
     """
-    # bool is an int subclass and a float is no count: neither is a population
-    if not (type(N) is int and N >= MIN_POPULATION):
-        raise DomainError(f"population size must be an integer of at least "
-                          f"{MIN_POPULATION}, got {N!r}")
+    N = as_count(N, MIN_POPULATION, math.inf,
+                 f"population size must be an integer of at least {MIN_POPULATION}")
     total = measure.total_mass
     mass_array = measure.exact_mass_array
     knots = np.arange(N + 1) / N

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .equilibrium import grid_fixed_points, solve
-from .errors import DomainError
+from .errors import as_count
 from .measure import BeliefMeasure
 from .metrics import house_revenue, take_revenue
 from .response import MarketParams, atomic_stakes
@@ -77,10 +77,8 @@ def _solved_revenue(kappa: float, q: float, w: float, measure: BeliefMeasure) ->
 def optimize_take(measure: BeliefMeasure, q: float, w: float,
                   grid_points: int = 256) -> TakeOptimum:
     """Maximize take revenue over kappa in the clamped search interval."""
-    # bool is an int subclass and a float breaks range(): neither is a count
-    if not (type(grid_points) is int and grid_points >= MIN_GRID_POINTS):
-        raise DomainError(f"grid_points must be an integer of at least "
-                          f"{MIN_GRID_POINTS}, got {grid_points!r}")
+    grid_points = as_count(grid_points, MIN_GRID_POINTS, math.inf,
+                           f"grid_points must be an integer of at least {MIN_GRID_POINTS}")
     MarketParams(kappa=KAPPA_SEARCH_LO, q=q, w=w)  # the grid's lanes take q and w unchecked
 
     span = KAPPA_SEARCH_HI - KAPPA_SEARCH_LO

@@ -276,10 +276,19 @@ class TestDiscretize:
         with pytest.raises(DomainError):
             discretize(uniform(), 1)
 
-    @pytest.mark.parametrize("N", [True, 2000.0, "2000"], ids=repr)
+    @pytest.mark.parametrize("N", [True, np.True_, 2000.0, np.float64(2000.0), "2000"],
+                             ids=repr)
     def test_rejects_a_population_size_that_is_not_an_int(self, N):
         with pytest.raises(DomainError, match="integer"):
             discretize(uniform(), N)
+
+    def test_a_numpy_population_size_is_an_int(self):
+        m, want = symmetrized_wedge(7), discretize(symmetrized_wedge(7), 100)
+        got = discretize(m, np.int64(100))
+        assert got.beliefs.tobytes() == want.beliefs.tobytes()
+        assert got.wealths.tobytes() == want.wealths.tobytes()
+        with pytest.raises(DomainError, match="integer"):
+            discretize(m, np.int64(1))
 
 
 class TestDiscretePopulation:

@@ -75,10 +75,16 @@ class TestOptimizeTake:
         with pytest.raises(DomainError):
             optimize_take(uniform(), 0.9, 1.0, grid_points=8)
 
-    @pytest.mark.parametrize("grid_points", [256.0, True, 15, "256"])
+    @pytest.mark.parametrize("grid_points", [256.0, True, 15, "256", np.float64(256.0),
+                                             np.True_, np.int64(15)],
+                             ids=lambda x: repr(x) if isinstance(x, np.generic) else None)
     def test_grid_points_must_be_an_integer_count(self, grid_points):
         with pytest.raises(DomainError, match="grid_points"):
             optimize_take(uniform(), 0.9, 1.0, grid_points=grid_points)
+
+    def test_a_numpy_grid_points_is_a_count(self):
+        assert (optimize_take(uniform(), 0.9, 1.0, grid_points=np.int64(64))
+                == optimize_take(uniform(), 0.9, 1.0, grid_points=64))
 
     @pytest.mark.parametrize("q, w", [(1.5, 1.0), (math.nan, 1.0), (0.9, 0.0),
                                       (0.9, -1.0)])
