@@ -8,9 +8,7 @@ evaluates revenue/profit metrics, optimizes the take, and cross-checks the
 continuum solution against a brute-force finite population.
 """
 
-from .equilibrium import (Boundary, Equilibrium, FP_TOL, PhiContext,
-                          compute_pbar1, compute_pbar2, phi, phi_context,
-                          solve, zeta1, zeta2)
+from .equilibrium import Equilibrium, FP_TOL, phi, solve
 from .errors import (ConfigError, DomainError, NoEquilibriumError,
                      ParieqError, QuadratureError)
 from .measure import (BeliefMeasure, from_density, gaussian_mixture, mass,
@@ -21,9 +19,8 @@ from .metrics import (MarketReport, atomic_actual_profit,
 from .oracle import (DiscretePopulation, OracleResult, discrete_totals,
                      discretize, iterate_best_response)
 from .response import (AtomicBet, DiffuseAggregate, DiffuseThresholds,
-                       MarketParams, atomic_best_response, atomic_profit,
-                       diffuse_best_response, diffuse_unit_edge,
-                       implied_probability)
+                       MarketParams, atomic_best_response,
+                       diffuse_best_response, diffuse_unit_edge)
 from .scenario import (Scenario, SweepSpec, build_measure, bundled_scenarios,
                        dump_scenario, load_scenario, parse_scenario)
 from .stackelberg import TakeOptimum, optimize_take

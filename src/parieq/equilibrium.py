@@ -138,8 +138,8 @@ def _bisect_steps(g: Callable[[float], float], state: tuple, width_tol: float,
     lo, hi, best_p, best_g, _ = state
     while lo < (mid := 0.5 * (lo + hi)) < hi:  # until float resolution runs out
         gmid = g(mid)
-        if abs(gmid) < best_g:
-            best_p, best_g = mid, abs(gmid)
+        if (agmid := abs(gmid)) < best_g:
+            best_p, best_g = mid, agmid
         if gmid == 0.0:  # exact crossing, common in symmetric markets
             return lo, hi, mid, 0.0, True
         if gmid > 0.0:
@@ -208,7 +208,9 @@ class Boundary:
     def span(self) -> tuple[float, float]:
         """The closed interval holding every root the remaining steps can return."""
         lo, hi, best_p, _, done = self._state
-        return (best_p, best_p) if done else (min(lo, best_p), max(hi, best_p))
+        if done:
+            return best_p, best_p
+        return (best_p if best_p < lo else lo), (best_p if best_p > hi else hi)
 
     def below(self, p: float) -> bool:
         """root() < p, stepping only until that is decided."""
@@ -336,10 +338,12 @@ def _stake_coefficient(kappa, belief):
     return kappa * belief / (1.0 - kappa * belief)
 
 
-def _stake(c: float, d1: float, d2: float, own: float) -> float:
-    # unconstrained optimal stake on the side whose stake coefficient is c
-    # and whose small-bettor total is own
-    return max(0.0, sqrt(c * d1 * d2) - own)
+def _stake(c: float, d1: float, d2: float, own: float, cap: float = inf) -> float:
+    # optimal stake, capped at cap, on the side whose stake coefficient is c
+    # and whose small-bettor total is own: min(cap, max(0.0, s)) for a
+    # positive cap, with its ties and its NaN (to 0.0), in comparisons
+    s = sqrt(c * d1 * d2) - own
+    return cap if s >= cap else (s if s > 0.0 else 0.0)
 
 
 def zeta1(p: float, ctx: PhiContext) -> float:
@@ -369,12 +373,23 @@ def phi(p: float, ctx: PhiContext) -> float:
 
     p must lie in the band [1 - kappa, kappa]. The band check is mass()'s:
     past the band, NaN included, a threshold leaves [0, 1] (see _D).
+
+    The regimes are atomic_stakes': she backs Outcome 1 where pbar1 lies
+    below p, Outcome 2 where pbar2 lies above it, and abstains otherwise,
+    with one stake a from _stake capped at her budget. phi_context's order
+    check makes pbar2 < pbar1, so the first two regimes never overlap, the
+    second boundary is asked only when the first says no, and each pool
+    share, (a + d1) / (a + d1 + d2), d1 / (a + d1 + d2) or d1 / (d1 + d2),
+    is the float that (a1 + d1) / (a1 + a2 + d1 + d2) gives with the other
+    stake at 0.0.
     """
-    w = ctx.params.w
     d1, d2 = _D(p, ctx.params.kappa, ctx.measure)
-    a1 = min(w, _stake(ctx.c1, d1, d2, d1)) if ctx.pbar1.below(p) else 0.0
-    a2 = min(w, _stake(ctx.c2, d1, d2, d2)) if ctx.pbar2.above(p) else 0.0
-    return (a1 + d1) / (a1 + a2 + d1 + d2)
+    if ctx.pbar1.below(p):
+        a = _stake(ctx.c1, d1, d2, d1, ctx.params.w)
+        return (a + d1) / (a + d1 + d2)
+    if ctx.pbar2.above(p):
+        return d1 / (_stake(ctx.c2, d1, d2, d2, ctx.params.w) + d1 + d2)
+    return d1 / (d1 + d2)
 
 
 def solve(params: MarketParams, measure: BeliefMeasure,

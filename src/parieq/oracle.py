@@ -135,8 +135,11 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
         a = 0.5 * bend[np.maximum(j - 1, 0)] / step
         r, D = -gp / step, 1.0 - a
         seed = lo + (hi - lo) * (2.0 * r / (D + np.sqrt(D * D + 4.0 * a * r)))
-        # fmin and fmax take a nan seed to the cell's last float
-        x = np.fmax(np.fmin(seed, np.nextafter(hi, lo)), np.nextafter(lo, hi))
+        # fmin and fmax take a nan seed to the cell's last float. The cell's
+        # inner floats are its ends' neighbours in the bits: lo >= +0.0 and
+        # hi > 0, so both are ordered as their int64 views
+        x = np.fmax(np.fmin(seed, (hi.view(np.int64) - 1).view(float)),
+                    (lo.view(np.int64) + 1).view(float))
         while True:
             g = mass_array(0.0, x) - targets
             below = g < 0.0
@@ -145,8 +148,8 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
             nxt, done = _secant_step(x, g, xp, gp, lo, hi)
             if done.any():
                 beliefs[lane[done]] = x[done]
-                keep = ~done
-                if not keep.any():
+                keep = np.flatnonzero(~done)
+                if not keep.size:
                     break
                 lane, targets, lo, hi, x, g, nxt = (
                     a[keep] for a in (lane, targets, lo, hi, x, g, nxt))

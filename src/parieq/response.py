@@ -143,9 +143,11 @@ def _capped_stake(kappa: float, belief: float, d1: float, d2: float, own: float,
     # appendixA's a2 at kappa = 0.5205, w = 1 from 3.8504572973e-09 to
     # 3.85045729741e-09, a cell the benchmark checks byte for byte, and phi
     # in this order moves the residual on 29 rows of four bundled
-    # sweep --baseline CSVs
+    # sweep --baseline CSVs. The cap is min(w, max(0.0, s)) with its ties
+    # and its NaN (to 0.0), in comparisons
     denom = 1.0 - kappa * belief  # positive: kappa < 1 and belief <= 1
-    return min(w, max(0.0, math.sqrt(kappa * belief * d1 * d2 / denom) - own))
+    s = math.sqrt(kappa * belief * d1 * d2 / denom) - own
+    return w if s >= w else (s if s > 0.0 else 0.0)
 
 
 def _require_two_sided(d: DiffuseAggregate) -> None:

@@ -26,15 +26,16 @@ import parieq
 import parieq.equilibrium as equilibrium_mod
 import parieq.stackelberg as stackelberg_mod
 from parieq.equilibrium import (FP_TOL, Boundary, Equilibrium, _D, _bisect_decreasing,
-                                _ordered, _phi_lanes, _secant_lanes, _stake_coefficient,
+                                _ordered, _phi_lanes, _secant_lanes, _stake,
+                                _stake_coefficient,
                                 compute_pbar1, compute_pbar2, grid_fixed_points, phi,
                                 phi_context, solve, zeta1, zeta2)
 from parieq.errors import DomainError, NoEquilibriumError
 from parieq.measure import (BeliefMeasure, from_density, mass, scaled,
                             symmetrized_wedge, tabulated, uniform, wedge)
 from parieq.metrics import house_revenue, take_revenue
-from parieq.response import (DiffuseAggregate, MarketParams, atomic_stakes,
-                             implied_probability)
+from parieq.response import (DiffuseAggregate, MarketParams, _capped_stake,
+                             atomic_stakes, implied_probability)
 from parieq.scenario import build_measure, bundled_scenarios, load_scenario
 from parieq.stackelberg import KAPPA_SEARCH_HI, KAPPA_SEARCH_LO, grid_revenues
 
@@ -213,6 +214,23 @@ class TestOptimalStakes:
         with pytest.raises(DomainError):
             zeta2(self.pbar2 + 0.01, self.ctx)
 
+    @pytest.mark.parametrize("cap", [1e-10, 1.0, math.inf])
+    @pytest.mark.parametrize("helper", ["_stake", "_capped_stake"])
+    def test_the_cap_is_min_of_max_bit_for_bit(self, helper, cap):
+        # s = sqrt(x) - own, with x = c d1 d2 for _stake and
+        # kappa b d1 d2 / (1 - kappa b) for _capped_stake, both x exactly;
+        # an infinite own and x give NaN
+        stake = {"_stake": lambda x, own: _stake(1.0, x, 1.0, own, cap),
+                 "_capped_stake": lambda x, own: _capped_stake(0.5, 1.0, x, 1.0, own, cap)}
+        below, above = math.nextafter(cap, 0.0), math.nextafter(cap, math.inf)
+        cases = [(-math.inf, 0.0, math.inf), (-1.0, 0.0, 1.0), (0.0, 0.0, 0.0),
+                 (-0.0, -0.0, 0.0), (5e-324, 0.0, -5e-324), (below, 0.0, -below),
+                 (cap, 0.0, -cap), (above, 0.0, -above), (math.inf, 0.0, -math.inf),
+                 (math.nan, math.inf, math.inf)]
+        for s, x, own in cases:
+            assert (math.sqrt(x) - own).hex() == s.hex()
+            assert stake[helper](x, own).hex() == min(cap, max(0.0, s)).hex(), s
+
 
 class TestResponseMap:
     def test_endpoint_values_exact(self):
@@ -243,6 +261,32 @@ class TestResponseMap:
                   hi + 5e-10, hi + 2e-9, math.nan):
             with pytest.raises(DomainError, match="mass requires"):
                 phi(p, ctx)
+
+    @pytest.mark.parametrize("m", _family_zoo(), ids=lambda m: m.kind)
+    def test_phi_is_the_two_stake_sum_bit_for_bit(self, m):
+        # one regime and one capped stake per probe give the float of the
+        # written-out form, which asks both boundaries and adds both stakes,
+        # on a band grid and at 17 consecutive floats around each boundary
+        def two_stake_phi(p, ctx):
+            w = ctx.params.w
+            d1, d2 = _D(p, ctx.params.kappa, ctx.measure)
+            a1 = (min(w, max(0.0, math.sqrt(ctx.c1 * d1 * d2) - d1))
+                  if ctx.pbar1.below(p) else 0.0)
+            a2 = (min(w, max(0.0, math.sqrt(ctx.c2 * d1 * d2) - d2))
+                  if ctx.pbar2.above(p) else 0.0)
+            return (a1 + d1) / (a1 + a2 + d1 + d2)
+
+        for kappa in (0.5001, 0.55, 0.8, 0.95, 0.9999):
+            for q in (0.0, 0.3, 0.9, 1.0):
+                for w in (1e-10, 1.0, 1e9):
+                    ctx = phi_context(MarketParams(kappa=kappa, q=q, w=w), m)
+                    probes = (np.linspace(1.0 - kappa, kappa, 65).tolist()
+                              + _floats_around(ctx.pbar1.root())
+                              + _floats_around(ctx.pbar2.root()))
+                    for p in probes:
+                        if 1.0 - kappa <= p <= kappa:
+                            assert phi(p, ctx).hex() == two_stake_phi(p, ctx).hex(), \
+                                (kappa, q, w, p)
 
     def test_continuous_at_action_boundaries(self):
         ctx = phi_context(MarketParams(kappa=0.8, q=0.9, w=1.0), uniform())
@@ -1288,13 +1332,28 @@ class TestBoundary:
             assert _ordered(start[low](), start[high]()) == (roots[low] < roots[high]), \
                 (low, high)
 
-    def test_repr_shows_the_state_and_the_package_exports_the_class(self):
+    def test_repr_shows_the_state_and_the_package_does_not_export_the_class(self):
         b = Boundary(lambda p: 0.3 - p, 0.2, 0.8)
         assert repr(b) == "Boundary(bracket=(0.2, 0.8), best=0.2)"
         assert b.below(0.5) and repr(b) == "Boundary(bracket=(0.2, 0.5), best=0.2)"
         root = b.root()
         assert repr(b) == repr(Boundary.at(root)) == f"Boundary(root={root!r})"
-        assert parieq.Boundary is Boundary
+        # the boundary machinery is internal to the solver
+        assert not hasattr(parieq, "Boundary")
+
+    def test_span_is_the_min_max_form_on_random_states(self):
+        # ties and signed zeros included; a best point may lie outside the
+        # bracket, as a band end can after the bracket has left it
+        rng = random.Random(0)
+        pool = [0.0, -0.0, 0.2, 0.3, 0.5, math.nextafter(0.3, 1.0), 0.8]
+        b = Boundary.at(0.5)
+        for _ in range(4000):
+            lo, hi, best_p = (rng.choice(pool) if rng.random() < 0.5 else rng.random()
+                              for _ in range(3))
+            done = rng.random() < 0.2
+            b._state = (lo, hi, best_p, 0.0, done)
+            want = (best_p, best_p) if done else (min(lo, best_p), max(hi, best_p))
+            assert [x.hex() for x in b.span()] == [x.hex() for x in want], b._state
 
     def test_the_order_check_raises_with_the_finished_roots(self):
         # on this steep wedge both true boundaries lie within FP_TOL of the
