@@ -8,7 +8,7 @@ evaluates revenue/profit metrics, optimizes the take, and cross-checks the
 continuum solution against a brute-force finite population.
 """
 
-from .equilibrium import Equilibrium, FP_TOL, phi, solve
+from .equilibrium import Equilibrium, FP_TOL, solve
 from .errors import (ConfigError, DomainError, NoEquilibriumError,
                      ParieqError, QuadratureError)
 from .measure import (BeliefMeasure, from_density, gaussian_mixture, mass,

@@ -509,20 +509,25 @@ def tabulated(knots: Sequence[tuple[float, float]]) -> BeliefMeasure:
     if not all(math.isfinite(slope) for slope in slopes):
         raise DomainError("tabulated knots make a piece too steep: its slope overflows")
     slopes.append(0.0)  # the last knot's piece, where d = 0: heads[-1] + 0.0
+    # each piece's cumulative is capped at its right knot's, as from_density
+    # caps its pieces: on a falling piece head + d (v + s d / 2) can round an
+    # ulp above it just left of the knot, and a mass up to 1 would go negative
+    ends = heads[1:] + heads[-1:]
 
     def cumulative(p: float) -> float:
         i = bisect_right(xs, p) - 1
         d = p - xs[i]
-        return heads[i] + d * (vs[i] + 0.5 * slopes[i] * d)
+        c, end = heads[i] + d * (vs[i] + 0.5 * slopes[i] * d), ends[i]
+        return end if c > end else c  # a NaN stays NaN, as in np.minimum
 
     xs_a, heads_a, vs_a = np.array(xs), np.array(heads), np.array(vs)
-    slopes_a = np.array(slopes)
+    slopes_a, ends_a = np.array(slopes), np.array(ends)
 
     def cumulative_array(p: np.ndarray) -> np.ndarray:
         # cumulative elementwise, same operations in the same order
         i = np.searchsorted(xs_a, p, side="right") - 1
         d = p - xs_a[i]
-        return heads_a[i] + d * (vs_a[i] + 0.5 * slopes_a[i] * d)
+        return np.minimum(heads_a[i] + d * (vs_a[i] + 0.5 * slopes_a[i] * d), ends_a[i])
 
     return _finish(density, f"tabulated(k={len(pts)})",
                    *_interval_masses(cumulative, cumulative_array), floor)

@@ -30,11 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import _secant_step
+from .equilibrium import _require_solvable_take, _secant_step
 from .errors import DomainError, as_count
 # mass is not called here, but benchmarks/spans.py wraps parieq.oracle.mass
 from .measure import BeliefMeasure, mass  # noqa: F401
-from .response import AtomicBet, DiffuseAggregate, MarketParams, atomic_best_response
+from .response import (AtomicBet, DiffuseAggregate, MarketParams,
+                       atomic_best_response, implied_probability)
 
 MIN_POPULATION = 2
 
@@ -170,16 +171,6 @@ def discrete_totals(pop: DiscretePopulation, P: float, kappa: float,
     return d1, d2
 
 
-def _respond(pop: DiscretePopulation, P: float, params: MarketParams,
-             ) -> tuple[float, float, AtomicBet]:
-    d1, d2 = discrete_totals(pop, P, params.kappa)
-    # totals are one-sided near the ends of the band; the optimal stake
-    # degenerates to zero there, so short-circuit instead of erroring
-    if d1 <= 0.0 or d2 <= 0.0:
-        return d1, d2, AtomicBet(a1=0.0, a2=0.0)
-    return d1, d2, atomic_best_response(DiffuseAggregate(d1=d1, d2=d2), params)
-
-
 def iterate_best_response(pop: DiscretePopulation, params: MarketParams) -> OracleResult:
     """Bisect the discrete response map for its crossing of the diagonal.
 
@@ -198,35 +189,39 @@ def iterate_best_response(pop: DiscretePopulation, params: MarketParams) -> Orac
     pair of counts for any population, sorted or not. A threshold moves
     monotonically with P, so each set of bettors beyond it is nested in the
     next: equal counts are equal sets, whose masked sums add the same
-    floats in the same order. So the totals and the best response are
-    computed once per distinct key, bit for bit what a fresh call would
-    give, and evaluations counts those calls.
+    floats in the same order. So one response is cached per distinct key:
+    the totals, her best response and implied_probability's pool share,
+    each bit for bit what a fresh call would give. evaluations counts them.
     """
-    if params.kappa <= 0.5:
-        raise DomainError(f"the band needs kappa > 0.5, got {params.kappa}")
+    _require_solvable_take(params.kappa)
     kappa, beliefs = params.kappa, pop.beliefs
     # NaN is on neither side of a threshold, so it is left out of the counts
     ranked = np.sort(beliefs[~np.isnan(beliefs)]).tolist()
     n = len(ranked)
-    seen = {}  # (bettors above t1, bettors below t2) -> _respond's result
+    seen = {}  # (bettors above t1, bettors below t2) -> (d1, d2, bet, share)
 
     def respond(P):
         key = (n - bisect_right(ranked, P / kappa),
                bisect_left(ranked, 1.0 - (1.0 - P) / kappa))
         if key not in seen:
-            seen[key] = _respond(pop, P, params)
+            d = DiffuseAggregate(*discrete_totals(pop, P, kappa))
+            # totals are one-sided near the ends of the band, where she stakes
+            # nothing, and the pool is empty exactly when both are zero
+            bet = (atomic_best_response(d, params) if d.d1 > 0.0 and d.d2 > 0.0
+                   else AtomicBet(0.0, 0.0))
+            seen[key] = (d.d1, d.d2, bet,
+                         implied_probability(d, bet) if d.d1 + d.d2 > 0.0 else None)
         return seen[key]
 
     lo, hi = 1.0 - kappa, kappa
     iterations = 0
     while lo < (mid := 0.5 * (lo + hi)) < hi:  # until float resolution runs out
         iterations += 1
-        d1, d2, bet = respond(mid)
-        pool = d1 + d2 + bet.a1 + bet.a2
-        if pool <= 0.0:
+        d1, d2, bet, share = respond(mid)
+        if share is None:
             return OracleResult(mid, False, iterations, d1, d2, bet, len(seen))
-        if (d1 + bet.a1) / pool > mid:
+        if share > mid:
             lo = mid
         else:
             hi = mid
-    return OracleResult(mid, True, iterations, *respond(mid), len(seen))
+    return OracleResult(mid, True, iterations, *respond(mid)[:3], len(seen))

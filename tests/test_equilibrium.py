@@ -1338,8 +1338,9 @@ class TestBoundary:
         assert b.below(0.5) and repr(b) == "Boundary(bracket=(0.2, 0.5), best=0.2)"
         root = b.root()
         assert repr(b) == repr(Boundary.at(root)) == f"Boundary(root={root!r})"
-        # the boundary machinery is internal to the solver
-        assert not hasattr(parieq, "Boundary")
+        # the boundary machinery is internal to the solver, and so is phi,
+        # which needs a PhiContext from it
+        assert not hasattr(parieq, "Boundary") and not hasattr(parieq, "phi")
 
     def test_span_is_the_min_max_form_on_random_states(self):
         # ties and signed zeros included; a best point may lie outside the

@@ -664,11 +664,12 @@ def exact_discrete_fixed_point(pop, params) -> Decimal | None:
     On each step the totals are exact Fractions, the large bettor's regime
     and cap are decided exactly, and only her interior square-root stake is
     a Decimal, at the caller's precision. She stakes nothing where a total
-    is zero, as _respond does. The map falls with P, so a binary search
-    finds the first step whose value is at most its right end; the fixed
-    point is the larger of that value and the step's left end, a jump point
-    when the value lies below it. The result is continuous in the map's
-    values, so the Decimal rounding moves it by no more than that rounding.
+    is zero, as iterate_best_response's cache does. The map falls with P,
+    so a binary search finds the first step whose value is at most its
+    right end; the fixed point is the larger of that value and the step's
+    left end, a jump point when the value lies below it. The result is
+    continuous in the map's values, so the Decimal rounding moves it by no
+    more than that rounding.
 
     None when the search meets a step where nobody wagers. The totals are
     monotone in P, so such steps form one run, with only Outcome 1 backed
