@@ -43,10 +43,10 @@ its revenue is the closer of the two to a 50-digit referee, up to float
 resolution. A take whose lane meets a value that is not finite, or whose
 totals are not both positive, gets None, for the caller to hand to
 ``solve`` (as ``stackelberg.grid_revenues`` does). A batch of one at
-kappa = 0.8, q = 0.9, w = 1 took 7 times as long as a ``solve`` with no
-remembered boundary on wedge(100) (1.1 against 0.15 ms), 6 times on a
-4-knot tabulated density and 4 times on a 2-kernel Gaussian mixture, so
-single solves stay scalar.
+kappa = 0.8, q = 0.9, w = 1 took about 10 times as long as a ``solve``
+with no remembered boundary on wedge(100) (0.92 against 0.083 ms), about
+8 times on a 4-knot tabulated density and about 4.7 times on a 2-kernel
+Gaussian mixture, so single solves stay scalar.
 """
 
 from dataclasses import dataclass, field
@@ -99,9 +99,14 @@ def _D(p: float, kappa: float, m: BeliefMeasure) -> tuple[float, float]:
     d1 = mass(m, p / kappa, 1.0)
     d2 = mass(m, 0.0, 1.0 - (1.0 - p) / kappa)
     if d1 + d2 == 0.0:
-        raise DomainError(f"small-bettor totals vanish at candidate p={p} "
-                          f"(kappa={kappa}): the measure's masses round to zero")
+        raise _totals_vanish(p, kappa)
     return d1, d2
+
+
+def _totals_vanish(p: float, kappa: float) -> DomainError:
+    # the error of _D and phi when both totals at p are zero
+    return DomainError(f"small-bettor totals vanish at candidate p={p} "
+                       f"(kappa={kappa}): the measure's masses round to zero")
 
 
 def _bisect_decreasing(g: Callable[[float], float], lo: float, hi: float,
@@ -371,8 +376,10 @@ def zeta2(p: float, ctx: PhiContext) -> float:
 def phi(p: float, ctx: PhiContext) -> float:
     """Implied probability produced by best responses to candidate p.
 
-    p must lie in the band [1 - kappa, kappa]. The band check is mass()'s:
-    past the band, NaN included, a threshold leaves [0, 1] (see _D).
+    p must lie in the band [1 - kappa, kappa]. phi reads the totals itself,
+    by _D's two mass() calls and its vanish check, one call frame less on
+    the hottest evaluation. The band check is mass()'s: past the band, NaN
+    included, a threshold leaves [0, 1] (see _D).
 
     The regimes are atomic_stakes': she backs Outcome 1 where pbar1 lies
     below p, Outcome 2 where pbar2 lies above it, and abstains otherwise,
@@ -383,7 +390,11 @@ def phi(p: float, ctx: PhiContext) -> float:
     is the float that (a1 + d1) / (a1 + a2 + d1 + d2) gives with the other
     stake at 0.0.
     """
-    d1, d2 = _D(p, ctx.params.kappa, ctx.measure)
+    kappa, m = ctx.params.kappa, ctx.measure
+    d1 = mass(m, p / kappa, 1.0)
+    d2 = mass(m, 0.0, 1.0 - (1.0 - p) / kappa)
+    if d1 + d2 == 0.0:
+        raise _totals_vanish(p, kappa)
     if ctx.pbar1.below(p):
         a = _stake(ctx.c1, d1, d2, d1, ctx.params.w)
         return (a + d1) / (a + d1 + d2)

@@ -75,7 +75,9 @@ def diffuse_subjective_profit(eq: Equilibrium, params: MarketParams,
     Equilibrium's totals play no part; its p* outside the band puts a
     threshold outside [0, 1], a DomainError from mass. A measure without a
     moment (the wedge families, tabulated, and scaled over them) integrates
-    each group by adaptive_simpson, which gives an empty interval 0.0.
+    each group by adaptive_simpson, which gives an empty interval 0.0; it
+    raises the same DomainError for such a p*, NaN included, before it
+    integrates.
     """
     kappa = params.kappa
     p_star = eq.p_star
@@ -83,6 +85,11 @@ def diffuse_subjective_profit(eq: Equilibrium, params: MarketParams,
     t2 = eq.thresholds.bet2_below
     moment = measure.exact_moment
     if moment is None:
+        # above the band t1 passes 1, below it t2 passes 0: mass() rejects
+        # them on the moment branch, comparisons here, with no mass call
+        if not (t1 <= 1.0 and t2 >= 0.0):
+            raise DomainError(f"p* = {p_star} lies outside the band [1 - kappa, kappa] "
+                              f"(kappa={kappa}): thresholds {t1}, {t2}")
         dens = measure.density
         return (adaptive_simpson(lambda p: dens(p) * (kappa * p / p_star - 1.0), t1, 1.0)
                 + adaptive_simpson(

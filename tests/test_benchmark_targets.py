@@ -80,51 +80,55 @@ def test_every_measure_carries_an_array_mass():
 
 
 @pytest.mark.parametrize("case", bundled_cases(), ids=lambda c: c.name)
-def test_every_D_evaluation_calls_the_traced_mass_twice(monkeypatch, case):
+def test_every_phi_and_D_evaluation_calls_the_traced_mass_twice(monkeypatch, case):
     # the traced run counts measure.mass_calls through parieq.equilibrium.mass;
-    # a _D that reached the measure another way would read 0 calls per solve
-    real_D, real_mass, real_phi = (equilibrium_mod._D, equilibrium_mod.mass,
-                                   equilibrium_mod.phi)
-    open_evals, per_eval, phis = [], [], [0]
+    # a phi or _D that reached the measure another way would read 0 calls per
+    # solve. Each evaluation is charged only its own mass calls: a boundary
+    # step inside phi runs _D, whose calls go to _D's own entry
+    real_mass = equilibrium_mod.mass
+    open_evals, per_eval = [], {"phi": [], "_D": []}
 
-    def counted_D(*args):
-        open_evals.append(0)
-        try:
-            return real_D(*args)
-        finally:
-            per_eval.append(open_evals.pop())
+    def counted(name):
+        real = getattr(equilibrium_mod, name)
+
+        def evaluation(*args):
+            open_evals.append(0)
+            try:
+                return real(*args)
+            finally:
+                per_eval[name].append(open_evals.pop())
+        return evaluation
 
     def counted_mass(*args):
         if open_evals:
             open_evals[-1] += 1
         return real_mass(*args)
 
-    def counted_phi(*args):
-        phis[0] += 1
-        return real_phi(*args)
-
-    monkeypatch.setattr(equilibrium_mod, "_D", counted_D)
+    for name in per_eval:
+        monkeypatch.setattr(equilibrium_mod, name, counted(name))
     monkeypatch.setattr(equilibrium_mod, "mass", counted_mass)
-    monkeypatch.setattr(equilibrium_mod, "phi", counted_phi)
     equilibrium_mod.solve(case.params, case.measure)
-    assert len(per_eval) > phis[0] >= 2
-    assert set(per_eval) == {2}
+    assert len(per_eval["phi"]) >= 2 and per_eval["_D"]
+    assert set(per_eval["phi"]) == set(per_eval["_D"]) == {2}
 
 
-def test_quadrature_solve_markets_take_at_most_50_D_calls_per_solve(monkeypatch):
+def test_quadrature_solve_markets_take_at_most_50_totals_per_solve(monkeypatch):
     # each solve steps its action boundaries only as far as phi's
-    # comparisons need: 47.1 _D calls per solve on the 21 seed-0 markets of
-    # the quadrature_solve workload, against 104.4 when both boundaries
-    # were bisected to the tolerance first. The test starts with no
-    # remembered boundary and each op solves a new key, so none takes part
+    # comparisons need: 47.1 evaluations of the totals per solve (phi's own
+    # and _D's) on the 21 seed-0 markets of the quadrature_solve workload,
+    # against 104.4 when both boundaries were bisected to the tolerance
+    # first. The test starts with no remembered boundary and each op solves
+    # a new key, so none takes part
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     import workloads
 
-    real_D, real_solve, calls, per_solve = equilibrium_mod._D, equilibrium_mod.solve, [0], []
+    real_solve, calls, per_solve = equilibrium_mod.solve, [0], []
 
-    def counted_D(*args):
-        calls[0] += 1
-        return real_D(*args)
+    def counted(real):
+        def evaluation(*args):
+            calls[0] += 1
+            return real(*args)
+        return evaluation
 
     def counted_solve(*args, **kwargs):
         n = calls[0]
@@ -133,7 +137,8 @@ def test_quadrature_solve_markets_take_at_most_50_D_calls_per_solve(monkeypatch)
         return eq
 
     ops = workloads.setup_quadrature_solve(workloads.DEFAULT_SEED)
-    monkeypatch.setattr(equilibrium_mod, "_D", counted_D)
+    for name in ("phi", "_D"):
+        monkeypatch.setattr(equilibrium_mod, name, counted(getattr(equilibrium_mod, name)))
     monkeypatch.setattr(equilibrium_mod, "solve", counted_solve)
     for op in ops:
         op.run()

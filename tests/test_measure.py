@@ -890,7 +890,7 @@ class TestFromDensityTable:
             calls["simpson"] += 1
             return real_simpson(*args)
 
-        # every adaptive Simpson step, of either integrator, goes through _simpson
+        # every adaptive Simpson pass, of either integrator, starts with _simpson
         monkeypatch.setattr(quadrature_mod, "_simpson", counted_simpson)
         for kappa, q in [(0.6, 0.3), (0.8, 0.9)]:
             solve(MarketParams(kappa=kappa, q=q, w=1.0), m)

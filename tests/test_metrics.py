@@ -141,14 +141,18 @@ class TestDiffuseSubjectiveProfit:
                                  0.0, t2, epsabs=1e-15, epsrel=1e-13)[0])
         assert diffuse_subjective_profit(eq, params, m) == pytest.approx(want, abs=1e-12)
 
-    def test_a_p_star_outside_the_band_is_a_domain_error_with_a_moment(self):
-        # p* = 0.85 > kappa puts t1 above 1: mass rejects it, while Simpson,
-        # still used on the wedge families, gives the empty group 0.0
-        eq, params = _synthetic_eq(0.85, 0.5, 0.5), MarketParams(kappa=0.8, q=0.5, w=1.0)
-        assert eq.thresholds.bet1_above > 1.0
+    @pytest.mark.parametrize("p_star", [0.1, 0.9])
+    @pytest.mark.parametrize("m", _family_zoo(), ids=lambda m: m.kind)
+    def test_a_p_star_outside_the_band_is_a_domain_error(self, monkeypatch, m, p_star):
+        # kappa = 0.8: p* = 0.1 puts t2 below 0 and p* = 0.9 puts t1 above 1.
+        # With a moment, mass rejects the threshold; without one, comparisons
+        # do, before any Simpson integral starts
+        simpson = _count_simpson(monkeypatch)
+        eq, params = _synthetic_eq(p_star, 0.5, 0.5), MarketParams(kappa=0.8, q=0.5, w=1.0)
+        assert eq.thresholds.bet2_below < 0.0 or eq.thresholds.bet1_above > 1.0
         with pytest.raises(DomainError):
-            diffuse_subjective_profit(eq, params, uniform())
-        assert diffuse_subjective_profit(eq, params, wedge(1)) > 0.0
+            diffuse_subjective_profit(eq, params, m)
+        assert simpson == []
 
     def test_a_hand_built_equilibrium_gets_its_integral(self):
         # the groups' masses come from the measure at the thresholds, not
