@@ -42,15 +42,20 @@ tolerance and whose bisected boundaries can misplace a regime switch;
 its revenue is the closer of the two to a 50-digit referee, up to float
 resolution. A take whose lane meets a value that is not finite, or whose
 totals are not both positive, gets None, for the caller to hand to
-``solve`` (as ``stackelberg.grid_revenues`` does). A batch of one at
-kappa = 0.8, q = 0.9, w = 1 took about 10 times as long as a ``solve``
-with no remembered boundary on wedge(100) (0.92 against 0.083 ms), about
-8 times on a 4-knot tabulated density and about 4.7 times on a 2-kernel
-Gaussian mixture, so single solves stay scalar.
+``solve`` (as ``stackelberg.grid_revenues`` does).
+
+``fixed_point`` is one such lane in Python floats, bit for bit, for a
+take found one at a time, as each golden-section probe of
+``stackelberg.optimize_take`` is: numpy's fixed cost per operation makes
+a batch of one slow. At kappa = 0.8, q = 0.9, w = 1 on wedge(100), a
+4-knot tabulated density and a 2-kernel Gaussian mixture, a batch of one
+took 0.4 to 1.2 ms, a ``solve`` with no remembered boundary 0.07 to 0.13
+ms and ``fixed_point`` 0.02 to 0.03 ms (in process, on one CPU).
+``solve`` stays the scalar path that builds an ``Equilibrium``.
 """
 
 from dataclasses import dataclass, field
-from math import inf, sqrt
+from math import copysign, inf, isfinite, nan, nextafter, sqrt
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -519,7 +524,8 @@ def _secant_step(x, g, xp, gp, lo, hi):
     across a run of points where the map rounds to one value. Returns
     (next probe, done): a lane is done when the secant step from x rounds
     to nothing, as at an exact zero, or when nothing lies strictly inside
-    its bracket. Shared by ``_secant_lanes`` and ``oracle.discretize``.
+    its bracket. Shared by ``_secant_lanes`` and ``oracle.discretize``;
+    ``_secant_step_float`` takes the same step on one lane's floats.
     """
     with np.errstate(all="ignore"):  # inf or nan steps are never inside a bracket
         probe = x - g * (x - xp) / (g - gp)
@@ -581,3 +587,87 @@ def _secant_lanes(g, lo: np.ndarray, hi: np.ndarray):
         live &= ok & ~done
         xp, gp, x = x, gx, np.where(live, nxt, x)  # a finished lane stays put
     return best_p, best_g, ok
+
+
+# --------------------------------------------------------------------------
+# one take: a lane of grid_fixed_points in Python floats
+# --------------------------------------------------------------------------
+
+def fixed_point(kappa: float, q: float, w: float, measure: BeliefMeasure,
+                ) -> Optional[tuple[float, float, float, float]]:
+    """grid_fixed_points([kappa], q, w, measure)[0], bit for bit, in floats.
+
+    The same precondition, unchecked. The lane's operations in their order:
+    the composed map (``_phi_lanes``) with its totals from mass(), the
+    chord start and ``_secant_step``'s rule (``_secant_step_float``), the
+    best point and the totals there. Where Python raises and numpy gives
+    a value that is not finite (a zero divisor, math.sqrt of a negative
+    product), the map gives NaN, and the take gets None as its lane does.
+    """
+    c1, c2 = _stake_coefficient(kappa, q), _stake_coefficient(kappa, 1.0 - q)
+
+    def g(p: float) -> float:
+        d1 = mass(measure, p / kappa, 1.0)
+        d2 = mass(measure, 0.0, 1.0 - (1.0 - p) / kappa)
+        try:
+            t = kappa * (d1 + d2)
+            if q > d1 / t:
+                a1 = a = _stake(c1, d1, d2, d1, w)
+            elif 1.0 - q > d2 / t:
+                a1, a = 0.0, _stake(c2, d1, d2, d2, w)
+            else:
+                a1 = a = 0.0
+            return (a1 + d1) / (a + d1 + d2) - p
+        except (ZeroDivisionError, ValueError):  # numpy's inf or NaN
+            return nan
+
+    lo, hi = 1.0 - kappa, kappa
+    glo, ghi = g(lo), g(hi)
+    if not (isfinite(glo) and isfinite(ghi)):
+        return None
+    best_p, best_g = (lo, abs(glo)) if abs(glo) <= abs(ghi) else (hi, abs(ghi))
+    chord = lo + (hi - lo) * _divide(glo, glo - ghi)
+    below_hi, above_lo = nextafter(hi, lo), nextafter(lo, hi)
+    x = chord if chord < below_hi else below_hi  # np.fmin: a NaN chord gives below_hi
+    x = x if x > above_lo else above_lo
+    xp, gp = hi, ghi
+    while lo < x < hi:
+        gx = g(x)
+        if not isfinite(gx):
+            return None
+        if abs(gx) < best_g:
+            best_p, best_g = x, abs(gx)
+        if gx > 0.0:
+            lo = x
+        else:
+            hi = x
+        nxt, done = _secant_step_float(x, gx, xp, gp, lo, hi)
+        if done:
+            break
+        xp, gp, x = x, gx, nxt
+    d1 = mass(measure, best_p / kappa, 1.0)
+    d2 = mass(measure, 0.0, 1.0 - (1.0 - best_p) / kappa)
+    return (best_p, best_g, d1, d2) if d1 > 0.0 and d2 > 0.0 else None
+
+
+def _secant_step_float(x: float, g: float, xp: float, gp: float, lo: float,
+                       hi: float) -> tuple[float, bool]:
+    # _secant_step on one lane's floats, bit for bit, ties, signed zeros,
+    # infinities and NaN included
+    probe = x - _divide(g * (x - xp), g - gp)
+    gallop = x + 2.0 * (x - xp)
+    if lo < probe < hi and 2.0 * abs(g) <= abs(gp):
+        nxt = probe
+    elif lo < gallop < hi:
+        nxt = gallop
+    else:
+        nxt = 0.5 * (lo + hi)
+    return nxt, probe == x or not lo < nxt < hi
+
+
+def _divide(a: float, b: float) -> float:
+    # a / b as numpy divides: by a zero, an infinity of the quotient's sign,
+    # or NaN for 0 / 0 and NaN / 0
+    if b:
+        return a / b
+    return nan if a == 0.0 or a != a else copysign(inf, a) * copysign(1.0, b)

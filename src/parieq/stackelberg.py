@@ -4,24 +4,27 @@ Revenue as a function of kappa can have kinks (the large bettor's stake
 switches between budget-capped and unconstrained) and is not assumed concave,
 so a uniform grid scan guards against multimodality and a golden-section pass
 refines the best cell. Evaluated candidates are all retained, and the reported
-optimum is the best point ever seen, so it can never fall below a grid sample.
+take is the best point ever seen, so its lane revenue never falls below a
+grid sample; the reported revenue is solve's there (see below).
 
 The grid's revenues come in one batch from ``grid_revenues``, with no
-``Equilibrium`` built per take; the golden-section pass, about 15 solves
-that each depend on the last, calls ``solve`` one take at a time. The
-search takes no tolerance: the batch's lanes run to float resolution and
-each solve stops within FP_TOL, and where solve's bisected action
-boundaries misplace a regime switch, its revenue is off by more (up to
-2.4e-9 on the bundled scenarios). So a grid revenue differs from solve's
-at most takes, and is the closer of the two to the exact value, up to
-float resolution.
+``Equilibrium`` built per take. The golden-section pass, about 15 probes
+that each depend on the last, takes each probe's revenue the same way
+from ``fixed_point``, one of the batch's lanes in Python floats, so grid
+and probes are ranked on one map. Only the reported optimum is solved:
+revenue_star is house_revenue(solve(...)) at kappa_star. The search takes
+no tolerance: the lanes run to float resolution and solve stops within
+FP_TOL, and where solve's bisected action boundaries misplace a regime
+switch, its revenue is off by more (up to 2.4e-9 on the bundled
+scenarios). So a lane's revenue differs from solve's at most takes, and
+is the closer of the two to the exact value, up to float resolution.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .equilibrium import grid_fixed_points, solve
+from .equilibrium import fixed_point, grid_fixed_points, solve
 from .errors import as_count
 from .measure import BeliefMeasure
 from .metrics import house_revenue, take_revenue
@@ -59,14 +62,18 @@ def grid_revenues(kappas: Sequence[float], q: float, w: float,
     docstring). The other takes are solved in order, so the first that
     fails raises what solve raises for it.
     """
-    out = []
-    for k, lane in zip(kappas, grid_fixed_points(kappas, q, w, measure)):
-        if lane is None:
-            out.append(_solved_revenue(k, q, w, measure))
-        else:
-            d1, d2 = lane[2:]
-            out.append(take_revenue(k, d1, d2, *atomic_stakes(k, q, w, d1, d2)))
-    return out
+    return [_lane_revenue(k, q, w, measure, lane)
+            for k, lane in zip(kappas, grid_fixed_points(kappas, q, w, measure))]
+
+
+def _lane_revenue(kappa: float, q: float, w: float, measure: BeliefMeasure,
+                  lane: Optional[tuple[float, float, float, float]]) -> float:
+    # the revenue at a take from its lane's totals, or from solve where the
+    # lane is None
+    if lane is None:
+        return _solved_revenue(kappa, q, w, measure)
+    d1, d2 = lane[2:]
+    return take_revenue(kappa, d1, d2, *atomic_stakes(kappa, q, w, d1, d2))
 
 
 def _solved_revenue(kappa: float, q: float, w: float, measure: BeliefMeasure) -> float:
@@ -76,7 +83,15 @@ def _solved_revenue(kappa: float, q: float, w: float, measure: BeliefMeasure) ->
 
 def optimize_take(measure: BeliefMeasure, q: float, w: float,
                   grid_points: int = 256) -> TakeOptimum:
-    """Maximize take revenue over kappa in the clamped search interval."""
+    """Maximize take revenue over kappa in the clamped search interval.
+
+    Every take evaluated, on the grid or by golden section, is ranked by
+    its lane's revenue (see _lane_revenue), and kappa_star is the best of
+    them. revenue_star is house_revenue(solve(...)) at kappa_star, the one
+    solve of a search whose lanes and probes hand no take over; so the
+    search raises what that solve raises, as on a take whose action
+    boundaries come out of order.
+    """
     grid_points = as_count(grid_points, MIN_GRID_POINTS, math.inf,
                            f"grid_points must be an integer of at least {MIN_GRID_POINTS}")
     MarketParams(kappa=KAPPA_SEARCH_LO, q=q, w=w)  # the grid's lanes take q and w unchecked
@@ -94,7 +109,7 @@ def optimize_take(measure: BeliefMeasure, q: float, w: float,
     def revenue(kappa: float) -> float:
         # every take evaluated is a candidate for the running best
         nonlocal best_k, best_r
-        r = _solved_revenue(kappa, q, w, measure)
+        r = _lane_revenue(kappa, q, w, measure, fixed_point(kappa, q, w, measure))
         if r > best_r:
             best_k, best_r = kappa, r
         return r
@@ -113,4 +128,6 @@ def optimize_take(measure: BeliefMeasure, q: float, w: float,
             d = lo + _INV_GOLDEN * (hi - lo)
             fd = revenue(d)
 
-    return TakeOptimum(kappa_star=best_k, revenue_star=best_r, profile=profile)
+    return TakeOptimum(kappa_star=best_k,
+                       revenue_star=_solved_revenue(best_k, q, w, measure),
+                       profile=profile)

@@ -35,18 +35,19 @@ def test_every_measure_carries_the_mass_attribute_the_tracer_reads():
 
 
 def test_optimize_take_still_calls_the_traced_solve(monkeypatch):
-    # the grid is solved in one batch, but the traced run's self-check
-    # needs solves to count: the golden-section refinement must keep
-    # calling parieq.stackelberg.solve, a few dozen times at most
+    # the grid is solved in one batch and each golden-section probe by
+    # fixed_point, but the traced run's self-check needs solves to count:
+    # the revenue at kappa* must still come from parieq.stackelberg.solve.
+    # No lane and no probe hands a take to solve here, so that is the one call
     real, calls = stackelberg_mod.solve, []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(params, *args, **kwargs):
+        calls.append(params.kappa)
+        return real(params, *args, **kwargs)
 
     monkeypatch.setattr(stackelberg_mod, "solve", counted)
-    stackelberg_mod.optimize_take(wedge(100), 1.0, 1.0)
-    assert 2 <= len(calls) <= 40
+    opt = stackelberg_mod.optimize_take(wedge(100), 1.0, 1.0)
+    assert calls == [opt.kappa_star]
 
 
 @pytest.mark.parametrize("case", bundled_cases(), ids=lambda c: c.name)

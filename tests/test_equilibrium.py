@@ -26,10 +26,10 @@ import parieq
 import parieq.equilibrium as equilibrium_mod
 import parieq.stackelberg as stackelberg_mod
 from parieq.equilibrium import (FP_TOL, Boundary, Equilibrium, _D, _bisect_decreasing,
-                                _ordered, _phi_lanes, _secant_lanes, _stake,
-                                _stake_coefficient,
-                                compute_pbar1, compute_pbar2, grid_fixed_points, phi,
-                                phi_context, solve, zeta1, zeta2)
+                                _ordered, _phi_lanes, _secant_lanes, _secant_step,
+                                _secant_step_float, _stake, _stake_coefficient,
+                                compute_pbar1, compute_pbar2, fixed_point,
+                                grid_fixed_points, phi, phi_context, solve, zeta1, zeta2)
 from parieq.errors import DomainError, NoEquilibriumError
 from parieq.measure import (BeliefMeasure, from_density, mass, scaled,
                             symmetrized_wedge, tabulated, uniform, wedge)
@@ -624,8 +624,9 @@ def _assert_lanes_keep_the_contract(kappas, q, w, m, handed=None):
 
 
 def _count_handovers(monkeypatch):
-    # the takes grid_revenues hands to solve from now on, in the order it
-    # hands them over
+    # the take of each solve the stackelberg module calls from now on, in
+    # order: the takes grid_revenues hands over, and in optimize_take those
+    # its probes hand over, then kappa*
     taken = []
 
     def counting_solve(params, *args, **kwargs):
@@ -776,6 +777,91 @@ class TestTakeGrid:
     def test_bundled_take_grids_hand_over_no_lane(self, monkeypatch, name):
         sc = load_scenario(bundled_scenarios()[name])
         assert _handovers(monkeypatch, _grid(256), sc.q, sc.w, sc.belief_measure) == []
+
+
+def _lane_bits(lane):
+    # a lane's four floats as hex, so that -0.0 and 0.0 differ, or None
+    return None if lane is None else tuple(x.hex() for x in lane)
+
+
+def _assert_the_scalar_lane_is_the_lane(kappas, q, w, m):
+    # fixed_point at each take, against grid_fixed_points' lane there
+    lanes = grid_fixed_points(kappas, q, w, m)
+    assert [_lane_bits(fixed_point(k, q, w, m)) for k in kappas] \
+        == [_lane_bits(lane) for lane in lanes]
+    return lanes
+
+
+# (label, value) pairs of a _secant_step argument drawn with ties in mind:
+# both zeros, both infinities, NaN, and a few floats that recur, so that
+# equal probes, equal map values and |g| = |gp| / 2 all occur
+_STEP_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, 0.25, 0.5, -0.5, 1.0, 2.0,
+                -1.0, 5e-324]
+
+
+def _secant_states(n, seed):
+    # n states (x, g, xp, gp, lo, hi): a third with every argument from
+    # _STEP_VALUES, a third uniform, and a third in the loops' own shape,
+    # lo < x < hi with g and gp of opposite signs, some on a tied value
+    rng = np.random.default_rng(seed)
+    special = np.array(_STEP_VALUES)[rng.integers(len(_STEP_VALUES), size=(n, 6))]
+    spread = rng.uniform(-1.0, 1.0, size=(n, 6))
+    lo, hi = np.sort(rng.uniform(0.0, 1.0, size=(2, n)), axis=0)
+    x, xp = lo + (hi - lo) * rng.uniform(size=(2, n))
+    g = rng.uniform(-1.0, 1.0, size=n)
+    gp = np.where(rng.uniform(size=n) < 0.2, 2.0 * g, -g * rng.uniform(0.0, 4.0, size=n))
+    shaped = np.column_stack([x, g, xp, gp, lo, hi])
+    pick = rng.integers(3, size=n)[:, None]
+    return np.where(pick == 0, special, np.where(pick == 1, spread, shaped))
+
+
+class TestScalarLane:
+    """fixed_point is one lane of grid_fixed_points in floats, bit for bit,
+    None included, and its step is _secant_step's."""
+
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_bundled_take_grids(self, name):
+        sc = load_scenario(bundled_scenarios()[name])
+        _assert_the_scalar_lane_is_the_lane(_grid(256), sc.q, sc.w, sc.belief_measure)
+
+    @pytest.mark.parametrize("m", _family_zoo(), ids=lambda m: m.kind)
+    def test_every_family(self, m):
+        for q, w in itertools.product((0.0, 0.3, 0.9, 1.0), (BASELINE_W, 1.0, 1e9)):
+            _assert_the_scalar_lane_is_the_lane(_grid(32, 0.5001, 0.9999), q, w, m)
+
+    @pytest.mark.parametrize("kappas, q, m", [
+        # math.sqrt of a negative product, where np.sqrt gives NaN
+        (_grid(25, 0.51, 0.99), 0.1, _rippled()),
+        (_grid(25, 0.51, 0.99), 0.9, _rippled()),
+        # both totals vanish, and each ratio of them divides by zero
+        ([0.6, 0.7], 0.5, scaled(uniform(), 5e-324)),
+        # both, on some takes of a wedge whose masses cancel
+        (_grid(64, 0.5001, 0.9999), 0.3, wedge(2**53)),
+    ], ids=["rippled-0.1", "rippled-0.9", "underflow", "wedge-2**53"])
+    def test_takes_the_lanes_leave_to_solve(self, kappas, q, m):
+        lanes = _assert_the_scalar_lane_is_the_lane(kappas, q, 1.0, m)
+        assert None in lanes
+
+    def test_the_step_is_secant_step(self):
+        states = _secant_states(30000, seed=40)
+        nxt, done = _secant_step(*states.T)
+        got = [_secant_step_float(*state) for state in states.tolist()]
+        assert [(n.hex(), d) for n, d in got] \
+            == [(n.hex(), d) for n, d in zip(nxt.tolist(), done.tolist())]
+        assert 0 < sum(done.tolist()) < len(got)
+
+    def test_an_error_of_the_measure_propagates(self):
+        # only the map's own float errors make a take None: a DomainError,
+        # a ValueError too, from the measure leaves fixed_point as it
+        # leaves the batch
+        def refusing(lo, hi):
+            raise DomainError("refused")
+
+        m = dataclasses.replace(uniform(), exact_mass=refusing, exact_mass_array=refusing)
+        for run in (lambda: fixed_point(0.75, 0.9, 1.0, m),
+                    lambda: grid_fixed_points([0.75], 0.9, 1.0, m)):
+            with pytest.raises(DomainError, match="refused"):
+                run()
 
 
 def _record_D_probes(monkeypatch):

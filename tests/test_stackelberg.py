@@ -18,7 +18,9 @@ from parieq.response import MarketParams
 from parieq.scenario import build_measure, bundled_scenarios, load_scenario
 from parieq.stackelberg import (_INV_GOLDEN, _REFINE_TOL, KAPPA_SEARCH_HI,
                                 KAPPA_SEARCH_LO, TakeOptimum, optimize_take)
-from test_equilibrium import GRID_REVENUE_BOUND, _composed_revenues
+from conftest import BASELINE_W, scenario_zoo
+from test_equilibrium import GRID_REVENUE_BOUND, _composed_revenues, _count_handovers
+from test_measure import _family_zoo
 
 REFERENCE_TAKES = (Path(__file__).resolve().parents[1]
                    / "benchmarks" / "reference" / "take_search.json")
@@ -63,6 +65,26 @@ def scalar_optimize_take(measure, q, w, grid_points=256):
             d = lo + _INV_GOLDEN * (hi - lo)
             fd = revenue(d)
     return TakeOptimum(kappa_star=best_k, revenue_star=best_r, profile=profile)
+
+
+# the (q, w) of each zoo search: a one-sided belief, both budgets of the
+# bundled sweeps and a budget that never binds
+ZOO_MARKETS = [(1.0, 1.0), (0.3, BASELINE_W), (0.7, 1.0), (0.9, 1e9)]
+
+
+def _assert_matches_solving_every_probe(m, q, w):
+    # the probes' revenues come from fixed_point's totals, not from solve's,
+    # so kappa* may move by a float or a few: it stays within take_search's
+    # tolerances of the search that solves every probe. revenue* is solve's
+    # at kappa*, bit for bit, and no grid sample beats it. Measured on the
+    # 52 searches of the two tests below: 44 identical, the others within
+    # 4.7e-6 in kappa* and 7.3e-11 in revenue*
+    got, want = optimize_take(m, q, w), scalar_optimize_take(m, q, w)
+    params = MarketParams(kappa=got.kappa_star, q=q, w=w)
+    assert abs(got.kappa_star - want.kappa_star) <= 1e-5
+    assert abs(got.revenue_star - want.revenue_star) <= 1e-9
+    assert got.revenue_star == house_revenue(solve(params, m), params)
+    assert got.revenue_star >= max(r for _, r in got.profile)
 
 
 def _bits(opt):
@@ -141,8 +163,9 @@ class TestOptimizeTake:
         span = KAPPA_SEARCH_HI - KAPPA_SEARCH_LO
         grid = [KAPPA_SEARCH_LO + span * i / 255 for i in range(256)]
         c = grid[101] - _INV_GOLDEN * (grid[101] - grid[99])
-        # the grid's revenues come from take_revenue, the refinement's from
-        # house_revenue
+        # the grid's and the refinement's revenues come from take_revenue,
+        # on the lanes' totals and on fixed_point's; the report's from
+        # house_revenue, at the one take solved
         monkeypatch.setattr(stackelberg_mod, "take_revenue",
                             lambda kappa, *wagers: -abs(kappa - c))
         monkeypatch.setattr(stackelberg_mod, "house_revenue",
@@ -152,10 +175,12 @@ class TestOptimizeTake:
         assert (opt.kappa_star, opt.revenue_star) == (c, 0.0)
 
     @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
-    def test_only_the_refinement_builds_equilibria(self, monkeypatch, name):
-        # the 256 grid takes get their revenues from the lanes' floats: the
-        # large bettor's best response and an Equilibrium are built once per
-        # refinement solve, and for no grid take
+    def test_only_the_reported_take_builds_an_equilibrium(self, monkeypatch, name):
+        # the 256 grid takes and the golden-section probes get their revenues
+        # from the lanes' floats and fixed_point's, and none is handed to
+        # solve: the large bettor's best response and an Equilibrium are
+        # built once, for the revenue at kappa*, and for no take the search
+        # evaluates
         sc = load_scenario(bundled_scenarios()[name])
         calls = Counter()
 
@@ -171,8 +196,35 @@ class TestOptimizeTake:
         counting(equilibrium_mod, "atomic_best_response")
         counting(equilibrium_mod, "Equilibrium")
         assert len(optimize_take(sc.belief_measure, sc.q, sc.w).profile) == 256
-        assert 2 <= calls["solve"] <= 40
-        assert calls["atomic_best_response"] == calls["Equilibrium"] == calls["solve"]
+        assert calls["solve"] == calls["atomic_best_response"] == calls["Equilibrium"] == 1
+
+    def test_each_probe_handed_over_is_solved(self, monkeypatch):
+        # a probe whose lane is None gets solve's revenue. Here every third
+        # probe is handed over, as if its lane had met a value that is not
+        # finite: solve is called once for each, in order, then once at
+        # kappa*
+        real, probes, handed = stackelberg_mod.fixed_point, [], []
+
+        def every_third(kappa, *args):
+            probes.append(kappa)
+            if len(probes) % 3:
+                return real(kappa, *args)
+            handed.append(kappa)
+            return None
+
+        monkeypatch.setattr(stackelberg_mod, "fixed_point", every_third)
+        solved = _count_handovers(monkeypatch)
+        opt = optimize_take(uniform(), 0.9, 1.0)
+        assert len(handed) >= 5 and solved == handed + [opt.kappa_star]
+
+    @pytest.mark.parametrize("m", _family_zoo(), ids=lambda m: m.kind)
+    def test_every_family_matches_solving_every_probe(self, m):
+        for q, w in ZOO_MARKETS:
+            _assert_matches_solving_every_probe(m, q, w)
+
+    @pytest.mark.parametrize("sc", scenario_zoo(), ids=lambda sc: sc.name)
+    def test_drawn_markets_match_solving_every_probe(self, sc):
+        _assert_matches_solving_every_probe(sc.measure, sc.params.q, sc.params.w)
 
     def test_optimum_dominates_profile(self):
         opt = optimize_take(uniform(), 0.9, 1.0, grid_points=64)
@@ -224,12 +276,14 @@ def test_one_degenerate_take_does_not_end_the_search():
 
 
 @pytest.mark.xfail(strict=True, raises=DomainError,
-                   reason="on wedge(2**20) a golden-section probe meets a take "
-                          "whose two action boundaries bisect to the same point, "
-                          "so solve raises 'out of order' there and ends the "
-                          "search; the grid lanes finish every take")
+                   reason="on wedge(2**20) the grid lanes and the golden-section "
+                          "probes finish every take, but the optimum, kappa* = "
+                          "0.99936, is a take whose two action boundaries bisect "
+                          "to the same point, so the report's solve there raises "
+                          "'out of order'")
 def test_the_search_on_a_steep_wedge():
-    # the same holds at q = 0.01, 0.5, 0.7 and 0.99
+    # the same holds at q = 0.01, 0.5, 0.7 and 0.99: kappa* lies between
+    # 0.9927 and 0.9999, and the one solve, there, raises
     opt = optimize_take(wedge(2**20), 0.3, 1.0)
     assert KAPPA_SEARCH_LO <= opt.kappa_star <= KAPPA_SEARCH_HI
     assert len(opt.profile) == 256 and opt.revenue_star >= max(r for _, r in opt.profile)
