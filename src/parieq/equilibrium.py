@@ -47,7 +47,9 @@ totals are not both positive, gets None, for the caller to hand to
 ``fixed_point`` is one such lane in Python floats, bit for bit, for a
 take found one at a time, as each golden-section probe of
 ``stackelberg.optimize_take`` is: numpy's fixed cost per operation makes
-a batch of one slow. At kappa = 0.8, q = 0.9, w = 1 on wedge(100), a
+a batch of one slow. Its loop, ``_secant_float``, also finishes the
+grid's last 32 live lanes, where a numpy round costs more than looping
+over them. At kappa = 0.8, q = 0.9, w = 1 on wedge(100), a
 4-knot tabulated density and a 2-kernel Gaussian mixture, a batch of one
 took 0.4 to 1.2 ms, a ``solve`` with no remembered boundary 0.07 to 0.13
 ms and ``fixed_point`` 0.02 to 0.03 ms (in process, on one CPU).
@@ -60,13 +62,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NoEquilibriumError
+from .errors import DomainError, NoEquilibriumError, ParieqError
 from .measure import BeliefMeasure, mass
 from .response import (AtomicBet, DiffuseAggregate, DiffuseThresholds,
                        MarketParams, atomic_best_response,
                        diffuse_best_response)
 
 FP_TOL = 1e-10
+_FLOAT_TAIL = 32  # live lanes that _secant_lanes finishes in floats
 
 
 @dataclass(frozen=True)
@@ -418,19 +421,27 @@ def solve(params: MarketParams, measure: BeliefMeasure,
     bracket is narrowed below fp_tol and the reported fixed-point residual
     is driven below fp_tol as well. The map, phi_context's, does not depend
     on fp_tol, so at any fp_tol eq.residual is |phi(p_star) - p_star| on it.
+    Masses that round negative, where a stake's square root fails, raise a
+    DomainError.
     """
     if not fp_tol > 0.0:
         raise DomainError(f"fp_tol must be positive, got {fp_tol}")
     if params.kappa <= 0.5:
         raise NoEquilibriumError("no equilibrium: kappa must exceed 0.5")
-    ctx = phi_context(params, measure)
-    p_star, residual = _bisect_decreasing(
-        lambda p: phi(p, ctx) - p,
-        1.0 - params.kappa, params.kappa,
-        width_tol=fp_tol, residual_tol=fp_tol)
-    # every wager rebuilt from the fixed point and the totals there
-    d1s, d2s = _D(p_star, params.kappa, measure)
-    atomic = atomic_best_response(DiffuseAggregate(d1=d1s, d2=d2s), params)
+    try:
+        ctx = phi_context(params, measure)
+        p_star, residual = _bisect_decreasing(
+            lambda p: phi(p, ctx) - p,
+            1.0 - params.kappa, params.kappa,
+            width_tol=fp_tol, residual_tol=fp_tol)
+        # every wager rebuilt from the fixed point and the totals there
+        d1s, d2s = _D(p_star, params.kappa, measure)
+        atomic = atomic_best_response(DiffuseAggregate(d1=d1s, d2=d2s), params)
+    except ParieqError:
+        raise
+    except ValueError as exc:  # math.sqrt of a negative product d1 * d2
+        raise DomainError(f"the measure's masses round negative at kappa="
+                          f"{params.kappa}: a stake's square root fails ({exc})") from exc
     thresholds = diffuse_best_response(p_star, params.kappa)
     return Equilibrium(p_star=p_star, d1_star=d1s, d2_star=d2s,
                        atomic=atomic, thresholds=thresholds, residual=residual)
@@ -477,7 +488,8 @@ def _fixed_point_lanes(kappa: np.ndarray, q: float, w: float, m: BeliefMeasure):
     def g(p):
         return _phi_lanes(p, kappa, q, w, m, c1, c2) - p
 
-    p_star, residual, ok = _secant_lanes(g, 1.0 - kappa, kappa)
+    p_star, residual, ok = _secant_lanes(
+        g, 1.0 - kappa, kappa, lambda i: _composed_map(float(kappa[i]), q, w, m))
     d1s, d2s = _D_lanes(p_star, kappa, m)
     ok &= (d1s > 0.0) & (d2s > 0.0)
     return np.flatnonzero(ok), p_star[ok], residual[ok], d1s[ok], d2s[ok]
@@ -525,67 +537,73 @@ def _secant_step(x, g, xp, gp, lo, hi):
     (next probe, done): a lane is done when the secant step from x rounds
     to nothing, as at an exact zero, or when nothing lies strictly inside
     its bracket. Shared by ``_secant_lanes`` and ``oracle.discretize``;
-    ``_secant_step_float`` takes the same step on one lane's floats.
+    ``_secant_step_float`` takes the same step on one lane's floats. Its
+    inf or nan steps, never inside a bracket, warn unless the caller's
+    loop has entered np.errstate, as both callers' do.
     """
-    with np.errstate(all="ignore"):  # inf or nan steps are never inside a bracket
-        probe = x - g * (x - xp) / (g - gp)
-        gallop = x + 2.0 * (x - xp)
-        nxt = np.where((lo < probe) & (probe < hi) & (2.0 * np.abs(g) <= np.abs(gp)),
-                       probe, np.where((lo < gallop) & (gallop < hi), gallop,
-                                       0.5 * (lo + hi)))
+    probe = x - g * (x - xp) / (g - gp)
+    gallop = x + 2.0 * (x - xp)
+    nxt = np.where((lo < probe) & (probe < hi) & (2.0 * np.abs(g) <= np.abs(gp)),
+                   probe, np.where((lo < gallop) & (gallop < hi), gallop,
+                                   0.5 * (lo + hi)))
     return nxt, (probe == x) | ~((lo < nxt) & (nxt < hi))
 
 
-def _secant_lanes(g, lo: np.ndarray, hi: np.ndarray):
+def _secant_lanes(g, lo: np.ndarray, hi: np.ndarray, lane_map=None):
     """Root of a decreasing g on every lane at once, to float resolution.
 
     g(p) evaluates every lane at its point p, and each lane's bracket lo <
-    hi has g(lo) >= 0 >= g(hi), unchecked. The arrays stay full width:
-    each round evaluates every lane, and masked copies update only the
-    live ones. Compacting the live lanes, as ``discretize`` does, gives
-    the same bits but was slower on the six bundled 256-take grids (10.8
-    against 10.5 ms in all, in process on one CPU) and on a 4-knot
-    tabulated one, where masses are cheap; it paid only where they are
-    dear (a 2-kernel mixture, 4.4 against 5.5 ms). One loop for both costs
-    more: compacting and keeping the best probe slowed ``oracle_crosscheck``
-    (0.0177 against 0.0155 s per run) and moved 2,597 of its 24,000
-    beliefs; ``discretize``'s loop with the grid's best probe tracked in g
-    slowed the six grids (11.5 against 10.2 ms); a lane's last probe, or
-    the better of its last two, misses the tests' revenue bound (2.38e-14
-    against 1.48e-14, example4_case2 at kappa = 0.50402). A lane's first
-    probe is the chord through its bracket's ends, moved strictly inside,
-    with the upper end standing in for the probe before it; every later one
-    is ``_secant_step``'s, and each probe replaces the bracket end whose
-    sign it shares. A lane keeps its best point, where |g| is least, and
-    stops where ``_secant_step`` says it is done. There is no tolerance.
-    Returns (root, |g(root)|, ok). A lane where g is not finite is not ok,
-    its root meaningless, for ``solve`` to redo.
+    hi has g(lo) >= 0 >= g(hi), unchecked. A lane's first probe is the
+    chord through its bracket's ends, moved strictly inside, with the upper
+    end standing in for the probe before it; every later one is
+    ``_secant_step``'s, and each probe replaces the bracket end whose sign
+    it shares. A lane keeps its best point, where |g| is least, and stops
+    where ``_secant_step`` says it is done. There is no tolerance. Returns
+    (root, |g(root)|, ok). A lane where g is not finite is not ok, its root
+    meaningless, for ``solve`` to redo.
+
+    A round evaluates every lane, live or not, in 58 to 77 us on the
+    bundled 256-take grids; one lane's round in floats takes 1.2 to 1.7 us
+    (in process, one CPU). So, given lane_map(i), lane i's g in floats,
+    once _FLOAT_TAIL lanes or fewer are live each finishes from its exact
+    state by ``_secant_float``, with the same bits. Against numpy rounds
+    to the end, that made the six bundled searches 6.5 % faster at 32
+    lanes, 3.0 % at 64, and 4.9 % slower at 128.
     """
-    glo, ghi = g(lo), g(hi)
-    ok = np.isfinite(glo) & np.isfinite(ghi)  # totals that vanish give NaN
-    take_lo = abs(glo) <= abs(ghi)
-    best_p = np.where(take_lo, lo, hi)
-    best_g = np.where(take_lo, abs(glo), abs(ghi))
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # non-finite values mark lanes, not warnings
+        glo, ghi = g(lo), g(hi)
+        ok = np.isfinite(glo) & np.isfinite(ghi)  # totals that vanish give NaN
+        take_lo = abs(glo) <= abs(ghi)
+        best_p = np.where(take_lo, lo, hi)
+        best_g = np.where(take_lo, abs(glo), abs(ghi))
         chord = lo + (hi - lo) * (glo / (glo - ghi))
-    # fmin and fmax take a nan chord to the bracket's last float
-    x = np.fmax(np.fmin(chord, np.nextafter(hi, lo)), np.nextafter(lo, hi))
-    xp, gp = hi, ghi
-    lo, hi = lo.copy(), hi.copy()  # updated in place
-    live = ok & (lo < x) & (x < hi)
-    while live.any():
-        gx = g(x)
-        agx = abs(gx)
-        better = live & (agx < best_g)
-        np.copyto(best_p, x, where=better)
-        np.copyto(best_g, agx, where=better)
-        up = gx > 0.0
-        np.copyto(lo, x, where=live & up)
-        np.copyto(hi, x, where=live & ~up)
-        ok &= ~live | np.isfinite(gx)
-        nxt, done = _secant_step(x, gx, xp, gp, lo, hi)
-        live &= ok & ~done
-        xp, gp, x = x, gx, np.where(live, nxt, x)  # a finished lane stays put
+        # fmin and fmax take a nan chord to the bracket's last float
+        x = np.fmax(np.fmin(chord, np.nextafter(hi, lo)), np.nextafter(lo, hi))
+        xp, gp = hi, ghi
+        lo, hi = lo.copy(), hi.copy()  # updated in place
+        live = ok & (lo < x) & (x < hi)
+        while n_live := np.count_nonzero(live):
+            if lane_map is not None and n_live <= _FLOAT_TAIL:
+                tail = np.flatnonzero(live)
+                for i, *state in zip(tail.tolist(), *(
+                        a[tail].tolist() for a in (lo, hi, x, xp, gp, best_p, best_g))):
+                    end = _secant_float(lane_map(i), *state)
+                    ok[i] = end is not None
+                    if end:
+                        best_p[i], best_g[i] = end
+                break
+            gx = g(x)
+            agx = abs(gx)
+            better = live & (agx < best_g)
+            np.copyto(best_p, x, where=better)
+            np.copyto(best_g, agx, where=better)
+            up = gx > 0.0
+            np.copyto(lo, x, where=live & up)
+            np.copyto(hi, x, where=live & ~up)
+            ok &= ~live | np.isfinite(gx)
+            nxt, done = _secant_step(x, gx, xp, gp, lo, hi)
+            live &= ok & ~done
+            xp, gp, x = x, gx, np.where(live, nxt, x)  # a finished lane stays put
     return best_p, best_g, ok
 
 
@@ -598,12 +616,34 @@ def fixed_point(kappa: float, q: float, w: float, measure: BeliefMeasure,
     """grid_fixed_points([kappa], q, w, measure)[0], bit for bit, in floats.
 
     The same precondition, unchecked. The lane's operations in their order:
-    the composed map (``_phi_lanes``) with its totals from mass(), the
-    chord start and ``_secant_step``'s rule (``_secant_step_float``), the
+    the composed map (``_composed_map``) with its totals from mass(), the
+    chord start, ``_secant_float``'s rounds by ``_secant_step``'s rule, the
     best point and the totals there. Where Python raises and numpy gives
     a value that is not finite (a zero divisor, math.sqrt of a negative
     product), the map gives NaN, and the take gets None as its lane does.
     """
+    g = _composed_map(kappa, q, w, measure)
+    lo, hi = 1.0 - kappa, kappa
+    glo, ghi = g(lo), g(hi)
+    if not (isfinite(glo) and isfinite(ghi)):
+        return None
+    best_p, best_g = (lo, abs(glo)) if abs(glo) <= abs(ghi) else (hi, abs(ghi))
+    chord = lo + (hi - lo) * _divide(glo, glo - ghi)
+    below_hi, above_lo = nextafter(hi, lo), nextafter(lo, hi)
+    x = chord if chord < below_hi else below_hi  # np.fmin: a NaN chord gives below_hi
+    x = x if x > above_lo else above_lo
+    if (end := _secant_float(g, lo, hi, x, hi, ghi, best_p, best_g)) is None:
+        return None
+    best_p, best_g = end
+    d1 = mass(measure, best_p / kappa, 1.0)
+    d2 = mass(measure, 0.0, 1.0 - (1.0 - best_p) / kappa)
+    return (best_p, best_g, d1, d2) if d1 > 0.0 and d2 > 0.0 else None
+
+
+def _composed_map(kappa: float, q: float, w: float,
+                  measure: BeliefMeasure) -> Callable[[float], float]:
+    # phi(p) - p for one take, _phi_lanes' lane in floats: NaN where Python
+    # raises and numpy gives a value that is not finite
     c1, c2 = _stake_coefficient(kappa, q), _stake_coefficient(kappa, 1.0 - q)
 
     def g(p: float) -> float:
@@ -621,16 +661,14 @@ def fixed_point(kappa: float, q: float, w: float, measure: BeliefMeasure,
         except (ZeroDivisionError, ValueError):  # numpy's inf or NaN
             return nan
 
-    lo, hi = 1.0 - kappa, kappa
-    glo, ghi = g(lo), g(hi)
-    if not (isfinite(glo) and isfinite(ghi)):
-        return None
-    best_p, best_g = (lo, abs(glo)) if abs(glo) <= abs(ghi) else (hi, abs(ghi))
-    chord = lo + (hi - lo) * _divide(glo, glo - ghi)
-    below_hi, above_lo = nextafter(hi, lo), nextafter(lo, hi)
-    x = chord if chord < below_hi else below_hi  # np.fmin: a NaN chord gives below_hi
-    x = x if x > above_lo else above_lo
-    xp, gp = hi, ghi
+    return g
+
+
+def _secant_float(g: Callable[[float], float], lo: float, hi: float, x: float,
+                  xp: float, gp: float, best_p: float, best_g: float,
+                  ) -> Optional[tuple[float, float]]:
+    # a lane's secant rounds in floats, from its state in _secant_lanes' loop
+    # to its (best_p, best_g), or None where g is not finite
     while lo < x < hi:
         gx = g(x)
         if not isfinite(gx):
@@ -645,9 +683,7 @@ def fixed_point(kappa: float, q: float, w: float, measure: BeliefMeasure,
         if done:
             break
         xp, gp, x = x, gx, nxt
-    d1 = mass(measure, best_p / kappa, 1.0)
-    d2 = mass(measure, 0.0, 1.0 - (1.0 - best_p) / kappa)
-    return (best_p, best_g, d1, d2) if d1 > 0.0 and d2 > 0.0 else None
+    return best_p, best_g
 
 
 def _secant_step_float(x: float, g: float, xp: float, gp: float, lo: float,

@@ -335,8 +335,11 @@ def symmetrized_wedge(n: int) -> BeliefMeasure:
         return 0.5 * (w_array(lo, hi) + w_array(1.0 - hi, 1.0 - lo))
 
     # each wedge term is at least 1.0/n, so their float sum is at least 2.0/n
-    # and its half at least 1.0/n
-    return _finish(lambda p: 0.5 * (density(p) + density(1.0 - p)),
+    # and its half at least 1.0/n. As 1/n <= 0.5 for n >= 2, at most one of
+    # p and 1 - p lies below the knee, and the other term is the cut; for
+    # n = 1 every term is 1.0. So one density call gives the two calls' bits
+    cut = 1.0 / n
+    return _finish(lambda p: 0.5 * (density(p if p < 0.5 else 1.0 - p) + cut),
                    f"symmetrized_wedge(n={n})", exact, exact_array, floor=1.0 / n)
 
 

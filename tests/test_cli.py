@@ -454,6 +454,19 @@ class TestSweepCommand:
         assert rows[1]["p_star"] == ""
         assert len(rows[1]) == len(header)
 
+    def test_masses_that_round_negative_give_error_rows(self):
+        # math.sqrt fails on a stake there; solve raises a DomainError, so
+        # the row gets a status cell instead of ending the file
+        from parieq.cli import sweep_csv
+        from test_equilibrium import _rippled
+        sc = load_scenario(bundled_scenarios()["example1"])
+        text = sweep_csv(dataclasses.replace(sc, q=0.1, belief_measure=_rippled()),
+                         1e-10, True)
+        _, rows = parse_csv(text)
+        statuses = [r["status"] for r in rows]
+        assert len(rows) == 100 and statuses.count("ok") == 90
+        assert set(statuses) == {"ok", "error: DomainError"}
+
 
 class TestOptimizeTakeCommand:
     def test_summary_and_profile(self, tmp_path, capsys):

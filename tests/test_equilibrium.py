@@ -37,7 +37,9 @@ from parieq.metrics import house_revenue, take_revenue
 from parieq.response import (DiffuseAggregate, MarketParams, _capped_stake,
                              atomic_stakes, implied_probability)
 from parieq.scenario import build_measure, bundled_scenarios, load_scenario
-from parieq.stackelberg import KAPPA_SEARCH_HI, KAPPA_SEARCH_LO, grid_revenues
+from parieq.oracle import discretize
+from parieq.stackelberg import (KAPPA_SEARCH_HI, KAPPA_SEARCH_LO, grid_revenues,
+                                optimize_take)
 
 
 # takes from the band's narrowest to its widest
@@ -692,9 +694,10 @@ class TestTakeGrid:
     def test_bundled_take_grid_mass_calls(self, name):
         # one loop of 256 full-width lanes, and each evaluation asks the
         # measure twice: for d1 with the float 1.0 as upper bound, then for
-        # d2 with the float 0.0 as lower bound. Evaluations per grid, the
-        # band ends and the totals at p* included, measured: 29 on appendixA
-        # (26 secant rounds), 26 on example4_case2, 10 to 21 on the others
+        # d2 with the float 0.0 as lower bound. The last 32 live lanes or
+        # fewer finish in floats, through mass(). Full-width evaluations per
+        # grid, the band ends and the totals at p* included, measured: 25
+        # on appendixA, 23 on example4_case2, 9 to 18 on the others
         sc = load_scenario(bundled_scenarios()[name])
         calls = []
 
@@ -723,14 +726,18 @@ class TestTakeGrid:
         # masses that come out negative on some intervals, as rounding can
         # make them, give d1 * d2 < 0 at some probes: math.sqrt raises
         # there, and the lane must not turn np.sqrt's NaN into a stake. A
-        # take the lane hands over gets solve's revenue or error
+        # take the lane hands over gets solve's revenue or error, which
+        # names the negative masses instead of math.sqrt's bare ValueError
         m = _rippled()
         kappas = _grid(25, 0.51, 0.99)
         taken = _count_handovers(monkeypatch)
         outcomes = [(_outcome(lambda: _grid_revenues([k], q, 1.0, m)),
                      _outcome(lambda: _scalar_revenues([k], q, 1.0, m)))
                     for k in kappas]
-        assert (ValueError, "math domain error") in [want for _, want in outcomes]
+        errors = [want for _, want in outcomes if isinstance(want, tuple)]
+        assert all(kind is DomainError for kind, _ in errors)
+        assert any(msg.startswith("the measure's masses round negative at kappa=")
+                   and msg.endswith("(math domain error)") for _, msg in errors)
         # where she abstains the map computes no stake, so a NaN one is
         # dropped there. A take is handed over only where the scalar
         # bisection of the composed map raises too: the secant probes land
@@ -844,7 +851,8 @@ class TestScalarLane:
 
     def test_the_step_is_secant_step(self):
         states = _secant_states(30000, seed=40)
-        nxt, done = _secant_step(*states.T)
+        with np.errstate(all="ignore"):  # its callers own the errstate
+            nxt, done = _secant_step(*states.T)
         got = [_secant_step_float(*state) for state in states.tolist()]
         assert [(n.hex(), d) for n, d in got] \
             == [(n.hex(), d) for n, d in zip(nxt.tolist(), done.tolist())]
@@ -865,10 +873,11 @@ class TestScalarLane:
 
 
 def _record_D_probes(monkeypatch):
-    # every (p, kappa) pair _D and _D_lanes are called with from now on,
-    # the lanes' as arrays
+    # every (p, kappa) pair _D, _composed_map's map and _D_lanes are called
+    # with from now on, the lanes' as arrays
     probes, lanes = [], []
     real_D, real_D_lanes = equilibrium_mod._D, equilibrium_mod._D_lanes
+    real_map = equilibrium_mod._composed_map
 
     def recording_D(p, kappa, m):
         # after the call: a probe that mass() rejects raises and is not kept
@@ -880,8 +889,19 @@ def _record_D_probes(monkeypatch):
         lanes.append((p.copy(), kappa.copy()))
         return real_D_lanes(p, kappa, m)
 
+    def recording_map(kappa, q, w, m):
+        g = real_map(kappa, q, w, m)
+
+        def recording_g(p):
+            gp = g(p)  # after the call, as in recording_D
+            probes.append((p, kappa))
+            return gp
+
+        return recording_g
+
     monkeypatch.setattr(equilibrium_mod, "_D", recording_D)
     monkeypatch.setattr(equilibrium_mod, "_D_lanes", recording_D_lanes)
+    monkeypatch.setattr(equilibrium_mod, "_composed_map", recording_map)
     return probes, lanes
 
 
@@ -952,13 +972,15 @@ class TestInBandProbes:
 
     @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
     def test_lane_probes_on_the_bundled_take_grids(self, monkeypatch, name):
-        # the probes of a lane handed over to solve are recorded by _D
+        # the probes of a lane handed over to solve are recorded by _D, and
+        # those of the last live lanes, finished in floats, by their maps
         sc = load_scenario(bundled_scenarios()[name])
         probes, lanes = _record_D_probes(monkeypatch)
         grid_revenues(_grid(256), sc.q, sc.w, sc.belief_measure)
         _assert_in_band(probes, lanes)
-        # 10 to 29 full-width evaluations per grid, measured
-        assert sum(p.size for p, _ in lanes) >= 256 * 10
+        # 9 to 25 full-width evaluations per grid, and 0 to 50 probes in
+        # floats, measured
+        assert sum(p.size for p, _ in lanes) >= 256 * 9
 
 
 def _sweep_takes():
@@ -1286,19 +1308,39 @@ class TestBisectionLength:
     @pytest.mark.parametrize("m, markets", LANE_ROUND_GRIDS)
     def test_every_take_grid_lane_finishes_within_the_bisection_cap(self, monkeypatch,
                                                                      m, markets):
-        # the secant lanes take no more rounds than bisecting the band can.
-        # Measured on these 220 256-take grids: a median of 10 rounds, at
-        # most 66 (wedge(2**40) at q = 0.9, w = 1)
-        rounds, real = [], equilibrium_mod._phi_lanes
+        # the secant lanes take no more rounds than bisecting the band can,
+        # counting a lane's rounds in floats after the hand-over with those
+        # at full width before it. Measured on these 220 256-take grids: a
+        # median of 10 rounds, at most 66 (wedge(2**40) at q = 0.9, w = 1)
+        full, tail = [], []
+        real_lanes, real_tail = equilibrium_mod._phi_lanes, equilibrium_mod._secant_float
 
-        def counting(*args):
-            rounds[-1] += 1
-            return real(*args)
+        def counting_lanes(*args):
+            full[-1] += 1
+            return real_lanes(*args)
 
-        monkeypatch.setattr(equilibrium_mod, "_phi_lanes", counting)
+        def counting_tail(g, *state):
+            # a lane's rounds in floats, by its map evaluations
+            evals = 0
+
+            def counted(p):
+                nonlocal evals
+                evals += 1
+                return g(p)
+
+            try:
+                return real_tail(counted, *state)
+            finally:
+                tail[-1] = max(tail[-1], evals)
+
+        monkeypatch.setattr(equilibrium_mod, "_phi_lanes", counting_lanes)
+        monkeypatch.setattr(equilibrium_mod, "_secant_float", counting_tail)
         for q, w in markets:
-            rounds.append(-2)  # the band ends
+            full.append(-2)  # the band ends
+            tail.append(0)
             grid_fixed_points(_grid(256, 0.5001, 0.9999), q, w, m)
+        # every lane handed over finishes after the last full-width round
+        rounds = [a + b for a, b in zip(full, tail)]
         assert max(rounds) <= 105, max(rounds)
 
     def test_the_bound_is_reached(self):
@@ -1310,6 +1352,84 @@ class TestBisectionLength:
 
         _bisect_decreasing(g, 1.0 - kappa, kappa, width_tol=0.0)
         assert count[0] == 107  # two endpoints and 105 midpoints
+
+
+# _FLOAT_TAIL values: no lane handed over, the last one, the count in use,
+# and every lane from the first round
+FLOAT_TAILS = [0, 1, equilibrium_mod._FLOAT_TAIL, 2**31]
+
+
+def _lanes_at_every_float_tail(monkeypatch, kappas, q, w, m):
+    # grid_fixed_points' lanes as hex at each FLOAT_TAILS count, which must
+    # all agree; and how many lanes each count finished in floats
+    got, finished = [], []
+    real_tail = equilibrium_mod._secant_float
+
+    def counting_tail(*args):
+        finished[-1] += 1
+        return real_tail(*args)
+
+    monkeypatch.setattr(equilibrium_mod, "_secant_float", counting_tail)
+    for count in FLOAT_TAILS:
+        monkeypatch.setattr(equilibrium_mod, "_FLOAT_TAIL", count)
+        finished.append(0)
+        got.append([_lane_bits(lane) for lane in grid_fixed_points(kappas, q, w, m)])
+    assert all(lanes == got[0] for lanes in got[1:])
+    assert finished[0] == 0 and finished[-1] >= max(finished)
+    return got[0], finished
+
+
+class TestFloatTail:
+    """_secant_lanes finishes its last live lanes in floats, each from its
+    exact state, by fixed_point's loop: no hand-over count moves a bit."""
+
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_bundled_take_grids(self, monkeypatch, name):
+        sc = load_scenario(bundled_scenarios()[name])
+        for points in (16, 256, 1000):
+            _, finished = _lanes_at_every_float_tail(monkeypatch, _grid(points), sc.q,
+                                                     sc.w, sc.belief_measure)
+            # every lane starts live, so a count of the full width hands
+            # over all of them before the first round
+            assert finished[-1] == points
+
+    @pytest.mark.parametrize("m, markets", LANE_ROUND_GRIDS)
+    def test_lane_round_measures(self, monkeypatch, m, markets):
+        for q, w in markets:
+            _lanes_at_every_float_tail(monkeypatch, _grid(64, 0.5001, 0.9999), q, w, m)
+
+    @pytest.mark.parametrize("kappas, q, m", [
+        (_grid(25, 0.51, 0.99), 0.1, _rippled()),
+        (_grid(25, 0.51, 0.99), 0.9, _rippled()),
+        ([0.6, 0.7], 0.5, scaled(uniform(), 5e-324)),
+        (_grid(64, 0.5001, 0.9999), 0.3, wedge(2**53)),
+    ], ids=["rippled-0.1", "rippled-0.9", "underflow", "wedge-2**53"])
+    def test_takes_the_lanes_leave_to_solve(self, monkeypatch, kappas, q, m):
+        lanes, _ = _lanes_at_every_float_tail(monkeypatch, kappas, q, 1.0, m)
+        assert None in lanes
+
+
+class TestErrstateOwnership:
+    """The secant loops, _secant_lanes' and discretize's, each enter
+    np.errstate once for their whole loop, so _secant_step need not: under
+    all="raise" nothing raises, and the bits are those under numpy's
+    defaults (whose warnings this suite turns into errors)."""
+
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_take_grids_searches_and_populations(self, name):
+        sc = load_scenario(bundled_scenarios()[name])
+        m = sc.belief_measure
+
+        def run():
+            lanes = [_lane_bits(lane) for lane in grid_fixed_points(_grid(256), sc.q, sc.w, m)]
+            opt = optimize_take(m, sc.q, sc.w)
+            search = [x.hex() for x in (opt.kappa_star, opt.revenue_star,
+                                        *(x for pt in opt.profile for x in pt))]
+            return lanes, search, discretize(m, 2000).beliefs.tobytes()
+
+        with np.errstate(all="raise"):
+            raised = run()
+        assert raised == run()
 
 
 def _noisy(r, eps):

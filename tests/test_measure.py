@@ -119,6 +119,23 @@ class TestSymmetrizedWedgeDensity:
         for p in (0.1, 0.25, 0.4):
             assert m.density(p) == pytest.approx(m.density(1 - p), rel=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 2**20, 2**53])
+    def test_one_wedge_call_gives_the_two_calls_bits(self, n):
+        # at most one of p and 1 - p lies below the knee 1/n <= 0.5, so the
+        # density asks the wedge only there and adds the cut for the other
+        wedge_density, cut = measure_mod._wedge_density(n), 1.0 / n
+        ps = {0.0, 0.5, 1.0, cut, 1.0 - cut,
+              *np.random.default_rng(41).uniform(0.0, 1.0, 500).tolist()}
+        for knee in (cut, 1.0 - cut):
+            below = above = knee
+            for _ in range(3):
+                below, above = math.nextafter(below, -1.0), math.nextafter(above, 2.0)
+                ps |= {below, above}
+        ps = sorted(p for p in ps if 0.0 <= p <= 1.0)
+        m = symmetrized_wedge(n)
+        assert [m.density(p).hex() for p in ps] \
+            == [(0.5 * (wedge_density(p) + wedge_density(1.0 - p))).hex() for p in ps]
+
 
 # The wedge formulas written out in full, one evaluation per call. The
 # families precompute their constants, and their closures must still give
