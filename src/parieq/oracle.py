@@ -5,7 +5,8 @@ small bettor per cell holding the cell's wealth at its mass-median belief.
 All N beliefs are found at once, one float64 lane each: a table of the
 cumulative mass at N + 1 evenly spaced beliefs brackets each one, the
 quadratic through the table at three knots around its cell gives the
-first probe, and secant steps take it down to float resolution. Given
+first probe, and secant steps take it down to float resolution; the last
+32 lanes or fewer still live finish in Python floats, bit for bit. Given
 an implied probability P, the
 bettors apply the threshold rule and the large bettor best-responds to their
 totals; the pool share of Outcome 1 that results is the discrete response
@@ -19,7 +20,8 @@ The totals change only where a threshold crosses a bettor, so the roughly
 two thresholds: 3 to 18 times per call on the benchmark's 12 markets at
 N = 2000. Each count is a binary search in a sorted copy of the beliefs,
 made once per call with NaN beliefs left out (a NaN is on neither side of
-a threshold), so the population's beliefs need not be sorted.
+a threshold), so the population's beliefs need not be sorted; sorted and
+NaN-free, as discretize's are, its totals are sums of the wealths' ends.
 Agreement with the continuum solver validates both sides; no claim is made
 that the finite game itself has this as an equilibrium.
 """
@@ -30,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import _require_solvable_take, _secant_step
+from .equilibrium import (_FLOAT_TAIL, _require_solvable_take, _secant_step,
+                          _secant_step_float)
 from .errors import DomainError, as_count
 # mass is not called here, but benchmarks/spans.py wraps parieq.oracle.mass
 from .measure import BeliefMeasure, mass  # noqa: F401
@@ -78,7 +81,7 @@ class OracleResult:
     d1: float
     d2: float
     atomic: AtomicBet
-    # discrete_totals calls made, the final P's included
+    # responses computed, one per distinct key, the final P's included
     evaluations: int = field(compare=False, repr=False)
 
 
@@ -111,6 +114,13 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
     its last probe is below float resolution or nothing lies strictly
     inside its bracket. There is no tolerance and no iteration cap: every
     probe lies strictly inside the bracket and becomes one of its ends.
+
+    A numpy round costs the same however few lanes are live, and one can
+    crawl alone for dozens of rounds at a zero of the density. So once
+    ``equilibrium._FLOAT_TAIL`` lanes or fewer are live, each finishes from
+    its exact state in Python floats by exact_mass (exact_mass_array's
+    bits) and ``equilibrium._secant_step_float``, bit for bit, still with
+    no tolerance and no cap.
     """
     N = as_count(N, MIN_POPULATION, math.inf,
                  f"population size must be an integer of at least {MIN_POPULATION}")
@@ -141,7 +151,7 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
         # hi > 0, so both are ordered as their int64 views
         x = np.fmax(np.fmin(seed, (hi.view(np.int64) - 1).view(float)),
                     (lo.view(np.int64) + 1).view(float))
-        while True:
+        while lane.size > _FLOAT_TAIL:
             g = mass_array(0.0, x) - targets
             below = g < 0.0
             lo = np.where(below, x, lo)
@@ -150,12 +160,26 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
             if done.any():
                 beliefs[lane[done]] = x[done]
                 keep = np.flatnonzero(~done)
-                if not keep.size:
-                    break
                 lane, targets, lo, hi, x, g, nxt = (
                     a[keep] for a in (lane, targets, lo, hi, x, g, nxt))
             xp, gp, x = x, g, nxt
+    for i, *state in zip(lane.tolist(), *(
+            a.tolist() for a in (targets, lo, hi, x, xp, gp))):
+        beliefs[i] = _quantile_float(measure.exact_mass, *state)
     return DiscretePopulation(beliefs=beliefs, wealths=np.full(N, total / N))
+
+
+def _quantile_float(exact_mass, target: float, lo: float, hi: float, x: float,
+                    xp: float, gp: float) -> float:
+    # a lane of discretize's rounds in floats, from its exact state there,
+    # to its last probe, bit for bit
+    while True:
+        g = exact_mass(0.0, x) - target
+        lo, hi = (x, hi) if g < 0.0 else (lo, x)  # a NaN g, as np.where's
+        nxt, done = _secant_step_float(x, g, xp, gp, lo, hi)
+        if done:
+            return x
+        xp, gp, x = x, g, nxt
 
 
 def discrete_totals(pop: DiscretePopulation, P: float, kappa: float,
@@ -192,19 +216,28 @@ def iterate_best_response(pop: DiscretePopulation, params: MarketParams) -> Orac
     floats in the same order. So one response is cached per distinct key:
     the totals, her best response and implied_probability's pool share,
     each bit for bit what a fresh call would give. evaluations counts them.
+    On nondecreasing, NaN-free beliefs, as discretize's are, the k1 bettors
+    above t1 are the last k1 and the k2 below t2 the first k2: the totals
+    are those slices' sums, the masks' elements in the masks' order, so the
+    same bits. Nothing assumes the beliefs are sorted; any other population
+    takes discrete_totals.
     """
     _require_solvable_take(params.kappa)
-    kappa, beliefs = params.kappa, pop.beliefs
+    kappa, beliefs, wealths = params.kappa, pop.beliefs, pop.wealths
+    nan = np.isnan(beliefs)
+    ordered = not nan.any() and bool(np.all(beliefs[:-1] <= beliefs[1:]))
     # NaN is on neither side of a threshold, so it is left out of the counts
-    ranked = np.sort(beliefs[~np.isnan(beliefs)]).tolist()
+    ranked = (beliefs if ordered else np.sort(beliefs[~nan])).tolist()
     n = len(ranked)
     seen = {}  # (bettors above t1, bettors below t2) -> (d1, d2, bet, share)
 
     def respond(P):
-        key = (n - bisect_right(ranked, P / kappa),
-               bisect_left(ranked, 1.0 - (1.0 - P) / kappa))
+        key = k1, k2 = (n - bisect_right(ranked, P / kappa),
+                        bisect_left(ranked, 1.0 - (1.0 - P) / kappa))
         if key not in seen:
-            d = DiffuseAggregate(*discrete_totals(pop, P, kappa))
+            totals = ((float(wealths[n - k1:].sum()), float(wealths[:k2].sum())) if ordered
+                      else discrete_totals(pop, P, kappa))
+            d = DiffuseAggregate(*totals)
             # totals are one-sided near the ends of the band, where she stakes
             # nothing, and the pool is empty exactly when both are zero
             bet = (atomic_best_response(d, params) if d.d1 > 0.0 and d.d2 > 0.0

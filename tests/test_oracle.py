@@ -38,6 +38,10 @@ CRITERION8_CASES = [
 
 # every measure family, the quadrature-backed from_density included
 DISCRETIZE_ZOO = _family_zoo() + [from_density(lambda p: 1.0 + p * p, "quadratic")]
+# kinks at 1/2: the quadratic seed can turn back inside the cell, and at odd
+# N the vee's middle target sits at its zero of the density
+PEAK = tabulated([(0.0, 1e-6), (0.5, 1e6), (1.0, 1e-6)])
+VEE = tabulated([(0.0, 1e6), (0.5, 1e-6), (1.0, 1e6)])
 
 
 def discrete_response(pop, P, params):
@@ -123,14 +127,20 @@ class TestDiscretize:
     def test_inversion_stays_within_twice_bisection(self, m):
         # count every cumulative evaluation, lane by lane: the elements of
         # each exact_mass_array call, the table's included, with the lower
-        # bound broadcast against the upper one
+        # bound broadcast against the upper one, and each exact_mass call of
+        # the lanes finished in floats
         evals = [0]
 
         def counted(lo, hi):
             evals[0] += np.broadcast(lo, hi).size
             return m.exact_mass_array(lo, hi)
 
-        b = discretize(dataclasses.replace(m, exact_mass_array=counted), 257).beliefs
+        def counted_float(lo, hi):
+            evals[0] += 1
+            return m.exact_mass(lo, hi)
+
+        b = discretize(dataclasses.replace(m, exact_mass_array=counted,
+                                           exact_mass=counted_float), 257).beliefs
         # plain bisection of [previous belief, 1] to float resolution takes
         # one evaluation per probe; replay its probes against the known root
         bisection = 0
@@ -146,8 +156,9 @@ class TestDiscretize:
 
     def test_benchmark_cases_take_few_rounds(self):
         # the three-knot quadratic seeds and the secant steps place all 2000
-        # bettors of each oracle_crosscheck market in 1 to 8 exact_mass_array
-        # calls after the table's, 55 in all
+        # bettors of each oracle_crosscheck market in 1 to 8 rounds after the
+        # table, 55 in all, a lane's rounds in floats after the hand-over
+        # counted with those in numpy before it
         rounds = [len(self._probes(m, N)[0]) - 1 for _, m, N, _ in CROSSCHECK_CASES]
         assert max(rounds) <= 8 and sum(rounds) <= 55, rounds
 
@@ -162,14 +173,32 @@ class TestDiscretize:
 
     @staticmethod
     def _probes(m, N):
-        # the upper bounds of every exact_mass_array call, the table's first
-        probes = []
+        # the probes round by round: the upper bounds of every
+        # exact_mass_array call, the table's first, then the rounds of the
+        # lanes finished in floats, round r holding the r-th exact_mass probe
+        # of each lane that makes one, in lane order
+        probes, lanes = [], []
 
         def recorded(lo, hi):
             probes.append(np.array(hi, copy=True))
             return m.exact_mass_array(lo, hi)
 
-        beliefs = discretize(dataclasses.replace(m, exact_mass_array=recorded), N).beliefs
+        def recorded_float(lo, hi):
+            lanes[-1].append(hi)
+            return m.exact_mass(lo, hi)
+
+        real_lane = oracle_mod._quantile_float
+
+        def lane(*args):
+            lanes.append([])
+            return real_lane(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle_mod, "_quantile_float", lane)
+            beliefs = discretize(dataclasses.replace(
+                m, exact_mass_array=recorded, exact_mass=recorded_float), N).beliefs
+        for r in range(max(map(len, lanes), default=0)):
+            probes.append(np.array([x[r] for x in lanes if len(x) > r]))
         return probes, beliefs
 
     @pytest.mark.parametrize("n", [10, 100])
@@ -190,14 +219,11 @@ class TestDiscretize:
         assert len(probes) == 2
 
     @pytest.mark.parametrize("N", [2, 3, 57, 257, 2000])
-    @pytest.mark.parametrize("knots", [[(0.0, 1e-6), (0.5, 1e6), (1.0, 1e-6)],
-                                       [(0.0, 1e6), (0.5, 1e-6), (1.0, 1e6)]],
-                             ids=["peak", "vee"])
-    def test_seeds_across_a_kink_keep_the_quantiles(self, knots, N):
+    @pytest.mark.parametrize("m", [PEAK, VEE], ids=["peak", "vee"])
+    def test_seeds_across_a_kink_keep_the_quantiles(self, m, N):
         # the quadratic through three knots around a kink can turn back inside
         # the cell, and at odd N the vee's middle target sits at its zero
         # of the density; beliefs stay strictly increasing and exact
-        m = tabulated(knots)
         b = discretize(m, N).beliefs
         assert 0.0 < b[0] and b[-1] < 1.0 and np.all(np.diff(b) > 0.0)
         total = m.total_mass
@@ -271,6 +297,43 @@ class TestDiscretize:
         m = from_density(lambda p: 1e-8 * (1e-3 + math.exp(-((p - 0.5) / 0.01) ** 2)))
         b = discretize(m, 257).beliefs
         assert 0.0 < b[0] and b[-1] < 1.0 and np.all(np.diff(b) > 0.0)
+
+    @pytest.mark.parametrize("N", [2, 3, 57, 257, 2000, 8000])
+    @pytest.mark.parametrize(
+        "m", DISCRETIZE_ZOO + [PEAK, VEE, wedge(2**53)],
+        ids=[m.kind for m in DISCRETIZE_ZOO] + ["peak", "vee", "wedge:2**53"])
+    def test_no_hand_over_count_moves_a_bit(self, monkeypatch, m, N):
+        # the lanes still live once _FLOAT_TAIL or fewer are each finish in
+        # floats from their exact state: none handed over, the last one, the
+        # count in use and every lane from the seeds give the same beliefs
+        got, finished = [], []
+        real_lane = oracle_mod._quantile_float
+
+        def lane(*args):
+            finished[-1] += 1
+            return real_lane(*args)
+
+        monkeypatch.setattr(oracle_mod, "_quantile_float", lane)
+        for count in (0, 1, oracle_mod._FLOAT_TAIL, 2**31):
+            monkeypatch.setattr(oracle_mod, "_FLOAT_TAIL", count)
+            finished.append(0)
+            got.append([x.hex() for x in discretize(m, N).beliefs.tolist()])
+        assert all(b == got[0] for b in got[1:])
+        assert finished[0] == 0 and finished[-1] == N
+
+    def test_the_crawling_vee_lane_finishes_in_floats(self):
+        # at N = 57 the vee's middle lane sits at the density's zero and is
+        # alone for the last 27 of 30 rounds in numpy; handed over with the
+        # 25 lanes live after the first round, it takes none of its own. The
+        # table and that round are the 2 calls measured
+        calls = [0]
+
+        def counted(lo, hi):
+            calls[0] += 1
+            return VEE.exact_mass_array(lo, hi)
+
+        discretize(dataclasses.replace(VEE, exact_mass_array=counted), 57)
+        assert calls[0] <= 6, calls[0]
 
     def test_rejects_tiny_population(self):
         with pytest.raises(DomainError):
@@ -493,6 +556,22 @@ def count_totals(monkeypatch):
     return calls
 
 
+def count_responses(monkeypatch):
+    """Count the responses iterate_best_response computes from here on.
+
+    Each one builds the DiffuseAggregate of its totals once, whether they
+    are slices of a sorted population or discrete_totals' masked sums.
+    """
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return DiffuseAggregate(*args)
+
+    monkeypatch.setattr(oracle_mod, "DiffuseAggregate", counted)
+    return calls
+
+
 FIVE_KNOTS = tabulated([(0.0, 0.8), (0.25, 1.5), (0.5, 0.7), (0.75, 1.6), (1.0, 1.0)])
 
 # (id, measure, N, params)
@@ -564,11 +643,27 @@ def _odd_population(kind, params):
         b[::2] = math.nan
     elif kind == "unequal-wealths":
         w = rng.uniform(0.1, 2.0, b.size) / b.size
+    elif kind == "tied-unequal-wealths":
+        b = np.round(b, 2)
+        w = rng.uniform(0.1, 2.0, b.size) / b.size
+    elif kind == "signed-zeros":  # equal, so in order either way round
+        b[:6] = [-0.0, 0.0, -0.0, -0.0, 0.0, 0.0]
+    elif kind == "sorted-infinite":
+        b[[0, 498, 499]] = [-math.inf, math.inf, math.inf]
+    elif kind in ("one-bettor", "one-nan"):
+        b, w = np.array([0.3 if kind == "one-bettor" else math.nan]), np.array([1.0])
+    elif kind == "empty":
+        b, w = np.array([]), np.array([])
     return DiscretePopulation(beliefs=b, wealths=w)
 
 
 ODD_POPULATIONS = ["shuffled", "tied", "at-thresholds", "infinite", "nan", "half-nan",
-                   "unequal-wealths"]
+                   "unequal-wealths", "tied-unequal-wealths", "signed-zeros",
+                   "sorted-infinite", "one-bettor", "one-nan", "empty"]
+# the ones whose beliefs are nondecreasing and hold no NaN, as discretize's
+# do: their totals are slices of the wealths
+SORTED_POPULATIONS = {"tied", "unequal-wealths", "tied-unequal-wealths", "signed-zeros",
+                      "sorted-infinite", "one-bettor", "empty"}
 ODD_MARKETS = [MarketParams(kappa=0.8, q=0.9, w=1.0),
                MarketParams(kappa=0.839, q=1.0, w=1.0),
                MarketParams(kappa=0.6, q=0.7, w=0.1)]
@@ -588,20 +683,30 @@ class TestCountKeyedTotals:
         # discrete_totals compares for any population, sorted or not
         assert_replays(_odd_population(kind, params), params)
 
+    @pytest.mark.parametrize("kind", ODD_POPULATIONS)
+    def test_only_sorted_nan_free_populations_take_slices(self, kind, monkeypatch):
+        # a NaN fails every comparison of the sortedness chain but a lone
+        # one's, which has none; either way a NaN takes discrete_totals
+        pop = _odd_population(kind, ODD_MARKETS[0])
+        calls = count_totals(monkeypatch)
+        iterate_best_response(pop, ODD_MARKETS[0])
+        assert (calls[0] == 0) == (kind in SORTED_POPULATIONS)
+
     def test_empty_pool_counts_its_one_evaluation(self, monkeypatch):
         params = MarketParams(kappa=0.51, q=0.5, w=1.0)
-        calls = count_totals(monkeypatch)
+        calls = count_responses(monkeypatch)
         res = iterate_best_response(discretize(uniform(), 2), params)
         assert not res.converged
         assert res.evaluations == calls[0] == 1
 
     @pytest.mark.parametrize("case", LARGE_CASES, ids=[c[0] for c in LARGE_CASES])
-    def test_evaluations_count_the_totals_calls(self, case, monkeypatch):
+    def test_evaluations_count_the_computed_responses(self, case, monkeypatch):
         _, m, N, params = case
         pop = discretize(m, N)
-        calls = count_totals(monkeypatch)
+        calls, totals = count_responses(monkeypatch), count_totals(monkeypatch)
         res = iterate_best_response(pop, params)
         assert res.evaluations == calls[0] <= res.iterations + 1
+        assert totals[0] == 0  # discretize's beliefs are sorted: all slices
         again = iterate_best_response(pop, params)
         assert again.evaluations == res.evaluations
         # left out of == and repr, like the other result counts
@@ -614,7 +719,7 @@ class TestCountKeyedTotals:
         # to 18 distinct values, one per pair of bettor counts
         for key, m, N, params in CROSSCHECK_CASES:
             pop = discretize(m, N)
-            calls = count_totals(monkeypatch)
+            calls = count_responses(monkeypatch)
             res = iterate_best_response(pop, params)
             assert calls[0] <= 20, key
             assert res.evaluations == calls[0], key
