@@ -18,10 +18,10 @@ the band), which pins that point down exactly with no tolerance to tune.
 The totals change only where a threshold crosses a bettor, so the roughly
 53 probes compute them once per distinct pair of bettor counts beyond the
 two thresholds: 3 to 18 times per call on the benchmark's 12 markets at
-N = 2000. Each count is a binary search in a sorted copy of the beliefs,
-made once per call with NaN beliefs left out (a NaN is on neither side of
-a threshold), so the population's beliefs need not be sorted; sorted and
-NaN-free, as discretize's are, its totals are sums of the wealths' ends.
+N = 2000. A population's beliefs are nondecreasing float64 values in
+[0, 1], as discretize makes them, checked once when it is built; so each
+count is a binary search in the beliefs, and the totals are sums of the
+wealths' two ends.
 Agreement with the continuum solver validates both sides; no claim is made
 that the finite game itself has this as an equilibrium.
 """
@@ -47,9 +47,12 @@ MIN_POPULATION = 2
 class DiscretePopulation:
     """Finite stand-in population: one belief and one wealth per bettor.
 
-    Both are 1-D numpy float arrays of equal length. discretize returns the
-    beliefs sorted, but nothing here relies on their order. Every wealth is
-    finite and at least 0, which discretize's total / N can underflow to.
+    Both are 1-D numpy float64 arrays of equal length. The beliefs lie in
+    [0, 1] and are nondecreasing, as discretize makes them, and
+    iterate_best_response relies on their order. Every wealth is finite and
+    at least 0, which discretize's total / N can underflow to. All of this
+    is checked once, here, and anything else raises DomainError; the arrays
+    are then made read-only, so that it holds for the population's life.
     """
 
     beliefs: np.ndarray
@@ -59,14 +62,18 @@ class DiscretePopulation:
         for name, a in (("beliefs", self.beliefs), ("wealths", self.wealths)):
             if not isinstance(a, np.ndarray):
                 raise DomainError(f"{name} must be a numpy array, got {type(a).__name__}")
-            if not (a.ndim == 1 and a.dtype.kind == "f"):
-                raise DomainError(f"{name} must be a 1-D float array, got "
+            if not (a.ndim == 1 and a.dtype == np.float64):
+                raise DomainError(f"{name} must be a 1-D float64 array, got "
                                   f"{a.dtype} of shape {a.shape}")
         if self.beliefs.size != self.wealths.size:
             raise DomainError(f"{self.beliefs.size} beliefs but "
                               f"{self.wealths.size} wealths")
         if not np.all((self.wealths >= 0.0) & (self.wealths < np.inf)):  # NaN fails both
             raise DomainError("wealths must be finite and nonnegative")
+        b = self.beliefs
+        if not (np.all((b >= 0.0) & (b <= 1.0)) and np.all(b[:-1] <= b[1:])):  # NaN fails
+            raise DomainError("beliefs must lie in [0, 1] and be nondecreasing")
+        self.beliefs.flags.writeable = self.wealths.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -187,6 +194,8 @@ def discrete_totals(pop: DiscretePopulation, P: float, kappa: float,
     """Population wagers at implied probability P under the threshold rule.
 
     Bettors exactly at a threshold abstain, matching the continuum convention.
+    This is the reference definition, masked sums over all bettors;
+    iterate_best_response takes the same bits from its ordered slices.
     """
     t1 = P / kappa
     t2 = 1.0 - (1.0 - P) / kappa
@@ -207,27 +216,18 @@ def iterate_best_response(pop: DiscretePopulation, params: MarketParams) -> Orac
     means a probe found nobody wagering, so the map is undefined there.
 
     Each probe is keyed by how many bettors lie beyond each threshold, the
-    comparisons discrete_totals makes, counted by binary search in a sorted
-    copy of the beliefs made once per call. NaN beliefs are left out of the
-    copy, as they are on neither side of a threshold, so the key is the
-    pair of counts for any population, sorted or not. A threshold moves
+    comparisons discrete_totals makes, counted by binary search in the
+    beliefs, which the population keeps nondecreasing. A threshold moves
     monotonically with P, so each set of bettors beyond it is nested in the
-    next: equal counts are equal sets, whose masked sums add the same
-    floats in the same order. So one response is cached per distinct key:
-    the totals, her best response and implied_probability's pool share,
-    each bit for bit what a fresh call would give. evaluations counts them.
-    On nondecreasing, NaN-free beliefs, as discretize's are, the k1 bettors
-    above t1 are the last k1 and the k2 below t2 the first k2: the totals
-    are those slices' sums, the masks' elements in the masks' order, so the
-    same bits. Nothing assumes the beliefs are sorted; any other population
-    takes discrete_totals.
+    next: equal counts are equal sets. So one response is cached per
+    distinct key: the totals, her best response and implied_probability's
+    pool share, each bit for bit what a fresh call would give. evaluations
+    counts them. The k1 bettors above t1 are the last k1 and the k2 below
+    t2 the first k2, so the totals are those slices' sums: the masks'
+    elements in the masks' order, so discrete_totals' bits.
     """
     _require_solvable_take(params.kappa)
-    kappa, beliefs, wealths = params.kappa, pop.beliefs, pop.wealths
-    nan = np.isnan(beliefs)
-    ordered = not nan.any() and bool(np.all(beliefs[:-1] <= beliefs[1:]))
-    # NaN is on neither side of a threshold, so it is left out of the counts
-    ranked = (beliefs if ordered else np.sort(beliefs[~nan])).tolist()
+    kappa, wealths, ranked = params.kappa, pop.wealths, pop.beliefs.tolist()
     n = len(ranked)
     seen = {}  # (bettors above t1, bettors below t2) -> (d1, d2, bet, share)
 
@@ -235,9 +235,7 @@ def iterate_best_response(pop: DiscretePopulation, params: MarketParams) -> Orac
         key = k1, k2 = (n - bisect_right(ranked, P / kappa),
                         bisect_left(ranked, 1.0 - (1.0 - P) / kappa))
         if key not in seen:
-            totals = ((float(wealths[n - k1:].sum()), float(wealths[:k2].sum())) if ordered
-                      else discrete_totals(pop, P, kappa))
-            d = DiffuseAggregate(*totals)
+            d = DiffuseAggregate(float(wealths[n - k1:].sum()), float(wealths[:k2].sum()))
             # totals are one-sided near the ends of the band, where she stakes
             # nothing, and the pool is empty exactly when both are zero
             bet = (atomic_best_response(d, params) if d.d1 > 0.0 and d.d2 > 0.0
