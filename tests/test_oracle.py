@@ -404,17 +404,21 @@ class TestDiscretePopulation:
         with pytest.raises(DomainError):
             DiscretePopulation(beliefs=beliefs, wealths=wealths)
 
-    def test_rejects_float32_beliefs_from_discretize(self):
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
+    @pytest.mark.parametrize("N", [50, 500, 2000])
+    @pytest.mark.parametrize("measure", ["wedge(1)", "wedge(10)", "uniform"])
+    def test_rejects_float32_beliefs_from_discretize(self, measure, N, shuffled):
         # rounded to float32, discretize's beliefs stay sorted and in the
         # band, but discrete_totals compares them with float32 thresholds
         # while the counts compare float64 ones: at 3 markets, 22 of the 54
-        # oracle results on these populations once differed from a replay
-        for m, N in itertools.product((wedge(1), wedge(10), uniform()), (50, 500, 2000)):
-            pop = discretize(m, N)
-            for beliefs in (pop.beliefs, np.random.default_rng(N).permutation(pop.beliefs)):
-                with pytest.raises(DomainError, match="float64"):
-                    DiscretePopulation(beliefs=beliefs.astype(np.float32),
-                                       wealths=pop.wealths)
+        # oracle results on these 18 populations once differed from a replay
+        m = {"wedge(1)": wedge(1), "wedge(10)": wedge(10), "uniform": uniform()}[measure]
+        pop = discretize(m, N)
+        beliefs = pop.beliefs
+        if shuffled:
+            beliefs = np.random.default_rng(N).permutation(beliefs)
+        with pytest.raises(DomainError, match="float64"):
+            DiscretePopulation(beliefs=beliefs.astype(np.float32), wealths=pop.wealths)
 
     def test_holds_its_arrays_read_only(self):
         # its checks run once, so a write after them could break the order
@@ -695,6 +699,19 @@ def _odd_population(kind, params):
         b[:6] = [-0.0, 0.0, -0.0, -0.0, 0.0, 0.0]
     elif kind == "one-bettor":
         b, w = np.array([0.3]), np.array([1.0])
+    # the rest are unsorted or hold a NaN or an infinite belief: rejected
+    elif kind == "shuffled":
+        b = rng.permutation(b)
+    elif kind == "infinite":
+        b[[3, 200, 499]] = [-math.inf, math.inf, math.inf]
+    elif kind == "nan":
+        b[250] = math.nan
+    elif kind == "half-nan":
+        b[::2] = math.nan
+    elif kind == "sorted-infinite":
+        b[[0, 498, 499]] = [-math.inf, math.inf, math.inf]
+    elif kind == "one-nan":
+        b, w = np.array([math.nan]), np.array([1.0])
     elif kind == "empty":
         b, w = np.array([]), np.array([])
     return DiscretePopulation(beliefs=b, wealths=w)
@@ -702,6 +719,8 @@ def _odd_population(kind, params):
 
 ODD_POPULATIONS = ["tied", "at-thresholds", "unequal-wealths", "tied-unequal-wealths",
                    "signed-zeros", "one-bettor", "empty"]
+REJECTED_POPULATIONS = ["shuffled", "infinite", "nan", "half-nan", "sorted-infinite",
+                        "one-nan"]
 ODD_MARKETS = [MarketParams(kappa=0.8, q=0.9, w=1.0),
                MarketParams(kappa=0.839, q=1.0, w=1.0),
                MarketParams(kappa=0.6, q=0.7, w=0.1)]
@@ -721,6 +740,13 @@ class TestCountKeyedTotals:
         # a threshold and unequal wealths they must still be the counts and
         # the masked sums discrete_totals gives
         assert_replays(_odd_population(kind, params), params)
+
+    @pytest.mark.parametrize("kind", REJECTED_POPULATIONS)
+    def test_rejects_a_population_it_cannot_count(self, kind):
+        # binary search and end slices count only sorted beliefs in [0, 1];
+        # these once took discrete_totals' masks and now fail at construction
+        with pytest.raises(DomainError, match="nondecreasing"):
+            _odd_population(kind, ODD_MARKETS[0])
 
     def test_empty_pool_counts_its_one_evaluation(self, monkeypatch):
         params = MarketParams(kappa=0.51, q=0.5, w=1.0)
