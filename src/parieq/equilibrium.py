@@ -126,11 +126,11 @@ def _bisect_decreasing(g: Callable[[float], float], lo: float, hi: float,
     [1 - kappa, kappa]: at its ends one small-bettor total is exactly 0.0,
     which fixes the signs of both boundary ratios and of phi(p) - p there.
     Shrinks until the bracket is narrower than width_tol with the best |g|
-    within residual_tol, stops early at an exact zero, and stops at the
-    latest when float resolution runs out; on the band that takes at most
-    105 midpoints. Very steep crossings can leave |g| above residual_tol at
-    every point evaluated; the best of them is returned regardless, with its
-    honest residual. Returns (root, |g(root)|).
+    within residual_tol, stops early at an exact zero, even at an end, and
+    stops at the latest when float resolution runs out; on the band that
+    takes at most 105 midpoints. Very steep crossings can leave |g| above
+    residual_tol at every point evaluated; the best of them is returned
+    regardless, with its honest residual. Returns (root, |g(root)|).
     """
     state = _bisect_steps(g, _bisect_start(g, lo, hi), width_tol, residual_tol)
     return state[2], state[3]
@@ -138,16 +138,20 @@ def _bisect_decreasing(g: Callable[[float], float], lo: float, hi: float,
 
 def _bisect_start(g: Callable[[float], float], lo: float, hi: float) -> tuple:
     # the bisection's state (lo, hi, best_p, best_g, done) once g is known
-    # at both ends: best_p is the point of least |g| so far, best_g that |g|
+    # at both ends: best_p is the point of least |g| so far, best_g that |g|;
+    # an exact zero at the better end is the root, as at a midpoint
     glo, ghi = g(lo), g(hi)
     best_p, best_g = (lo, abs(glo)) if abs(glo) <= abs(ghi) else (hi, abs(ghi))
-    return lo, hi, best_p, best_g, False
+    return lo, hi, best_p, best_g, best_g == 0.0
 
 
 def _bisect_steps(g: Callable[[float], float], state: tuple, width_tol: float,
                   residual_tol: float, once: bool = False) -> tuple:
-    # the bisection's loop, from an open state to the state where it ends
-    # (done, with its root in best_p), or after one step if once
+    # the bisection's loop, from a state to the state where it ends (done,
+    # with its root in best_p), or after one step if once; a finished state
+    # is returned as it is
+    if state[4]:
+        return state
     lo, hi, best_p, best_g, _ = state
     while lo < (mid := 0.5 * (lo + hi)) < hi:  # until float resolution runs out
         gmid = g(mid)
@@ -171,12 +175,13 @@ class Boundary:
 
     Boundary(g, lo, hi).root() is _bisect_decreasing(g, lo, hi, FP_TOL)[0],
     bit for bit: the constructor evaluates g at both ends, as that
-    bisection does first, and each later step is one pass of the same loop,
-    _bisect_steps, with residual_tol = inf. below(p) and above(p) compare
-    the root with p and take only the steps that the comparison needs: the
-    root the remaining steps can return is the best point so far or a
-    midpoint strictly inside the bracket, so once p lies past the bracket
-    and on the same side of the best point, the answer is known.
+    bisection does first, and finishes at an end where g is exactly 0; each
+    later step is one pass of the same loop, _bisect_steps, with
+    residual_tol = inf. below(p) and above(p) compare the root with p and
+    take only the steps that the comparison needs: the root the remaining
+    steps can return is the best point so far or a midpoint strictly inside
+    the bracket, so once p lies past the bracket and on the same side of
+    the best point, the answer is known.
 
     The state is _bisect_steps's tuple (lo, hi, best_p, best_g, done). A
     step reads it once and replaces it whole, so threads sharing a
@@ -192,13 +197,6 @@ class Boundary:
         self._g = g
         self._state = _bisect_start(g, lo, hi)
 
-    @classmethod
-    def at(cls, root: float) -> "Boundary":
-        """A boundary known without bisecting, such as a pinned band end."""
-        b = cls.__new__(cls)  # finished, so it never steps
-        b._state = (root, root, root, 0.0, True)
-        return b
-
     def __repr__(self) -> str:
         lo, hi, best_p, _, done = self._state
         return (f"Boundary(root={best_p!r})" if done
@@ -206,9 +204,7 @@ class Boundary:
 
     def _step(self) -> tuple:
         # the state after one more step; a finished state stays as it is
-        state = self._state
-        if not state[4]:
-            self._state = state = _bisect_steps(self._g, state, FP_TOL, inf, once=True)
+        self._state = state = _bisect_steps(self._g, self._state, FP_TOL, inf, once=True)
         return state
 
     def root(self) -> float:
@@ -246,10 +242,11 @@ def compute_pbar1(params: MarketParams, measure: BeliefMeasure) -> Boundary:
     """Boundary candidate above which the large bettor backs Outcome 1.
 
     Unique root of q = d1 / (kappa (d1 + d2)) along the band; the ratio falls
-    continuously from 1/kappa to 0, so the root is interior unless q = 0, in
-    which case the boundary collapses to kappa exactly. Returns the
-    bisection as a Boundary, with only the band ends evaluated; its root()
-    is the bisection's root to FP_TOL, whatever tolerance solve is given.
+    continuously from 1/kappa to 0, so the root is interior unless q = 0,
+    where the ratio minus q is exactly 0 at kappa and the bisection ends
+    there. Returns the bisection as a Boundary, with only the band ends
+    evaluated; its root() is the bisection's root to FP_TOL, whatever
+    tolerance solve is given.
 
     The last boundary is remembered, keyed by the measure object (compared
     with ``is``, so a copy that compares equal is another key) and by
@@ -261,8 +258,6 @@ def compute_pbar1(params: MarketParams, measure: BeliefMeasure) -> Boundary:
     as it was.
     """
     _require_solvable_take(params.kappa)
-    if params.q == 0.0:
-        return Boundary.at(params.kappa)
     kappa, q, m = params.kappa, params.q, measure
 
     def g(p: float) -> float:
@@ -275,13 +270,11 @@ def compute_pbar1(params: MarketParams, measure: BeliefMeasure) -> Boundary:
 def compute_pbar2(params: MarketParams, measure: BeliefMeasure) -> Boundary:
     """Boundary candidate below which the large bettor backs Outcome 2.
 
-    Mirror of compute_pbar1 on the rising ratio d2 / (kappa (d1 + d2));
-    collapses to 1 - kappa exactly when q = 1. Remembers its last boundary
-    in an entry of its own, with compute_pbar1's key.
+    Mirror of compute_pbar1 on the rising ratio d2 / (kappa (d1 + d2)),
+    whose bisection ends at 1 - kappa when q = 1. Remembers its last
+    boundary in an entry of its own, with compute_pbar1's key.
     """
     _require_solvable_take(params.kappa)
-    if params.q == 1.0:
-        return Boundary.at(1.0 - params.kappa)
     kappa, q, m = params.kappa, params.q, measure
 
     def g(p: float) -> float:
@@ -471,28 +464,19 @@ def grid_fixed_points(kappas: Sequence[float], q: float, w: float,
     fixed point that are not both positive. An error the measure itself
     raises propagates from the batch.
     """
+    kappa = np.array(kappas, dtype=float)
     with np.errstate(all="ignore"):  # non-finite values mark lanes, not warnings
-        solved = _fixed_point_lanes(np.array(kappas, dtype=float), q, w, measure)
-    finished, *values = (a.tolist() for a in solved)
-    out: list = [None] * len(kappas)
-    for i, lane in zip(finished, zip(*values)):
-        out[i] = lane
-    return out
+        c1, c2 = _stake_coefficient(kappa, q), _stake_coefficient(kappa, 1.0 - q)
 
+        def g(p):
+            return _phi_lanes(p, kappa, q, w, measure, c1, c2) - p
 
-def _fixed_point_lanes(kappa: np.ndarray, q: float, w: float, m: BeliefMeasure):
-    # (lane, p_star, residual, d1, d2) for each lane that finishes with both
-    # totals positive
-    c1, c2 = _stake_coefficient(kappa, q), _stake_coefficient(kappa, 1.0 - q)
-
-    def g(p):
-        return _phi_lanes(p, kappa, q, w, m, c1, c2) - p
-
-    p_star, residual, ok = _secant_lanes(
-        g, 1.0 - kappa, kappa, lambda i: _composed_map(float(kappa[i]), q, w, m))
-    d1s, d2s = _D_lanes(p_star, kappa, m)
-    ok &= (d1s > 0.0) & (d2s > 0.0)
-    return np.flatnonzero(ok), p_star[ok], residual[ok], d1s[ok], d2s[ok]
+        p_star, residual, ok = _secant_lanes(
+            g, 1.0 - kappa, kappa, lambda i: _composed_map(float(kappa[i]), q, w, measure))
+        d1s, d2s = _D_lanes(p_star, kappa, measure)
+        ok &= (d1s > 0.0) & (d2s > 0.0)
+    lanes = zip(p_star.tolist(), residual.tolist(), d1s.tolist(), d2s.tolist())
+    return [lane if good else None for good, lane in zip(ok.tolist(), lanes)]
 
 
 def _D_lanes(p: np.ndarray, kappa: np.ndarray, m: BeliefMeasure):

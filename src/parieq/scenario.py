@@ -131,6 +131,9 @@ def parse_scenario(obj: Any) -> Scenario:
     name = obj.get("name")
     if not isinstance(name, str) or not name:
         raise ConfigError("scenario needs a nonempty string 'name'")
+    if any(c in name for c in ',"\r\n'):  # the name is written raw into CSV rows
+        raise ConfigError(f"scenario name {name!r} must not contain a comma, "
+                          "a double quote, CR or LF")
     if "measure" not in obj:
         raise ConfigError("scenario is missing field 'measure'")
     belief_measure = build_measure(obj["measure"])

@@ -225,6 +225,25 @@ class TestConfigErrors:
         assert out == ""
         assert err == "config error: metric 'house_revenue' is listed more than once\n"
 
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb", "a,b\nc"],
+                             ids=["comma", "quote", "cr", "lf", "comma-lf"])
+    @pytest.mark.parametrize("command", ["solve", "sweep", "optimize-take"])
+    def test_a_name_that_would_break_the_csv_is_rejected(self, tmp_path, capsys,
+                                                         command, name):
+        # every command writes the name raw into its CSV rows
+        path = write_scenario(tmp_path, kappa={"lo": 0.6, "hi": 0.9, "steps": 3}
+                              if command == "sweep" else 0.8)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "name": name}))
+        out = tmp_path / "out.csv"
+        argv = [command, "--scenario", str(path)]
+        if command != "solve":
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and not out.exists()
+        assert err == (f"config error: scenario name {name!r} must not contain a comma, "
+                       "a double quote, CR or LF\n")
+
     def test_sweep_range_is_the_take_search_interval(self, tmp_path, capsys):
         path = write_scenario(tmp_path, kappa={"lo": 0.5, "hi": 0.9, "steps": 5})
         assert main(["sweep", "--scenario", str(path),

@@ -189,6 +189,30 @@ class TestActionBoundaries:
         with pytest.raises(DomainError):
             compute_pbar1(MarketParams(kappa=0.5, q=0.5, w=1.0), uniform())
 
+    @pytest.mark.parametrize("q, boundary", [(0.0, compute_pbar1), (1.0, compute_pbar2)],
+                             ids=["q=0 pbar1", "q=1 pbar2"])
+    @pytest.mark.parametrize("m", _family_zoo(), ids=lambda m: m.kind)
+    def test_a_pinned_boundary_finishes_at_its_band_end(self, monkeypatch, m, q, boundary):
+        # at q = 0 pbar1's ratio minus q is exactly 0 at kappa, and at q = 1
+        # pbar2's is at 1 - kappa: the two end evaluations finish the
+        # bisection there, and no comparison steps it
+        probes, real_D = [], equilibrium_mod._D
+
+        def counting_D(p, kappa, measure):
+            probes.append(p)
+            return real_D(p, kappa, measure)
+
+        monkeypatch.setattr(equilibrium_mod, "_D", counting_D)
+        for kappa in BAND_KAPPAS[1:]:
+            probes.clear()
+            b = boundary(MarketParams(kappa=kappa, q=q, w=1.0), m)
+            end = kappa if q == 0.0 else 1.0 - kappa
+            assert probes == [1.0 - kappa, kappa]
+            assert b.root().hex() == end.hex() and b.span() == (end, end)
+            for p in _floats_around(end) + [0.5, 1.0 - kappa, kappa]:
+                assert b.below(p) == (end < p) and b.above(p) == (end > p)
+            assert len(probes) == 2
+
 
 class TestOptimalStakes:
     def setup_method(self):
@@ -1220,15 +1244,21 @@ class TestBisectionLength:
     """Bisecting the band runs out of floats within 105 midpoints.
 
     With width_tol = 0 and no residual tolerance, only an exact zero or
-    float resolution stops the bisection; the worst case is the root at
-    1 - kappa = 2**-53 for kappa = nextafter(1, 0), where floats are densest.
+    float resolution stops the bisection; the worst case is the root one
+    float above 1 - kappa = 2**-53 for kappa = nextafter(1, 0), where floats
+    are densest.
     The secant lanes, with no tolerance at all, finish within as many rounds.
     """
 
     @pytest.mark.parametrize("where", ROOT_PLACES)
     @pytest.mark.parametrize("kappa", BAND_KAPPAS)
     def test_scalar_bisection(self, kappa, where):
+        # an exact zero at an end ends the bisection after the two end
+        # evaluations, so the longest one has its root one float above
+        # 1 - kappa; a root at kappa ends at kappa
         r, probes = _roots(kappa)[where], []
+        if where == "at 1 - kappa":
+            r = math.nextafter(r, 1.0)
 
         def g(p):
             probes.append(p)
@@ -1274,13 +1304,38 @@ class TestBisectionLength:
         assert (lo, hi) == (math.nextafter(0.3, 0.0), 0.3)
         assert len(probes) == 2 + 53
 
-    def test_an_exact_zero_at_a_midpoint_stops_even_after_one_at_an_end(self):
-        # g is 0 from the low end up to 0.5: the first midpoint ties the low
-        # end's |g| = 0 and is the root that both bisections return
-        def g(p):
-            return min(0.0, 0.5 - p)
+    @pytest.mark.parametrize("g, root", [(lambda p: min(0.0, 0.5 - p), 0.2),
+                                         (lambda p: max(0.0, 0.5 - p), 0.8)],
+                             ids=["low end", "high end"])
+    def test_an_exact_zero_at_an_end_ends_the_bisection_there(self, g, root):
+        # g is 0 from one end to 0.5: that end's zero is the root that both
+        # bisections return after the two end evaluations, with no midpoint
+        probes = []
 
-        assert _bisect_decreasing(g, 0.2, 0.8, width_tol=0.0) == (0.5, 0.0)
+        def recorded(p):
+            probes.append(p)
+            return g(p)
+
+        assert _bisect_decreasing(recorded, 0.2, 0.8, width_tol=0.0) == (root, 0.0)
+        assert probes == [0.2, 0.8]
+        b = Boundary(recorded, 0.2, 0.8)
+        assert b.root() == root and b.span() == (root, root)
+        assert probes == [0.2, 0.8] * 2
+
+    @pytest.mark.parametrize("g", [lambda p: 0.5 - p,
+                                   lambda p: math.nan if p >= 0.8 else 0.5 - p],
+                             ids=["finite ends", "nan at the high end"])
+    def test_an_exact_zero_at_a_midpoint_stops_the_bisection(self, g):
+        # both ends are nonzero, one of them NaN, which no |g| replaces as
+        # the best point: the first midpoint's zero still ends the bisection
+        probes = []
+
+        def recorded(p):
+            probes.append(p)
+            return g(p)
+
+        assert _bisect_decreasing(recorded, 0.2, 0.8, width_tol=0.0) == (0.5, 0.0)
+        assert probes == [0.2, 0.8, 0.5]
         b = Boundary(g, 0.2, 0.8)
         assert b.root() == 0.5 and b.span() == (0.5, 0.5)
 
@@ -1344,11 +1399,14 @@ class TestBisectionLength:
         assert max(rounds) <= 105, max(rounds)
 
     def test_the_bound_is_reached(self):
+        # the root lies one float above 1 - kappa = 2**-53, where an exact
+        # zero at the end cannot end the bisection early
         kappa, count = math.nextafter(1.0, 0.0), [0]
+        r = math.nextafter(1.0 - kappa, 1.0)
 
         def g(p):
             count[0] += 1
-            return (1.0 - kappa) - p
+            return r - p
 
         _bisect_decreasing(g, 1.0 - kappa, kappa, width_tol=0.0)
         assert count[0] == 107  # two endpoints and 105 midpoints
@@ -1411,9 +1469,10 @@ class TestFloatTail:
 
 class TestErrstateOwnership:
     """The secant loops, _secant_lanes' and discretize's, each enter
-    np.errstate once for their whole loop, so _secant_step need not: under
-    all="raise" nothing raises, and the bits are those under numpy's
-    defaults (whose warnings this suite turns into errors)."""
+    np.errstate once for their whole loop, so _secant_step need not, and
+    grid_fixed_points once for its whole solve: under all="raise" nothing
+    raises, and the bits are those under numpy's defaults (whose warnings
+    this suite turns into errors)."""
 
     @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
     def test_take_grids_searches_and_populations(self, name):
@@ -1426,6 +1485,20 @@ class TestErrstateOwnership:
             search = [x.hex() for x in (opt.kappa_star, opt.revenue_star,
                                         *(x for pt in opt.profile for x in pt))]
             return lanes, search, discretize(m, 2000).beliefs.tobytes()
+
+        with np.errstate(all="raise"):
+            raised = run()
+        assert raised == run()
+
+    @pytest.mark.parametrize("m", [
+        scaled(uniform(), 5e-324), wedge(2**40),
+        tabulated([(0.0, 1e-6), (0.5, 1e6), (1.0, 1e-6)])],
+        ids=["underflow", "wedge(2**40)", "steep tabulated"])
+    def test_take_grid_on_extreme_measures(self, m):
+        # grid_fixed_points' own errstate covers the totals it takes after
+        # _secant_lanes' loop: on the first measure they underflow
+        def run():
+            return [_lane_bits(lane) for lane in grid_fixed_points(_grid(64), 0.3, 1.0, m)]
 
         with np.errstate(all="raise"):
             raised = run()
@@ -1508,7 +1581,8 @@ class TestBoundary:
 
     @pytest.mark.parametrize("m", _family_zoo(), ids=lambda m: m.kind)
     def test_comparisons_agree_with_the_root_on_every_family(self, m):
-        # q = 0 and q = 1 pin a boundary to a band end, which never steps
+        # q = 0 and q = 1 pin a boundary to a band end, where an exact zero
+        # finishes its bisection before any step
         for kappa in (0.5001, 0.55, 0.8, 0.95, 0.9999):
             for q in (0.0, 0.3, 0.9, 1.0):
                 params = MarketParams(kappa=kappa, q=q, w=1.0)
@@ -1543,7 +1617,8 @@ class TestBoundary:
         assert repr(b) == "Boundary(bracket=(0.2, 0.8), best=0.2)"
         assert b.below(0.5) and repr(b) == "Boundary(bracket=(0.2, 0.5), best=0.2)"
         root = b.root()
-        assert repr(b) == repr(Boundary.at(root)) == f"Boundary(root={root!r})"
+        assert repr(b) == f"Boundary(root={root!r})"
+        assert repr(Boundary(lambda p: 0.5 - p, 0.2, 0.5)) == "Boundary(root=0.5)"
         # the boundary machinery is internal to the solver, and so is phi,
         # which needs a PhiContext from it
         assert not hasattr(parieq, "Boundary") and not hasattr(parieq, "phi")
@@ -1553,7 +1628,7 @@ class TestBoundary:
         # bracket, as a band end can after the bracket has left it
         rng = random.Random(0)
         pool = [0.0, -0.0, 0.2, 0.3, 0.5, math.nextafter(0.3, 1.0), 0.8]
-        b = Boundary.at(0.5)
+        b = Boundary(lambda p: 0.5 - p, 0.2, 0.5)
         for _ in range(4000):
             lo, hi, best_p = (rng.choice(pool) if rng.random() < 0.5 else rng.random()
                               for _ in range(3))
