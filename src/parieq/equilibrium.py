@@ -48,11 +48,12 @@ totals are not both positive, gets None, for the caller to hand to
 take found one at a time, as each golden-section probe of
 ``stackelberg.optimize_take`` is: numpy's fixed cost per operation makes
 a batch of one slow. Its loop, ``_secant_float``, also finishes the
-grid's last 32 live lanes, where a numpy round costs more than looping
-over them. At kappa = 0.8, q = 0.9, w = 1 on wedge(100), a
-4-knot tabulated density and a 2-kernel Gaussian mixture, a batch of one
-took 0.4 to 1.2 ms, a ``solve`` with no remembered boundary 0.07 to 0.13
-ms and ``fixed_point`` 0.02 to 0.03 ms (in process, on one CPU).
+grid's last 32 live lanes, and ``oracle.discretize``'s, where a numpy
+round costs more than looping over them. At kappa = 0.8, q = 0.9, w = 1
+on wedge(100), a 4-knot tabulated density and a 2-kernel Gaussian
+mixture, a batch of one took 0.4 to 1.2 ms, a ``solve`` with no
+remembered boundary 0.07 to 0.13 ms and ``fixed_point`` 0.02 to 0.03 ms
+(in process, on one CPU).
 ``solve`` stays the scalar path that builds an ``Equilibrium``.
 """
 
@@ -69,7 +70,7 @@ from .response import (AtomicBet, DiffuseAggregate, DiffuseThresholds,
                        diffuse_best_response)
 
 FP_TOL = 1e-10
-_FLOAT_TAIL = 32  # live lanes that _secant_lanes finishes in floats
+_FLOAT_TAIL = 32  # live lanes that _secant_lanes and discretize finish in floats
 
 
 @dataclass(frozen=True)
@@ -574,7 +575,7 @@ def _secant_lanes(g, lo: np.ndarray, hi: np.ndarray, lane_map=None):
                     end = _secant_float(lane_map(i), *state)
                     ok[i] = end is not None
                     if end:
-                        best_p[i], best_g[i] = end
+                        best_p[i], best_g[i], _ = end
                 break
             gx = g(x)
             agx = abs(gx)
@@ -618,7 +619,7 @@ def fixed_point(kappa: float, q: float, w: float, measure: BeliefMeasure,
     x = x if x > above_lo else above_lo
     if (end := _secant_float(g, lo, hi, x, hi, ghi, best_p, best_g)) is None:
         return None
-    best_p, best_g = end
+    best_p, best_g, _ = end
     d1 = mass(measure, best_p / kappa, 1.0)
     d2 = mass(measure, 0.0, 1.0 - (1.0 - best_p) / kappa)
     return (best_p, best_g, d1, d2) if d1 > 0.0 and d2 > 0.0 else None
@@ -650,9 +651,9 @@ def _composed_map(kappa: float, q: float, w: float,
 
 def _secant_float(g: Callable[[float], float], lo: float, hi: float, x: float,
                   xp: float, gp: float, best_p: float, best_g: float,
-                  ) -> Optional[tuple[float, float]]:
-    # a lane's secant rounds in floats, from its state in _secant_lanes' loop
-    # to its (best_p, best_g), or None where g is not finite
+                  ) -> Optional[tuple[float, float, float]]:
+    # a lane's secant rounds in floats, from its state in a numpy lane loop
+    # to (best_p, best_g, its last probe), or None where g is not finite
     while lo < x < hi:
         gx = g(x)
         if not isfinite(gx):
@@ -667,7 +668,7 @@ def _secant_float(g: Callable[[float], float], lo: float, hi: float, x: float,
         if done:
             break
         xp, gp, x = x, gx, nxt
-    return best_p, best_g
+    return best_p, best_g, x
 
 
 def _secant_step_float(x: float, g: float, xp: float, gp: float, lo: float,

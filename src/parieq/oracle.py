@@ -1,23 +1,24 @@
 """Brute-force cross-check: a finite population standing in for the continuum.
 
-The population discretizes the wealth measure into N equal-mass cells, one
-small bettor per cell holding the cell's wealth at its mass-median belief.
-All N beliefs are found at once, one float64 lane each: a table of the
-cumulative mass at N + 1 evenly spaced beliefs brackets each one, the
-quadratic through the table at three knots around its cell gives the
-first probe, and secant steps take it down to float resolution; the last
-32 lanes or fewer still live finish in Python floats, bit for bit. Given
-an implied probability P, the
-bettors apply the threshold rule and the large bettor best-responds to their
-totals; the pool share of Outcome 1 that results is the discrete response
-map. Its totals only jump down on Outcome 1 and up on Outcome 2 as P rises,
-so the map is nonincreasing and crosses the diagonal at exactly one point
-(possibly at a jump). Bisecting on which side of the diagonal the map lies
-narrows the bracket until float resolution runs out (about 53 halvings of
-the band), which pins that point down exactly with no tolerance to tune.
-The totals change only where a threshold crosses a bettor, so the roughly
-53 probes compute them once per distinct pair of bettor counts beyond the
-two thresholds: 3 to 18 times per call on the benchmark's 12 markets at
+The population discretizes the wealth measure into N equal-mass cells,
+one small bettor per cell holding the cell's wealth at its mass-median
+belief. All N beliefs are found at once, one float64 lane each: a table
+of the cumulative mass at N + 1 evenly spaced beliefs brackets each one,
+the quadratic through the table at three knots around its cell gives the
+first probe, and secant steps on the falling map target - mass(0, x)
+take it down to float resolution; the last 32 lanes or fewer still live
+finish in Python floats on the take grid's loop, bit for bit. Given an
+implied probability P, the bettors apply the threshold rule and the
+large bettor best-responds to their totals; the pool share of Outcome 1
+that results is the discrete response map. Its totals only jump down on
+Outcome 1 and up on Outcome 2 as P rises, so the map is nonincreasing
+and crosses the diagonal at exactly one point (possibly at a jump).
+Bisecting on which side of the diagonal the map lies narrows the bracket
+until float resolution runs out (about 53 halvings of the band), which
+pins that point down exactly with no tolerance to tune. The totals
+change only where a threshold crosses a bettor, so the roughly 53 probes
+compute them once per distinct pair of bettor counts beyond the two
+thresholds: 3 to 18 times per call on the benchmark's 12 markets at
 N = 2000. A population's beliefs are nondecreasing float64 values in
 [0, 1], as discretize makes them, checked once when it is built; so each
 count is a binary search in the beliefs, and the totals are sums of the
@@ -32,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import (_FLOAT_TAIL, _require_solvable_take, _secant_step,
-                          _secant_step_float)
+from .equilibrium import (_FLOAT_TAIL, _require_solvable_take, _secant_float,
+                          _secant_step)
 from .errors import DomainError, as_count
 # mass is not called here, but benchmarks/spans.py wraps parieq.oracle.mass
 from .measure import BeliefMeasure, mass  # noqa: F401
@@ -102,32 +103,33 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
     cumulative at 0 is taken once per call, not once per lane. A table of
     the cumulative mass(0, j / N) at the N + 1 knots j / N, taken in one
     call, puts each target in a cell between two knots. Its lane solves
-    g(x) = mass(0, x) - target = 0 inside that cell.
+    the falling g(x) = target - mass(0, x) = 0 inside that cell.
 
     The first probe is where the quadratic through the table at three knots
     meets the target: the cell's two and the one before them, or after them
     at the first cell. It is exact where the cumulative is one quadratic
     across the three, as on the wedge, uniform and tabulated families away
     from their knees and knots, and it is the chord where the table's
-    second difference is 0. The probe is moved into the open cell when it
-    falls outside or is not a number. Every later one is
-    ``equilibrium._secant_step``'s, the rule the take grid's lanes share,
-    with the cell's left knot standing in for the probe before the first: a
-    secant step through the last two probes when it lands strictly inside
-    the bracket and |g| has at least halved since the probe before, else
-    the last step doubled if that stays strictly inside, else the
-    bracket's midpoint. Galloping carries a lane across a run of beliefs
-    whose masses round to the same value. A lane stops when the step from
-    its last probe is below float resolution or nothing lies strictly
-    inside its bracket. There is no tolerance and no iteration cap: every
-    probe lies strictly inside the bracket and becomes one of its ends.
+    second difference is 0. The probe is moved into the open cell by
+    np.nextafter when it falls outside or is not a number. Every later one
+    is ``equilibrium._secant_step``'s, the rule the take grid's lanes
+    share, with the cell's left knot standing in for the probe before the
+    first: a secant step through the last two probes when it lands
+    strictly inside the bracket and |g| has at least halved since the
+    probe before, else the last step doubled if that stays strictly
+    inside, else the bracket's midpoint. Galloping carries a lane across a
+    run of beliefs whose masses round to the same value. A lane stops at
+    its last probe when the step from it is below float resolution or
+    nothing lies strictly inside its bracket. There is no tolerance and no
+    iteration cap: every probe lies strictly inside the bracket and
+    becomes one of its ends.
 
     A numpy round costs the same however few lanes are live, and one can
     crawl alone for dozens of rounds at a zero of the density. So once
     ``equilibrium._FLOAT_TAIL`` lanes or fewer are live, each finishes from
-    its exact state in Python floats by exact_mass (exact_mass_array's
-    bits) and ``equilibrium._secant_step_float``, bit for bit, still with
-    no tolerance and no cap.
+    its exact state in Python floats, by exact_mass (exact_mass_array's
+    bits) and the take grid's loop ``equilibrium._secant_float``, bit for
+    bit. A lane that meets a mass that is not finite raises DomainError.
     """
     N = as_count(N, MIN_POPULATION, math.inf,
                  f"population size must be an integer of at least {MIN_POPULATION}")
@@ -143,7 +145,7 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
     lane, beliefs = np.arange(N), np.empty(N)
     with np.errstate(all="ignore"):  # an inf or nan seed is moved into its cell
         # the left knot stands in for the probe before the seed
-        xp, gp = lo, table[j] - targets
+        xp, gp = lo, targets - table[j]
         # the seed: in units of the cell's width and rise the quadratic is
         # D t + a t^2, with a half the second difference and D = 1 - a; the
         # units keep D * D finite on any total
@@ -151,18 +153,17 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
         bend = rise[1:] - rise[:-1]  # the second differences at knots 1 to N - 1
         step = rise[j]
         a = 0.5 * bend[np.maximum(j - 1, 0)] / step
-        r, D = -gp / step, 1.0 - a
+        r, D = gp / step, 1.0 - a
         seed = lo + (hi - lo) * (2.0 * r / (D + np.sqrt(D * D + 4.0 * a * r)))
-        # fmin and fmax take a nan seed to the cell's last float. The cell's
-        # inner floats are its ends' neighbours in the bits: lo >= +0.0 and
-        # hi > 0, so both are ordered as their int64 views
-        x = np.fmax(np.fmin(seed, (hi.view(np.int64) - 1).view(float)),
-                    (lo.view(np.int64) + 1).view(float))
+        # fmin and fmax take a nan seed to the cell's last float
+        x = np.fmax(np.fmin(seed, np.nextafter(hi, lo)), np.nextafter(lo, hi))
         while lane.size > _FLOAT_TAIL:
-            g = mass_array(0.0, x) - targets
-            below = g < 0.0
-            lo = np.where(below, x, lo)
-            hi = np.where(below, hi, x)
+            g = targets - mass_array(0.0, x)
+            if not np.isfinite(g).all():
+                raise _mass_not_finite(measure)
+            up = g > 0.0
+            lo = np.where(up, x, lo)
+            hi = np.where(up, hi, x)
             nxt, done = _secant_step(x, g, xp, gp, lo, hi)
             if done.any():
                 beliefs[lane[done]] = x[done]
@@ -170,23 +171,20 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
                 lane, targets, lo, hi, x, g, nxt = (
                     a[keep] for a in (lane, targets, lo, hi, x, g, nxt))
             xp, gp, x = x, g, nxt
-    for i, *state in zip(lane.tolist(), *(
-            a.tolist() for a in (targets, lo, hi, x, xp, gp))):
-        beliefs[i] = _quantile_float(measure.exact_mass, *state)
+    exact_mass = measure.exact_mass
+    # each lane starts with no best point, and its belief is its last probe
+    for i, target, *state in zip(lane.tolist(), *(
+            a.tolist() for a in (targets, lo, hi, x, xp, gp, x))):
+        end = _secant_float(lambda p, t=target: t - exact_mass(0.0, p), *state, math.inf)
+        if end is None:
+            raise _mass_not_finite(measure)
+        beliefs[i] = end[2]
     return DiscretePopulation(beliefs=beliefs, wealths=np.full(N, total / N))
 
 
-def _quantile_float(exact_mass, target: float, lo: float, hi: float, x: float,
-                    xp: float, gp: float) -> float:
-    # a lane of discretize's rounds in floats, from its exact state there,
-    # to its last probe, bit for bit
-    while True:
-        g = exact_mass(0.0, x) - target
-        lo, hi = (x, hi) if g < 0.0 else (lo, x)  # a NaN g, as np.where's
-        nxt, done = _secant_step_float(x, g, xp, gp, lo, hi)
-        if done:
-            return x
-        xp, gp, x = x, g, nxt
+def _mass_not_finite(measure: BeliefMeasure) -> DomainError:
+    # discretize's error where a lane meets a mass that is not finite
+    return DomainError(f"{measure.kind}: discretize met a mass(0, x) that is not finite")
 
 
 def discrete_totals(pop: DiscretePopulation, P: float, kappa: float,

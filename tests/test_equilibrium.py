@@ -860,6 +860,22 @@ class TestScalarLane:
         for q, w in itertools.product((0.0, 0.3, 0.9, 1.0), (BASELINE_W, 1.0, 1e9)):
             _assert_the_scalar_lane_is_the_lane(_grid(32, 0.5001, 0.9999), q, w, m)
 
+    @pytest.mark.parametrize("kappa", BAND_KAPPAS[1:])
+    @pytest.mark.parametrize("m", MONOTONE_ZOO, ids=lambda m: m.kind)
+    def test_the_map_falls_from_kappa_to_minus_kappa(self, m, kappa):
+        # phi(p) - p on the band, as fixed_point solves it: phi(1 - kappa) = 1
+        # and phi(kappa) = 0 exactly, and phi - p nonincreasing between them.
+        # The narrowest take, nextafter(0.5, 1), is left out, as in
+        # test_the_lanes_map_is_one_and_zero_at_the_band_ends: on wedge(10),
+        # wedge(100) and its scaled copy both totals round to 0 at its
+        # 1 - kappa, so g is NaN there
+        ps = np.linspace(1.0 - kappa, kappa, 1001).tolist()
+        for q, w in itertools.product((0.0, 0.3, 0.57, 0.9, 1.0), (BASELINE_W, 1.0)):
+            g = equilibrium_mod._composed_map(kappa, q, w, m)
+            assert (g(1.0 - kappa), g(kappa)) == (kappa, -kappa), (q, w)
+            values = [g(p) for p in ps]
+            assert all(b <= a for a, b in zip(values, values[1:])), (q, w)
+
     @pytest.mark.parametrize("kappas, q, m", [
         # math.sqrt of a negative product, where np.sqrt gives NaN
         (_grid(25, 0.51, 0.99), 0.1, _rippled()),

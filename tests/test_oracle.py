@@ -176,7 +176,8 @@ class TestDiscretize:
         # the probes round by round: the upper bounds of every
         # exact_mass_array call, the table's first, then the rounds of the
         # lanes finished in floats, round r holding the r-th exact_mass probe
-        # of each lane that makes one, in lane order
+        # of each lane that makes one, in lane order. The oracle's own name
+        # for the float loop is wrapped, so only its lanes are counted
         probes, lanes = [], []
 
         def recorded(lo, hi):
@@ -187,14 +188,14 @@ class TestDiscretize:
             lanes[-1].append(hi)
             return m.exact_mass(lo, hi)
 
-        real_lane = oracle_mod._quantile_float
+        real_lane = oracle_mod._secant_float
 
         def lane(*args):
             lanes.append([])
             return real_lane(*args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle_mod, "_quantile_float", lane)
+            mp.setattr(oracle_mod, "_secant_float", lane)
             beliefs = discretize(dataclasses.replace(
                 m, exact_mass_array=recorded, exact_mass=recorded_float), N).beliefs
         for r in range(max(map(len, lanes), default=0)):
@@ -307,13 +308,13 @@ class TestDiscretize:
         # floats from their exact state: none handed over, the last one, the
         # count in use and every lane from the seeds give the same beliefs
         got, finished = [], []
-        real_lane = oracle_mod._quantile_float
+        real_lane = oracle_mod._secant_float
 
         def lane(*args):
             finished[-1] += 1
             return real_lane(*args)
 
-        monkeypatch.setattr(oracle_mod, "_quantile_float", lane)
+        monkeypatch.setattr(oracle_mod, "_secant_float", lane)
         for count in (0, 1, oracle_mod._FLOAT_TAIL, 2**31):
             monkeypatch.setattr(oracle_mod, "_FLOAT_TAIL", count)
             finished.append(0)
@@ -334,6 +335,25 @@ class TestDiscretize:
 
         discretize(dataclasses.replace(VEE, exact_mass_array=counted), 57)
         assert calls[0] <= 6, calls[0]
+
+    @pytest.mark.parametrize("tail", [0, oracle_mod._FLOAT_TAIL])
+    @pytest.mark.parametrize("N", [10, 57])
+    def test_a_mass_that_is_not_finite_raises(self, monkeypatch, N, tail):
+        # masses that are NaN on (0.3, 0.4) once gave finite beliefs at 0.3.
+        # With no lane handed over the numpy rounds meet the NaN; with the
+        # count in use the float lanes do at N = 10, and both at N = 57
+        monkeypatch.setattr(oracle_mod, "_FLOAT_TAIL", tail)
+
+        def cumulative(x):
+            x = np.asarray(x, dtype=float)
+            return np.where((0.3 < x) & (x < 0.4), np.nan, x)
+
+        m = dataclasses.replace(
+            uniform(), kind="nan-band",
+            exact_mass=lambda lo, hi: float(cumulative(hi) - cumulative(lo)),
+            exact_mass_array=lambda lo, hi: cumulative(hi) - cumulative(lo))
+        with pytest.raises(DomainError, match="not finite"):
+            discretize(m, N)
 
     @pytest.mark.parametrize("N", [2, 3, 57, 257, 2000, 8000])
     def test_builds_a_valid_population(self, N):
