@@ -44,16 +44,16 @@ resolution. A take whose lane meets a value that is not finite, or whose
 totals are not both positive, gets None, for the caller to hand to
 ``solve`` (as ``stackelberg.grid_revenues`` does).
 
-``fixed_point`` is one such lane in Python floats, bit for bit, for a
-take found one at a time, as each golden-section probe of
-``stackelberg.optimize_take`` is: numpy's fixed cost per operation makes
-a batch of one slow. Its loop, ``_secant_float``, also finishes the
-grid's last 32 live lanes, and ``oracle.discretize``'s, where a numpy
-round costs more than looping over them. At kappa = 0.8, q = 0.9, w = 1
-on wedge(100), a 4-knot tabulated density and a 2-kernel Gaussian
-mixture, a batch of one took 0.4 to 1.2 ms, a ``solve`` with no
-remembered boundary 0.07 to 0.13 ms and ``fixed_point`` 0.02 to 0.03 ms
-(in process, on one CPU).
+``fixed_point`` is one such lane in Python floats, bit for bit, for a take
+found one at a time, as each golden-section probe of
+``stackelberg.optimize_take`` is: numpy's fixed cost per operation makes a
+batch of one slow. Its loop, ``_secant_float``, also finishes the grid's
+last 32 live lanes, and ``oracle.discretize``'s, where a numpy round costs
+more than looping over them. It reads ``exact_mass`` directly: on the band,
+mass()'s check cannot fail. At kappa = 0.8, q = 0.9, w = 1 on wedge(100), a
+4-knot tabulated density and a 2-kernel Gaussian mixture, a batch of one
+took 0.11 to 0.15 ms, a ``solve`` with no remembered boundary 0.08 to 0.12
+ms and ``fixed_point`` 0.014 to 0.021 ms (in process, on one CPU).
 ``solve`` stays the scalar path that builds an ``Equilibrium``.
 """
 
@@ -465,6 +465,13 @@ def grid_fixed_points(kappas: Sequence[float], q: float, w: float,
     fixed point that are not both positive. An error the measure itself
     raises propagates from the batch.
     """
+    _, *lanes, ok = _grid_lanes(kappas, q, w, measure)
+    lanes = zip(*(a.tolist() for a in lanes))
+    return [lane if good else None for good, lane in zip(ok.tolist(), lanes)]
+
+
+def _grid_lanes(kappas: Sequence[float], q: float, w: float, measure: BeliefMeasure):
+    # the takes and grid_fixed_points' lanes as arrays, then ok: False at None
     kappa = np.array(kappas, dtype=float)
     with np.errstate(all="ignore"):  # non-finite values mark lanes, not warnings
         c1, c2 = _stake_coefficient(kappa, q), _stake_coefficient(kappa, 1.0 - q)
@@ -476,8 +483,7 @@ def grid_fixed_points(kappas: Sequence[float], q: float, w: float,
             g, 1.0 - kappa, kappa, lambda i: _composed_map(float(kappa[i]), q, w, measure))
         d1s, d2s = _D_lanes(p_star, kappa, measure)
         ok &= (d1s > 0.0) & (d2s > 0.0)
-    lanes = zip(p_star.tolist(), residual.tolist(), d1s.tolist(), d2s.tolist())
-    return [lane if good else None for good, lane in zip(ok.tolist(), lanes)]
+    return kappa, p_star, residual, d1s, d2s, ok
 
 
 def _D_lanes(p: np.ndarray, kappa: np.ndarray, m: BeliefMeasure):
@@ -497,7 +503,6 @@ def _phi_lanes(p, kappa, q, w, m, c1, c2):
     d1, d2 = _D_lanes(p, kappa, m)
     t = kappa * (d1 + d2)
     back1 = q > d1 / t
-    back2 = ~back1 & (1.0 - q > d2 / t)
     c, own = np.where(back1, c1, c2), np.where(back1, d1, d2)
     # min(w, max(0.0, sqrt(c * d1 * d2) - own)) with Python's min/max tie
     # rules. A negative d1 * d2 (masses rounded below zero) makes math.sqrt
@@ -505,15 +510,15 @@ def _phi_lanes(p, kappa, q, w, m, c1, c2):
     # solve, unless she abstains
     s = np.sqrt(c * d1 * d2) - own
     s = np.where(s <= 0.0, 0.0, s)
-    s = np.where(back1 | back2, np.where(s >= w, w, s), 0.0)
+    s = np.where(back1 | (1.0 - q > d2 / t), np.minimum(s, w), 0.0)
     return (np.where(back1, s, 0.0) + d1) / (s + d1 + d2)
 
 
-def _secant_step(x, g, xp, gp, lo, hi):
+def _secant_step(x, g, ag, xp, gp, agp, lo, hi):
     """The next probe of a bracketing secant search, on every lane at once.
 
-    x is the last probe and g the map there, xp the probe before and gp
-    the map there, and lo < hi the bracket, already narrowed by x. The next
+    x and xp are the last two probes, g and gp the map there and ag and
+    agp its |g|, and lo < hi the bracket, already narrowed by x. The next
     probe is the secant point through the two probes when it lies strictly
     inside the bracket and |g| has at least halved since xp. Otherwise the
     lane gallops, repeating its last step doubled, if that stays strictly
@@ -526,12 +531,18 @@ def _secant_step(x, g, xp, gp, lo, hi):
     inf or nan steps, never inside a bracket, warn unless the caller's
     loop has entered np.errstate, as both callers' do.
     """
-    probe = x - g * (x - xp) / (g - gp)
-    gallop = x + 2.0 * (x - xp)
-    nxt = np.where((lo < probe) & (probe < hi) & (2.0 * np.abs(g) <= np.abs(gp)),
+    probe = x - g * (dx := x - xp) / (g - gp)
+    gallop = x + 2.0 * dx
+    nxt = np.where((lo < probe) & (probe < hi) & (2.0 * ag <= agp),
                    probe, np.where((lo < gallop) & (gallop < hi), gallop,
                                    0.5 * (lo + hi)))
     return nxt, (probe == x) | ~((lo < nxt) & (nxt < hi))
+
+
+def _inside(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # np.nextafter's clamp into (lo, hi), by int64 views, for +0.0 <= lo < hi
+    return np.fmax(np.fmin(x, (hi.view(np.int64) - 1).view(np.float64)),
+                   (lo.view(np.int64) + 1).view(np.float64))
 
 
 def _secant_lanes(g, lo: np.ndarray, hi: np.ndarray, lane_map=None):
@@ -562,9 +573,8 @@ def _secant_lanes(g, lo: np.ndarray, hi: np.ndarray, lane_map=None):
         best_p = np.where(take_lo, lo, hi)
         best_g = np.where(take_lo, abs(glo), abs(ghi))
         chord = lo + (hi - lo) * (glo / (glo - ghi))
-        # fmin and fmax take a nan chord to the bracket's last float
-        x = np.fmax(np.fmin(chord, np.nextafter(hi, lo)), np.nextafter(lo, hi))
-        xp, gp = hi, ghi
+        x = _inside(chord, lo, hi)  # a nan chord goes to the bracket's last float
+        xp, gp, agp = hi, ghi, abs(ghi)
         lo, hi = lo.copy(), hi.copy()  # updated in place
         live = ok & (lo < x) & (x < hi)
         while n_live := np.count_nonzero(live):
@@ -586,9 +596,9 @@ def _secant_lanes(g, lo: np.ndarray, hi: np.ndarray, lane_map=None):
             np.copyto(lo, x, where=live & up)
             np.copyto(hi, x, where=live & ~up)
             ok &= ~live | np.isfinite(gx)
-            nxt, done = _secant_step(x, gx, xp, gp, lo, hi)
+            nxt, done = _secant_step(x, gx, agx, xp, gp, agp, lo, hi)
             live &= ok & ~done
-            xp, gp, x = x, gx, np.where(live, nxt, x)  # a finished lane stays put
+            xp, gp, agp, x = x, gx, agx, np.where(live, nxt, x)  # a finished lane stays put
     return best_p, best_g, ok
 
 
@@ -601,7 +611,7 @@ def fixed_point(kappa: float, q: float, w: float, measure: BeliefMeasure,
     """grid_fixed_points([kappa], q, w, measure)[0], bit for bit, in floats.
 
     The same precondition, unchecked. The lane's operations in their order:
-    the composed map (``_composed_map``) with its totals from mass(), the
+    the composed map (``_composed_map``) with its totals from exact_mass, the
     chord start, ``_secant_float``'s rounds by ``_secant_step``'s rule, the
     best point and the totals there. Where Python raises and numpy gives
     a value that is not finite (a zero divisor, math.sqrt of a negative
@@ -620,20 +630,21 @@ def fixed_point(kappa: float, q: float, w: float, measure: BeliefMeasure,
     if (end := _secant_float(g, lo, hi, x, hi, ghi, best_p, best_g)) is None:
         return None
     best_p, best_g, _ = end
-    d1 = mass(measure, best_p / kappa, 1.0)
-    d2 = mass(measure, 0.0, 1.0 - (1.0 - best_p) / kappa)
+    d1 = measure.exact_mass(best_p / kappa, 1.0)
+    d2 = measure.exact_mass(0.0, 1.0 - (1.0 - best_p) / kappa)
     return (best_p, best_g, d1, d2) if d1 > 0.0 and d2 > 0.0 else None
 
 
 def _composed_map(kappa: float, q: float, w: float,
                   measure: BeliefMeasure) -> Callable[[float], float]:
-    # phi(p) - p for one take, _phi_lanes' lane in floats: NaN where Python
-    # raises and numpy gives a value that is not finite
+    # phi(p) - p for one take, _phi_lanes' lane in floats on exact_mass (as
+    # mass() on the band): NaN where Python raises and numpy gives inf or NaN
     c1, c2 = _stake_coefficient(kappa, q), _stake_coefficient(kappa, 1.0 - q)
+    exact_mass = measure.exact_mass
 
     def g(p: float) -> float:
-        d1 = mass(measure, p / kappa, 1.0)
-        d2 = mass(measure, 0.0, 1.0 - (1.0 - p) / kappa)
+        d1 = exact_mass(p / kappa, 1.0)
+        d2 = exact_mass(0.0, 1.0 - (1.0 - p) / kappa)
         try:
             t = kappa * (d1 + d2)
             if q > d1 / t:

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import (_FLOAT_TAIL, _require_solvable_take, _secant_float,
-                          _secant_step)
+from .equilibrium import (_FLOAT_TAIL, _inside, _require_solvable_take,
+                          _secant_float, _secant_step)
 from .errors import DomainError, as_count
 # mass is not called here, but benchmarks/spans.py wraps parieq.oracle.mass
 from .measure import BeliefMeasure, mass  # noqa: F401
@@ -110,8 +110,8 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
     at the first cell. It is exact where the cumulative is one quadratic
     across the three, as on the wedge, uniform and tabulated families away
     from their knees and knots, and it is the chord where the table's
-    second difference is 0. The probe is moved into the open cell by
-    np.nextafter when it falls outside or is not a number. Every later one
+    second difference is 0. The probe is moved into the open cell, as by
+    np.nextafter, when it falls outside or is not a number. Every later one
     is ``equilibrium._secant_step``'s, the rule the take grid's lanes
     share, with the cell's left knot standing in for the probe before the
     first: a secant step through the last two probes when it lands
@@ -129,7 +129,7 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
     ``equilibrium._FLOAT_TAIL`` lanes or fewer are live, each finishes from
     its exact state in Python floats, by exact_mass (exact_mass_array's
     bits) and the take grid's loop ``equilibrium._secant_float``, bit for
-    bit. A lane that meets a mass that is not finite raises DomainError.
+    bit. A mass that is not finite, in the table too, raises DomainError.
     """
     N = as_count(N, MIN_POPULATION, math.inf,
                  f"population size must be an integer of at least {MIN_POPULATION}")
@@ -137,6 +137,8 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
     mass_array = measure.exact_mass_array
     knots = np.arange(N + 1) / N
     table = mass_array(0.0, knots)  # the last entry is the total
+    if not np.isfinite(table).all():  # it would put targets in the wrong cells
+        raise _mass_not_finite(measure)
     targets = (np.arange(N) + 0.5) * total / N
     # the knot at or below each target; the last cell also takes a target
     # that rounds up to the total, as the top ones do on a subnormal total
@@ -155,8 +157,7 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
         a = 0.5 * bend[np.maximum(j - 1, 0)] / step
         r, D = gp / step, 1.0 - a
         seed = lo + (hi - lo) * (2.0 * r / (D + np.sqrt(D * D + 4.0 * a * r)))
-        # fmin and fmax take a nan seed to the cell's last float
-        x = np.fmax(np.fmin(seed, np.nextafter(hi, lo)), np.nextafter(lo, hi))
+        x = _inside(seed, lo, hi)  # a nan seed goes to the cell's last float
         while lane.size > _FLOAT_TAIL:
             g = targets - mass_array(0.0, x)
             if not np.isfinite(g).all():
@@ -164,7 +165,7 @@ def discretize(measure: BeliefMeasure, N: int) -> DiscretePopulation:
             up = g > 0.0
             lo = np.where(up, x, lo)
             hi = np.where(up, hi, x)
-            nxt, done = _secant_step(x, g, xp, gp, lo, hi)
+            nxt, done = _secant_step(x, g, np.abs(g), xp, gp, np.abs(gp), lo, hi)
             if done.any():
                 beliefs[lane[done]] = x[done]
                 keep = np.flatnonzero(~done)

@@ -7,7 +7,7 @@ refines the best cell. Evaluated candidates are all retained, and the reported
 take is the best point ever seen, so its lane revenue never falls below a
 grid sample; the reported revenue is solve's there (see below).
 
-The grid's revenues come in one batch from ``grid_revenues``, with no
+The grid's revenues come in one array pass from ``grid_revenues``, with no
 ``Equilibrium`` built per take. The golden-section pass, about 15 probes
 that each depend on the last, takes each probe's revenue the same way
 from ``fixed_point``, one of the batch's lanes in Python floats, so grid
@@ -24,7 +24,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .equilibrium import fixed_point, grid_fixed_points, solve
+import numpy as np
+
+from .equilibrium import _grid_lanes, fixed_point, solve
 from .errors import as_count
 from .measure import BeliefMeasure
 from .metrics import house_revenue, take_revenue
@@ -59,11 +61,27 @@ def grid_revenues(kappas: Sequence[float], q: float, w: float,
     lane's totals, through the stakes and the revenue formula that solve
     and house_revenue use; that is house_revenue(solve(params, measure),
     params) up to solve's tolerance and boundaries (see the module
-    docstring). The other takes are solved in order, so the first that
-    fails raises what solve raises for it.
+    docstring), in one array pass. Takes whose lane is None or revenue not
+    finite are priced by _lane_revenue in order; the first that fails raises.
     """
-    return [_lane_revenue(k, q, w, measure, lane)
-            for k, lane in zip(kappas, grid_fixed_points(kappas, q, w, measure))]
+    kappa, *lanes, ok = _grid_lanes(kappas, q, w, measure)
+    with np.errstate(all="ignore"):  # a value that is not finite marks a take
+        revenue = take_revenue(kappa, *lanes[2:], *_grid_stakes(kappa, q, w, *lanes[2:]))
+    revenues = revenue.tolist()
+    for i in np.flatnonzero(~(ok & np.isfinite(revenue))).tolist():
+        lane = tuple(float(a[i]) for a in lanes) if ok[i] else None
+        revenues[i] = _lane_revenue(kappas[i], q, w, measure, lane)
+    return revenues
+
+
+def _grid_stakes(kappa, q, w, d1, d2):
+    # atomic_stakes per lane in its rounding order, none of which raises
+    t = kappa * (d1 + d2)
+    back1 = q > d1 / t
+    kb = kappa * np.where(back1, q, 1.0 - q)
+    s = np.sqrt(kb * d1 * d2 / (1.0 - kb)) - np.where(back1, d1, d2)
+    a = np.where(s >= w, w, np.where(s > 0.0, s, 0.0))
+    return np.where(back1, a, 0.0), np.where(~back1 & (1.0 - q > d2 / t), a, 0.0)
 
 
 def _lane_revenue(kappa: float, q: float, w: float, measure: BeliefMeasure,

@@ -26,7 +26,7 @@ import parieq
 import parieq.equilibrium as equilibrium_mod
 import parieq.stackelberg as stackelberg_mod
 from parieq.equilibrium import (FP_TOL, Boundary, Equilibrium, _D, _bisect_decreasing,
-                                _ordered, _phi_lanes, _secant_lanes, _secant_step,
+                                _inside, _ordered, _phi_lanes, _secant_lanes, _secant_step,
                                 _secant_step_float, _stake, _stake_coefficient,
                                 compute_pbar1, compute_pbar2, fixed_point,
                                 grid_fixed_points, phi, phi_context, solve, zeta1, zeta2)
@@ -719,7 +719,8 @@ class TestTakeGrid:
         # one loop of 256 full-width lanes, and each evaluation asks the
         # measure twice: for d1 with the float 1.0 as upper bound, then for
         # d2 with the float 0.0 as lower bound. The last 32 live lanes or
-        # fewer finish in floats, through mass(). Full-width evaluations per
+        # fewer finish in floats, on the measure's exact_mass, which this
+        # does not count. Full-width evaluations per
         # grid, the band ends and the totals at p* included, measured: 25
         # on appendixA, 23 on example4_case2, 9 to 18 on the others
         sc = load_scenario(bundled_scenarios()[name])
@@ -889,10 +890,25 @@ class TestScalarLane:
         lanes = _assert_the_scalar_lane_is_the_lane(kappas, q, 1.0, m)
         assert None in lanes
 
+    @pytest.mark.parametrize("sc", scenario_zoo(), ids=lambda sc: sc.name)
+    def test_the_totals_are_those_mass_gives(self, sc):
+        # fixed_point takes its totals from exact_mass with no interval
+        # check: a copy of the measure whose exact_mass goes through mass()
+        # gives the same lanes, bit for bit, None included, and mass()
+        # rejects none of their intervals
+        m = sc.measure
+        checked = dataclasses.replace(m, exact_mass=lambda lo, hi: mass(m, lo, hi))
+        kappas = _grid(32, 0.5001, 0.9999) + [sc.params.kappa]
+        for q, w in itertools.product((0.0, sc.params.q, 1.0), (BASELINE_W, sc.params.w, 1e9)):
+            assert [_lane_bits(fixed_point(k, q, w, m)) for k in kappas] \
+                == [_lane_bits(fixed_point(k, q, w, checked)) for k in kappas], (q, w)
+
     def test_the_step_is_secant_step(self):
         states = _secant_states(30000, seed=40)
+        x, g, xp, gp, lo, hi = states.T
         with np.errstate(all="ignore"):  # its callers own the errstate
-            nxt, done = _secant_step(*states.T)
+            # each |g| as the callers carry it
+            nxt, done = _secant_step(x, g, np.abs(g), xp, gp, np.abs(gp), lo, hi)
         got = [_secant_step_float(*state) for state in states.tolist()]
         assert [(n.hex(), d) for n, d in got] \
             == [(n.hex(), d) for n, d in zip(nxt.tolist(), done.tolist())]
@@ -1546,6 +1562,24 @@ ADVERSARIAL_G = {
 ADVERSARIAL_BRACKETS = [(0.2, 0.8), (0.25, 0.3), (0.3, math.nextafter(0.3, 1.0)),
                         (math.nextafter(0.3, 0.0) - 2e-17, 0.3 + 3e-17),
                         (2.0**-53, math.nextafter(1.0, 0.0))]
+
+
+def test_inside_is_the_nextafter_clamp():
+    # _inside(x, lo, hi) against the np.nextafter clamp it replaces, on
+    # every bracket 0 <= lo < hi of bounds that include +0.0, subnormals,
+    # the least normal float and infinity, and seeds that are NaN,
+    # infinite, signed zeros, the bounds themselves or outside them
+    bounds = [0.0, 5e-324, 1e-323, 1e-310, math.nextafter(2.0**-1022, 0.0), 2.0**-1022,
+              0.3, math.nextafter(0.3, 1.0), 1.0, 1.7e308, math.inf]
+    lo, hi = np.array([(a, b) for a in bounds for b in bounds if a < b]).T
+    seeds = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 0.3, 2.0, 1e308]
+    x = np.concatenate([np.full(lo.size, s) for s in seeds]
+                       + [lo, hi, 0.5 * (lo + hi), lo - 1.0, hi + 1.0])
+    lo, hi = np.tile(lo, len(seeds) + 5), np.tile(hi, len(seeds) + 5)
+    want = np.fmax(np.fmin(x, np.nextafter(hi, lo)), np.nextafter(lo, hi))
+    got = _inside(x, lo, hi)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+    assert np.all((lo < got) & (got < hi) | (np.nextafter(lo, hi) == hi))
 
 
 def _floats_around(x, n=8):

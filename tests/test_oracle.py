@@ -355,6 +355,23 @@ class TestDiscretize:
         with pytest.raises(DomainError, match="not finite"):
             discretize(m, N)
 
+    @pytest.mark.parametrize("N", [2, 4])
+    def test_a_mass_that_is_not_finite_only_at_a_knot_raises(self, N):
+        # a cumulative that is NaN only at exactly 0.5, the knot N / 2 of
+        # the table, where no probe lands: np.searchsorted on that table
+        # once put later targets in the wrong cell, with beliefs [0.25, 0.5]
+        # at N = 2 and 0.5 in place of 0.625 at N = 4
+        def cumulative(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x == 0.5, np.nan, x)
+
+        m = dataclasses.replace(
+            uniform(), kind="nan-knot",
+            exact_mass=lambda lo, hi: float(cumulative(hi) - cumulative(lo)),
+            exact_mass_array=lambda lo, hi: cumulative(hi) - cumulative(lo))
+        with pytest.raises(DomainError, match="not finite"):
+            discretize(m, N)
+
     @pytest.mark.parametrize("N", [2, 3, 57, 257, 2000, 8000])
     def test_builds_a_valid_population(self, N):
         # iterate_best_response relies on what DiscretePopulation checks:
