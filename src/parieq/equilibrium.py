@@ -31,18 +31,21 @@ that crossing by bisection and rebuilds the equilibrium from it.
 per kappa, with no ``Equilibrium`` built, and checks neither its takes
 nor the market: ``stackelberg.optimize_take`` has. Its lanes find the
 crossing of the composed best-response map: at each candidate the large
-bettor's side is decided from the totals there, by
-``response.atomic_stakes``' float tests, with no boundary. phi(p) - p
-falls with slope at most -1, so any search that keeps the crossing in
-its bracket finds it; the lanes take secant steps, by the rule
-``oracle.discretize`` uses too (``_secant_step``), to float resolution
-with no tolerance, in 7 to 26 rounds on the bundled 256-take grids. A
-lane's fixed point lies within FP_TOL of solve's, which stops at that
-tolerance and whose bisected boundaries can misplace a regime switch;
-its revenue is the closer of the two to a 50-digit referee, up to float
-resolution. A take whose lane meets a value that is not finite, or whose
-totals are not both positive, gets None, for the caller to hand to
-``solve`` (as ``stackelberg.grid_revenues`` does).
+bettor's side and stake come from the totals there, with no boundary, by
+``_side_stake``: her side by ``response.atomic_stakes``' float tests, her
+stake by ``_stake``, as phi rounds it (``_side_stake_lanes`` is its numpy
+twin). phi(p) - p falls with slope at most -1, so any search that keeps
+the crossing in its bracket finds it; the lanes take secant steps, by the
+rule ``oracle.discretize`` uses too (``_secant_step``), to float
+resolution with no tolerance, in 7 to 26 rounds on the bundled 256-take
+grids. Each lane reports the stake its map takes at its fixed point, so
+that a take is priced with the stake that placed its p*. A lane's fixed
+point lies within FP_TOL of solve's, which stops at that tolerance and
+whose bisected boundaries can misplace a regime switch; its revenue is the
+closer of the two to a 50-digit referee, up to float resolution. A take
+whose lane meets a value that is not finite, or whose totals are not both
+positive, gets None, for the caller to hand to ``solve`` (as
+``stackelberg.grid_revenues`` does).
 
 ``fixed_point`` is one such lane in Python floats, bit for bit, for a take
 found one at a time, as each golden-section probe of
@@ -353,6 +356,21 @@ def _stake(c: float, d1: float, d2: float, own: float, cap: float = inf) -> floa
     return cap if s >= cap else (s if s > 0.0 else 0.0)
 
 
+def _side_stake(kappa: float, q: float, w: float, c1: float, c2: float, d1: float,
+                d2: float) -> tuple[float, bool]:
+    # her stake at totals d1, d2, capped at w, and whether it backs Outcome
+    # 1: her side by atomic_stakes' float tests, her stake by _stake with
+    # the take's stake coefficients c1 and c2; (0.0, False) where she
+    # abstains. Python's float errors propagate: a zero total sum divides by
+    # zero, and a negative d1 * d2 fails math.sqrt where she bets
+    t = kappa * (d1 + d2)
+    if q > d1 / t:
+        return _stake(c1, d1, d2, d1, w), True
+    if 1.0 - q > d2 / t:
+        return _stake(c2, d1, d2, d2, w), False
+    return 0.0, False
+
+
 def zeta1(p: float, ctx: PhiContext) -> float:
     """Unconstrained optimal stake on Outcome 1 at candidate p in [pbar1, kappa].
 
@@ -447,8 +465,9 @@ def solve(params: MarketParams, measure: BeliefMeasure,
 
 def grid_fixed_points(kappas: Sequence[float], q: float, w: float,
                       measure: BeliefMeasure,
-                      ) -> list[Optional[tuple[float, float, float, float]]]:
-    """Per take, the composed map's (p_star, residual, d1_star, d2_star), or None.
+                      ) -> list[Optional[tuple[float, float, float, float, float]]]:
+    """Per take, the composed map's (p_star, residual, d1_star, d2_star,
+    a_star), or None.
 
     The take at kappa k is the market MarketParams(kappa=k, q=q, w=w). The
     precondition is not checked: every kappa is a float in (0.5, 1), and q
@@ -456,8 +475,13 @@ def grid_fixed_points(kappas: Sequence[float], q: float, w: float,
     fixed point is found at once, one float64 lane each, in one loop of
     ``_secant_lanes`` on the composed map (see the module docstring), to
     float resolution with no tolerance. The residual is |phi(p_star) -
-    p_star| at the lane's best point. Masses come from the measure's
-    exact_mass_array, which matches exact_mass bit for bit.
+    p_star| at the lane's best point, d1_star and d2_star are the totals
+    there, and a_star is the large bettor's stake that the map takes
+    there, on the side that _side_stake picks from those totals (0.0 where
+    she abstains): with it, (a1 + d1_star) / (a_star + d1_star + d2_star),
+    a1 = a_star on Outcome 1 and 0.0 otherwise, is p_star's phi. Masses
+    come from the measure's exact_mass_array, which matches exact_mass bit
+    for bit.
 
     None marks a take that only ``solve`` can decide, because it raises
     there or may: a lane that meets a value that is not finite (where
@@ -471,7 +495,8 @@ def grid_fixed_points(kappas: Sequence[float], q: float, w: float,
 
 
 def _grid_lanes(kappas: Sequence[float], q: float, w: float, measure: BeliefMeasure):
-    # the takes and grid_fixed_points' lanes as arrays, then ok: False at None
+    # the takes and grid_fixed_points' lanes as arrays, then ok: False at None.
+    # The stake at p* comes from the same coefficients c1 and c2 as the map's
     kappa = np.array(kappas, dtype=float)
     with np.errstate(all="ignore"):  # non-finite values mark lanes, not warnings
         c1, c2 = _stake_coefficient(kappa, q), _stake_coefficient(kappa, 1.0 - q)
@@ -479,11 +504,12 @@ def _grid_lanes(kappas: Sequence[float], q: float, w: float, measure: BeliefMeas
         def g(p):
             return _phi_lanes(p, kappa, q, w, measure, c1, c2) - p
 
-        p_star, residual, ok = _secant_lanes(
-            g, 1.0 - kappa, kappa, lambda i: _composed_map(float(kappa[i]), q, w, measure))
+        p_star, residual, ok = _secant_lanes(g, 1.0 - kappa, kappa, lambda i: _composed_map(
+            float(kappa[i]), q, w, measure, float(c1[i]), float(c2[i])))
         d1s, d2s = _D_lanes(p_star, kappa, measure)
         ok &= (d1s > 0.0) & (d2s > 0.0)
-    return kappa, p_star, residual, d1s, d2s, ok
+        a = _side_stake_lanes(kappa, q, w, c1, c2, d1s, d2s)[0]
+    return kappa, p_star, residual, d1s, d2s, a, ok
 
 
 def _D_lanes(p: np.ndarray, kappa: np.ndarray, m: BeliefMeasure):
@@ -496,22 +522,25 @@ def _D_lanes(p: np.ndarray, kappa: np.ndarray, m: BeliefMeasure):
 
 
 def _phi_lanes(p, kappa, q, w, m, c1, c2):
-    # the composed best-response map per lane: her side is decided at p from
-    # the totals there, by atomic_stakes' float tests, and s is the one
-    # stake that side takes; c1 and c2 are her stake coefficients on Outcome
-    # 1 and 2. Every probe lies in [1 - kappa, kappa]
+    # the composed best-response map per lane: her side and stake at p, by
+    # _side_stake_lanes from the totals there. Every probe lies in [1 -
+    # kappa, kappa]
     d1, d2 = _D_lanes(p, kappa, m)
+    a, back1 = _side_stake_lanes(kappa, q, w, c1, c2, d1, d2)
+    return (np.where(back1, a, 0.0) + d1) / (a + d1 + d2)
+
+
+def _side_stake_lanes(kappa, q, w, c1, c2, d1, d2):
+    # _side_stake per lane, (stake, backs Outcome 1) as arrays, with the
+    # same floats wherever the scalar returns. min(w, max(0.0, s)) keeps
+    # Python's tie rules. A negative d1 * d2 (masses rounded below zero)
+    # makes math.sqrt raise but np.sqrt return NaN, so NaN is kept to mark
+    # the lane for solve where she bets; a zero total sum gives phi NaN
     t = kappa * (d1 + d2)
     back1 = q > d1 / t
-    c, own = np.where(back1, c1, c2), np.where(back1, d1, d2)
-    # min(w, max(0.0, sqrt(c * d1 * d2) - own)) with Python's min/max tie
-    # rules. A negative d1 * d2 (masses rounded below zero) makes math.sqrt
-    # raise but np.sqrt return NaN, so NaN is kept to mark the lane for
-    # solve, unless she abstains
-    s = np.sqrt(c * d1 * d2) - own
+    s = np.sqrt(np.where(back1, c1, c2) * d1 * d2) - np.where(back1, d1, d2)
     s = np.where(s <= 0.0, 0.0, s)
-    s = np.where(back1 | (1.0 - q > d2 / t), np.minimum(s, w), 0.0)
-    return (np.where(back1, s, 0.0) + d1) / (s + d1 + d2)
+    return np.where(back1 | (1.0 - q > d2 / t), np.minimum(s, w), 0.0), back1
 
 
 def _secant_step(x, g, ag, xp, gp, agp, lo, hi):
@@ -545,7 +574,7 @@ def _inside(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
                    (lo.view(np.int64) + 1).view(np.float64))
 
 
-def _secant_lanes(g, lo: np.ndarray, hi: np.ndarray, lane_map=None):
+def _secant_lanes(g, lo: np.ndarray, hi: np.ndarray, lane_map):
     """Root of a decreasing g on every lane at once, to float resolution.
 
     g(p) evaluates every lane at its point p, and each lane's bracket lo <
@@ -560,11 +589,11 @@ def _secant_lanes(g, lo: np.ndarray, hi: np.ndarray, lane_map=None):
 
     A round evaluates every lane, live or not, in 58 to 77 us on the
     bundled 256-take grids; one lane's round in floats takes 1.2 to 1.7 us
-    (in process, one CPU). So, given lane_map(i), lane i's g in floats,
-    once _FLOAT_TAIL lanes or fewer are live each finishes from its exact
-    state by ``_secant_float``, with the same bits. Against numpy rounds
-    to the end, that made the six bundled searches 6.5 % faster at 32
-    lanes, 3.0 % at 64, and 4.9 % slower at 128.
+    (in process, one CPU). So once _FLOAT_TAIL lanes or fewer are live,
+    each finishes from its exact state by ``_secant_float`` on
+    lane_map(i), lane i's g in floats, with the same bits. Against numpy
+    rounds to the end, that made the six bundled searches 6.5 % faster at
+    32 lanes, 3.0 % at 64, and 4.9 % slower at 128.
     """
     with np.errstate(all="ignore"):  # non-finite values mark lanes, not warnings
         glo, ghi = g(lo), g(hi)
@@ -578,7 +607,7 @@ def _secant_lanes(g, lo: np.ndarray, hi: np.ndarray, lane_map=None):
         lo, hi = lo.copy(), hi.copy()  # updated in place
         live = ok & (lo < x) & (x < hi)
         while n_live := np.count_nonzero(live):
-            if lane_map is not None and n_live <= _FLOAT_TAIL:
+            if n_live <= _FLOAT_TAIL:
                 tail = np.flatnonzero(live)
                 for i, *state in zip(tail.tolist(), *(
                         a[tail].tolist() for a in (lo, hi, x, xp, gp, best_p, best_g))):
@@ -607,17 +636,20 @@ def _secant_lanes(g, lo: np.ndarray, hi: np.ndarray, lane_map=None):
 # --------------------------------------------------------------------------
 
 def fixed_point(kappa: float, q: float, w: float, measure: BeliefMeasure,
-                ) -> Optional[tuple[float, float, float, float]]:
+                ) -> Optional[tuple[float, float, float, float, float]]:
     """grid_fixed_points([kappa], q, w, measure)[0], bit for bit, in floats.
 
-    The same precondition, unchecked. The lane's operations in their order:
-    the composed map (``_composed_map``) with its totals from exact_mass, the
+    The same precondition, unchecked, and the same (p_star, residual,
+    d1_star, d2_star, a_star). The lane's operations in their order: the
+    composed map (``_composed_map``) with its totals from exact_mass, the
     chord start, ``_secant_float``'s rounds by ``_secant_step``'s rule, the
-    best point and the totals there. Where Python raises and numpy gives
-    a value that is not finite (a zero divisor, math.sqrt of a negative
-    product), the map gives NaN, and the take gets None as its lane does.
+    best point, the totals there and ``_side_stake``'s stake at them.
+    Where Python raises and numpy gives a value that is not finite (a zero
+    divisor, math.sqrt of a negative product), the map gives NaN, and the
+    take gets None as its lane does.
     """
-    g = _composed_map(kappa, q, w, measure)
+    c1, c2 = _stake_coefficient(kappa, q), _stake_coefficient(kappa, 1.0 - q)
+    g = _composed_map(kappa, q, w, measure, c1, c2)
     lo, hi = 1.0 - kappa, kappa
     glo, ghi = g(lo), g(hi)
     if not (isfinite(glo) and isfinite(ghi)):
@@ -632,28 +664,24 @@ def fixed_point(kappa: float, q: float, w: float, measure: BeliefMeasure,
     best_p, best_g, _ = end
     d1 = measure.exact_mass(best_p / kappa, 1.0)
     d2 = measure.exact_mass(0.0, 1.0 - (1.0 - best_p) / kappa)
-    return (best_p, best_g, d1, d2) if d1 > 0.0 and d2 > 0.0 else None
+    if not (d1 > 0.0 and d2 > 0.0):
+        return None
+    return best_p, best_g, d1, d2, _side_stake(kappa, q, w, c1, c2, d1, d2)[0]
 
 
-def _composed_map(kappa: float, q: float, w: float,
-                  measure: BeliefMeasure) -> Callable[[float], float]:
-    # phi(p) - p for one take, _phi_lanes' lane in floats on exact_mass (as
-    # mass() on the band): NaN where Python raises and numpy gives inf or NaN
-    c1, c2 = _stake_coefficient(kappa, q), _stake_coefficient(kappa, 1.0 - q)
+def _composed_map(kappa: float, q: float, w: float, measure: BeliefMeasure,
+                  c1: float, c2: float) -> Callable[[float], float]:
+    # phi(p) - p for one take whose stake coefficients are c1 and c2,
+    # _phi_lanes' lane in floats on exact_mass (as mass() on the band): NaN
+    # where Python raises and numpy gives inf or NaN
     exact_mass = measure.exact_mass
 
     def g(p: float) -> float:
         d1 = exact_mass(p / kappa, 1.0)
         d2 = exact_mass(0.0, 1.0 - (1.0 - p) / kappa)
         try:
-            t = kappa * (d1 + d2)
-            if q > d1 / t:
-                a1 = a = _stake(c1, d1, d2, d1, w)
-            elif 1.0 - q > d2 / t:
-                a1, a = 0.0, _stake(c2, d1, d2, d2, w)
-            else:
-                a1 = a = 0.0
-            return (a1 + d1) / (a + d1 + d2) - p
+            a, back1 = _side_stake(kappa, q, w, c1, c2, d1, d2)
+            return ((a if back1 else 0.0) + d1) / (a + d1 + d2) - p
         except (ZeroDivisionError, ValueError):  # numpy's inf or NaN
             return nan
 

@@ -124,8 +124,7 @@ def atomic_stakes(kappa: float, q: float, w: float, d1: float, d2: float,
     """atomic_best_response's (a1, a2) from floats, unchecked.
 
     The market must be valid and both totals positive, as MarketParams and
-    atomic_best_response check; the take grid calls this on lanes it has
-    checked itself, so that it builds no object per take.
+    atomic_best_response check.
     """
     if q > d1 / (kappa * (d1 + d2)):
         return _capped_stake(kappa, q, d1, d2, d1, w), 0.0
@@ -138,6 +137,8 @@ def _capped_stake(kappa: float, belief: float, d1: float, d2: float, own: float,
                   w: float) -> float:
     # budget-capped square-root stake on the side held with probability belief,
     # whose small-bettor total is own, rounded as kappa b d1 d2 / (1 - kappa b).
+    # This order now serves only solve's Equilibrium and the oracle; the take
+    # search prices with the stake its own map takes, equilibrium._side_stake's.
     # equilibrium._stake rounds (kappa b / (1 - kappa b)) d1 d2, and neither
     # can take the other's order bit for bit: this stake in phi's order turns
     # appendixA's a2 at kappa = 0.5205, w = 1 from 3.8504572973e-09 to

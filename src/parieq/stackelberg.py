@@ -11,7 +11,10 @@ The grid's revenues come in one array pass from ``grid_revenues``, with no
 ``Equilibrium`` built per take. The golden-section pass, about 15 probes
 that each depend on the last, takes each probe's revenue the same way
 from ``fixed_point``, one of the batch's lanes in Python floats, so grid
-and probes are ranked on one map. Only the reported optimum is solved:
+and probes are ranked on one map. Each take is priced with the stake its
+own map takes at p*, as take_revenue(kappa, d1*, d2*, a*, 0.0): her other
+stake is 0.0, so that is the float the stake pair gives, and this module
+holds no stake formula. Only the reported optimum is solved:
 revenue_star is house_revenue(solve(...)) at kappa_star. The search takes
 no tolerance: the lanes run to float resolution and solve stops within
 FP_TOL, and where solve's bisected action boundaries misplace a regime
@@ -30,7 +33,7 @@ from .equilibrium import _grid_lanes, fixed_point, solve
 from .errors import as_count
 from .measure import BeliefMeasure
 from .metrics import house_revenue, take_revenue
-from .response import MarketParams, atomic_stakes
+from .response import MarketParams
 
 # the takes searched here and swept by scenarios: clamped away from the
 # degenerate limits kappa -> 0.5 and kappa -> 1
@@ -57,41 +60,28 @@ def grid_revenues(kappas: Sequence[float], q: float, w: float,
     """The house revenue at each take's equilibrium, with MarketParams(kappa=k,
     q=q, w=w) for k in kappas, which meet grid_fixed_points' precondition.
 
-    Each take that a lane finishes takes its revenue straight from the
-    lane's totals, through the stakes and the revenue formula that solve
-    and house_revenue use; that is house_revenue(solve(params, measure),
+    Each take that a lane finishes is priced in one array pass from the
+    lane's totals and the stake its map takes there, by the revenue formula
+    that house_revenue uses; that is house_revenue(solve(params, measure),
     params) up to solve's tolerance and boundaries (see the module
-    docstring), in one array pass. Takes whose lane is None or revenue not
-    finite are priced by _lane_revenue in order; the first that fails raises.
+    docstring). Takes whose lane is None are solved in order; the first
+    that fails raises.
     """
     kappa, *lanes, ok = _grid_lanes(kappas, q, w, measure)
-    with np.errstate(all="ignore"):  # a value that is not finite marks a take
-        revenue = take_revenue(kappa, *lanes[2:], *_grid_stakes(kappa, q, w, *lanes[2:]))
-    revenues = revenue.tolist()
-    for i in np.flatnonzero(~(ok & np.isfinite(revenue))).tolist():
-        lane = tuple(float(a[i]) for a in lanes) if ok[i] else None
-        revenues[i] = _lane_revenue(kappas[i], q, w, measure, lane)
+    with np.errstate(all="ignore"):  # an overflow to inf, or a lane that is not ok
+        revenues = take_revenue(kappa, *lanes[2:], 0.0).tolist()
+    for i in np.flatnonzero(~ok).tolist():
+        revenues[i] = _solved_revenue(kappas[i], q, w, measure)
     return revenues
 
 
-def _grid_stakes(kappa, q, w, d1, d2):
-    # atomic_stakes per lane in its rounding order, none of which raises
-    t = kappa * (d1 + d2)
-    back1 = q > d1 / t
-    kb = kappa * np.where(back1, q, 1.0 - q)
-    s = np.sqrt(kb * d1 * d2 / (1.0 - kb)) - np.where(back1, d1, d2)
-    a = np.where(s >= w, w, np.where(s > 0.0, s, 0.0))
-    return np.where(back1, a, 0.0), np.where(~back1 & (1.0 - q > d2 / t), a, 0.0)
-
-
 def _lane_revenue(kappa: float, q: float, w: float, measure: BeliefMeasure,
-                  lane: Optional[tuple[float, float, float, float]]) -> float:
-    # the revenue at a take from its lane's totals, or from solve where the
-    # lane is None
+                  lane: Optional[tuple[float, float, float, float, float]]) -> float:
+    # the revenue at a take from its lane's totals and stake, or from solve
+    # where the lane is None
     if lane is None:
         return _solved_revenue(kappa, q, w, measure)
-    d1, d2 = lane[2:]
-    return take_revenue(kappa, d1, d2, *atomic_stakes(kappa, q, w, d1, d2))
+    return take_revenue(kappa, *lane[2:], 0.0)
 
 
 def _solved_revenue(kappa: float, q: float, w: float, measure: BeliefMeasure) -> float:

@@ -35,7 +35,7 @@ from parieq.measure import (BeliefMeasure, from_density, mass, scaled,
                             symmetrized_wedge, tabulated, uniform, wedge)
 from parieq.metrics import house_revenue, take_revenue
 from parieq.response import (DiffuseAggregate, MarketParams, _capped_stake,
-                             atomic_stakes, implied_probability)
+                             implied_probability)
 from parieq.scenario import build_measure, bundled_scenarios, load_scenario
 from parieq.oracle import discretize
 from parieq.stackelberg import (KAPPA_SEARCH_HI, KAPPA_SEARCH_LO, grid_revenues,
@@ -543,26 +543,33 @@ def _grid_revenues(kappas, q, w, m):
     return [r.hex() for r in grid_revenues(kappas, q, w, m)]
 
 
+def _composed_stakes(kappa, q, w, d1, d2):
+    # her wagers (a1, a2) at totals d1, d2: her side decided from them by
+    # atomic_stakes' tests, her capped square-root stake in phi's rounding
+    # order
+    t = kappa * (d1 + d2)
+    if q > d1 / t:
+        return min(w, max(0.0, math.sqrt(_stake_coefficient(kappa, q) * d1 * d2) - d1)), 0.0
+    if 1.0 - q > d2 / t:
+        return 0.0, min(w, max(0.0, math.sqrt(_stake_coefficient(kappa, 1.0 - q) * d1 * d2)
+                               - d2))
+    return 0.0, 0.0
+
+
 def _composed_phi(p, kappa, q, w, m):
     # the composed best-response map, one float evaluation: the totals at p,
-    # her side decided from them by atomic_stakes' tests, her capped
-    # square-root stake in phi's rounding order, and the pool share
+    # her wagers there and the pool share
     d1, d2 = _D(p, kappa, m)
-    t = kappa * (d1 + d2)
-    a1 = a2 = 0.0
-    if q > d1 / t:
-        a1 = min(w, max(0.0, math.sqrt(_stake_coefficient(kappa, q) * d1 * d2) - d1))
-    elif 1.0 - q > d2 / t:
-        a2 = min(w, max(0.0, math.sqrt(_stake_coefficient(kappa, 1.0 - q) * d1 * d2) - d2))
+    a1, a2 = _composed_stakes(kappa, q, w, d1, d2)
     return (a1 + d1) / (a1 + a2 + d1 + d2)
 
 
 def _composed_lane(kappa, q, w, m):
     # one take's lane by the scalar bisection of the composed map at FP_TOL:
-    # (p_star, residual, d1_star, d2_star), or None where the take is
-    # solve's to decide: a float operation that raises on the way (math.sqrt
-    # of a negative product included), or a zero total. The take meets
-    # grid_fixed_points' precondition
+    # (p_star, residual, d1_star, d2_star, a_star), a_star her one stake
+    # there, or None where the take is solve's to decide: a float operation
+    # that raises on the way (math.sqrt of a negative product included), or
+    # a zero total. The take meets grid_fixed_points' precondition
     try:
         p, residual = _bisect_decreasing(lambda p: _composed_phi(p, kappa, q, w, m) - p,
                                          1.0 - kappa, kappa, width_tol=FP_TOL,
@@ -570,13 +577,16 @@ def _composed_lane(kappa, q, w, m):
         d1, d2 = _D(p, kappa, m)
     except (DomainError, ValueError, ZeroDivisionError):
         return None
-    return (p, residual, d1, d2) if d1 > 0.0 and d2 > 0.0 else None
+    if not (d1 > 0.0 and d2 > 0.0):
+        return None
+    return p, residual, d1, d2, sum(_composed_stakes(kappa, q, w, d1, d2))
 
 
 def _composed_revenues(kappas, q, w, m):
     # grid_revenues as a scalar loop, as hex: each take's revenue at the
-    # bisected composed map's fixed point, or house_revenue(solve(...))
-    # where that map leaves the take to solve
+    # bisected composed map's fixed point, with the stake that map takes
+    # there, or house_revenue(solve(...)) where that map leaves the take to
+    # solve
     out = []
     for k in kappas:
         lane = _composed_lane(k, q, w, m)
@@ -584,8 +594,7 @@ def _composed_revenues(kappas, q, w, m):
             params = MarketParams(kappa=k, q=q, w=w)
             out.append(house_revenue(solve(params, m), params).hex())
         else:
-            d1, d2 = lane[2:]
-            out.append(take_revenue(k, d1, d2, *atomic_stakes(k, q, w, d1, d2)).hex())
+            out.append(take_revenue(k, *lane[2:], 0.0).hex())
     return out
 
 
@@ -621,8 +630,9 @@ def _assert_lanes_keep_the_contract(kappas, q, w, m, handed=None):
     # residual plus one float step at 1 of p*: its slope is at most -1, and
     # its values, in [0, 1], round on that scale (a step of ulp(p*) is too
     # short on appendixA's sweep at kappa = 0.9999, where p* = 0.0099). Its
-    # totals are _D's at p*, and its revenue is take_revenue's from them.
-    # Each lane lies within the bounds above of solve, where solve returns
+    # totals are _D's at p*, its stake is the map's there, and its revenue
+    # is take_revenue's from them. Each lane lies within the bounds above
+    # of solve, where solve returns
     lanes = grid_fixed_points(kappas, q, w, m)
     got = grid_revenues(kappas, q, w, m)
     assert len(lanes) == len(got) == len(kappas)
@@ -634,7 +644,7 @@ def _assert_lanes_keep_the_contract(kappas, q, w, m, handed=None):
         if lane is None:
             assert revenue.hex() == house_revenue(eq, params).hex(), k
             continue
-        p, residual, d1, d2 = lane
+        p, residual, d1, d2, a = lane
 
         def g(p):
             return _composed_phi(p, k, q, w, m) - p
@@ -643,7 +653,9 @@ def _assert_lanes_keep_the_contract(kappas, q, w, m, handed=None):
         step = residual + math.ulp(1.0)
         assert g(max(1.0 - k, p - step)) >= 0.0 >= g(min(k, p + step)), (k, p, residual)
         assert (d1, d2) == _D(p, k, m), k
-        assert revenue.hex() == take_revenue(k, d1, d2, *atomic_stakes(k, q, w, d1, d2)).hex()
+        a1, a2 = _composed_stakes(k, q, w, d1, d2)
+        assert a.hex() == (a1 + a2).hex(), k
+        assert revenue.hex() == take_revenue(k, d1, d2, a1, a2).hex(), k
         if isinstance(eq, Equilibrium):
             assert abs(p - eq.p_star) <= GRID_P_STAR_BOUND, k
             assert abs(revenue - house_revenue(eq, params)) <= GRID_REVENUE_BOUND, k
@@ -806,13 +818,26 @@ class TestTakeGrid:
             assert ends == [[1.0] * kappa.size, [0.0] * kappa.size], (q, w)
 
     @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_the_stake_is_the_maps_at_p_star(self, name):
+        # the stake a lane reports is the one its map took at p*: on her
+        # side, with the lane's totals, it gives back the lane's residual
+        # bit for bit
+        sc = load_scenario(bundled_scenarios()[name])
+        kappas = _grid(256)
+        lanes = grid_fixed_points(kappas, sc.q, sc.w, sc.belief_measure)
+        assert None not in lanes
+        for k, (p, residual, d1, d2, a) in zip(kappas, lanes):
+            a1 = a if sc.q > d1 / (k * (d1 + d2)) else 0.0
+            assert abs((a1 + d1) / (a + d1 + d2) - p) == residual, k
+
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
     def test_bundled_take_grids_hand_over_no_lane(self, monkeypatch, name):
         sc = load_scenario(bundled_scenarios()[name])
         assert _handovers(monkeypatch, _grid(256), sc.q, sc.w, sc.belief_measure) == []
 
 
 def _lane_bits(lane):
-    # a lane's four floats as hex, so that -0.0 and 0.0 differ, or None
+    # a lane's five floats as hex, so that -0.0 and 0.0 differ, or None
     return None if lane is None else tuple(x.hex() for x in lane)
 
 
@@ -872,7 +897,8 @@ class TestScalarLane:
         # 1 - kappa, so g is NaN there
         ps = np.linspace(1.0 - kappa, kappa, 1001).tolist()
         for q, w in itertools.product((0.0, 0.3, 0.57, 0.9, 1.0), (BASELINE_W, 1.0)):
-            g = equilibrium_mod._composed_map(kappa, q, w, m)
+            g = equilibrium_mod._composed_map(kappa, q, w, m, _stake_coefficient(kappa, q),
+                                              _stake_coefficient(kappa, 1.0 - q))
             assert (g(1.0 - kappa), g(kappa)) == (kappa, -kappa), (q, w)
             values = [g(p) for p in ps]
             assert all(b <= a for a, b in zip(values, values[1:])), (q, w)
@@ -945,8 +971,8 @@ def _record_D_probes(monkeypatch):
         lanes.append((p.copy(), kappa.copy()))
         return real_D_lanes(p, kappa, m)
 
-    def recording_map(kappa, q, w, m):
-        g = real_map(kappa, q, w, m)
+    def recording_map(kappa, *args):
+        g = real_map(kappa, *args)
 
         def recording_g(p):
             gp = g(p)  # after the call, as in recording_D
@@ -1272,6 +1298,11 @@ LANE_ROUND_GRIDS = [
 ]
 
 
+def _no_lane_map(i):
+    # _secant_lanes' lane_map where _FLOAT_TAIL is 0, so that no lane is handed over
+    raise AssertionError(f"lane {i} handed to the float loop")
+
+
 class TestBisectionLength:
     """Bisecting the band runs out of floats within 105 midpoints.
 
@@ -1304,14 +1335,17 @@ class TestBisectionLength:
 
     @pytest.mark.parametrize("where", ROOT_PLACES)
     @pytest.mark.parametrize("kappa", BAND_KAPPAS)
-    def test_secant_lanes(self, kappa, where):
+    def test_secant_lanes(self, monkeypatch, kappa, where):
+        # every round in numpy: no lane is handed to the float loop
+        monkeypatch.setattr(equilibrium_mod, "_FLOAT_TAIL", 0)
         r, rounds = _roots(kappa)[where], []
 
         def g(p):
             rounds.append(p[0])
             return r - p
 
-        root, residual, _ = _secant_lanes(g, np.array([1.0 - kappa]), np.array([kappa]))
+        root, residual, _ = _secant_lanes(g, np.array([1.0 - kappa]), np.array([kappa]),
+                                          _no_lane_map)
         assert (root[0], residual[0]) == (r, 0.0)
         assert len(rounds) - 2 <= 105
         assert abs(rounds[-1] - r) <= math.ulp(r)
@@ -1371,11 +1405,13 @@ class TestBisectionLength:
         b = Boundary(g, 0.2, 0.8)
         assert b.root() == 0.5 and b.span() == (0.5, 0.5)
 
-    def test_lanes_out_of_floats_finish_with_the_scalar_result(self):
+    def test_lanes_out_of_floats_finish_with_the_scalar_result(self, monkeypatch):
         # |g| is 1 everywhere, so every secant step divides by zero or
-        # leaves the bracket: the lanes gallop and halve until no float lies
-        # inside the bracket around the step at 0.3, and, with no point
-        # better than an end, return the low end, as the scalar bisection does
+        # leaves the bracket: the lanes gallop and halve, every round in
+        # numpy, until no float lies inside the bracket around the step at
+        # 0.3, and, with no point better than an end, return the low end, as
+        # the scalar bisection does
+        monkeypatch.setattr(equilibrium_mod, "_FLOAT_TAIL", 0)
         brackets = [(0.2, 0.8), (0.25, 0.3), (0.0, 0.3), (0.2999, 0.5)]
         lo, hi = (np.array(ends) for ends in zip(*brackets))
         rounds = []
@@ -1384,7 +1420,7 @@ class TestBisectionLength:
             rounds.append(p.copy())
             return np.where(p < 0.3, 1.0, -1.0)
 
-        root, residual, ok = _secant_lanes(g, lo, hi)
+        root, residual, ok = _secant_lanes(g, lo, hi, _no_lane_map)
         assert ok.all()
         want = [_bisect_decreasing(_step, a, b, width_tol=0.0) for a, b in brackets]
         assert [(r.hex(), e.hex()) for r, e in zip(root.tolist(), residual.tolist())] \

@@ -11,15 +11,16 @@ import pytest
 
 import parieq.equilibrium as equilibrium_mod
 import parieq.stackelberg as stackelberg_mod
-from parieq.equilibrium import grid_fixed_points, solve
+from parieq.equilibrium import (_side_stake, _side_stake_lanes, _stake_coefficient,
+                                grid_fixed_points, solve)
 from parieq.errors import DomainError
 from parieq.measure import gaussian_mixture, scaled, uniform, wedge
 from parieq.metrics import house_revenue
-from parieq.response import MarketParams, atomic_stakes
+from parieq.response import MarketParams
 from parieq.scenario import build_measure, bundled_scenarios, load_scenario
 from parieq.stackelberg import (_INV_GOLDEN, _REFINE_TOL, KAPPA_SEARCH_HI,
-                                KAPPA_SEARCH_LO, TakeOptimum, _grid_stakes,
-                                grid_revenues, optimize_take)
+                                KAPPA_SEARCH_LO, TakeOptimum, grid_revenues,
+                                optimize_take)
 from conftest import BASELINE_W, scenario_zoo
 from test_equilibrium import (GRID_REVENUE_BOUND, _composed_revenues, _count_handovers,
                               _grid, _outcome, _rippled)
@@ -266,26 +267,38 @@ class TestOptimizeTake:
             assert r2 == pytest.approx(0.5 * r1, rel=1e-12)
 
 
-def _assert_stakes_mirror_atomic_stakes(kappas, q, w, d1, d2):
-    # _grid_stakes' (a1, a2) per lane are atomic_stakes' floats, as hex
+def _assert_the_twin_is_the_scalar(kappas, q, w, d1, d2):
+    # _side_stake_lanes' (stake, side) per lane are _side_stake's floats, as
+    # hex, and a NaN stake where the scalar raises ValueError (math.sqrt of
+    # a negative d1 * d2, where she bets); returns how many lanes raised
     kappa, d1, d2 = (np.array(a, dtype=float) for a in (kappas, d1, d2))
-    with np.errstate(all="ignore"):  # grid_revenues' own errstate
-        a1, a2 = _grid_stakes(kappa, q, w, d1, d2)
-    got = [(x.hex(), y.hex()) for x, y in zip(a1.tolist(), a2.tolist())]
-    want = [tuple(a.hex() for a in atomic_stakes(k, q, w, x, y))
-            for k, x, y in zip(kappa.tolist(), d1.tolist(), d2.tolist())]
+    with np.errstate(all="ignore"):  # the lane loop's own errstate
+        c1, c2 = _stake_coefficient(kappa, q), _stake_coefficient(kappa, 1.0 - q)
+        a, back1 = _side_stake_lanes(kappa, q, w, c1, c2, d1, d2)
+    got = [(x.hex(), b) for x, b in zip(a.tolist(), back1.tolist())]
+    want, raised = [], 0
+    for lane, (_, b) in zip(zip(*(x.tolist() for x in (kappa, c1, c2, d1, d2))), got):
+        k, x1, x2, y1, y2 = lane
+        try:
+            stake, side = _side_stake(k, q, w, x1, x2, y1, y2)
+        except ValueError:
+            raised += 1
+            stake, side = math.nan, b
+        want.append((stake.hex(), side))
     assert got == want, (q, w)
+    return raised
 
 
-def _assert_stakes_mirror_on_the_lanes(kappas, q, w, m):
-    # on every lane that grid_fixed_points finishes, at one-sided beliefs,
-    # at a budget that always binds and at one that never does
+def _assert_the_twin_is_the_scalar_on_the_lanes(kappas, q, w, m):
+    # at the totals of every lane that grid_fixed_points finishes, at
+    # one-sided beliefs, at a budget that always binds and at one that
+    # never does
     for q, w in itertools.product((0.0, q, 1.0), (BASELINE_W, w, 1e9)):
         lanes = [(k, lane) for k, lane in zip(kappas, grid_fixed_points(kappas, q, w, m))
                  if lane is not None]
-        _assert_stakes_mirror_atomic_stakes([k for k, _ in lanes], q, w,
-                                            [lane[2] for _, lane in lanes],
-                                            [lane[3] for _, lane in lanes])
+        assert _assert_the_twin_is_the_scalar([k for k, _ in lanes], q, w,
+                                              [lane[2] for _, lane in lanes],
+                                              [lane[3] for _, lane in lanes]) == 0
 
 
 def _lane_by_lane_revenues(kappas, q, w, m):
@@ -296,23 +309,25 @@ def _lane_by_lane_revenues(kappas, q, w, m):
 
 
 class TestGridPricing:
-    """grid_revenues prices every lane in one array pass: its stakes are
-    atomic_stakes', and the takes it leaves to _lane_revenue keep their order."""
+    """grid_revenues prices every lane in one array pass, with the stake its
+    map takes at p*: the lanes' stake function is the scalar one, and the
+    takes it leaves to solve keep their order."""
 
     @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
     def test_stakes_on_the_bundled_grids(self, name):
         sc = load_scenario(bundled_scenarios()[name])
-        _assert_stakes_mirror_on_the_lanes(_grid(256), sc.q, sc.w, sc.belief_measure)
+        _assert_the_twin_is_the_scalar_on_the_lanes(_grid(256), sc.q, sc.w,
+                                                    sc.belief_measure)
 
     @pytest.mark.parametrize("sc", scenario_zoo(), ids=lambda sc: sc.name)
     def test_stakes_on_the_zoo(self, sc):
-        _assert_stakes_mirror_on_the_lanes(_grid(64, 0.5001, 0.9999), sc.params.q,
-                                           sc.params.w, sc.measure)
+        _assert_the_twin_is_the_scalar_on_the_lanes(_grid(64, 0.5001, 0.9999), sc.params.q,
+                                                    sc.params.w, sc.measure)
 
     def test_stakes_on_subnormal_and_huge_totals(self):
         # every pair of positive totals from the least subnormal to the
-        # largest float, where kappa b d1 d2 underflows or overflows and
-        # d1 + d2 can overflow
+        # largest float, where c d1 d2 underflows or overflows and d1 + d2
+        # can overflow
         totals = [5e-324, 1e-320, 2.0**-1022, 1e-300, 1e-10, 0.5, 1.0, 3.0, 1e10,
                   1e300, 1.7e308]
         pairs = list(itertools.product(totals, repeat=2))
@@ -321,7 +336,20 @@ class TestGridPricing:
         ks = [k for k in kappas for _ in pairs]
         for q, w in itertools.product((0.0, 5e-324, 0.3, 0.5, 0.9, 1.0),
                                       (5e-324, BASELINE_W, 1.0, 1e9, 1.7e308)):
-            _assert_stakes_mirror_atomic_stakes(ks, q, w, d1, d2)
+            assert _assert_the_twin_is_the_scalar(ks, q, w, d1, d2) == 0
+
+    def test_stakes_on_a_negative_total_product(self):
+        # totals of opposite signs, as masses rounded below zero give: she
+        # bets on one side or the other at every pair, where, with a
+        # positive stake coefficient (0 < q < 1), the scalar's math.sqrt
+        # raises ValueError and the twin's stake is NaN, which marks the
+        # lane for solve
+        pairs = [(-1e-3, 1.0), (1.0, -1e-3), (-0.5, 2.0), (3.0, -2.0), (-1e-300, 0.5)]
+        kappas = [0.5001, 0.75, 0.9999]
+        d1, d2 = ([p[i] for _ in kappas for p in pairs] for i in (0, 1))
+        ks = [k for k in kappas for _ in pairs]
+        for q, w in itertools.product((0.3, 0.5, 0.9), (BASELINE_W, 1.0)):
+            assert _assert_the_twin_is_the_scalar(ks, q, w, d1, d2) == len(ks), (q, w)
 
     @pytest.mark.parametrize("m, q, w", [
         (scaled(wedge(100), 1e307), 0.3, 1.7e308),
@@ -334,42 +362,41 @@ class TestGridPricing:
     ], ids=["overflowing-revenues", "overflowing-and-handed-over", "rippled-0.1",
             "rippled-0.9", "underflow", "wedge-2**53", "no-fallback"])
     def test_the_fallback_keeps_the_take_order(self, monkeypatch, m, q, w):
-        # the takes grid_revenues leaves to _lane_revenue, those whose lane
-        # is None or whose array revenue is not finite, are priced in take
-        # order, each once, and every revenue, or the first error solve
-        # raises for a take handed to it, is the one take-by-take pricing
-        # gives. The first two markets have lanes whose stakes and
-        # revenues overflow, the first with no lane left to solve
+        # the takes grid_revenues leaves to solve, those whose lane is None,
+        # are solved in take order, each once, and every revenue, or the
+        # first error solve raises, is the one take-by-take pricing gives.
+        # The first two markets have lanes whose revenues overflow to +inf
+        # in the array pass as in floats, the first with no lane left to
+        # solve
         kappas = _grid(64, 0.5001, 0.9999)
         want = _outcome(lambda: _lane_by_lane_revenues(kappas, q, w, m))
         fallback = [k for k, lane in zip(kappas, grid_fixed_points(kappas, q, w, m))
-                    if lane is None or not math.isfinite(
-                        stackelberg_mod._lane_revenue(k, q, w, m, lane))]
-        priced, real = [], stackelberg_mod._lane_revenue
+                    if lane is None]
+        solved, real = [], stackelberg_mod._solved_revenue
 
         def recording(kappa, *args):
-            priced.append(kappa)
+            solved.append(kappa)
             return real(kappa, *args)
 
-        monkeypatch.setattr(stackelberg_mod, "_lane_revenue", recording)
+        monkeypatch.setattr(stackelberg_mod, "_solved_revenue", recording)
         got = _outcome(lambda: [r.hex() for r in grid_revenues(kappas, q, w, m)])
         assert got == want
         if isinstance(got, list):
-            assert priced == fallback
-        else:  # priced up to the take whose solve raised
-            assert priced == fallback[:len(priced)] and priced
+            assert solved == fallback
+        else:  # solved up to the take whose solve raised
+            assert solved == fallback[:len(solved)] and solved
 
     def test_no_take_of_the_bundled_searches_falls_back(self, monkeypatch):
         # every lane of the six bundled 256-take grids is priced in the
-        # array pass: none goes through _lane_revenue or reaches solve
+        # array pass: none is solved
         markets = [(sc.q, sc.w, sc.belief_measure)
                    for sc in map(load_scenario, bundled_scenarios().values())]
         want = [_lane_by_lane_revenues(_grid(256), *market) for market in markets]
 
         def refusing(*args):
-            raise AssertionError(f"priced one at a time: {args[0]}")
+            raise AssertionError(f"solved: {args[0]}")
 
-        monkeypatch.setattr(stackelberg_mod, "_lane_revenue", refusing)
+        monkeypatch.setattr(stackelberg_mod, "_solved_revenue", refusing)
         assert [[r.hex() for r in grid_revenues(_grid(256), *market)]
                 for market in markets] == want
 
