@@ -25,7 +25,11 @@ the implied-probability response map ``phi`` recomputes the pool share of
 Outcome 1 after everyone best-responds to p, with her stake capped at the
 budget w. phi is continuous and decreasing with phi(1-kappa) = 1 and
 phi(kappa) = 0, so it crosses the diagonal exactly once; ``solve`` brackets
-that crossing by bisection and rebuilds the equilibrium from it.
+that crossing by bisection and rebuilds the equilibrium from it. Every total
+on the band, phi's, the boundary ratios' and solve's own at p*, comes from
+the measure's exact_mass: both thresholds lie in [0, 1] there, so mass()'s
+interval check cannot fail. That check runs only for a candidate past the
+band, which no solve makes (see _D).
 
 ``grid_fixed_points`` solves many takes at once, one float64 numpy lane
 per kappa, with no ``Equilibrium`` built, and checks neither its takes
@@ -52,15 +56,16 @@ found one at a time, as each golden-section probe of
 ``stackelberg.optimize_take`` is: numpy's fixed cost per operation makes a
 batch of one slow. Its loop, ``_secant_float``, also finishes the grid's
 last 32 live lanes, and ``oracle.discretize``'s, where a numpy round costs
-more than looping over them. It reads ``exact_mass`` directly: on the band,
-mass()'s check cannot fail. At kappa = 0.8, q = 0.9, w = 1 on wedge(100), a
-4-knot tabulated density and a 2-kernel Gaussian mixture, a batch of one
-took 0.11 to 0.15 ms, a ``solve`` with no remembered boundary 0.08 to 0.12
-ms and ``fixed_point`` 0.014 to 0.021 ms (in process, on one CPU).
+more than looping over them. Its map reads ``exact_mass`` directly, as phi
+does on the band. At kappa = 0.8, q = 0.9, w = 1 on wedge(100), a 4-knot
+tabulated density and a 2-kernel Gaussian mixture, a batch of one took 0.12
+to 0.16 ms, a ``solve`` with no remembered boundary 0.065 to 0.097 ms and
+``fixed_point`` 0.013 to 0.022 ms (in process, on one CPU).
 ``solve`` stays the scalar path that builds an ``Equilibrium``.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import copysign, inf, isfinite, nan, nextafter, sqrt
 from typing import Callable, Optional, Sequence
 
@@ -106,10 +111,14 @@ def _D(p: float, kappa: float, m: BeliefMeasure) -> tuple[float, float]:
     # then the mass below 1 - (1-p)/kappa. Inside the band at least one of
     # them is positive; masses that round to zero can make both vanish,
     # and every ratio of them would then divide by zero
-    # p must lie in [1-kappa, kappa], as every caller's does: 1 - kappa is
-    # exact and rounding monotone, so both thresholds lie in [0, 1]
-    d1 = mass(m, p / kappa, 1.0)
-    d2 = mass(m, 0.0, 1.0 - (1.0 - p) / kappa)
+    # Inside the band [1-kappa, kappa], as every caller's p is, 1 - kappa is
+    # exact and rounding monotone, so both thresholds lie in [0, 1] and
+    # mass()'s check cannot fail: the totals come from exact_mass. Past the
+    # band, NaN included, they go through mass(), whose check raises, or
+    # passes float dust whose threshold rounds back into [0, 1]
+    total = m.exact_mass if 1.0 - kappa <= p <= kappa else partial(mass, m)
+    d1 = total(p / kappa, 1.0)
+    d2 = total(0.0, 1.0 - (1.0 - p) / kappa)
     if d1 + d2 == 0.0:
         raise _totals_vanish(p, kappa)
     return d1, d2
@@ -374,7 +383,7 @@ def _side_stake(kappa: float, q: float, w: float, c1: float, c2: float, d1: floa
 def zeta1(p: float, ctx: PhiContext) -> float:
     """Unconstrained optimal stake on Outcome 1 at candidate p in [pbar1, kappa].
 
-    Past kappa, mass() rejects p, as in phi.
+    Past kappa, _D reads the totals through mass(), which rejects p, as in phi.
     """
     if ctx.pbar1.above(p):
         raise DomainError(f"candidate probability {p} lies below pbar1={ctx.pbar1.root()}")
@@ -385,7 +394,8 @@ def zeta1(p: float, ctx: PhiContext) -> float:
 def zeta2(p: float, ctx: PhiContext) -> float:
     """Unconstrained optimal stake on Outcome 2 at candidate p in [1-kappa, pbar2].
 
-    Below 1 - kappa, mass() rejects p, as in phi.
+    Below 1 - kappa, _D reads the totals through mass(), which rejects p, as
+    in phi.
     """
     if ctx.pbar2.below(p):
         raise DomainError(f"candidate probability {p} lies above pbar2={ctx.pbar2.root()}")
@@ -397,9 +407,10 @@ def phi(p: float, ctx: PhiContext) -> float:
     """Implied probability produced by best responses to candidate p.
 
     p must lie in the band [1 - kappa, kappa]. phi reads the totals itself,
-    by _D's two mass() calls and its vanish check, one call frame less on
-    the hottest evaluation. The band check is mass()'s: past the band, NaN
-    included, a threshold leaves [0, 1] (see _D).
+    as _D does, with its vanish check, one call frame less on the hottest
+    evaluation: on the band from the measure's exact_mass, past it, NaN
+    included, through mass(), whose check rejects a threshold that leaves
+    [0, 1] (see _D). So the band check is still mass()'s.
 
     The regimes are atomic_stakes': she backs Outcome 1 where pbar1 lies
     below p, Outcome 2 where pbar2 lies above it, and abstains otherwise,
@@ -411,8 +422,9 @@ def phi(p: float, ctx: PhiContext) -> float:
     stake at 0.0.
     """
     kappa, m = ctx.params.kappa, ctx.measure
-    d1 = mass(m, p / kappa, 1.0)
-    d2 = mass(m, 0.0, 1.0 - (1.0 - p) / kappa)
+    total = m.exact_mass if 1.0 - kappa <= p <= kappa else partial(mass, m)
+    d1 = total(p / kappa, 1.0)
+    d2 = total(0.0, 1.0 - (1.0 - p) / kappa)
     if d1 + d2 == 0.0:
         raise _totals_vanish(p, kappa)
     if ctx.pbar1.below(p):

@@ -1,14 +1,16 @@
 """The benchmark's span tracer wraps parieq functions by module and name."""
 
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import parieq.equilibrium as equilibrium_mod
 import parieq.stackelberg as stackelberg_mod
-from conftest import bundled_cases
+from conftest import Scen, bundled_cases
 from parieq.measure import from_density, wedge
+from parieq.response import MarketParams
 from test_measure import _family_zoo
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -80,37 +82,47 @@ def test_every_measure_carries_an_array_mass():
         assert callable(getattr(m, "exact_mass_array", None)), m.kind
 
 
-@pytest.mark.parametrize("case", bundled_cases(), ids=lambda c: c.name)
-def test_every_phi_and_D_evaluation_calls_the_traced_mass_twice(monkeypatch, case):
-    # the traced run counts measure.mass_calls through parieq.equilibrium.mass;
-    # a phi or _D that reached the measure another way would read 0 calls per
-    # solve. Each evaluation is charged only its own mass calls: a boundary
-    # step inside phi runs _D, whose calls go to _D's own entry
-    real_mass = equilibrium_mod.mass
-    open_evals, per_eval = [], {"phi": [], "_D": []}
+@pytest.mark.parametrize("case", bundled_cases() + [
+    Scen(m.kind, m, MarketParams(kappa=0.8, q=0.7, w=1.0)) for m in _family_zoo()],
+    ids=lambda c: c.name)
+def test_phi_and_D_read_their_totals_from_exact_mass_inside_the_band(monkeypatch, case):
+    # inside the band both thresholds lie in [0, 1], so no phi or _D
+    # evaluation there, the boundary ratios' included, calls
+    # parieq.equilibrium.mass: each reads its two totals from the measure's
+    # exact_mass, at the thresholds mass() would get and with its floats.
+    # Each evaluation is charged only its own calls: a boundary step inside
+    # phi runs _D, whose calls go to _D's own entry
+    real_exact_mass, real_mass = case.measure.exact_mass, equilibrium_mod.mass
+    open_evals, per_eval, mass_calls = [], {"phi": [], "_D": []}, []
+
+    def recording_exact_mass(lo, hi):
+        total = real_exact_mass(lo, hi)
+        open_evals[-1].append((lo.hex(), hi.hex(), total.hex()))
+        return total
 
     def counted(name):
         real = getattr(equilibrium_mod, name)
 
-        def evaluation(*args):
-            open_evals.append(0)
+        def evaluation(p, *args):
+            kappa = args[0] if name == "_D" else args[0].params.kappa
+            open_evals.append([])
             try:
-                return real(*args)
+                return real(p, *args)
             finally:
-                per_eval[name].append(open_evals.pop())
+                per_eval[name].append((p, kappa, open_evals.pop()))
         return evaluation
-
-    def counted_mass(*args):
-        if open_evals:
-            open_evals[-1] += 1
-        return real_mass(*args)
 
     for name in per_eval:
         monkeypatch.setattr(equilibrium_mod, name, counted(name))
-    monkeypatch.setattr(equilibrium_mod, "mass", counted_mass)
-    equilibrium_mod.solve(case.params, case.measure)
+    monkeypatch.setattr(equilibrium_mod, "mass",
+                        lambda *args: mass_calls.append(args) or real_mass(*args))
+    equilibrium_mod.solve(case.params, replace(case.measure, exact_mass=recording_exact_mass))
     assert len(per_eval["phi"]) >= 2 and per_eval["_D"]
-    assert set(per_eval["phi"]) == set(per_eval["_D"]) == {2}
+    assert not mass_calls
+    for p, kappa, totals in per_eval["phi"] + per_eval["_D"]:
+        assert 1.0 - kappa <= p <= kappa
+        assert totals == [tuple(x.hex() for x in (lo, hi, real_mass(case.measure, lo, hi)))
+                          for lo, hi in ((p / kappa, 1.0), (0.0, 1.0 - (1.0 - p) / kappa))], p
 
 
 def test_quadrature_solve_markets_take_at_most_50_totals_per_solve(monkeypatch):
