@@ -36,13 +36,13 @@ per kappa, with no ``Equilibrium`` built, and checks neither its takes
 nor the market: ``stackelberg.optimize_take`` has. Its lanes find the
 crossing of the composed best-response map: at each candidate the large
 bettor's side and stake come from the totals there, with no boundary, by
-``_side_stake``: her side by ``response.atomic_stakes``' float tests, her
-stake by ``_stake``, as phi rounds it (``_side_stake_lanes`` is its numpy
-twin). phi(p) - p falls with slope at most -1, so any search that keeps
-the crossing in its bracket finds it; the lanes take secant steps, by the
-rule ``oracle.discretize`` uses too (``_secant_step``), to float
-resolution with no tolerance, in 7 to 26 rounds on the bundled 256-take
-grids. Each lane reports the stake its map takes at its fixed point, so
+``_side_stake``: her side by ``response.atomic_best_response``' float
+tests, her stake by ``response._stake`` on phi's radicand c d1 d2
+(``_side_stake_lanes`` is its numpy twin). phi(p) - p falls with slope
+at most -1, so any search that keeps the crossing in its bracket finds
+it; the lanes take secant steps, by the rule ``oracle.discretize`` uses
+too (``_secant_step``), to float resolution with no tolerance, in 7 to 26
+rounds on the bundled 256-take grids. Each lane reports the stake its map takes at its fixed point, so
 that a take is priced with the stake that placed its p*. A lane's fixed
 point lies within FP_TOL of solve's, which stops at that tolerance and
 whose bisected boundaries can misplace a regime switch; its revenue is the
@@ -66,7 +66,7 @@ to 0.16 ms, a ``solve`` with no remembered boundary 0.065 to 0.097 ms and
 
 from dataclasses import dataclass, field
 from functools import partial
-from math import copysign, inf, isfinite, nan, nextafter, sqrt
+from math import copysign, inf, isfinite, nan, nextafter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -74,7 +74,7 @@ import numpy as np
 from .errors import DomainError, NoEquilibriumError, ParieqError
 from .measure import BeliefMeasure, mass
 from .response import (AtomicBet, DiffuseAggregate, DiffuseThresholds,
-                       MarketParams, atomic_best_response,
+                       MarketParams, _stake, atomic_best_response,
                        diffuse_best_response)
 
 FP_TOL = 1e-10
@@ -353,30 +353,23 @@ def phi_context(params: MarketParams, measure: BeliefMeasure) -> PhiContext:
 def _stake_coefficient(kappa, belief):
     # kappa b / (1 - kappa b) for the side held with probability b = belief,
     # on floats or arrays; the denominator is positive, as kappa < 1 and
-    # b <= 1. A stake is sqrt of it times d1 d2, rounded in that order
+    # b <= 1. A stake's radicand is it times d1 d2, rounded in that order
     return kappa * belief / (1.0 - kappa * belief)
-
-
-def _stake(c: float, d1: float, d2: float, own: float, cap: float = inf) -> float:
-    # optimal stake, capped at cap, on the side whose stake coefficient is c
-    # and whose small-bettor total is own: min(cap, max(0.0, s)) for a
-    # positive cap, with its ties and its NaN (to 0.0), in comparisons
-    s = sqrt(c * d1 * d2) - own
-    return cap if s >= cap else (s if s > 0.0 else 0.0)
 
 
 def _side_stake(kappa: float, q: float, w: float, c1: float, c2: float, d1: float,
                 d2: float) -> tuple[float, bool]:
     # her stake at totals d1, d2, capped at w, and whether it backs Outcome
-    # 1: her side by atomic_stakes' float tests, her stake by _stake with
-    # the take's stake coefficients c1 and c2; (0.0, False) where she
-    # abstains. Python's float errors propagate: a zero total sum divides by
-    # zero, and a negative d1 * d2 fails math.sqrt where she bets
+    # 1: her side by atomic_best_response's float tests, her stake by
+    # _stake on the radicand c d1 d2, c the take's stake coefficient c1 or
+    # c2; (0.0, False) where she abstains. Python's float errors propagate:
+    # a zero total sum divides by zero, and a negative d1 * d2 fails
+    # math.sqrt where she bets
     t = kappa * (d1 + d2)
     if q > d1 / t:
-        return _stake(c1, d1, d2, d1, w), True
+        return _stake(c1 * d1 * d2, d1, w), True
     if 1.0 - q > d2 / t:
-        return _stake(c2, d1, d2, d2, w), False
+        return _stake(c2 * d1 * d2, d2, w), False
     return 0.0, False
 
 
@@ -388,7 +381,7 @@ def zeta1(p: float, ctx: PhiContext) -> float:
     if ctx.pbar1.above(p):
         raise DomainError(f"candidate probability {p} lies below pbar1={ctx.pbar1.root()}")
     d1, d2 = _D(p, ctx.params.kappa, ctx.measure)
-    return _stake(ctx.c1, d1, d2, d1)
+    return _stake(ctx.c1 * d1 * d2, d1, inf)
 
 
 def zeta2(p: float, ctx: PhiContext) -> float:
@@ -400,7 +393,7 @@ def zeta2(p: float, ctx: PhiContext) -> float:
     if ctx.pbar2.below(p):
         raise DomainError(f"candidate probability {p} lies above pbar2={ctx.pbar2.root()}")
     d1, d2 = _D(p, ctx.params.kappa, ctx.measure)
-    return _stake(ctx.c2, d1, d2, d2)
+    return _stake(ctx.c2 * d1 * d2, d2, inf)
 
 
 def phi(p: float, ctx: PhiContext) -> float:
@@ -412,12 +405,12 @@ def phi(p: float, ctx: PhiContext) -> float:
     included, through mass(), whose check rejects a threshold that leaves
     [0, 1] (see _D). So the band check is still mass()'s.
 
-    The regimes are atomic_stakes': she backs Outcome 1 where pbar1 lies
-    below p, Outcome 2 where pbar2 lies above it, and abstains otherwise,
-    with one stake a from _stake capped at her budget. phi_context's order
-    check makes pbar2 < pbar1, so the first two regimes never overlap, the
-    second boundary is asked only when the first says no, and each pool
-    share, (a + d1) / (a + d1 + d2), d1 / (a + d1 + d2) or d1 / (d1 + d2),
+    The regimes are atomic_best_response's: she backs Outcome 1 where pbar1
+    lies below p, Outcome 2 where pbar2 lies above it, and abstains
+    otherwise, with one stake a from response._stake, on the radicand c d1
+    d2, capped at her budget. phi_context's order check makes pbar2 <
+    pbar1, so the first two regimes never overlap, the second boundary is
+    asked only when the first says no, and each pool share, (a + d1) / (a + d1 + d2), d1 / (a + d1 + d2) or d1 / (d1 + d2),
     is the float that (a1 + d1) / (a1 + a2 + d1 + d2) gives with the other
     stake at 0.0.
     """
@@ -428,10 +421,10 @@ def phi(p: float, ctx: PhiContext) -> float:
     if d1 + d2 == 0.0:
         raise _totals_vanish(p, kappa)
     if ctx.pbar1.below(p):
-        a = _stake(ctx.c1, d1, d2, d1, ctx.params.w)
+        a = _stake(ctx.c1 * d1 * d2, d1, ctx.params.w)
         return (a + d1) / (a + d1 + d2)
     if ctx.pbar2.above(p):
-        return d1 / (_stake(ctx.c2, d1, d2, d2, ctx.params.w) + d1 + d2)
+        return d1 / (_stake(ctx.c2 * d1 * d2, d2, ctx.params.w) + d1 + d2)
     return d1 / (d1 + d2)
 
 

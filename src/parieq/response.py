@@ -9,8 +9,8 @@ it causes; the interior optimum has the square-root form below, capped by her
 budget.
 """
 
-import math
 from dataclasses import dataclass
+from math import sqrt
 
 from .errors import DomainError
 
@@ -40,7 +40,7 @@ class DiffuseAggregate:
     d2: float
 
     def __post_init__(self) -> None:
-        if self.d1 < 0.0 or self.d2 < 0.0:
+        if not (self.d1 >= 0.0 and self.d2 >= 0.0):  # NaN included
             raise DomainError(f"wager totals must be nonnegative, got {self}")
 
 
@@ -52,7 +52,7 @@ class AtomicBet:
     a2: float
 
     def __post_init__(self) -> None:
-        if self.a1 < 0.0 or self.a2 < 0.0:
+        if not (self.a1 >= 0.0 and self.a2 >= 0.0):  # NaN included
             raise DomainError(f"wagers must be nonnegative, got {self}")
 
     @property
@@ -116,42 +116,35 @@ def atomic_best_response(d: DiffuseAggregate, params: MarketParams) -> AtomicBet
     unconstrained optimum; the budget caps it.
     """
     _require_two_sided(d)
-    return AtomicBet(*atomic_stakes(params.kappa, params.q, params.w, d.d1, d.d2))
-
-
-def atomic_stakes(kappa: float, q: float, w: float, d1: float, d2: float,
-                  ) -> tuple[float, float]:
-    """atomic_best_response's (a1, a2) from floats, unchecked.
-
-    The market must be valid and both totals positive, as MarketParams and
-    atomic_best_response check.
-    """
+    kappa, q, w, d1, d2 = params.kappa, params.q, params.w, d.d1, d.d2
+    # the radicand for the side held with probability b is rounded here as
+    # kappa b d1 d2 / (1 - kappa b), for solve's Equilibrium and the oracle;
+    # the equilibrium module's map rounds it as (kappa b / (1 - kappa b))
+    # d1 d2. Neither can take the other's order bit for bit: this stake in
+    # the map's order turns appendixA's a2 at kappa = 0.5205, w = 1 from
+    # 3.8504572973e-09 to 3.85045729741e-09, a cell the benchmark checks
+    # byte for byte, and phi in this order moves the residual on 29 rows of
+    # four bundled sweep --baseline CSVs. 1 - kappa b is positive, as
+    # kappa < 1 and b <= 1
     if q > d1 / (kappa * (d1 + d2)):
-        return _capped_stake(kappa, q, d1, d2, d1, w), 0.0
-    if 1.0 - q > d2 / (kappa * (d1 + d2)):
-        return 0.0, _capped_stake(kappa, 1.0 - q, d1, d2, d2, w)
-    return 0.0, 0.0
+        return AtomicBet(_stake(kappa * q * d1 * d2 / (1.0 - kappa * q), d1, w), 0.0)
+    b = 1.0 - q
+    if b > d2 / (kappa * (d1 + d2)):
+        return AtomicBet(0.0, _stake(kappa * b * d1 * d2 / (1.0 - kappa * b), d2, w))
+    return AtomicBet(0.0, 0.0)
 
 
-def _capped_stake(kappa: float, belief: float, d1: float, d2: float, own: float,
-                  w: float) -> float:
-    # budget-capped square-root stake on the side held with probability belief,
-    # whose small-bettor total is own, rounded as kappa b d1 d2 / (1 - kappa b).
-    # This order now serves only solve's Equilibrium and the oracle; the take
-    # search prices with the stake its own map takes, equilibrium._side_stake's.
-    # equilibrium._stake rounds (kappa b / (1 - kappa b)) d1 d2, and neither
-    # can take the other's order bit for bit: this stake in phi's order turns
-    # appendixA's a2 at kappa = 0.5205, w = 1 from 3.8504572973e-09 to
-    # 3.85045729741e-09, a cell the benchmark checks byte for byte, and phi
-    # in this order moves the residual on 29 rows of four bundled
-    # sweep --baseline CSVs. The cap is min(w, max(0.0, s)) with its ties
-    # and its NaN (to 0.0), in comparisons
-    denom = 1.0 - kappa * belief  # positive: kappa < 1 and belief <= 1
-    s = math.sqrt(kappa * belief * d1 * d2 / denom) - own
-    return w if s >= w else (s if s > 0.0 else 0.0)
+def _stake(square: float, own: float, cap: float) -> float:
+    # the large bettor's square-root stake on the side whose small-bettor
+    # total is own, capped at cap: min(cap, max(0.0, sqrt(square) - own))
+    # with its ties and its NaN (to 0.0), in comparisons. square is kappa b
+    # d1 d2 / (1 - kappa b) for her belief b in that side, rounded in the
+    # caller's order
+    s = sqrt(square) - own
+    return cap if s >= cap else (s if s > 0.0 else 0.0)
 
 
 def _require_two_sided(d: DiffuseAggregate) -> None:
-    if d.d1 <= 0.0 or d.d2 <= 0.0:
+    if not (d.d1 > 0.0 and d.d2 > 0.0):  # NaN included
         raise DomainError(
             f"small-bettor totals must be positive on both outcomes, got {d}")

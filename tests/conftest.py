@@ -2,6 +2,7 @@
 memory for every test."""
 
 from dataclasses import dataclass
+from math import nextafter
 
 import numpy as np
 import pytest
@@ -13,6 +14,15 @@ from parieq.measure import (BeliefMeasure, gaussian_mixture, scaled,
 from parieq.response import MarketParams
 
 BASELINE_W = 1e-10
+
+# every pair of these positive totals, from the least subnormal to the
+# largest float, makes c d1 d2 underflow or overflow and d1 + d2 overflow;
+# the stake tests pair them with these takes, beliefs and budgets
+EXTREME_TOTALS = (5e-324, 1e-320, 2.0**-1022, 1e-300, 1e-10, 0.5, 1.0, 3.0, 1e10, 1e300,
+                  1.7e308)
+EXTREME_KAPPAS = (0.5001, 0.75, 0.9999, nextafter(1.0, 0.0))
+EXTREME_QS = (0.0, 5e-324, 0.3, 0.5, 0.9, 1.0)
+EXTREME_WS = (5e-324, BASELINE_W, 1.0, 1e9, 1.7e308)
 
 
 @pytest.fixture(autouse=True)

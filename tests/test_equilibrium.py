@@ -19,23 +19,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from conftest import (BASELINE_W, Scen, assert_equilibrium_properties, bundled_cases,
-                      scenario_zoo)
+from conftest import (BASELINE_W, EXTREME_KAPPAS, EXTREME_QS, EXTREME_TOTALS, EXTREME_WS,
+                      Scen, assert_equilibrium_properties, bundled_cases, scenario_zoo)
 from test_measure import _family_zoo
 import parieq
 import parieq.equilibrium as equilibrium_mod
 import parieq.stackelberg as stackelberg_mod
 from parieq.equilibrium import (FP_TOL, Boundary, Equilibrium, _D, _bisect_decreasing,
                                 _inside, _ordered, _phi_lanes, _secant_lanes, _secant_step,
-                                _secant_step_float, _stake, _stake_coefficient,
+                                _secant_step_float, _side_stake, _stake_coefficient,
                                 compute_pbar1, compute_pbar2, fixed_point,
                                 grid_fixed_points, phi, phi_context, solve, zeta1, zeta2)
 from parieq.errors import DomainError, NoEquilibriumError
 from parieq.measure import (BeliefMeasure, from_density, mass, scaled,
                             symmetrized_wedge, tabulated, uniform, wedge)
 from parieq.metrics import house_revenue, take_revenue
-from parieq.response import (DiffuseAggregate, MarketParams, _capped_stake,
-                             implied_probability)
+from parieq.response import (DiffuseAggregate, MarketParams, _stake,
+                             atomic_best_response, implied_probability)
 from parieq.scenario import build_measure, bundled_scenarios, load_scenario
 from parieq.oracle import discretize
 from parieq.stackelberg import (KAPPA_SEARCH_HI, KAPPA_SEARCH_LO, grid_revenues,
@@ -241,13 +241,8 @@ class TestOptimalStakes:
             zeta2(self.pbar2 + 0.01, self.ctx)
 
     @pytest.mark.parametrize("cap", [1e-10, 1.0, math.inf])
-    @pytest.mark.parametrize("helper", ["_stake", "_capped_stake"])
-    def test_the_cap_is_min_of_max_bit_for_bit(self, helper, cap):
-        # s = sqrt(x) - own, with x = c d1 d2 for _stake and
-        # kappa b d1 d2 / (1 - kappa b) for _capped_stake, both x exactly;
-        # an infinite own and x give NaN
-        stake = {"_stake": lambda x, own: _stake(1.0, x, 1.0, own, cap),
-                 "_capped_stake": lambda x, own: _capped_stake(0.5, 1.0, x, 1.0, own, cap)}
+    def test_the_cap_is_min_of_max_bit_for_bit(self, cap):
+        # s = sqrt(x) - own for the radicand x; an infinite own and x give NaN
         below, above = math.nextafter(cap, 0.0), math.nextafter(cap, math.inf)
         cases = [(-math.inf, 0.0, math.inf), (-1.0, 0.0, 1.0), (0.0, 0.0, 0.0),
                  (-0.0, -0.0, 0.0), (5e-324, 0.0, -5e-324), (below, 0.0, -below),
@@ -255,7 +250,25 @@ class TestOptimalStakes:
                  (math.nan, math.inf, math.inf)]
         for s, x, own in cases:
             assert (math.sqrt(x) - own).hex() == s.hex()
-            assert stake[helper](x, own).hex() == min(cap, max(0.0, s)).hex(), s
+            assert _stake(x, own, cap).hex() == min(cap, max(0.0, s)).hex(), s
+
+    def test_each_callers_radicand_order_is_pinned(self):
+        # atomic_best_response's stakes are the written-out ones in its
+        # radicand order, and _side_stake's in phi's, as hex, on every pair
+        # of extreme totals
+        def hexes(*stakes):
+            return [x.hex() for x in stakes]
+
+        for kappa, q, w in itertools.product(EXTREME_KAPPAS, EXTREME_QS, EXTREME_WS):
+            params = MarketParams(kappa=kappa, q=q, w=w)
+            c1, c2 = _stake_coefficient(kappa, q), _stake_coefficient(kappa, 1.0 - q)
+            for d1, d2 in itertools.product(EXTREME_TOTALS, repeat=2):
+                bet = atomic_best_response(DiffuseAggregate(d1, d2), params)
+                assert hexes(bet.a1, bet.a2) == hexes(*_written_out_stakes(
+                    kappa, q, w, d1, d2, _capped_radicand)), (kappa, q, w, d1, d2)
+                stake, back1 = _side_stake(kappa, q, w, c1, c2, d1, d2)
+                assert hexes(*((stake, 0.0) if back1 else (0.0, stake))) == hexes(
+                    *_composed_stakes(kappa, q, w, d1, d2)), (kappa, q, w, d1, d2)
 
 
 class TestResponseMap:
@@ -543,17 +556,31 @@ def _grid_revenues(kappas, q, w, m):
     return [r.hex() for r in grid_revenues(kappas, q, w, m)]
 
 
-def _composed_stakes(kappa, q, w, d1, d2):
+def _written_out_stakes(kappa, q, w, d1, d2, radicand):
     # her wagers (a1, a2) at totals d1, d2: her side decided from them by
-    # atomic_stakes' tests, her capped square-root stake in phi's rounding
-    # order
+    # atomic_best_response's tests, her stake min(w, max(0.0, sqrt(x) -
+    # own)) with x = radicand(kappa, b, d1, d2) for her belief b in that side
     t = kappa * (d1 + d2)
     if q > d1 / t:
-        return min(w, max(0.0, math.sqrt(_stake_coefficient(kappa, q) * d1 * d2) - d1)), 0.0
+        return min(w, max(0.0, math.sqrt(radicand(kappa, q, d1, d2)) - d1)), 0.0
     if 1.0 - q > d2 / t:
-        return 0.0, min(w, max(0.0, math.sqrt(_stake_coefficient(kappa, 1.0 - q) * d1 * d2)
-                               - d2))
+        return 0.0, min(w, max(0.0, math.sqrt(radicand(kappa, 1.0 - q, d1, d2)) - d2))
     return 0.0, 0.0
+
+
+def _capped_radicand(kappa, b, d1, d2):
+    # atomic_best_response's rounding order
+    return kappa * b * d1 * d2 / (1.0 - kappa * b)
+
+
+def _coefficient_radicand(kappa, b, d1, d2):
+    # phi's rounding order, (kappa b / (1 - kappa b)) d1 d2
+    return kappa * b / (1.0 - kappa * b) * d1 * d2
+
+
+def _composed_stakes(kappa, q, w, d1, d2):
+    # her wagers (a1, a2) at totals d1, d2 in phi's rounding order
+    return _written_out_stakes(kappa, q, w, d1, d2, _coefficient_radicand)
 
 
 def _composed_phi(p, kappa, q, w, m):

@@ -5,6 +5,9 @@ numeric maximization (scipy bounded search and brute-force simplex sampling)
 and against finite-difference optimality conditions.
 """
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from scipy import optimize
 
 from parieq.errors import DomainError
 from parieq.response import (AtomicBet, DiffuseAggregate, MarketParams,
-                             atomic_best_response, atomic_profit,
+                             _require_two_sided, atomic_best_response, atomic_profit,
                              diffuse_best_response, diffuse_unit_edge,
                              implied_probability)
 
@@ -42,6 +45,23 @@ class TestMarketParams:
             DiffuseAggregate(-0.1, 1.0)
         with pytest.raises(DomainError):
             AtomicBet(0.0, -1e-9)
+
+    @pytest.mark.parametrize("make", [
+        lambda: DiffuseAggregate(math.nan, 1.0),
+        lambda: DiffuseAggregate(1.0, math.nan),
+        lambda: AtomicBet(math.nan, 0.0),
+        lambda: AtomicBet(0.0, math.nan),
+        lambda: atomic_best_response(DiffuseAggregate(math.nan, 1.0),
+                                     MarketParams(kappa=0.8, q=0.9, w=1.0)),
+        # a NaN total, whatever holds it, is not two-sided
+        lambda: _require_two_sided(SimpleNamespace(d1=math.nan, d2=1.0)),
+        lambda: _require_two_sided(SimpleNamespace(d1=1.0, d2=math.nan)),
+    ], ids=["d1", "d2", "a1", "a2", "best_response", "two_sided_d1", "two_sided_d2"])
+    def test_nan_wagers_rejected(self, make):
+        # NaN fails every comparison, so a check that only looks for a
+        # negative value would read a NaN total as her abstaining
+        with pytest.raises(DomainError):
+            make()
 
 
 class TestImpliedProbability:

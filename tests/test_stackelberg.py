@@ -21,7 +21,8 @@ from parieq.scenario import build_measure, bundled_scenarios, load_scenario
 from parieq.stackelberg import (_INV_GOLDEN, _REFINE_TOL, KAPPA_SEARCH_HI,
                                 KAPPA_SEARCH_LO, TakeOptimum, grid_revenues,
                                 optimize_take)
-from conftest import BASELINE_W, scenario_zoo
+from conftest import (BASELINE_W, EXTREME_KAPPAS, EXTREME_QS, EXTREME_TOTALS, EXTREME_WS,
+                      scenario_zoo)
 from test_equilibrium import (GRID_REVENUE_BOUND, _composed_revenues, _count_handovers,
                               _grid, _outcome, _rippled)
 from test_measure import _family_zoo
@@ -325,17 +326,10 @@ class TestGridPricing:
                                                     sc.params.w, sc.measure)
 
     def test_stakes_on_subnormal_and_huge_totals(self):
-        # every pair of positive totals from the least subnormal to the
-        # largest float, where c d1 d2 underflows or overflows and d1 + d2
-        # can overflow
-        totals = [5e-324, 1e-320, 2.0**-1022, 1e-300, 1e-10, 0.5, 1.0, 3.0, 1e10,
-                  1e300, 1.7e308]
-        pairs = list(itertools.product(totals, repeat=2))
-        kappas = [0.5001, 0.75, 0.9999, math.nextafter(1.0, 0.0)]
-        d1, d2 = ([p[i] for _ in kappas for p in pairs] for i in (0, 1))
-        ks = [k for k in kappas for _ in pairs]
-        for q, w in itertools.product((0.0, 5e-324, 0.3, 0.5, 0.9, 1.0),
-                                      (5e-324, BASELINE_W, 1.0, 1e9, 1.7e308)):
+        pairs = list(itertools.product(EXTREME_TOTALS, repeat=2))
+        d1, d2 = ([p[i] for _ in EXTREME_KAPPAS for p in pairs] for i in (0, 1))
+        ks = [k for k in EXTREME_KAPPAS for _ in pairs]
+        for q, w in itertools.product(EXTREME_QS, EXTREME_WS):
             assert _assert_the_twin_is_the_scalar(ks, q, w, d1, d2) == 0
 
     def test_stakes_on_a_negative_total_product(self):
